@@ -13,8 +13,10 @@
 //!    are the clusters.
 //!
 //! The crate is self-contained: callers supply a distance function over
-//! point indices, so it clusters anything with a metric (the overlay
-//! crate feeds it Euclidean distances between proxy coordinates).
+//! point indices ([`mst_complete`]), so it clusters anything with a
+//! metric, or the points themselves when the metric is Euclidean
+//! ([`mst_euclidean`] — the same tree without the `n²` scan, which is
+//! what the overlay build feeds its proxy coordinates to).
 //!
 //! # Example
 //!
@@ -37,6 +39,6 @@ pub mod unionfind;
 pub mod zahn;
 
 pub use cluster::Clustering;
-pub use mst::{mst_complete, mst_complete_threads, mst_kruskal, Mst, MstEdge};
+pub use mst::{mst_complete, mst_euclidean, mst_kruskal, Mst, MstEdge};
 pub use unionfind::UnionFind;
 pub use zahn::{InconsistencyRule, ZahnClusterer, ZahnConfig};

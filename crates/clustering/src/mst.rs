@@ -1,6 +1,8 @@
 //! Minimum spanning trees over point sets and explicit edge lists.
 
 use crate::unionfind::UnionFind;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One edge of a minimum spanning tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,144 +132,323 @@ where
     Mst::from_edges(n, edges)
 }
 
-/// Like [`mst_complete`], but sharding the per-round edge scans across
-/// `threads` scoped worker threads (`0` = all cores).
+/// The distance between two points, by the very expression
+/// `son_coords::Coordinates::distance` uses, so weights agree bit for bit.
+fn euclidean(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(a, b)| (a - b).powi(2))
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// A ring bound is shrunk by this factor, so that no rounding — of a
+/// point's cell (about `MAX_SIDE · 2⁻⁵²` of a cell width) or of the
+/// subtraction inside a distance — puts a point nearer than its bound.
+const SLACK: f64 = 1.0 - 1e-9;
+/// Most cells along one axis; keeps [`SLACK`] wide enough.
+const MAX_SIDE: usize = 1 << 16;
+/// "No candidate" in [`Cursor::target`].
+const NONE: u32 = u32::MAX;
+
+/// Uniform grid of square cells over the first `min(dims, 2)`
+/// coordinates, holding the points still outside the tree.
+struct Grid {
+    cols: usize,
+    rows: usize,
+    /// Cell width; positive even when every point coincides.
+    cell: f64,
+    /// Cell `c` owns `items[start[c]..start[c + 1]]`, of which the
+    /// first `live[c]` are outside the tree.
+    start: Vec<u32>,
+    live: Vec<u32>,
+    items: Vec<u32>,
+    /// `(column, row)` of each point's cell.
+    home: Vec<(u32, u32)>,
+}
+
+impl Grid {
+    fn new<P: AsRef<[f64]>>(points: &[P]) -> Self {
+        let n = points.len();
+        let dims = points[0].as_ref().len();
+        assert!(dims > 0, "points need at least one dimension");
+        // A one-dimensional set lies on the second axis' origin.
+        let on = |p: &[f64], axis: usize| p.get(axis).copied().unwrap_or(0.0);
+        let mut lo = [f64::INFINITY; 2];
+        let mut hi = [f64::NEG_INFINITY; 2];
+        for p in points {
+            let p = p.as_ref();
+            assert_eq!(p.len(), dims, "cannot take distance across dimensions");
+            for &x in p {
+                assert!(
+                    x.is_finite(),
+                    "distances must be non-negative, got a coordinate {x}"
+                );
+            }
+            for axis in 0..2 {
+                lo[axis] = lo[axis].min(on(p, axis));
+                hi[axis] = hi[axis].max(on(p, axis));
+            }
+        }
+        let extent = [hi[0] - lo[0], hi[1] - lo[1]];
+        // About two points a cell, but never more than `side` cells
+        // along an axis however thin the set is.
+        let cells = (n / 2).max(1);
+        let side = cells.min(MAX_SIDE);
+        let mut cell = (extent[0] * extent[1] / cells as f64)
+            .sqrt()
+            .max(extent[0] / side as f64)
+            .max(extent[1] / side as f64);
+        if cell.is_nan() || cell <= 0.0 {
+            cell = 1.0;
+        }
+        let along = |axis: usize| ((extent[axis] / cell) as usize).min(side - 1) + 1;
+        let (cols, rows) = (along(0), along(1));
+        let home: Vec<(u32, u32)> = points
+            .iter()
+            .map(|p| {
+                let at = |axis: usize, len: usize| {
+                    let x = on(p.as_ref(), axis) - lo[axis];
+                    ((x / cell) as usize).min(len - 1) as u32
+                };
+                (at(0, cols), at(1, rows))
+            })
+            .collect();
+        let mut start = vec![0u32; cols * rows + 1];
+        for &(cx, cy) in &home {
+            start[cy as usize * cols + cx as usize + 1] += 1;
+        }
+        for c in 0..cols * rows {
+            start[c + 1] += start[c];
+        }
+        let mut live = vec![0u32; cols * rows];
+        let mut items = vec![0u32; n];
+        for (v, &(cx, cy)) in home.iter().enumerate() {
+            let c = cy as usize * cols + cx as usize;
+            items[(start[c] + live[c]) as usize] = v as u32;
+            live[c] += 1;
+        }
+        Grid {
+            cols,
+            rows,
+            cell,
+            start,
+            live,
+            items,
+            home,
+        }
+    }
+
+    /// Drops `v` from its cell: it joined the tree.
+    fn remove(&mut self, v: usize) {
+        let (cx, cy) = self.home[v];
+        let c = cy as usize * self.cols + cx as usize;
+        let first = self.start[c] as usize;
+        let cell = &mut self.items[first..first + self.live[c] as usize];
+        let at = cell
+            .iter()
+            .position(|&p| p as usize == v)
+            .expect("a point outside the tree is in its cell");
+        cell.swap(at, cell.len() - 1);
+        self.live[c] -= 1;
+    }
+
+    /// What every point beyond the first `rings` rings around a cell is
+    /// at least away from any point inside that cell — rounded the way
+    /// a distance is, so that it also underflows and overflows like one.
+    fn bound(&self, rings: u32) -> f64 {
+        (rings.saturating_sub(1) as f64 * self.cell * SLACK)
+            .powi(2)
+            .sqrt()
+    }
+}
+
+/// What a tree node remembers of its search for the nearest point
+/// outside the tree: how many rings of cells around its own it has
+/// scanned, and the best `(distance, index)` among their points.
+#[derive(Clone, Copy)]
+struct Cursor {
+    rings: u32,
+    best: f64,
+    target: u32,
+}
+
+/// Lazy Prim over a [`Grid`]: one heap entry per tree node.
+struct Search<'a, P> {
+    points: &'a [P],
+    grid: Grid,
+    in_tree: Vec<bool>,
+    cursors: Vec<Cursor>,
+    /// Tree nodes in join order; a heap entry names its node by
+    /// position here.
+    joined: Vec<u32>,
+    /// `(key bits, target, join order)`, smallest first. Keys are
+    /// non-negative and never NaN, so their bit patterns order like the
+    /// values and plain tuples serve.
+    heap: BinaryHeap<Reverse<(u64, u32, u32)>>,
+}
+
+impl<P: AsRef<[f64]>> Search<'_, P> {
+    /// Folds the points outside the tree in the cells `xs × ys`
+    /// (clipped to the grid) into `cursor`, first minimum by
+    /// `(distance, index)`.
+    fn scan(&self, u: usize, xs: (i64, i64), ys: (i64, i64), cursor: &mut Cursor) {
+        let grid = &self.grid;
+        let from = self.points[u].as_ref();
+        let (x0, x1) = (xs.0.max(0) as usize, xs.1.min(grid.cols as i64 - 1));
+        let (y0, y1) = (ys.0.max(0) as usize, ys.1.min(grid.rows as i64 - 1));
+        if x1 < x0 as i64 || y1 < y0 as i64 {
+            return;
+        }
+        for y in y0..=y1 as usize {
+            for c in y * grid.cols + x0..=y * grid.cols + x1 as usize {
+                let first = grid.start[c] as usize;
+                for &v in &grid.items[first..first + grid.live[c] as usize] {
+                    let d = euclidean(from, self.points[v as usize].as_ref());
+                    if d < cursor.best || (d == cursor.best && v < cursor.target) {
+                        cursor.best = d;
+                        cursor.target = v;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Moves `u`'s search on until it can name a heap key above
+    /// `floor` — keys at or below it would be popped next anyway.
+    /// `(distance bits, target)` when the candidate is certain to be
+    /// `u`'s nearest outside the tree, `(bound bits, 0)` when all that
+    /// is known is how far the unscanned points are, `None` when no
+    /// point is left outside the tree.
+    fn advance(&mut self, u: usize, floor: f64) -> Option<(u64, u32)> {
+        let grid = &self.grid;
+        let (cx, cy) = (grid.home[u].0 as i64, grid.home[u].1 as i64);
+        let reach = cx
+            .max(grid.cols as i64 - 1 - cx)
+            .max(cy)
+            .max(grid.rows as i64 - 1 - cy);
+        let mut cursor = self.cursors[u];
+        if cursor.target != NONE && self.in_tree[cursor.target as usize] {
+            // The candidate joined the tree through another node. Points
+            // only ever leave cells, so the rings already scanned still
+            // hold the runner-up.
+            let r = cursor.rings as i64 - 1;
+            (cursor.best, cursor.target) = (f64::INFINITY, NONE);
+            self.scan(u, (cx - r, cx + r), (cy - r, cy + r), &mut cursor);
+        }
+        let key = loop {
+            let r = cursor.rings as i64;
+            if r > reach {
+                break (cursor.target != NONE).then_some((cursor.best, cursor.target));
+            }
+            let bound = grid.bound(cursor.rings);
+            // Strictly: a tie with an unscanned point of lower index
+            // must be seen before it is broken.
+            if cursor.best < bound {
+                break Some((cursor.best, cursor.target));
+            }
+            if bound > floor {
+                break Some((bound, 0));
+            }
+            self.scan(u, (cx - r, cx + r), (cy - r, cy - r), &mut cursor);
+            if r > 0 {
+                self.scan(u, (cx - r, cx + r), (cy + r, cy + r), &mut cursor);
+                self.scan(u, (cx - r, cx - r), (cy - r + 1, cy + r - 1), &mut cursor);
+                self.scan(u, (cx + r, cx + r), (cy - r + 1, cy + r - 1), &mut cursor);
+            }
+            cursor.rings += 1;
+        };
+        self.cursors[u] = cursor;
+        key.map(|(d, target)| (d.to_bits(), target))
+    }
+
+    /// Puts the `order`-th tree node (back) into the heap.
+    fn queue(&mut self, order: u32, floor: f64) {
+        let u = self.joined[order as usize] as usize;
+        if let Some((key, target)) = self.advance(u, floor) {
+            self.heap.push(Reverse((key, target, order)));
+        }
+    }
+
+    /// Moves `v` from the grid into the tree.
+    fn join(&mut self, v: usize, floor: f64) {
+        self.in_tree[v] = true;
+        self.grid.remove(v);
+        self.joined.push(v as u32);
+        self.queue(self.joined.len() as u32 - 1, floor);
+    }
+}
+
+/// Builds the same tree as [`mst_complete`] over Euclidean points —
+/// same edges, order, orientation and weight bits — without looking at
+/// all `n²` pairs.
 ///
-/// Prim's algorithm is inherently sequential across rounds, but both
-/// per-round scans — "which frontier node is closest to the tree" and
-/// "relax every frontier node against the new tree node" — are
-/// independent per node. Each worker owns a contiguous index range and
-/// its slice of the `best_dist`/`best_link` frontier; two barriers per
-/// round synchronize candidate election. Worker 0 reduces the
-/// per-worker candidates **in range order with strict improvement**,
-/// which reproduces the sequential first-minimum tie-break exactly, so
-/// the returned tree is bit-identical to [`mst_complete`] for any
-/// thread count.
+/// A uniform grid over the first `min(dims, 2)` coordinates indexes
+/// the points outside the tree (the projected distance bounds the full
+/// one from below, so any `dims` stays exact). Prim grows the tree from
+/// point 0; every tree node searches outward ring by ring for its
+/// nearest outside point and waits in a heap under
+/// `(distance or ring bound, target, join order)`, which is exactly the
+/// order in which [`mst_complete`]'s first-minimum scans pick edges.
+/// The work is near-linear on spread-out points; `k` coincident points
+/// cost `O(k³)`.
 ///
 /// # Panics
 ///
-/// Panics if a queried distance is negative or NaN (detected at the
-/// end of the build, unlike [`mst_complete`] which panics mid-scan).
-pub fn mst_complete_threads<D>(n: usize, dist: D, threads: usize) -> Mst
-where
-    D: Fn(usize, usize) -> f64 + Sync,
-{
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Barrier, Mutex};
-
-    let threads = son_par::effective_threads(threads);
-    if threads <= 1 || n <= 2 {
-        return mst_complete(n, dist);
+/// Panics if two or more points are given and any has no coordinates, a
+/// non-finite coordinate, or a different dimension from the first.
+///
+/// # Example
+///
+/// ```
+/// use son_clustering::{mst_complete, mst_euclidean};
+///
+/// let pts: [[f64; 2]; 3] = [[0.0, 0.0], [3.0, 4.0], [3.0, 5.0]];
+/// let dist = |a: usize, b: usize| {
+///     ((pts[a][0] - pts[b][0]).powi(2) + (pts[a][1] - pts[b][1]).powi(2)).sqrt()
+/// };
+/// assert_eq!(mst_euclidean(&pts).edges(), mst_complete(3, dist).edges());
+/// ```
+pub fn mst_euclidean<P: AsRef<[f64]>>(points: &[P]) -> Mst {
+    let n = points.len();
+    if n < 2 {
+        return Mst::from_edges(n, Vec::new());
     }
-    let ranges = son_par::chunk_ranges(threads, n);
-    if ranges.len() <= 1 {
-        return mst_complete(n, dist);
-    }
-    const NONE: usize = usize::MAX;
-    let barrier = Barrier::new(ranges.len());
-    // Per-worker candidate (weight, node, link); workers write their
-    // own slot before the first barrier, worker 0 reads them all after.
-    let slots: Vec<Mutex<(f64, usize, usize)>> = ranges
-        .iter()
-        .map(|_| Mutex::new((f64::INFINITY, NONE, 0)))
-        .collect();
-    let next_cell = AtomicUsize::new(0);
-    let invalid = AtomicBool::new(false);
-    let dist = &dist;
-    let edges = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(w, range)| {
-                let barrier = &barrier;
-                let slots = &slots;
-                let next_cell = &next_cell;
-                let invalid = &invalid;
-                scope.spawn(move || {
-                    let lo = range.start;
-                    let mut in_tree = vec![false; range.len()];
-                    let mut best_dist = vec![f64::INFINITY; range.len()];
-                    let mut best_link = vec![0usize; range.len()];
-                    // Invalid distances are flagged and neutralized so
-                    // no worker panics while peers wait on a barrier.
-                    let measure = |a: usize, b: usize| {
-                        let d = dist(a, b);
-                        if d >= 0.0 {
-                            d
-                        } else {
-                            invalid.store(true, Ordering::Relaxed);
-                            f64::INFINITY
-                        }
-                    };
-                    for v in range.clone() {
-                        if v == 0 {
-                            in_tree[0] = true;
-                        } else {
-                            best_dist[v - lo] = measure(0, v);
-                        }
-                    }
-                    let mut edges: Vec<MstEdge> = Vec::new();
-                    for _ in 1..n {
-                        // First local minimum (matching `min_by`, which
-                        // keeps the earliest of equal elements — even
-                        // when every candidate is infinite).
-                        let mut cand = (f64::INFINITY, NONE, 0usize);
-                        for v in range.clone() {
-                            let i = v - lo;
-                            if !in_tree[i] && (cand.1 == NONE || best_dist[i] < cand.0) {
-                                cand = (best_dist[i], v, best_link[i]);
-                            }
-                        }
-                        *slots[w].lock().expect("slot lock poisoned") = cand;
-                        barrier.wait();
-                        if w == 0 {
-                            let mut best = (f64::INFINITY, NONE, 0usize);
-                            for slot in slots.iter() {
-                                let c = *slot.lock().expect("slot lock poisoned");
-                                if c.1 != NONE && (best.1 == NONE || c.0 < best.0) {
-                                    best = c;
-                                }
-                            }
-                            let (weight, next, link) = best;
-                            debug_assert_ne!(next, NONE, "some node remains outside the tree");
-                            edges.push(MstEdge {
-                                a: link,
-                                b: next,
-                                weight,
-                            });
-                            next_cell.store(next, Ordering::Release);
-                        }
-                        barrier.wait();
-                        let next = next_cell.load(Ordering::Acquire);
-                        if range.contains(&next) {
-                            in_tree[next - lo] = true;
-                        }
-                        for v in range.clone() {
-                            let i = v - lo;
-                            if !in_tree[i] {
-                                let d = measure(next, v);
-                                if d < best_dist[i] {
-                                    best_dist[i] = d;
-                                    best_link[i] = next;
-                                }
-                            }
-                        }
-                    }
-                    edges
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n - 1);
-        for h in handles {
-            out.append(&mut h.join().expect("mst worker panicked"));
+    assert!(n < NONE as usize, "point indices must fit in 32 bits");
+    let mut search = Search {
+        points,
+        grid: Grid::new(points),
+        in_tree: vec![false; n],
+        cursors: vec![
+            Cursor {
+                rings: 0,
+                best: f64::INFINITY,
+                target: NONE,
+            };
+            n
+        ],
+        joined: Vec::with_capacity(n),
+        heap: BinaryHeap::new(),
+    };
+    let mut edges = Vec::with_capacity(n - 1);
+    search.join(0, 0.0);
+    while edges.len() < n - 1 {
+        let Reverse((key, target, order)) = search
+            .heap
+            .pop()
+            .expect("a tree node still searches while points are outside the tree");
+        let weight = f64::from_bits(key);
+        // Target 0 marks a ring bound: point 0 is the root, never a target.
+        if target != 0 && !search.in_tree[target as usize] {
+            edges.push(MstEdge {
+                a: search.joined[order as usize] as usize,
+                b: target as usize,
+                weight,
+            });
+            search.join(target as usize, weight);
         }
-        out
-    });
-    assert!(
-        !invalid.load(Ordering::Relaxed),
-        "distances must be non-negative"
-    );
+        search.queue(order, weight);
+    }
     Mst::from_edges(n, edges)
 }
 
@@ -388,46 +569,100 @@ mod tests {
         let _ = mst_complete(2, |_, _| -1.0);
     }
 
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_distance_panics_threaded() {
-        let _ = mst_complete_threads(8, |_, _| -1.0, 2);
+    /// `mst_euclidean` against `mst_complete` over the distance written
+    /// out as `Coordinates::distance` has it: same edges in the same
+    /// order and orientation, same weight bits.
+    pub(super) fn assert_same_tree(points: &[Vec<f64>]) {
+        let dist = |a: usize, b: usize| {
+            points[a]
+                .iter()
+                .zip(&points[b])
+                .map(|(a, b)| (a - b).powi(2))
+                .sum::<f64>()
+                .sqrt()
+        };
+        let key = |mst: &Mst| -> Vec<(usize, usize, u64)> {
+            mst.edges()
+                .iter()
+                .map(|e| (e.a, e.b, e.weight.to_bits()))
+                .collect()
+        };
+        let fast = mst_euclidean(points);
+        let slow = mst_complete(points.len(), dist);
+        assert_eq!(fast.len(), slow.len());
+        assert_eq!(key(&fast), key(&slow));
     }
 
     #[test]
-    fn threaded_prim_matches_sequential_exactly() {
+    fn euclidean_matches_prim_exactly_on_quantized_points() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(21);
         // Quantized coordinates force plenty of distance ties, the
         // case where tie-breaking order could diverge.
-        let pts: Vec<(f64, f64)> = (0..157)
+        let pts: Vec<Vec<f64>> = (0..157)
             .map(|_| {
-                (
+                vec![
                     (rng.gen::<f64>() * 10.0).round(),
                     (rng.gen::<f64>() * 10.0).round(),
-                )
+                ]
             })
             .collect();
-        let dist = |a: usize, b: usize| {
-            ((pts[a].0 - pts[b].0).powi(2) + (pts[a].1 - pts[b].1).powi(2)).sqrt()
-        };
-        let seq = mst_complete(pts.len(), dist);
-        for threads in [2, 3, 5, 16] {
-            let par = mst_complete_threads(pts.len(), dist, threads);
-            assert_eq!(par.edges(), seq.edges(), "threads={threads}");
-        }
+        assert_same_tree(&pts);
     }
 
     #[test]
-    fn threaded_prim_handles_tiny_inputs() {
-        let xs: &[f64] = &[4.0, 0.0, 9.0];
-        let dist = |a: usize, b: usize| (xs[a] - xs[b]).abs();
-        let seq = mst_complete(3, dist);
-        let par = mst_complete_threads(3, dist, 8);
-        assert_eq!(par.edges(), seq.edges());
-        assert!(mst_complete_threads(0, dist, 4).is_empty());
-        assert_eq!(mst_complete_threads(1, dist, 4).len(), 1);
+    fn euclidean_handles_tiny_inputs() {
+        let none: [[f64; 2]; 0] = [];
+        assert!(mst_euclidean(&none).is_empty());
+        let one = mst_euclidean(&[[f64::NAN]]);
+        assert_eq!(one.len(), 1);
+        assert!(one.edges().is_empty());
+        let two = mst_euclidean(&[[4.0, 0.0], [1.0, 4.0]]);
+        assert_eq!(
+            two.edges(),
+            [MstEdge {
+                a: 0,
+                b: 1,
+                weight: 5.0
+            }]
+        );
+    }
+
+    #[test]
+    fn euclidean_on_a_line() {
+        let xs = [4.0, 0.0, 9.0, 4.0, -3.5, 100.0, 9.0];
+        assert_same_tree(&xs.map(|x| vec![x]));
+        // The same line tilted into five dimensions: no extent along
+        // the two gridded axes beyond what the tilt gives them.
+        assert_same_tree(&xs.map(|x| vec![1.0, 2.0, x, -x, 0.5 * x]));
+    }
+
+    #[test]
+    fn euclidean_on_identical_points() {
+        let mst = mst_euclidean(&[[2.5, -1.0, 7.0]; 40]);
+        // First-minimum Prim hangs every duplicate off the root.
+        for (i, e) in mst.edges().iter().enumerate() {
+            assert_eq!((e.a, e.b, e.weight.to_bits()), (0, i + 1, 0));
+        }
+        assert_same_tree(&vec![vec![2.5, -1.0]; 40]);
+    }
+
+    #[test]
+    #[should_panic(expected = "distances must be non-negative")]
+    fn euclidean_non_finite_coordinate_panics() {
+        let _ = mst_euclidean(&[[0.0, 0.0], [1.0, f64::NAN], [2.0, 0.0]]);
+    }
+
+    #[test]
+    fn euclidean_survives_underflowing_squares() {
+        // Differences whose squares underflow to zero make every
+        // distance 0.0 although the points fall in different cells; the
+        // ring bound has to vanish with them.
+        let pts: Vec<Vec<f64>> = (0..30)
+            .map(|i| vec![((i * 7) % 30) as f64 * 1e-170, (i % 5) as f64 * 1e-170])
+            .collect();
+        assert_same_tree(&pts);
     }
 }
 
@@ -503,6 +738,40 @@ mod proptests {
                 uf.union(e.a, e.b);
             }
             prop_assert_eq!(uf.set_count(), 1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// n in 0..=300, dims 1..=5, over shapes that force the
+        /// tie-break path: a lattice, a line, one repeated point, a
+        /// small pool of repeated points, tight far-apart blobs.
+        #[test]
+        fn euclidean_equals_complete(
+            shape in 0usize..6, n in 0usize..301, dims in 1usize..6, seed in any::<u64>()
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut uniform = |scale: f64| -> Vec<f64> {
+                (0..dims).map(|_| rng.gen::<f64>() * scale).collect()
+            };
+            let pool: Vec<Vec<f64>> = (0..7).map(|_| uniform(50.0)).collect();
+            let points: Vec<Vec<f64>> = (0..n)
+                .map(|i| match shape {
+                    0 => uniform(100.0),
+                    1 => uniform(6.0).iter().map(|x| x.round()).collect(),
+                    2 => pool[0].iter().map(|x| x * (i % 17) as f64).collect(),
+                    3 => pool[0].clone(),
+                    4 => pool[i % pool.len()].clone(),
+                    _ => {
+                        let jitter = uniform(1e-3);
+                        let centre = &pool[i % 3];
+                        centre.iter().zip(&jitter).map(|(c, j)| c * 1e3 + j).collect()
+                    }
+                })
+                .collect();
+            super::tests::assert_same_tree(&points);
         }
     }
 }

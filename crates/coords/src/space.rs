@@ -83,6 +83,12 @@ impl fmt::Display for Coordinates {
     }
 }
 
+impl AsRef<[f64]> for Coordinates {
+    fn as_ref(&self) -> &[f64] {
+        &self.0
+    }
+}
+
 impl From<Coordinates> for Vec<f64> {
     fn from(c: Coordinates) -> Vec<f64> {
         c.0

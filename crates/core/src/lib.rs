@@ -45,8 +45,8 @@ pub use overlay_system::{
 // Re-export the full public API of the component crates so downstream
 // users (examples, benches) need only one dependency.
 pub use son_clustering::{
-    mst_complete, mst_kruskal, Clustering, InconsistencyRule, Mst, MstEdge, UnionFind,
-    ZahnClusterer, ZahnConfig,
+    mst_complete, mst_euclidean, mst_kruskal, Clustering, InconsistencyRule, Mst, MstEdge,
+    UnionFind, ZahnClusterer, ZahnConfig,
 };
 pub use son_coords::{
     minimize, select_landmarks_maxmin, select_landmarks_random, Coordinates, EmbeddingConfig,

@@ -16,7 +16,7 @@
 //! pipeline — either on demand, by threshold, or automatically via
 //! [`DynamicOverlay::with_restructure_threshold`].
 
-use son_clustering::{mst_complete, Clustering, ZahnClusterer, ZahnConfig};
+use son_clustering::{mst_euclidean, Clustering, ZahnClusterer, ZahnConfig};
 use son_coords::Coordinates;
 use son_overlay::{CoordDelays, DissemForest, HfcTopology, ProxyId};
 
@@ -220,8 +220,7 @@ impl DynamicOverlay {
     /// Re-runs the full MST + Zahn clustering over the current members
     /// — the paper's "re-structuring mechanism".
     pub fn restructure(&mut self) {
-        let n = self.coords.len();
-        let mst = mst_complete(n, |a, b| self.coords[a].distance(&self.coords[b]));
+        let mst = mst_euclidean(&self.coords);
         let clustering = ZahnClusterer::new(self.zahn.clone()).cluster(&mst);
         self.delays = CoordDelays::new(self.coords.clone());
         self.hfc = HfcTopology::build(&clustering, &self.delays);

@@ -26,16 +26,16 @@
 //! full-state HFC routes, overhead reports (Figure 9) and state
 //! protocol runs (Section 4) — everything the evaluation needs.
 
-use son_clustering::{mst_complete_threads, Clustering, ZahnClusterer, ZahnConfig};
+use son_clustering::{mst_euclidean, Clustering, ZahnClusterer, ZahnConfig};
 use son_coords::{select_landmarks_maxmin, EmbeddingConfig, ErrorStats, GnpEmbedding};
 use son_netsim::faults::FaultPlan;
 use son_netsim::graph::NodeId;
 use son_netsim::topology::{PhysicalNetwork, TransitStubConfig};
 use son_netsim::SimTime;
 use son_overlay::{
-    BorderSelection, CachedDelays, CoordDelays, DelayModel, HfcTopology, Hierarchy,
-    HierarchyConfig, MeshConfig, MeshTopology, ProxyId, QosProfile, QosRequirement, ServiceId,
-    ServiceRequest, ServiceSet, StatusMap,
+    BorderSelection, CachedDelays, CoordDelays, HfcTopology, Hierarchy, HierarchyConfig,
+    MeshConfig, MeshTopology, ProxyId, QosProfile, QosRequirement, ServiceId, ServiceRequest,
+    ServiceSet, StatusMap,
 };
 use son_routing::{
     FlatRouter, HierConfig, HierarchicalRouter, MultiLevelRouter, ProviderIndex, RouteError,
@@ -71,10 +71,9 @@ pub struct SonConfig {
     /// State protocol timing.
     pub protocol: ProtocolConfig,
     /// Worker threads for the parallelizable build stages — per-host
-    /// embedding solves, MST edge scans, HFC border election, client
-    /// attachment — `0` = all cores. Every stage is deterministic and
-    /// thread-count-independent, so any value produces the same
-    /// overlay, bit for bit.
+    /// embedding solves and HFC border election — `0` = all cores.
+    /// Every stage is deterministic and thread-count-independent, so
+    /// any value produces the same overlay, bit for bit.
     pub threads: usize,
     /// Cap on memoized true-delay rows (`None` = unbounded). At 10k+
     /// proxies an unbounded cache silently materializes the O(n²)
@@ -461,12 +460,7 @@ impl OverlayBuilder {
             BuildStage::Clustering => {
                 // Cluster in the coordinate space.
                 let predicted = self.predicted.as_ref().expect("stage order");
-                let n = predicted.len();
-                let mst = mst_complete_threads(
-                    n,
-                    |a, b| predicted.delay(ProxyId::new(a), ProxyId::new(b)),
-                    self.config.threads,
-                );
+                let mst = mst_euclidean(predicted.as_slice());
                 self.clustering = Some(ZahnClusterer::new(self.config.zahn.clone()).cluster(&mst));
             }
             BuildStage::Hfc => {
@@ -500,30 +494,16 @@ impl OverlayBuilder {
                     landmarks,
                     env.seed.wrapping_add(4),
                 );
-                // One Dijkstra per client — independent, so chunked
-                // across threads; concatenation order keeps the result
-                // identical to the sequential pass.
-                self.client_proxies = Some(son_par::par_map_chunks(
-                    self.config.threads,
-                    clients.len(),
-                    |range| {
-                        range
-                            .map(|k| {
-                                let dist = physical.graph().dijkstra(clients[k]);
-                                let (best, _) = attachments
-                                    .iter()
-                                    .enumerate()
-                                    .min_by(|a, b| {
-                                        dist[a.1.index()]
-                                            .partial_cmp(&dist[b.1.index()])
-                                            .unwrap_or(std::cmp::Ordering::Equal)
-                                    })
-                                    .expect("at least one proxy exists");
-                                ProxyId::new(best)
-                            })
-                            .collect()
-                    },
-                ));
+                // One multi-source Dijkstra labels every physical node
+                // with its nearest proxy (lowest id among equals); a
+                // client that reaches none keeps proxy 0.
+                let nearest = physical.graph().nearest_sources(attachments);
+                self.client_proxies = Some(
+                    clients
+                        .iter()
+                        .map(|c| ProxyId::new(nearest[c.index()].unwrap_or(0)))
+                        .collect(),
+                );
                 self.clients = Some(clients);
             }
         }
@@ -1109,6 +1089,7 @@ mod tests {
 #[cfg(test)]
 mod builder_tests {
     use super::*;
+    use son_overlay::DelayModel;
 
     #[test]
     fn builder_matches_one_shot_build() {

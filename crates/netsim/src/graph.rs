@@ -5,7 +5,7 @@
 //! milliseconds. End-to-end delay between two nodes is the shortest-path
 //! distance, mirroring shortest-path IP routing.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -182,6 +182,43 @@ impl Graph {
             }
         }
         (dist, pred)
+    }
+
+    /// For every node, the index into `sources` of its nearest source
+    /// (one multi-source Dijkstra), or `None` if it reaches none.
+    ///
+    /// Labels are `(distance, source index)` compared lexicographically,
+    /// so among equidistant sources — including several on one node —
+    /// the lowest index wins, as a first-minimum scan over per-source
+    /// distances would pick.
+    pub fn nearest_sources(&self, sources: &[NodeId]) -> Vec<Option<usize>> {
+        let mut label: Vec<(f64, usize)> = vec![(f64::INFINITY, usize::MAX); self.len()];
+        // Distances are non-negative and never NaN, so their bit
+        // patterns order like the values and plain tuples serve as keys.
+        let mut heap = BinaryHeap::new();
+        for (i, &s) in sources.iter().enumerate() {
+            if label[s.index()].1 == usize::MAX {
+                label[s.index()] = (0.0, i);
+                heap.push(Reverse((0.0f64.to_bits(), i, s)));
+            }
+        }
+        while let Some(Reverse((bits, source, node))) = heap.pop() {
+            let d = f64::from_bits(bits);
+            if (d, source) != label[node.index()] {
+                continue;
+            }
+            for &(next, w) in &self.adjacency[node.index()] {
+                let cand = (d + w, source);
+                if cand < label[next.index()] {
+                    label[next.index()] = cand;
+                    heap.push(Reverse((cand.0.to_bits(), source, next)));
+                }
+            }
+        }
+        label
+            .into_iter()
+            .map(|(_, source)| (source != usize::MAX).then_some(source))
+            .collect()
     }
 
     /// Shortest path from `src` to `dst` as `(total_delay, hops)`.
@@ -421,6 +458,23 @@ mod tests {
     }
 
     #[test]
+    fn nearest_sources_break_distance_ties_by_index() {
+        // x is 2 away from both sources, and the higher-indexed one
+        // labels it first (one hop against two).
+        let mut g = Graph::with_nodes(5);
+        let [p0, mid, x, p1, alone] = [0, 1, 2, 3, 4].map(NodeId::new);
+        g.add_edge(p0, mid, 1.0);
+        g.add_edge(mid, x, 1.0);
+        g.add_edge(p1, x, 2.0);
+        let nearest = g.nearest_sources(&[p0, p1, p0]);
+        assert_eq!(nearest[x.index()], Some(0));
+        assert_eq!(nearest[p0.index()], Some(0));
+        assert_eq!(nearest[p1.index()], Some(1));
+        assert_eq!(nearest[alone.index()], None);
+        assert_eq!(g.nearest_sources(&[]), vec![None; 5]);
+    }
+
+    #[test]
     fn floyd_warshall_matches_dijkstra() {
         let (g, _) = diamond();
         let fw = g.floyd_warshall();
@@ -533,6 +587,44 @@ mod proptests {
                         prop_assert!((a - b).abs() < 1e-9, "{src}->{dst}: {a} vs {b}");
                     }
                 }
+            }
+        }
+
+        /// The multi-source labels equal one Dijkstra per client and a
+        /// first-minimum scan over the proxies' distances — with two
+        /// proxies on one node, a client on a proxy's node, and a
+        /// client in a component no proxy is in.
+        #[test]
+        fn nearest_sources_match_per_client_argmin(
+            size in 50usize..250,
+            seed in any::<u64>(),
+            picks in proptest::collection::vec(any::<usize>(), 2..30),
+        ) {
+            use crate::topology::{PhysicalNetwork, TransitStubConfig};
+            let physical =
+                PhysicalNetwork::generate(&TransitStubConfig::with_target_size(size, seed));
+            let mut g = physical.graph().clone();
+            let connected = g.len();
+            let island = [g.add_node(), g.add_node()];
+            g.add_edge(island[0], island[1], 1.0);
+            let mut proxies: Vec<NodeId> =
+                picks.iter().map(|p| NodeId::new(p % connected)).collect();
+            proxies.push(proxies[0]);
+            let nearest = g.nearest_sources(&proxies);
+            // Every node is a client: the proxies' own and the island's too.
+            for c in g.node_ids() {
+                let dist = g.dijkstra(c);
+                let (oracle, _) = proxies
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| {
+                        dist[a.1.index()]
+                            .partial_cmp(&dist[b.1.index()])
+                            .unwrap_or(Ordering::Equal)
+                    })
+                    .expect("at least one proxy exists");
+                prop_assert_eq!(nearest[c.index()].unwrap_or(0), oracle, "client {}", c);
+                prop_assert_eq!(nearest[c.index()].is_none(), island.contains(&c));
             }
         }
 

@@ -349,6 +349,11 @@ impl CoordDelays {
         &self.coords[proxy.index()]
     }
 
+    /// Every proxy's coordinates, indexed by [`ProxyId::index`].
+    pub fn as_slice(&self) -> &[Coordinates] {
+        &self.coords
+    }
+
     /// Appends a proxy's coordinates (it takes the next id).
     pub fn push(&mut self, coords: Coordinates) -> ProxyId {
         self.coords.push(coords);

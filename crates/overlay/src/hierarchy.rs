@@ -21,7 +21,7 @@
 use crate::delays::DelayModel;
 use crate::hfc::{closest_pair, BorderPair, ClusterId, HfcTopology};
 use crate::proxy::ProxyId;
-use son_clustering::{mst_complete_threads, ZahnClusterer, ZahnConfig};
+use son_clustering::{mst_complete, ZahnClusterer, ZahnConfig};
 
 /// Construction knobs for a [`Hierarchy`].
 #[derive(Debug, Clone, PartialEq)]
@@ -34,7 +34,7 @@ pub struct HierarchyConfig {
     pub max_depth: usize,
     /// Zahn settings for the upper-level clustering passes.
     pub zahn: ZahnConfig,
-    /// Worker threads for MST and border election (`0` = all cores);
+    /// Worker threads for border election (`0` = all cores);
     /// the result is identical for any value.
     pub threads: usize,
 }
@@ -142,12 +142,7 @@ impl Hierarchy {
             if n <= 1 {
                 break;
             }
-            let reps_ref = &unit_reps;
-            let mst = mst_complete_threads(
-                n,
-                |a, b| delays.delay(reps_ref[a], reps_ref[b]),
-                config.threads,
-            );
+            let mst = mst_complete(n, |a, b| delays.delay(unit_reps[a], unit_reps[b]));
             let clustering = ZahnClusterer::new(config.zahn.clone()).cluster(&mst);
             if clustering.len() == n && forced_depth.is_none() {
                 break; // this pass reduced nothing; stop growing

@@ -5,9 +5,8 @@
 //! produce a world bit-identical to the single-threaded build: the
 //! same [`EngineSnapshot`] digest (HFC topology, service placement,
 //! and coordinate bits) and the same canonical [`HfcSnapshot`]. Every
-//! parallelized stage — per-host embedding solves, MST edge scans,
-//! border election, client attachment — is covered, because each
-//! feeds the digest.
+//! parallelized stage — per-host embedding solves, border election —
+//! is covered, because each feeds the digest.
 //!
 //! Thread counts above the host's core count are deliberate: on a
 //! small CI machine oversubscription still drives the chunked
