@@ -39,6 +39,7 @@ use son_telemetry::flight::{
     flight, CacheVerdict, DispositionMark, FlightEvent, FlightKind, Stage, NO_REQUEST,
 };
 use son_telemetry::{CacheOutcome, Histogram, LocalHistogram, RouteTrace, SloTracker};
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
@@ -1004,8 +1005,9 @@ where
         let csp = csp_router.as_deref();
         // Retry re-routes go through a flat fallback router — complete
         // over the full topology, so with the avoid-set folded into its
-        // cost model it finds whatever healthy path remains.
-        let fallback = ctx.map(|_| ProviderIndex::from_service_sets(snap.services()));
+        // cost model it finds whatever healthy path remains. Its index
+        // is built by the batch's first retry.
+        let fallback = OnceCell::new();
         // Latencies accumulate in a plain local histogram and fold into
         // the shared sinks (per-worker metric series, SLO tracker) at
         // window seals and batch end, so the per-request cost of
@@ -1108,7 +1110,7 @@ where
                     &key,
                     router.as_ref(),
                     csp,
-                    fallback.as_ref().expect("fallback built with ctx"),
+                    &fallback,
                     ctx,
                     (&mut queued, &mut revalidate),
                     i,
@@ -1360,7 +1362,7 @@ where
         key: &RouteKey,
         router: &dyn Router,
         csp: Option<&dyn CspRouter>,
-        fallback: &ProviderIndex,
+        fallback: &OnceCell<ProviderIndex>,
         ctx: &BatchConstraints,
         revalidate: (
             &mut std::collections::HashSet<RouteKey>,
@@ -1519,7 +1521,9 @@ where
                 }
                 let model = CostModel::new(*ctx.model.config(), statuses);
                 let delays = LoadAwareDelays::new(snap.delays(), &model);
-                FlatRouter::new(fallback, delays)
+                let providers =
+                    fallback.get_or_init(|| ProviderIndex::from_service_sets(snap.services()));
+                FlatRouter::new(providers, delays)
                     .route(request)
                     .map(|p| (p, false))
             });

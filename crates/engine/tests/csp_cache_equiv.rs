@@ -14,8 +14,10 @@ use rand::{Rng, SeedableRng};
 use son_clustering::Clustering;
 use son_engine::{Engine, EngineConfig, EngineSnapshot, HierProvider, RouterProvider};
 use son_overlay::{
-    DelayMatrix, HfcTopology, ProxyId, ServiceGraph, ServiceId, ServiceRequest, ServiceSet,
+    ClusterId, DelayMatrix, Health, HfcTopology, ProxyId, ServiceGraph, ServiceId, ServiceRequest,
+    ServiceSet, StatusMap,
 };
+use son_routing::CostConfig;
 
 const PROXIES: usize = 24;
 const CLUSTERS: usize = 4;
@@ -38,6 +40,27 @@ fn snapshot(seed: u64) -> EngineSnapshot<DelayMatrix> {
         .map(|i| ServiceSet::from_iter([ServiceId::new(i % SERVICES)]))
         .collect();
     EngineSnapshot::new(hfc, services, delays)
+}
+
+/// [`snapshot`] under load: a transit cluster's border `Down`, another's
+/// `Draining`, and every proxy busy enough that proxy and cluster
+/// penalties are non-zero — the router then prices every border link
+/// through `LoadAwareDelays` and every cluster through `ClusterLoad`.
+fn loaded_snapshot(seed: u64) -> EngineSnapshot<DelayMatrix> {
+    let snap = snapshot(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x10AD);
+    let mut statuses = StatusMap::all_up(PROXIES);
+    for i in 0..PROXIES {
+        statuses.set_utilization(ProxyId::new(i), rng.gen_range(0.5..0.95));
+    }
+    let border = |from: usize, to: usize| {
+        snap.hfc()
+            .border(ClusterId::new(from), ClusterId::new(to))
+            .local
+    };
+    statuses.set_health(border(1, 0), Health::Down);
+    statuses.set_health(border(2, 3), Health::Draining);
+    snap.with_statuses(statuses, CostConfig::balanced())
 }
 
 /// Every cross-cluster (source, destination) pair between two cluster
@@ -121,5 +144,43 @@ proptest! {
         prop_assert_eq!(warm.report.cache.csp_hits, 0);
         prop_assert_eq!(warm.report.cache.csp_misses, 0);
         prop_assert_eq!(&warm.paths, &cold.paths);
+    }
+
+    /// The same equivalence on a snapshot with statuses attached — a
+    /// `Down` border priced `+∞`, a `Draining` one, loaded clusters —
+    /// which is how the serving engine runs under churn.
+    #[test]
+    fn csp_tier_is_bit_identical_under_health_and_load(
+        seed in 0u64..500,
+        chain in proptest::collection::vec(0usize..SERVICES, 1..4),
+    ) {
+        let batch = shape_batch(0..6, 18..24, &chain);
+        let with_csp =
+            Engine::new(loaded_snapshot(seed), HierProvider::default(), EngineConfig::default());
+        let without = Engine::new(
+            loaded_snapshot(seed),
+            HierProvider::default(),
+            EngineConfig { csp_cache: false, ..EngineConfig::default() },
+        );
+        let a = with_csp.serve(&batch);
+        let b = without.serve(&batch);
+        prop_assert!(a.report.cache.csp_hits > 0, "no frontier reuse happened");
+        prop_assert_eq!(&a.paths, &b.paths);
+        prop_assert_eq!(&a.dispositions, &b.dispositions);
+
+        let snap = loaded_snapshot(seed);
+        let provider = HierProvider::default();
+        let router = provider.router(&snap);
+        for (request, served) in batch.iter().zip(&a.paths) {
+            // Where the router has an answer the engine serves exactly
+            // it; where it has none the engine may fail over.
+            if let Ok(direct) = router.route_path(request) {
+                prop_assert_eq!(served.as_ref(), Ok(&direct));
+                let served = served.as_ref().expect("compared equal to an Ok");
+                let cost_a = served.length(&snap.route_delays());
+                let cost_b = direct.length(&snap.route_delays());
+                prop_assert!(cost_a.to_bits() == cost_b.to_bits());
+            }
+        }
     }
 }

@@ -30,7 +30,10 @@ use son_overlay::{
     ServiceRequest, ServiceSet, StageId,
 };
 use son_state::{ClusterLoad, SctC, SctP};
-use std::collections::BTreeMap;
+use std::sync::OnceLock;
+
+#[cfg(test)]
+mod oracle;
 
 /// Tuning knobs of the hierarchical router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,9 +109,16 @@ pub struct HierarchicalRouter<'a, D> {
     delays: D,
     sctc: SctC,
     cluster_providers: Vec<ProviderIndex>,
-    global_providers: ProviderIndex,
+    /// Union of `cluster_providers`, read only by
+    /// [`HierarchicalRouter::route_without_aggregation`]; filled on
+    /// first use so ordinary construction never pays for it.
+    global_providers: OnceLock<ProviderIndex>,
     config: HierConfig,
     cluster_load: Option<ClusterLoad>,
+    /// Pre-computed delays of the cluster-level DP, filled by the
+    /// first frontier solve: routers are rebuilt per batch, and a batch
+    /// of cache hits must not pay for a table it never reads.
+    border_table: OnceLock<BorderTable>,
 }
 
 impl<'a, D> HierarchicalRouter<'a, D>
@@ -167,19 +177,15 @@ where
             .iter()
             .map(ProviderIndex::from_sctp)
             .collect();
-        let global_providers = ProviderIndex::from_entries(
-            cluster_tables
-                .iter()
-                .flat_map(|t| t.iter().collect::<Vec<_>>()),
-        );
         HierarchicalRouter {
             hfc,
             delays,
             sctc,
             cluster_providers,
-            global_providers,
+            global_providers: OnceLock::new(),
             config,
             cluster_load: None,
+            border_table: OnceLock::new(),
         }
     }
 
@@ -189,6 +195,8 @@ where
     /// penalizes saturated ones.
     pub fn with_cluster_load(mut self, load: ClusterLoad) -> Self {
         self.cluster_load = Some(load);
+        // The table carries the load penalties.
+        self.border_table = OnceLock::new();
         self
     }
 
@@ -448,7 +456,10 @@ where
         request: &ServiceRequest,
     ) -> Result<ServicePath, RouteError> {
         let constrained = HfcDelays::new(self.hfc, &self.delays);
-        let router = crate::flat::FlatRouter::new(&self.global_providers, &constrained);
+        let providers = self
+            .global_providers
+            .get_or_init(|| ProviderIndex::union(&self.cluster_providers));
+        let router = crate::flat::FlatRouter::new(providers, &constrained);
         router.route_expanded(request, |a, b| constrained.hops(a, b))
     }
 
@@ -488,12 +499,20 @@ where
     /// border through which the path entered the stage's cluster (or
     /// the source proxy while still in the source's cluster) — is what
     /// lets the pass account for internal border-to-border distances
-    /// (the back-tracking refinement). State *keys* normalize entries
-    /// the planner has no coordinates for (a non-border source outside
-    /// the destination's cluster) to a shared sentinel: such entries
-    /// never contribute a cost term, so collapsing them keeps the DP
-    /// exact while making the map's iteration order — and therefore
-    /// every tie-break — independent of the concrete source proxy.
+    /// (the back-tracking refinement). A path enters a cluster through
+    /// one of its border proxies or starts in it, so a stage has at
+    /// most one state per border proxy plus one per cluster for
+    /// "entered as the request's source": dense per-stage arrays over
+    /// the [`BorderTable`]'s states hold them, and a relaxation is two
+    /// table reads, two adds and a compare.
+    ///
+    /// Order is part of the result: a tie keeps the first offer, and the
+    /// frontier lists sink states in visiting order. States are visited
+    /// by cluster, then by entry proxy id — except that a source the
+    /// planner has no coordinates for (a non-border outside the
+    /// destination's cluster) sorts after its cluster's borders
+    /// whatever its id. Such a source never contributes a cost term
+    /// either, so neither costs nor order depend on which proxy it is.
     /// That invariance is what lets a frontier computed for one source
     /// be replayed verbatim for another.
     fn sink_frontier(
@@ -504,88 +523,150 @@ where
         excluded: &[(StageId, ClusterId)],
     ) -> Result<CspFrontier, RouteError> {
         let graph = &request.graph;
+        let table = self.border_table.get_or_init(|| BorderTable::build(self));
+        let states = table.cluster.len();
 
         // Candidate clusters per stage, from aggregate state; the load
         // summary (when attached) rules out clusters with no routable
-        // member left.
-        let mut candidates: Vec<Vec<ClusterId>> = Vec::with_capacity(graph.len());
+        // member left. Stage `i` owns
+        // `candidates[candidates_at[i]..candidates_at[i + 1]]`.
+        let mut candidates: Vec<usize> = Vec::new();
+        let mut candidates_at = vec![0];
         for stage in graph.stage_ids() {
             let service = graph.service(stage);
-            let clusters: Vec<ClusterId> = self
-                .sctc
-                .clusters_with(service)
-                .into_iter()
-                .filter(|c| !excluded.contains(&(stage, *c)))
-                .filter(|c| self.cluster_routable(*c))
-                .collect();
-            if clusters.is_empty() {
+            candidates.extend(
+                self.sctc
+                    .iter()
+                    .filter(|&(c, set)| {
+                        set.contains(service)
+                            && !excluded.contains(&(stage, c))
+                            && self.cluster_routable(c)
+                    })
+                    .map(|(c, _)| c.index()),
+            );
+            if candidates.len() == candidates_at[stage.index()] {
                 return Err(RouteError::NoProvider(service));
             }
-            candidates.push(clusters);
+            candidates_at.push(candidates.len());
         }
+
+        // Where the path starts: the source's own border slot when it
+        // is a border, else its cluster's source slot. `source_rank` is
+        // how many of the cluster's borders that slot sorts after.
+        let sc = source_cluster.index();
+        let (first, last) = (table.first[sc], table.first[sc + 1] - 1);
+        let borders = &table.proxy[first..last];
+        let known_source = source_cluster == dest_cluster;
+        let (source_state, source_rank) = match borders.binary_search(&Some(request.source)) {
+            Ok(slot) => (first + slot, borders.len()),
+            Err(rank) if known_source => (last, rank),
+            Err(_) => (last, borders.len()),
+        };
+        // The table prices a source slot's internal distances at zero;
+        // a source inside the destination's cluster has known ones.
+        let known_source_row: Vec<f64>;
+        let source_row = if source_state == last && known_source && self.config.backtracking {
+            known_source_row = borders
+                .iter()
+                .flatten()
+                .map(|&b| self.delays.delay(request.source, b))
+                .collect();
+            &known_source_row
+        } else {
+            table.row(source_state)
+        };
+
+        // `cost`/`back` hold one entry per (stage, state); `back` names
+        // the predecessor's entry and doubles as the presence mark — a
+        // state reached at `+∞` is present, propagates, and is left for
+        // the closing loop to filter.
+        assert!(
+            graph.len() * states < ROOT as usize,
+            "(stage, state) indices must fit the back-pointers"
+        );
+        let mut cost = vec![0.0f64; graph.len() * states];
+        let mut back = vec![ABSENT; graph.len() * states];
+        // Per stage, its present states in visiting order:
+        // `live[live_at[i].0..live_at[i].1]`.
+        let mut live: Vec<usize> = Vec::new();
+        let mut live_at = vec![(0, 0); graph.len()];
 
         let order = graph
             .topological_order()
             .expect("service graphs are validated acyclic at construction");
-        let mut states: Vec<StateMap> = vec![BTreeMap::new(); graph.len()];
-
         for &stage in &order {
             let si = stage.index();
-            for &cluster in &candidates[si] {
-                if graph.predecessors(stage).is_empty() {
-                    // Transition from the source proxy's cluster.
-                    let (cost, entry) = self.inter_cluster_step(
-                        request.source,
-                        source_cluster,
-                        cluster,
-                        dest_cluster,
-                    );
-                    let k = self.state_key(cluster, entry, dest_cluster);
-                    upsert(&mut states[si], k, cost, None, entry);
-                } else {
-                    for &pred in graph.predecessors(stage) {
-                        let pi = pred.index();
-                        let prev_states: Vec<(StateKey, f64, ProxyId)> = states[pi]
-                            .iter()
-                            .map(|(&k, &(c, _, e))| (k, c, e))
-                            .collect();
-                        for (pkey, pcost, pentry) in prev_states {
-                            let pcluster = ClusterId::new(pkey.0 as usize);
-                            let (step, entry) =
-                                self.inter_cluster_step(pentry, pcluster, cluster, dest_cluster);
-                            let k = self.state_key(cluster, entry, dest_cluster);
-                            upsert(&mut states[si], k, pcost + step, Some((pi, pkey)), entry);
-                        }
-                    }
+            let base = si * states;
+            let stage_candidates = &candidates[candidates_at[si]..candidates_at[si + 1]];
+            if graph.predecessors(stage).is_empty() {
+                // Transition from the source proxy's cluster.
+                let source = table.origin(source_state, source_row);
+                for &c in stage_candidates {
+                    let (state, step) = source.step(c);
+                    cost[base + state] = step;
+                    back[base + state] = ROOT;
                 }
             }
+            // Offers reach a state predecessor by predecessor, then in
+            // the predecessor's visiting order; the first of equal
+            // offers stays.
+            for &pred in graph.predecessors(stage) {
+                let pbase = pred.index() * states;
+                let (from, to) = live_at[pred.index()];
+                for &pstate in &live[from..to] {
+                    let row = if pstate == source_state {
+                        source_row
+                    } else {
+                        table.row(pstate)
+                    };
+                    table.origin(pstate, row).offer(
+                        cost[pbase + pstate],
+                        (pbase + pstate) as u32,
+                        stage_candidates,
+                        &mut cost[base..base + states],
+                        &mut back[base..base + states],
+                    );
+                }
+            }
+            let start = live.len();
+            for &c in stage_candidates {
+                let (first, last) = (table.first[c], table.first[c + 1] - 1);
+                let rank = if c == sc { source_rank } else { last - first };
+                live.extend(
+                    (first..first + rank)
+                        .chain([last])
+                        .chain(first + rank..last)
+                        .filter(|&state| back[base + state] != ABSENT),
+                );
+            }
+            live_at[si] = (start, live.len());
         }
 
         // Backtrack every sink state, in the exact order the closing
         // loop will enumerate them.
         let mut out = Vec::new();
         for sink in graph.sinks() {
-            let si = sink.index();
-            for (&k, &(cost, _, entry)) in &states[si] {
-                let cluster = ClusterId::new(k.0 as usize);
-                let mut chain = Vec::new();
-                let (mut ci, mut ck) = (si, k);
+            let base = sink.index() * states;
+            let (from, to) = live_at[sink.index()];
+            for &state in &live[from..to] {
+                let mut chain = Vec::with_capacity(graph.len());
+                let mut at = base + state;
                 loop {
-                    chain.push((StageId::new(ci), ClusterId::new(ck.0 as usize)));
-                    match states[ci].get(&ck).and_then(|&(_, prev, _)| prev) {
-                        Some((pi, pk)) => {
-                            ci = pi;
-                            ck = pk;
-                        }
-                        None => break,
+                    chain.push((
+                        StageId::new(at / states),
+                        ClusterId::new(table.cluster[at % states]),
+                    ));
+                    match back[at] {
+                        ROOT => break,
+                        prev => at = prev as usize,
                     }
                 }
                 chain.reverse();
                 out.push(CspCandidate {
                     chain,
-                    cost,
-                    cluster,
-                    entry,
+                    cost: cost[base + state],
+                    cluster: ClusterId::new(table.cluster[state]),
+                    entry: table.proxy[state].unwrap_or(request.source),
                 });
             }
         }
@@ -620,19 +701,6 @@ where
         Ok((total, frontier.candidates[i].chain.clone()))
     }
 
-    /// The normalized DP state key for (cluster, entry): entries the
-    /// planner knows coordinates for keep their identity; unknown
-    /// entries (only ever the request source) collapse to a shared
-    /// sentinel so key order never depends on the concrete source.
-    fn state_key(&self, cluster: ClusterId, entry: ProxyId, dest_cluster: ClusterId) -> StateKey {
-        let e = if self.hfc.is_border(entry) || self.hfc.cluster_of(entry) == dest_cluster {
-            entry.index() as u32
-        } else {
-            UNKNOWN_ENTRY
-        };
-        (cluster.index() as u32, e)
-    }
-
     /// Whether CSP selection may map stages into `cluster` at all
     /// (always, unless an attached load summary says every member is
     /// down).
@@ -648,26 +716,6 @@ where
         self.cluster_load
             .as_ref()
             .map_or(0.0, |load| load.penalty(cluster))
-    }
-
-    /// Cost of stepping from (proxy `entry` inside `from`) into cluster
-    /// `to`, and the resulting entry proxy.
-    fn inter_cluster_step(
-        &self,
-        entry: ProxyId,
-        from: ClusterId,
-        to: ClusterId,
-        dest_cluster: ClusterId,
-    ) -> (f64, ProxyId) {
-        if from == to {
-            return (0.0, entry);
-        }
-        let pair = self.hfc.border(from, to);
-        let internal = self.known_internal(entry, pair.local, dest_cluster);
-        (
-            internal + self.delays.delay(pair.local, pair.remote) + self.cluster_penalty(to),
-            pair.remote,
-        )
     }
 
     /// Cost of the final leg from (entry inside `from`) to the
@@ -731,27 +779,173 @@ where
     }
 }
 
-/// A cluster-level DAG state: (cluster, normalized entry proxy).
-type StateKey = (u32, u32);
-/// Back-pointer to the predecessor state: (stage index, state).
-type PrevRef = (usize, StateKey);
-/// Best known cost, predecessor, and *actual* entry proxy per state,
-/// for one stage. The key's entry component is normalized (unknown
-/// proxies collapse to [`UNKNOWN_ENTRY`]); the value carries the real
-/// proxy because subsequent steps look its cluster and delays up.
-type StateMap = BTreeMap<StateKey, (f64, Option<PrevRef>, ProxyId)>;
+/// `back` mark of a state no offer has reached.
+const ABSENT: u32 = u32::MAX;
+/// `back` mark of a state reached straight from the request's source.
+const ROOT: u32 = u32::MAX - 1;
 
-/// Key sentinel for an entry proxy the planner has no coordinates for.
-/// Such entries contribute no internal-distance terms, so all of them
-/// are cost-equivalent and may share one DP state.
-const UNKNOWN_ENTRY: u32 = u32::MAX;
+/// The border pair of one ordered cluster pair, as the DP reads it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    /// Border slot (within the first cluster) the path leaves through.
+    exit: u32,
+    /// State (of the second cluster) the path enters at.
+    entry: u32,
+    /// Known delay of the border link itself.
+    external: f64,
+}
 
-fn upsert(map: &mut StateMap, k: StateKey, cost: f64, prev: Option<PrevRef>, entry: ProxyId) {
-    match map.get(&k) {
-        Some(&(existing, _, _)) if existing <= cost => {}
-        _ => {
-            map.insert(k, (cost, prev, entry));
+/// Everything a relaxation of the cluster-level DP reads, pre-computed
+/// once per router through its own `delays` and `cluster_load` — so
+/// load-aware penalties and the `+∞` of a `Down` border are priced
+/// exactly as a direct look-up would price them.
+#[derive(Debug)]
+struct BorderTable {
+    /// Cluster `c` owns states `first[c]..first[c + 1]`: one slot per
+    /// distinct border proxy, in ascending id, then one for "entered as
+    /// the request's source".
+    first: Vec<usize>,
+    /// Per state, its cluster.
+    cluster: Vec<usize>,
+    /// Per state, its border proxy (`None` for a source slot).
+    proxy: Vec<Option<ProxyId>>,
+    /// Per state, the known internal distance from its proxy to every
+    /// border slot of its cluster: state `s` owns
+    /// `internal[row_at[s]..row_at[s + 1]]`. Zero on the diagonal, for
+    /// source slots, and everywhere when back-tracking is off.
+    internal: Vec<f64>,
+    row_at: Vec<usize>,
+    /// `links[from * clusters + to]`; the diagonal is never read.
+    links: Vec<Link>,
+    /// Per cluster, the load penalty of entering it.
+    penalty: Vec<f64>,
+}
+
+/// A state of the DP as the start of a step.
+struct Origin<'a> {
+    cluster: usize,
+    state: usize,
+    /// Known internal distance to each border slot of the cluster.
+    row: &'a [f64],
+    /// The cluster's links, indexed by the cluster entered.
+    links: &'a [Link],
+    penalty: &'a [f64],
+}
+
+impl Origin<'_> {
+    /// The state entered by stepping into cluster `to`, and what the
+    /// step costs. Staying put costs exactly zero; the rest is summed
+    /// as `(internal + external) + penalty`.
+    fn step(&self, to: usize) -> (usize, f64) {
+        if to == self.cluster {
+            return (self.state, 0.0);
         }
+        let link = &self.links[to];
+        let internal = self.row[link.exit as usize];
+        (
+            link.entry as usize,
+            internal + link.external + self.penalty[to],
+        )
+    }
+
+    /// Offers `reached + step` to the state entered in each of
+    /// `candidates`; `cost`/`back` are the entered stage's. An offer
+    /// replaces what a state holds unless that is already `<=` it.
+    fn offer(
+        &self,
+        reached: f64,
+        back_ref: u32,
+        candidates: &[usize],
+        cost: &mut [f64],
+        back: &mut [u32],
+    ) {
+        for &to in candidates {
+            let (state, step) = self.step(to);
+            let offer = reached + step;
+            if back[state] != ABSENT && cost[state] <= offer {
+                continue;
+            }
+            cost[state] = offer;
+            back[state] = back_ref;
+        }
+    }
+}
+
+impl BorderTable {
+    fn build<D: DelayModel>(router: &HierarchicalRouter<'_, D>) -> Self {
+        let hfc = router.hfc;
+        let mut first = Vec::with_capacity(hfc.cluster_count() + 1);
+        let mut cluster = Vec::new();
+        let mut proxy = Vec::new();
+        let mut internal = Vec::new();
+        let mut row_at = Vec::new();
+        for c in hfc.clusters() {
+            first.push(proxy.len());
+            let borders = hfc.border_proxies(c);
+            for a in borders.iter().copied().map(Some).chain([None]) {
+                cluster.push(c.index());
+                proxy.push(a);
+                row_at.push(internal.len());
+                internal.extend(borders.iter().map(|&b| match a {
+                    Some(a) if router.config.backtracking && a != b => router.delays.delay(a, b),
+                    _ => 0.0,
+                }));
+            }
+        }
+        first.push(proxy.len());
+        row_at.push(internal.len());
+
+        let slot = |c: ClusterId, border: ProxyId| {
+            let (from, to) = (first[c.index()], first[c.index() + 1] - 1);
+            let slot = proxy[from..to]
+                .binary_search(&Some(border))
+                .expect("border pairs name border proxies");
+            u32::try_from(slot).expect("border slots fit u32")
+        };
+        let mut links = Vec::with_capacity(hfc.cluster_count() * hfc.cluster_count());
+        for from in hfc.clusters() {
+            for to in hfc.clusters() {
+                links.push(if from == to {
+                    Link::default()
+                } else {
+                    let pair = hfc.border(from, to);
+                    let start = u32::try_from(first[to.index()]).expect("states fit u32");
+                    Link {
+                        exit: slot(from, pair.local),
+                        entry: start + slot(to, pair.remote),
+                        external: router.delays.delay(pair.local, pair.remote),
+                    }
+                });
+            }
+        }
+        BorderTable {
+            first,
+            cluster,
+            proxy,
+            internal,
+            row_at,
+            links,
+            penalty: hfc.clusters().map(|c| router.cluster_penalty(c)).collect(),
+        }
+    }
+
+    /// `state` as somewhere to step from, its internal distances being
+    /// `row` (the table's own, or a known source's).
+    fn origin<'a>(&'a self, state: usize, row: &'a [f64]) -> Origin<'a> {
+        let cluster = self.cluster[state];
+        let clusters = self.penalty.len();
+        Origin {
+            cluster,
+            state,
+            row,
+            links: &self.links[cluster * clusters..(cluster + 1) * clusters],
+            penalty: &self.penalty,
+        }
+    }
+
+    /// The internal-distance row of `state`.
+    fn row(&self, state: usize) -> &[f64] {
+        &self.internal[self.row_at[state]..self.row_at[state + 1]]
     }
 }
 
@@ -1069,6 +1263,37 @@ mod tests {
             assert_eq!(frontier_a, frontier_b, "frontiers must be source-invariant");
             assert_eq!(borrowed, own.path, "replay via {a}'s frontier diverged");
         }
+    }
+
+    /// The border table carries the load penalties, so a summary
+    /// attached after a solve must reprice it.
+    #[test]
+    fn cluster_load_attached_after_a_solve_is_honoured() {
+        let (hfc, delays, services) = paper_example();
+        let mut statuses = son_overlay::StatusMap::all_up(hfc.proxy_count());
+        for &p in hfc.members(ClusterId::new(1)) {
+            statuses.set_utilization(p, 0.9);
+        }
+        let load = ClusterLoad::from_statuses(&hfc, &statuses, 100.0);
+        let request = ServiceRequest::new(
+            ProxyId::new(2),
+            ServiceGraph::linear(vec![sid(1), sid(2), sid(5)]),
+            ProxyId::new(9),
+        );
+        let build =
+            || HierarchicalRouter::from_services(&hfc, &services, &delays, HierConfig::default());
+        let solved_first = build();
+        let unloaded = solved_first.solve_frontier(&request).unwrap();
+        let loaded = solved_first
+            .with_cluster_load(load.clone())
+            .solve_frontier(&request)
+            .unwrap();
+        let fresh = build()
+            .with_cluster_load(load)
+            .solve_frontier(&request)
+            .unwrap();
+        assert_eq!(loaded, fresh);
+        assert_ne!(loaded, unloaded, "the penalty must show in the costs");
     }
 
     #[test]

@@ -55,6 +55,10 @@ impl ProviderIndex {
                 map.entry(service).or_default().push(proxy);
             }
         }
+        Self::from_unsorted(map)
+    }
+
+    fn from_unsorted(mut map: BTreeMap<ServiceId, Vec<ProxyId>>) -> Self {
         for list in map.values_mut() {
             list.sort();
             list.dedup();
@@ -68,6 +72,18 @@ impl ProviderIndex {
     /// Builds the index from a converged per-cluster capability table.
     pub fn from_sctp(sctp: &SctP) -> Self {
         Self::from_entries(sctp.iter())
+    }
+
+    /// The union of several indexes — every cluster's, say, giving the
+    /// global view.
+    pub(crate) fn union(parts: &[ProviderIndex]) -> Self {
+        let mut map: BTreeMap<ServiceId, Vec<ProxyId>> = BTreeMap::new();
+        for part in parts {
+            for (&service, providers) in &part.map {
+                map.entry(service).or_default().extend_from_slice(providers);
+            }
+        }
+        Self::from_unsorted(map)
     }
 
     /// Number of distinct services with at least one provider.
@@ -114,6 +130,22 @@ mod tests {
         let set = ServiceSet::from_iter([ServiceId::new(3)]);
         let index = ProviderIndex::from_entries([(ProxyId::new(17), &set)]);
         assert_eq!(index.providers(ServiceId::new(3)), &[ProxyId::new(17)]);
+    }
+
+    #[test]
+    fn union_of_parts_equals_the_whole() {
+        let sets = [
+            ServiceSet::from_iter([ServiceId::new(0), ServiceId::new(1)]),
+            ServiceSet::new(),
+            ServiceSet::from_iter([ServiceId::new(1)]),
+            ServiceSet::from_iter([ServiceId::new(0), ServiceId::new(2)]),
+        ];
+        let part = |ids: &[usize]| {
+            ProviderIndex::from_entries(ids.iter().map(|&i| (ProxyId::new(i), &sets[i])))
+        };
+        let union = ProviderIndex::union(&[part(&[3, 1]), part(&[2, 0])]);
+        let whole = ProviderIndex::from_service_sets(&sets);
+        assert_eq!(union.map, whole.map);
     }
 
     #[test]
