@@ -22,6 +22,7 @@
 
 use crate::csp::{CspCandidate, CspFrontier, CspRouter};
 use crate::flat::RouteError;
+use crate::level::{LevelTable, Start};
 use crate::path::{PathBuilder, ServicePath};
 use crate::providers::ProviderIndex;
 use crate::sdag::{solve_service_dag, Assignment};
@@ -118,7 +119,7 @@ pub struct HierarchicalRouter<'a, D> {
     /// Pre-computed delays of the cluster-level DP, filled by the
     /// first frontier solve: routers are rebuilt per batch, and a batch
     /// of cache hits must not pay for a table it never reads.
-    border_table: OnceLock<BorderTable>,
+    border_table: OnceLock<LevelTable>,
 }
 
 impl<'a, D> HierarchicalRouter<'a, D>
@@ -493,28 +494,18 @@ where
 
     /// The cluster-level DP (Section 5 steps 1–2) up to — but not
     /// including — the closing leg at the destination: every sink
-    /// state is backtracked into a [`CspCandidate`] and returned.
+    /// state is backtracked into a [`CspCandidate`] and returned. The
+    /// DP itself is the [level solver](crate::level) over one table of
+    /// all clusters.
     ///
-    /// States are `(stage, cluster, entry proxy)`: the entry proxy — the
-    /// border through which the path entered the stage's cluster (or
-    /// the source proxy while still in the source's cluster) — is what
-    /// lets the pass account for internal border-to-border distances
-    /// (the back-tracking refinement). A path enters a cluster through
-    /// one of its border proxies or starts in it, so a stage has at
-    /// most one state per border proxy plus one per cluster for
-    /// "entered as the request's source": dense per-stage arrays over
-    /// the [`BorderTable`]'s states hold them, and a relaxation is two
-    /// table reads, two adds and a compare.
-    ///
-    /// Order is part of the result: a tie keeps the first offer, and the
-    /// frontier lists sink states in visiting order. States are visited
-    /// by cluster, then by entry proxy id — except that a source the
-    /// planner has no coordinates for (a non-border outside the
-    /// destination's cluster) sorts after its cluster's borders
-    /// whatever its id. Such a source never contributes a cost term
-    /// either, so neither costs nor order depend on which proxy it is.
-    /// That invariance is what lets a frontier computed for one source
-    /// be replayed verbatim for another.
+    /// The frontier lists sink states in visiting order: by cluster,
+    /// then by entry proxy id — except that a source the planner has no
+    /// coordinates for (a non-border outside the destination's cluster)
+    /// sorts after its cluster's borders whatever its id. Such a source
+    /// never contributes a cost term either, so neither costs nor order
+    /// depend on which proxy it is. That invariance is what lets a
+    /// frontier computed for one source be replayed verbatim for
+    /// another.
     fn sink_frontier(
         &self,
         request: &ServiceRequest,
@@ -523,157 +514,85 @@ where
         excluded: &[(StageId, ClusterId)],
     ) -> Result<CspFrontier, RouteError> {
         let graph = &request.graph;
-        let table = self.border_table.get_or_init(|| BorderTable::build(self));
-        let states = table.cluster.len();
-
-        // Candidate clusters per stage, from aggregate state; the load
-        // summary (when attached) rules out clusters with no routable
-        // member left. Stage `i` owns
-        // `candidates[candidates_at[i]..candidates_at[i + 1]]`.
-        let mut candidates: Vec<usize> = Vec::new();
-        let mut candidates_at = vec![0];
-        for stage in graph.stage_ids() {
-            let service = graph.service(stage);
-            candidates.extend(
-                self.sctc
-                    .iter()
-                    .filter(|&(c, set)| {
-                        set.contains(service)
-                            && !excluded.contains(&(stage, c))
-                            && self.cluster_routable(c)
-                    })
-                    .map(|(c, _)| c.index()),
-            );
-            if candidates.len() == candidates_at[stage.index()] {
-                return Err(RouteError::NoProvider(service));
-            }
-            candidates_at.push(candidates.len());
-        }
+        let table = self.border_table.get_or_init(|| self.level_table());
 
         // Where the path starts: the source's own border slot when it
-        // is a border, else its cluster's source slot. `source_rank` is
-        // how many of the cluster's borders that slot sorts after.
+        // is a border, else its cluster's source slot — which the table
+        // prices at zero internal distance, while a source inside the
+        // destination's cluster has known ones.
         let sc = source_cluster.index();
-        let (first, last) = (table.first[sc], table.first[sc + 1] - 1);
-        let borders = &table.proxy[first..last];
-        let known_source = source_cluster == dest_cluster;
-        let (source_state, source_rank) = match borders.binary_search(&Some(request.source)) {
-            Ok(slot) => (first + slot, borders.len()),
-            Err(rank) if known_source => (last, rank),
-            Err(_) => (last, borders.len()),
-        };
-        // The table prices a source slot's internal distances at zero;
-        // a source inside the destination's cluster has known ones.
         let known_source_row: Vec<f64>;
-        let source_row = if source_state == last && known_source && self.config.backtracking {
-            known_source_row = borders
-                .iter()
-                .flatten()
-                .map(|&b| self.delays.delay(request.source, b))
-                .collect();
-            &known_source_row
-        } else {
-            table.row(source_state)
+        let start = match table.border_slot(sc, request.source) {
+            Ok(state) => Start {
+                state,
+                rank: 0,
+                row: table.row(state),
+            },
+            Err(rank) => {
+                let state = table.source_slot(sc);
+                let known = source_cluster == dest_cluster;
+                let row = if known && self.config.backtracking {
+                    known_source_row = table
+                        .borders(sc)
+                        .map(|b| self.delays.delay(request.source, b))
+                        .collect();
+                    &known_source_row
+                } else {
+                    table.row(state)
+                };
+                Start {
+                    state,
+                    rank: if known { rank } else { table.borders(sc).len() },
+                    row,
+                }
+            }
         };
 
-        // `cost`/`back` hold one entry per (stage, state); `back` names
-        // the predecessor's entry and doubles as the presence mark — a
-        // state reached at `+∞` is present, propagates, and is left for
-        // the closing loop to filter.
-        assert!(
-            graph.len() * states < ROOT as usize,
-            "(stage, state) indices must fit the back-pointers"
-        );
-        let mut cost = vec![0.0f64; graph.len() * states];
-        let mut back = vec![ABSENT; graph.len() * states];
-        // Per stage, its present states in visiting order:
-        // `live[live_at[i].0..live_at[i].1]`.
-        let mut live: Vec<usize> = Vec::new();
-        let mut live_at = vec![(0, 0); graph.len()];
-
-        let order = graph
-            .topological_order()
-            .expect("service graphs are validated acyclic at construction");
-        for &stage in &order {
-            let si = stage.index();
-            let base = si * states;
-            let stage_candidates = &candidates[candidates_at[si]..candidates_at[si + 1]];
-            if graph.predecessors(stage).is_empty() {
-                // Transition from the source proxy's cluster.
-                let source = table.origin(source_state, source_row);
-                for &c in stage_candidates {
-                    let (state, step) = source.step(c);
-                    cost[base + state] = step;
-                    back[base + state] = ROOT;
-                }
-            }
-            // Offers reach a state predecessor by predecessor, then in
-            // the predecessor's visiting order; the first of equal
-            // offers stays.
-            for &pred in graph.predecessors(stage) {
-                let pbase = pred.index() * states;
-                let (from, to) = live_at[pred.index()];
-                for &pstate in &live[from..to] {
-                    let row = if pstate == source_state {
-                        source_row
-                    } else {
-                        table.row(pstate)
-                    };
-                    table.origin(pstate, row).offer(
-                        cost[pbase + pstate],
-                        (pbase + pstate) as u32,
-                        stage_candidates,
-                        &mut cost[base..base + states],
-                        &mut back[base..base + states],
-                    );
-                }
-            }
-            let start = live.len();
-            for &c in stage_candidates {
-                let (first, last) = (table.first[c], table.first[c + 1] - 1);
-                let rank = if c == sc { source_rank } else { last - first };
-                live.extend(
-                    (first..first + rank)
-                        .chain([last])
-                        .chain(first + rank..last)
-                        .filter(|&state| back[base + state] != ABSENT),
-                );
-            }
-            live_at[si] = (start, live.len());
+        // Candidate clusters come from aggregate state.
+        let mut aggregates = vec![None; self.hfc.cluster_count()];
+        for (c, set) in self.sctc.iter() {
+            aggregates[c.index()] = Some(set);
         }
+        let solved = table.solve(graph, &start, |stage, c| {
+            aggregates[c].is_some_and(|set| set.contains(graph.service(stage)))
+                && !excluded.contains(&(stage, ClusterId::new(c)))
+        })?;
 
         // Backtrack every sink state, in the exact order the closing
         // loop will enumerate them.
-        let mut out = Vec::new();
-        for sink in graph.sinks() {
-            let base = sink.index() * states;
-            let (from, to) = live_at[sink.index()];
-            for &state in &live[from..to] {
-                let mut chain = Vec::with_capacity(graph.len());
-                let mut at = base + state;
-                loop {
-                    chain.push((
-                        StageId::new(at / states),
-                        ClusterId::new(table.cluster[at % states]),
-                    ));
-                    match back[at] {
-                        ROOT => break,
-                        prev => at = prev as usize,
-                    }
-                }
-                chain.reverse();
-                out.push(CspCandidate {
-                    chain,
-                    cost: cost[base + state],
-                    cluster: ClusterId::new(table.cluster[state]),
-                    entry: table.proxy[state].unwrap_or(request.source),
-                });
-            }
-        }
+        let out: Vec<CspCandidate> = solved
+            .sinks(graph)
+            .map(|sink| CspCandidate {
+                chain: solved.chain(sink.at, ClusterId::new),
+                cost: sink.cost,
+                cluster: ClusterId::new(sink.unit),
+                entry: sink.entry.unwrap_or(request.source),
+            })
+            .collect();
         if out.is_empty() {
             return Err(RouteError::Infeasible);
         }
         Ok(CspFrontier { candidates: out })
+    }
+
+    /// The level-1 table over every cluster: HFC borders, the
+    /// back-tracking rule between two border proxies (both always
+    /// known), the attached load summary.
+    fn level_table(&self) -> LevelTable {
+        LevelTable::build(
+            self.hfc.clusters().map(ClusterId::index),
+            |from, to| self.hfc.border(ClusterId::new(from), ClusterId::new(to)),
+            |a, b| {
+                if self.config.backtracking && a != b {
+                    self.delays.delay(a, b)
+                } else {
+                    0.0
+                }
+            },
+            |local, remote| self.delays.delay(local, remote),
+            |c| self.cluster_penalty(ClusterId::new(c)),
+            |c| self.cluster_routable(ClusterId::new(c)),
+        )
     }
 
     /// The closing loop of the cluster-level solve: adds the final leg
@@ -776,176 +695,6 @@ where
         } else {
             0.0
         }
-    }
-}
-
-/// `back` mark of a state no offer has reached.
-const ABSENT: u32 = u32::MAX;
-/// `back` mark of a state reached straight from the request's source.
-const ROOT: u32 = u32::MAX - 1;
-
-/// The border pair of one ordered cluster pair, as the DP reads it.
-#[derive(Debug, Clone, Copy, Default)]
-struct Link {
-    /// Border slot (within the first cluster) the path leaves through.
-    exit: u32,
-    /// State (of the second cluster) the path enters at.
-    entry: u32,
-    /// Known delay of the border link itself.
-    external: f64,
-}
-
-/// Everything a relaxation of the cluster-level DP reads, pre-computed
-/// once per router through its own `delays` and `cluster_load` — so
-/// load-aware penalties and the `+∞` of a `Down` border are priced
-/// exactly as a direct look-up would price them.
-#[derive(Debug)]
-struct BorderTable {
-    /// Cluster `c` owns states `first[c]..first[c + 1]`: one slot per
-    /// distinct border proxy, in ascending id, then one for "entered as
-    /// the request's source".
-    first: Vec<usize>,
-    /// Per state, its cluster.
-    cluster: Vec<usize>,
-    /// Per state, its border proxy (`None` for a source slot).
-    proxy: Vec<Option<ProxyId>>,
-    /// Per state, the known internal distance from its proxy to every
-    /// border slot of its cluster: state `s` owns
-    /// `internal[row_at[s]..row_at[s + 1]]`. Zero on the diagonal, for
-    /// source slots, and everywhere when back-tracking is off.
-    internal: Vec<f64>,
-    row_at: Vec<usize>,
-    /// `links[from * clusters + to]`; the diagonal is never read.
-    links: Vec<Link>,
-    /// Per cluster, the load penalty of entering it.
-    penalty: Vec<f64>,
-}
-
-/// A state of the DP as the start of a step.
-struct Origin<'a> {
-    cluster: usize,
-    state: usize,
-    /// Known internal distance to each border slot of the cluster.
-    row: &'a [f64],
-    /// The cluster's links, indexed by the cluster entered.
-    links: &'a [Link],
-    penalty: &'a [f64],
-}
-
-impl Origin<'_> {
-    /// The state entered by stepping into cluster `to`, and what the
-    /// step costs. Staying put costs exactly zero; the rest is summed
-    /// as `(internal + external) + penalty`.
-    fn step(&self, to: usize) -> (usize, f64) {
-        if to == self.cluster {
-            return (self.state, 0.0);
-        }
-        let link = &self.links[to];
-        let internal = self.row[link.exit as usize];
-        (
-            link.entry as usize,
-            internal + link.external + self.penalty[to],
-        )
-    }
-
-    /// Offers `reached + step` to the state entered in each of
-    /// `candidates`; `cost`/`back` are the entered stage's. An offer
-    /// replaces what a state holds unless that is already `<=` it.
-    fn offer(
-        &self,
-        reached: f64,
-        back_ref: u32,
-        candidates: &[usize],
-        cost: &mut [f64],
-        back: &mut [u32],
-    ) {
-        for &to in candidates {
-            let (state, step) = self.step(to);
-            let offer = reached + step;
-            if back[state] != ABSENT && cost[state] <= offer {
-                continue;
-            }
-            cost[state] = offer;
-            back[state] = back_ref;
-        }
-    }
-}
-
-impl BorderTable {
-    fn build<D: DelayModel>(router: &HierarchicalRouter<'_, D>) -> Self {
-        let hfc = router.hfc;
-        let mut first = Vec::with_capacity(hfc.cluster_count() + 1);
-        let mut cluster = Vec::new();
-        let mut proxy = Vec::new();
-        let mut internal = Vec::new();
-        let mut row_at = Vec::new();
-        for c in hfc.clusters() {
-            first.push(proxy.len());
-            let borders = hfc.border_proxies(c);
-            for a in borders.iter().copied().map(Some).chain([None]) {
-                cluster.push(c.index());
-                proxy.push(a);
-                row_at.push(internal.len());
-                internal.extend(borders.iter().map(|&b| match a {
-                    Some(a) if router.config.backtracking && a != b => router.delays.delay(a, b),
-                    _ => 0.0,
-                }));
-            }
-        }
-        first.push(proxy.len());
-        row_at.push(internal.len());
-
-        let slot = |c: ClusterId, border: ProxyId| {
-            let (from, to) = (first[c.index()], first[c.index() + 1] - 1);
-            let slot = proxy[from..to]
-                .binary_search(&Some(border))
-                .expect("border pairs name border proxies");
-            u32::try_from(slot).expect("border slots fit u32")
-        };
-        let mut links = Vec::with_capacity(hfc.cluster_count() * hfc.cluster_count());
-        for from in hfc.clusters() {
-            for to in hfc.clusters() {
-                links.push(if from == to {
-                    Link::default()
-                } else {
-                    let pair = hfc.border(from, to);
-                    let start = u32::try_from(first[to.index()]).expect("states fit u32");
-                    Link {
-                        exit: slot(from, pair.local),
-                        entry: start + slot(to, pair.remote),
-                        external: router.delays.delay(pair.local, pair.remote),
-                    }
-                });
-            }
-        }
-        BorderTable {
-            first,
-            cluster,
-            proxy,
-            internal,
-            row_at,
-            links,
-            penalty: hfc.clusters().map(|c| router.cluster_penalty(c)).collect(),
-        }
-    }
-
-    /// `state` as somewhere to step from, its internal distances being
-    /// `row` (the table's own, or a known source's).
-    fn origin<'a>(&'a self, state: usize, row: &'a [f64]) -> Origin<'a> {
-        let cluster = self.cluster[state];
-        let clusters = self.penalty.len();
-        Origin {
-            cluster,
-            state,
-            row,
-            links: &self.links[cluster * clusters..(cluster + 1) * clusters],
-            penalty: &self.penalty,
-        }
-    }
-
-    /// The internal-distance row of `state`.
-    fn row(&self, state: usize) -> &[f64] {
-        &self.internal[self.row_at[state]..self.row_at[state + 1]]
     }
 }
 

@@ -15,6 +15,9 @@
 //!   intra-cluster border-to-border distances — dissects the request
 //!   into child requests, solves each inside its cluster with the flat
 //!   method, and composes the child paths.
+//! * [`multilevel`] applies the same algorithm recursively over a
+//!   hierarchy of any depth; both run the cluster-level shortest-path
+//!   pass of the one `level` solver.
 //!
 //! # Example
 //!
@@ -50,6 +53,7 @@ pub mod csp;
 pub mod fixtures;
 pub mod flat;
 pub mod hier;
+mod level;
 pub mod multilevel;
 pub mod path;
 mod proptests;

@@ -20,6 +20,7 @@
 
 use crate::flat::RouteError;
 use crate::hier::HierConfig;
+use crate::level::{LevelTable, Start};
 use crate::path::{PathBuilder, ServicePath};
 use crate::providers::ProviderIndex;
 use crate::router::Router;
@@ -28,30 +29,11 @@ use son_overlay::{
     ClusterId, DelayModel, HfcTopology, Hierarchy, ProxyId, ServiceGraph, ServiceId,
     ServiceRequest, ServiceSet, StageId,
 };
-use son_state::{ClusterLoad, SctP};
-use std::collections::BTreeMap;
+use son_state::ClusterLoad;
+use std::sync::OnceLock;
 
-/// A level-k DAG state: (unit, entry proxy).
-type StateKey = (u32, u32);
-/// Best known cost and predecessor per state, for one stage.
-type StateMap = BTreeMap<StateKey, (f64, Option<(usize, StateKey)>)>;
-
-fn key(unit: usize, entry: ProxyId) -> StateKey {
-    (unit as u32, entry.index() as u32)
-}
-
-fn unkey(k: StateKey) -> (usize, ProxyId) {
-    (k.0 as usize, ProxyId::new(k.1 as usize))
-}
-
-fn upsert(map: &mut StateMap, k: StateKey, cost: f64, prev: Option<(usize, StateKey)>) {
-    match map.get(&k) {
-        Some(&(existing, _)) if existing <= cost => {}
-        _ => {
-            map.insert(k, (cost, prev));
-        }
-    }
-}
+#[cfg(test)]
+mod oracle;
 
 /// The recursive multi-level router.
 ///
@@ -63,14 +45,23 @@ fn upsert(map: &mut StateMap, k: StateKey, cost: f64, prev: Option<(usize, State
 pub struct MultiLevelRouter<'a, D> {
     hfc: &'a HfcTopology,
     hierarchy: &'a Hierarchy,
+    services: &'a [ServiceSet],
     delays: D,
-    cluster_providers: Vec<ProviderIndex>,
+    /// Per cluster, filled by the first leaf solve inside it: routers
+    /// are rebuilt per batch and a request solves in a cluster or two.
+    cluster_providers: Vec<OnceLock<ProviderIndex>>,
     cluster_aggregates: Vec<ServiceSet>,
     /// `upper_aggregates[l - 2][u]`: merged service set of unit `u` at
     /// level `l`, for every level `2..=top`.
     upper_aggregates: Vec<Vec<ServiceSet>>,
     config: HierConfig,
     cluster_load: Option<ClusterLoad>,
+    /// `tables[l - 1][g]`: the level solver's table over the units of
+    /// level `l` inside group `g` of level `l + 1` (over every unit of
+    /// the top level, as `tables[top - 1][0]`), built by the first
+    /// solve that reads it — a request pays for the groups it crosses,
+    /// never for an all-pairs table of every cluster.
+    tables: Vec<Vec<OnceLock<LevelTable>>>,
 }
 
 impl<'a, D> MultiLevelRouter<'a, D>
@@ -87,7 +78,7 @@ where
     pub fn from_services(
         hfc: &'a HfcTopology,
         hierarchy: &'a Hierarchy,
-        services: &[ServiceSet],
+        services: &'a [ServiceSet],
         delays: D,
         config: HierConfig,
     ) -> Self {
@@ -101,16 +92,16 @@ where
             hfc.cluster_count(),
             "hierarchy and topology disagree on the cluster count"
         );
-        let mut cluster_providers = Vec::with_capacity(hfc.cluster_count());
-        let mut cluster_aggregates = Vec::with_capacity(hfc.cluster_count());
-        for c in hfc.clusters() {
-            let mut table = SctP::new();
-            for &m in hfc.members(c) {
-                table.update(m, services[m.index()].clone());
-            }
-            cluster_providers.push(ProviderIndex::from_sctp(&table));
-            cluster_aggregates.push(table.aggregate());
-        }
+        let cluster_aggregates: Vec<ServiceSet> = hfc
+            .clusters()
+            .map(|c| {
+                let mut set = ServiceSet::new();
+                for &m in hfc.members(c) {
+                    set.merge(&services[m.index()]);
+                }
+                set
+            })
+            .collect();
         let upper_aggregates: Vec<Vec<ServiceSet>> = (2..=hierarchy.top_level())
             .map(|level| {
                 (0..hierarchy.unit_count(level))
@@ -127,12 +118,14 @@ where
         MultiLevelRouter {
             hfc,
             hierarchy,
+            services,
             delays,
-            cluster_providers,
+            cluster_providers: unset(hfc.cluster_count()),
             cluster_aggregates,
             upper_aggregates,
             config,
             cluster_load: None,
+            tables: unset_tables(hierarchy),
         }
     }
 
@@ -142,6 +135,8 @@ where
     /// it stays routable.
     pub fn with_cluster_load(mut self, load: ClusterLoad) -> Self {
         self.cluster_load = Some(load);
+        // The tables carry the load penalties and routable flags.
+        self.tables = unset_tables(self.hierarchy);
         self
     }
 
@@ -168,12 +163,10 @@ where
     /// no top-level aggregate; [`RouteError::Infeasible`] when no
     /// configuration admits a full mapping.
     pub fn route(&self, request: &ServiceRequest) -> Result<ServicePath, RouteError> {
-        let top = self.hierarchy.top_level();
-        let allowed: Vec<usize> = (0..self.hierarchy.unit_count(top)).collect();
         let mut path = PathBuilder::start(request.source);
         self.solve_graph(
-            top,
-            &allowed,
+            self.hierarchy.top_level(),
+            0,
             request.destination,
             &request.graph,
             &mut path,
@@ -186,12 +179,13 @@ where
         self.hierarchy.ancestor_of_proxy(self.hfc, level, proxy)
     }
 
-    /// Solves `graph` over the units of `level` listed in `allowed`,
-    /// appending hops from `path.current()` to `dest`.
+    /// Solves `graph` over the units of `level` inside group `parent`
+    /// of the level above (every unit, at the top level), appending
+    /// hops from `path.current()` to `dest`.
     fn solve_graph(
         &self,
         level: usize,
-        allowed: &[usize],
+        parent: usize,
         dest: ProxyId,
         graph: &ServiceGraph,
         path: &mut PathBuilder,
@@ -215,7 +209,7 @@ where
             return Ok(());
         }
 
-        let chain = self.plan_over(level, allowed, source, dest, graph)?;
+        let (_, chain) = self.plan_over(level, parent, source, dest, graph)?;
 
         // Dissect into maximal runs of stages in the same unit.
         let mut runs: Vec<(usize, Vec<StageId>)> = Vec::new();
@@ -269,14 +263,17 @@ where
     ) -> Result<(), RouteError> {
         if level == 1 {
             let graph = ServiceGraph::linear(services.to_vec());
-            let (_, assignments) = solve_service_dag(
-                &graph,
-                path.current(),
-                dest,
-                &self.cluster_providers[unit],
-                &self.delays,
-            )
-            .ok_or(RouteError::Infeasible)?;
+            let providers = self.cluster_providers[unit].get_or_init(|| {
+                ProviderIndex::from_entries(
+                    self.hfc
+                        .members(ClusterId::new(unit))
+                        .iter()
+                        .map(|&m| (m, &self.services[m.index()])),
+                )
+            });
+            let (_, assignments) =
+                solve_service_dag(&graph, path.current(), dest, providers, &self.delays)
+                    .ok_or(RouteError::Infeasible)?;
             for a in &assignments {
                 path.serve(a.proxy, services[a.stage.index()]);
             }
@@ -284,13 +281,7 @@ where
             Ok(())
         } else {
             let graph = ServiceGraph::linear(services.to_vec());
-            self.solve_graph(
-                level - 1,
-                self.hierarchy.members(level, unit),
-                dest,
-                &graph,
-                path,
-            )
+            self.solve_graph(level - 1, unit, dest, &graph, path)
         }
     }
 
@@ -318,119 +309,110 @@ where
         self.descend(child, to, path);
     }
 
-    /// Computes the level-`level` service path: the generalization of
-    /// the paper's cluster-level service path to any hierarchy level.
+    /// The units of `level` a solve inside group `parent` of the level
+    /// above may map onto: its members, or every unit at the top level.
+    fn siblings(&self, level: usize, parent: usize) -> Vec<usize> {
+        if level == self.hierarchy.top_level() {
+            (0..self.hierarchy.unit_count(level)).collect()
+        } else {
+            self.hierarchy.members(level + 1, parent).to_vec()
+        }
+    }
+
+    /// The level solver's table over [`MultiLevelRouter::siblings`].
+    /// Base clusters are filled as the bi-level router fills them (HFC
+    /// borders, the back-tracking rule between two border proxies, the
+    /// attached load summary); above them every border proxy is a known
+    /// coordinate, so plain predicted delays apply and nothing is
+    /// penalised.
+    fn table(&self, level: usize, parent: usize) -> &LevelTable {
+        let delay = |a, b| self.delays.delay(a, b);
+        self.tables[level - 1][parent].get_or_init(|| {
+            let units = self.siblings(level, parent);
+            let border = |from, to| self.hierarchy.unit_border(self.hfc, level, from, to);
+            let routable = |unit| self.unit_routable(level, unit);
+            if level == 1 {
+                let internal = |a, b| {
+                    if self.config.backtracking && a != b {
+                        delay(a, b)
+                    } else {
+                        0.0
+                    }
+                };
+                let penalty = |c| self.cluster_penalty(c);
+                LevelTable::build(units, border, internal, delay, penalty, routable)
+            } else {
+                LevelTable::build(units, border, delay, delay, |_| 0.0, routable)
+            }
+        })
+    }
+
+    /// Computes the level-`level` service path — the generalization of
+    /// the paper's cluster-level service path to any hierarchy level —
+    /// and its estimated cost, over the units of
+    /// [`MultiLevelRouter::siblings`].
+    ///
+    /// The source always sorts at its own id: it starts in its border
+    /// slot when it is a border towards a sibling, else in its unit's
+    /// source slot, visited where its id falls among the borders.
     fn plan_over(
         &self,
         level: usize,
-        allowed: &[usize],
+        parent: usize,
         source: ProxyId,
         dest: ProxyId,
         graph: &ServiceGraph,
-    ) -> Result<Vec<(StageId, usize)>, RouteError> {
+    ) -> Result<(f64, Vec<(StageId, usize)>), RouteError> {
+        let table = self.table(level, parent);
         let src_unit = self.unit_of(level, source);
         let dst_unit = self.unit_of(level, dest);
 
-        let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(graph.len());
-        for stage in graph.stage_ids() {
-            let service = graph.service(stage);
-            let units: Vec<usize> = allowed
-                .iter()
-                .copied()
-                .filter(|&u| self.unit_aggregate(level, u).contains(service))
-                .filter(|&u| self.unit_routable(level, u))
-                .collect();
-            if units.is_empty() {
-                return Err(RouteError::NoProvider(service));
-            }
-            candidates.push(units);
-        }
-
-        let order = graph
-            .topological_order()
-            .expect("service graphs are validated acyclic at construction");
-        let mut states: Vec<StateMap> = vec![BTreeMap::new(); graph.len()];
-        for &stage in &order {
-            let si = stage.index();
-            for &unit in &candidates[si] {
-                if graph.predecessors(stage).is_empty() {
-                    let (cost, entry) = self.level_step(level, source, src_unit, unit, dst_unit);
-                    upsert(&mut states[si], key(unit, entry), cost, None);
-                } else {
-                    for &pred in graph.predecessors(stage) {
-                        let pi = pred.index();
-                        let prev_states: Vec<(StateKey, f64)> =
-                            states[pi].iter().map(|(&k, &(c, _))| (k, c)).collect();
-                        for (pkey, pcost) in prev_states {
-                            let (punit, pentry) = unkey(pkey);
-                            let (step, entry) =
-                                self.level_step(level, pentry, punit, unit, dst_unit);
-                            upsert(
-                                &mut states[si],
-                                key(unit, entry),
-                                pcost + step,
-                                Some((pi, pkey)),
-                            );
+        let source_row: Vec<f64>;
+        let start = match table.border_slot(src_unit, source) {
+            Ok(state) => Start {
+                state,
+                rank: 0,
+                row: table.row(state),
+            },
+            Err(rank) => {
+                // Every exit is a border proxy, so at the base level the
+                // back-tracking rule turns on the source alone.
+                let known = level > 1
+                    || self.config.backtracking
+                        && (self.hfc.is_border(source)
+                            || self.hfc.cluster_of(source).index() == dst_unit);
+                source_row = table
+                    .borders(src_unit)
+                    .map(|b| {
+                        if known {
+                            self.delays.delay(source, b)
+                        } else {
+                            0.0
                         }
-                    }
+                    })
+                    .collect();
+                Start {
+                    state: table.source_slot(src_unit),
+                    rank,
+                    row: &source_row,
                 }
             }
-        }
+        };
+        let solved = table.solve(graph, &start, |stage, unit| {
+            self.unit_aggregate(level, unit)
+                .contains(graph.service(stage))
+        })?;
 
-        let mut best: Option<(f64, usize, StateKey)> = None;
-        for sink in graph.sinks() {
-            let si = sink.index();
-            for (&k, &(cost, _)) in &states[si] {
-                let (unit, entry) = unkey(k);
-                let close = self.level_close(level, entry, unit, dst_unit, dest);
-                let total = cost + close;
-                if total.is_finite() && best.is_none_or(|(b, _, _)| total < b) {
-                    best = Some((total, si, k));
-                }
+        let mut best: Option<(f64, usize)> = None;
+        for sink in solved.sinks(graph) {
+            let entry = sink.entry.unwrap_or(source);
+            let total = sink.cost + self.level_close(level, entry, sink.unit, dst_unit, dest);
+            if total.is_finite() && best.is_none_or(|(b, _)| total < b) {
+                best = Some((total, sink.at));
             }
         }
-        let (_, mut si, mut k) = best.ok_or(RouteError::Infeasible)?;
-
-        let mut chain = Vec::new();
-        loop {
-            let (unit, _) = unkey(k);
-            chain.push((StageId::new(si), unit));
-            match states[si].get(&k).and_then(|&(_, prev)| prev) {
-                Some((psi, pk)) => {
-                    si = psi;
-                    k = pk;
-                }
-                None => break,
-            }
-        }
-        chain.reverse();
-        Ok(chain)
-    }
-
-    /// Cost of stepping from (proxy `entry` inside unit `from`) into
-    /// unit `to` of `level`, and the resulting entry proxy. At the
-    /// base-cluster level this is the paper's back-tracking-refined
-    /// step; above it, the entry and border proxies are all known
-    /// coordinates, so the plain predicted delays apply.
-    fn level_step(
-        &self,
-        level: usize,
-        entry: ProxyId,
-        from: usize,
-        to: usize,
-        dst_unit: usize,
-    ) -> (f64, ProxyId) {
-        if from == to {
-            return (0.0, entry);
-        }
-        let pair = self.hierarchy.unit_border(self.hfc, level, from, to);
-        let external = self.delays.delay(pair.local, pair.remote);
-        if level == 1 {
-            let internal = self.known_internal(entry, pair.local, ClusterId::new(dst_unit));
-            (internal + external + self.cluster_penalty(to), pair.remote)
-        } else {
-            (self.delays.delay(entry, pair.local) + external, pair.remote)
-        }
+        let (total, at) = best.ok_or(RouteError::Infeasible)?;
+        Ok((total, solved.chain(at, |unit| unit)))
     }
 
     /// Cost of the final leg from (entry inside `from`) to `dest`.
@@ -500,6 +482,20 @@ where
     }
 }
 
+fn unset<T>(n: usize) -> Vec<OnceLock<T>> {
+    (0..n).map(|_| OnceLock::new()).collect()
+}
+
+/// One unset table per group of every level above the base clusters,
+/// then the top level's own.
+fn unset_tables(hierarchy: &Hierarchy) -> Vec<Vec<OnceLock<LevelTable>>> {
+    let mut tables: Vec<_> = (2..=hierarchy.top_level())
+        .map(|level| unset(hierarchy.unit_count(level)))
+        .collect();
+    tables.push(unset(1));
+    tables
+}
+
 impl<D> Router for MultiLevelRouter<'_, D>
 where
     D: DelayModel,
@@ -512,8 +508,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::paper_example;
     use crate::hier::HierarchicalRouter;
+    use proptest::prelude::*;
     use son_clustering::Clustering;
     use son_overlay::{BorderPair, DelayMatrix, HierarchyConfig};
 
@@ -635,33 +631,64 @@ mod tests {
         assert_eq!(p3, p2.path, "intra-region routing must reduce to bi-level");
     }
 
-    #[test]
-    fn depth_two_reduces_to_the_bilevel_router() {
-        let (hfc, delays, services) = paper_example();
-        let h = Hierarchy::build_with_depth(&hfc, &delays, &HierarchyConfig::default(), 2);
-        assert_eq!(h.depth(), 2);
-        let ml =
-            MultiLevelRouter::from_services(&hfc, &h, &services, &delays, HierConfig::default());
-        let bi = HierarchicalRouter::from_services(&hfc, &services, &delays, HierConfig::default());
-        let cases = [
-            (2usize, vec![1usize, 2, 3, 4, 5], 9usize),
-            (3, vec![4, 5], 10),
-            (12, vec![1, 2], 9),
-            (8, vec![5, 2], 1),
-            (2, vec![], 12),
-        ];
-        for (src, svc, dst) in cases {
-            let request = ServiceRequest::new(
-                ProxyId::new(src),
-                ServiceGraph::linear(svc.iter().map(|&i| sid(i)).collect()),
-                ProxyId::new(dst),
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// 3 to 8 clusters of 1 to 4 proxies at random real
+        /// coordinates (clusters overlap, ids are shuffled by the
+        /// random labelling); a request of up to five stages, linear
+        /// or with a joining stage, between two random proxies.
+        #[test]
+        fn depth_two_reduces_to_the_bilevel_router(seed in any::<u64>()) {
+            let rng = &mut TestRng::deterministic(&seed.to_string());
+            let clusters = 3 + rng.below(6);
+            let mut labels: Vec<usize> = (0..clusters)
+                .flat_map(|c| std::iter::repeat_n(c, 1 + rng.below(4)))
+                .collect();
+            for i in (1..labels.len()).rev() {
+                labels.swap(i, rng.below(i + 1));
+            }
+            let n = labels.len();
+            let at: Vec<(f64, f64)> = (0..n)
+                .map(|_| (100.0 * rng.next_f64(), 100.0 * rng.next_f64()))
+                .collect();
+            let mut values = vec![0.0; n * n];
+            for (i, a) in at.iter().enumerate() {
+                for (j, b) in at.iter().enumerate() {
+                    values[i * n + j] = (a.0 - b.0).hypot(a.1 - b.1);
+                }
+            }
+            let delays = DelayMatrix::from_values(n, values);
+            let hfc = HfcTopology::build(&Clustering::from_labels(&labels), &delays);
+            let services: Vec<ServiceSet> = (0..n)
+                .map(|_| (0..4).filter(|_| rng.below(2) == 0).map(sid).collect())
+                .collect();
+            let graph = if rng.below(3) == 0 {
+                (0..4)
+                    .fold(ServiceGraph::builder(), |b, _| b.stage(sid(rng.below(4))))
+                    .edge(0, 2)
+                    .edge(1, 2)
+                    .edge(2, 3)
+                    .build()
+                    .expect("edges run forward")
+            } else {
+                ServiceGraph::linear((0..rng.below(6)).map(|_| sid(rng.below(4))).collect())
+            };
+            let request =
+                ServiceRequest::new(ProxyId::new(rng.below(n)), graph, ProxyId::new(rng.below(n)));
+
+            let h = Hierarchy::build_with_depth(&hfc, &delays, &HierarchyConfig::default(), 2);
+            prop_assert_eq!(h.depth(), 2);
+            let ml = MultiLevelRouter::from_services(
+                &hfc,
+                &h,
+                &services,
+                &delays,
+                HierConfig::default(),
             );
-            let flat = ml.route(&request).unwrap();
-            let hier = bi.route(&request).unwrap();
-            assert_eq!(
-                flat, hier.path,
-                "depth-2 multi-level route diverged for {src}→{dst} via {svc:?}"
-            );
+            let bi =
+                HierarchicalRouter::from_services(&hfc, &services, &delays, HierConfig::default());
+            prop_assert_eq!(ml.route(&request), bi.route(&request).map(|route| route.path));
         }
     }
 

@@ -8,7 +8,10 @@
 //! * mean path cost stays within 1.5x the flat global-knowledge
 //!   optimum and within the bi-level hierarchical router's bound;
 //! * the third level strictly shrinks per-proxy routing state versus
-//!   the bi-level design it generalizes.
+//!   the bi-level design it generalizes;
+//! * at 2 000 proxies, where top-level groups hold several clusters
+//!   each, 300 routes are hop for hop and cost bit for cost bit the
+//!   ones the map-based planner of ISSUE 18's commit produced.
 
 use son_core::{
     Environment, FlatRouter, HierarchyConfig, ProviderIndex, Router, ServiceOverlay, SonConfig,
@@ -81,4 +84,39 @@ fn third_level_shrinks_routing_state_at_1k() {
         c3 + s3,
         c2 + s2
     );
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+        (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn depth_three_routes_at_2k_are_bit_identical_to_the_map_based_planner() {
+    let mut config = SonConfig::from_environment(Environment::scaled(2_000, 42));
+    config.threads = 2;
+    let overlay = ServiceOverlay::build(&config);
+    let hierarchy = overlay.hierarchy_with_depth(&HierarchyConfig::default(), 3);
+    assert_eq!(hierarchy.depth(), 3, "2k world should support depth 3");
+    let router = overlay.multilevel_router(&hierarchy);
+
+    let mut words = Vec::new();
+    for request in &overlay.generate_client_requests(300, 9) {
+        let path = router
+            .route_path(request)
+            .expect("every client request is routable");
+        path.validate(request, |p, s| overlay.carries(p, s))
+            .expect("multi-level path must be structurally valid");
+        for hop in path.hops() {
+            words.push(hop.proxy.index() as u64);
+            words.push(hop.service.map_or(u64::MAX, |s| s.index() as u64));
+        }
+        words.push(path.length(overlay.predicted_delays()).to_bits());
+    }
+    // Printed by this very test at commit 4ac7274 (ISSUE 18), whose
+    // `plan_over` was the `BTreeMap` DP.
+    let digest = fnv(words);
+    assert_eq!(digest, 0x4dc3_92a4_8d37_ecda, "digest {digest:#018x}");
 }
