@@ -290,7 +290,9 @@ impl GnpEmbedding {
     pub fn relative_error_stats(&self, graph: &Graph, hosts: &[NodeId]) -> ErrorStats {
         let step = (hosts.len() / 30).max(1);
         let sources: Vec<NodeId> = hosts.iter().copied().step_by(step).collect();
-        let mut errors = Vec::new();
+        // Sized once and sorted in place: grown by doubling and merge-
+        // sorted, this was the build's largest transient at 10k hosts.
+        let mut errors = Vec::with_capacity(sources.len() * hosts.len());
         for &src in &sources {
             let true_d = graph.dijkstra(src);
             for &dst in hosts {
@@ -305,7 +307,7 @@ impl GnpEmbedding {
                 errors.push((p - t).abs() / t);
             }
         }
-        errors.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        errors.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
         let n = errors.len();
         if n == 0 {
             return ErrorStats {

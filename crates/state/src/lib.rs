@@ -29,4 +29,4 @@ pub use checker::{ConvergenceChecker, Staleness};
 pub use load::{ClusterLoad, ClusterLoadRow};
 pub use overhead::{flat_overhead, hfc_overhead, OverheadKind, OverheadReport};
 pub use protocol::{DissemMode, ProtocolConfig, StateProtocol, StateReport};
-pub use tables::{SctC, SctP};
+pub use tables::{Sct, SctC, SctP};

@@ -20,13 +20,13 @@
 //! same ground-truth convergence check.
 
 use crate::checker::{ConvergenceChecker, Staleness};
-use crate::tables::{SctC, SctP};
+use crate::tables::{Row, SctC, SctP};
 use son_netsim::faults::FaultPlan;
 use son_netsim::graph::NodeId;
 use son_netsim::sim::{Actor, Ctx, Simulator};
 use son_netsim::SimTime;
 use son_overlay::{ClusterId, DelayModel, DissemForest, HfcTopology, ProxyId, ServiceSet};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// How table rows travel *inside* a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,9 +117,10 @@ impl ProtocolConfig {
 
 /// Messages exchanged by the protocol. Every message carries the
 /// simulated time (in microseconds) at which its content was
-/// *produced*; receivers keep per-entry version maps and ignore
-/// messages older than what they already hold, so duplicated or
-/// reordered deliveries can never roll a table backwards.
+/// *produced*; receivers hold that version beside each table row and
+/// ignore rows older than the one they already hold (the guard is in
+/// [`crate::tables`]), so duplicated or reordered deliveries can never
+/// roll a table backwards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StateMsg {
     /// A proxy's own service names, flooded within its cluster.
@@ -144,32 +145,29 @@ pub enum StateMsg {
     /// periodic full-table syncs between parent and children, and
     /// event-driven deltas cascading fresh rows through the tree.
     /// Every row keeps the version its origin stamped.
-    TreeSync {
-        /// `SCT_P` rows: (member, services, version).
-        sctp: Vec<(ProxyId, ServiceSet, u64)>,
-        /// `SCT_C` rows: (cluster, services, version).
-        sctc: Vec<(ClusterId, ServiceSet, u64)>,
-    },
+    TreeSync(Arc<Rows>),
     /// Tree mode's flooding fallback: a proxy whose parent went silent
     /// broadcasts everything it knows to every cluster peer. Receivers
     /// merge it like a [`TreeSync`] *and* reply with their own full
     /// tables, so the orphan both teaches and relearns.
-    Repair {
-        /// `SCT_P` rows: (member, services, version).
-        sctp: Vec<(ProxyId, ServiceSet, u64)>,
-        /// `SCT_C` rows: (cluster, services, version).
-        sctc: Vec<(ClusterId, ServiceSet, u64)>,
-    },
+    Repair(Arc<Rows>),
+}
+
+/// The row batch of one tree-mode send. The sender builds it once and
+/// every recipient's message — and every duplicate the fault plan
+/// injects — shares it; receivers read it by reference and clone only
+/// the rows that were news to them.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Rows {
+    /// `SCT_P` rows.
+    pub sctp: Vec<Row<ProxyId>>,
+    /// `SCT_C` rows.
+    pub sctc: Vec<Row<ClusterId>>,
 }
 
 const LOCAL_TIMER: u64 = 1;
 const AGGREGATE_TIMER: u64 = 2;
 const REFRESH_TIMER: u64 = 3;
-
-/// Versioned `SCT_P` rows as they travel in tree-mode payloads.
-type SctPRows = Vec<(ProxyId, ServiceSet, u64)>;
-/// Versioned `SCT_C` rows as they travel in tree-mode payloads.
-type SctCRows = Vec<(ClusterId, ServiceSet, u64)>;
 
 /// One proxy's protocol state machine.
 #[derive(Debug)]
@@ -193,14 +191,11 @@ pub struct ProxyActor {
     config: ProtocolConfig,
     local_rounds_left: usize,
     aggregate_rounds_left: usize,
-    /// Full state of the local cluster.
+    /// Full state of the local cluster, each row beside the newest
+    /// version (simulated µs) applied to it.
     pub sctp: SctP,
-    /// Aggregate state of every cluster.
+    /// Aggregate state of every cluster, versioned the same way.
     pub sctc: SctC,
-    /// Newest version (simulated µs) applied per `SCT_P` row.
-    sctp_versions: BTreeMap<ProxyId, u64>,
-    /// Newest version applied per `SCT_C` row.
-    sctc_versions: BTreeMap<ClusterId, u64>,
     /// Local state messages sent. Survives restarts — the counters
     /// account for total network overhead, not per-incarnation work.
     pub sent_local: u64,
@@ -243,7 +238,7 @@ impl ProxyActor {
         let aggregate = self.sctp.aggregate();
         let version = ctx.now().as_micros();
         self.sctc.update(self.cluster, aggregate.clone());
-        self.sctc_versions.insert(self.cluster, version);
+        self.sctc.stamp(self.cluster, version);
         for &remote in &self.border_duties {
             ctx.send(
                 NodeId::new(remote.index()),
@@ -262,19 +257,10 @@ impl ProxyActor {
     /// update of a table could ride a single (droppable) message once
     /// the advertisement rounds run out.
     fn reforward_known_aggregates(&mut self, ctx: &mut Ctx<'_, StateMsg>) {
-        let entries: Vec<(ClusterId, ServiceSet, u64)> = self
-            .sctc
-            .iter()
-            .filter(|(c, _)| *c != self.cluster)
-            .map(|(c, s)| {
-                (
-                    c,
-                    s.clone(),
-                    self.sctc_versions.get(&c).copied().unwrap_or(0),
-                )
-            })
-            .collect();
-        for (cluster, services, version) in entries {
+        for (cluster, services, version) in self.sctc.rows() {
+            if cluster == self.cluster {
+                continue;
+            }
             for &peer in &self.peers {
                 ctx.send(
                     NodeId::new(peer.index()),
@@ -295,46 +281,21 @@ impl ProxyActor {
 
     /// Everything this proxy knows, with the versions it holds, ready
     /// to ride a [`StateMsg::TreeSync`] or [`StateMsg::Repair`].
-    fn full_payload(&self) -> (SctPRows, SctCRows) {
-        let sctp = self
-            .sctp
-            .iter()
-            .map(|(p, s)| {
-                (
-                    p,
-                    s.clone(),
-                    self.sctp_versions.get(&p).copied().unwrap_or(0),
-                )
-            })
-            .collect();
-        let sctc = self
-            .sctc
-            .iter()
-            .map(|(c, s)| {
-                (
-                    c,
-                    s.clone(),
-                    self.sctc_versions.get(&c).copied().unwrap_or(0),
-                )
-            })
-            .collect();
-        (sctp, sctc)
+    fn full_payload(&self) -> Arc<Rows> {
+        Arc::new(Rows {
+            sctp: self.sctp.rows().collect(),
+            sctc: self.sctc.rows().collect(),
+        })
     }
 
     /// One periodic tree round: full-table sync with the parent and
     /// every child. Flooding would have sent one message per cluster
     /// peer here — the difference is the tree's saving.
     fn tree_sync_round(&mut self, ctx: &mut Ctx<'_, StateMsg>) {
-        let (sctp, sctc) = self.full_payload();
+        let rows = self.full_payload();
         let mut sent = 0u64;
         for &n in self.parent.iter().chain(self.children.iter()) {
-            ctx.send(
-                NodeId::new(n.index()),
-                StateMsg::TreeSync {
-                    sctp: sctp.clone(),
-                    sctc: sctc.clone(),
-                },
-            );
+            ctx.send(NodeId::new(n.index()), StateMsg::TreeSync(rows.clone()));
             self.sent_tree += 1;
             sent += 1;
         }
@@ -344,76 +305,68 @@ impl ProxyActor {
     /// Relays fresh rows to every tree neighbor except the one they
     /// came from — the event-driven wave that lets a deep tree
     /// converge without waiting one refresh period per hop.
-    fn cascade(
-        &mut self,
-        ctx: &mut Ctx<'_, StateMsg>,
-        except: Option<ProxyId>,
-        sctp: SctPRows,
-        sctc: SctCRows,
-    ) {
-        if sctp.is_empty() && sctc.is_empty() {
+    fn cascade(&mut self, ctx: &mut Ctx<'_, StateMsg>, except: Option<ProxyId>, fresh: Rows) {
+        if fresh.sctp.is_empty() && fresh.sctc.is_empty() {
             return;
         }
+        let fresh = Arc::new(fresh);
         for &n in self.parent.iter().chain(self.children.iter()) {
-            if Some(n) == except {
-                continue;
+            if Some(n) != except {
+                ctx.send(NodeId::new(n.index()), StateMsg::TreeSync(fresh.clone()));
+                self.sent_tree += 1;
             }
-            ctx.send(
-                NodeId::new(n.index()),
-                StateMsg::TreeSync {
-                    sctp: sctp.clone(),
-                    sctc: sctc.clone(),
-                },
-            );
-            self.sent_tree += 1;
         }
     }
 
     /// Applies a batch of relayed rows under the same version guards
     /// as the flooding handlers, returning the rows that actually
-    /// changed a table (fresh information worth cascading) and whether
-    /// the own-cluster aggregate moved.
-    fn merge_rows(
-        &mut self,
-        ctx: &mut Ctx<'_, StateMsg>,
-        sctp: SctPRows,
-        sctc: SctCRows,
-    ) -> (SctPRows, SctCRows, bool) {
-        let mut fresh_p = SctPRows::new();
-        for (proxy, services, version) in sctp {
-            if proxy == self.id {
+    /// changed a table (fresh information worth cascading, in batch
+    /// order) and whether the own-cluster aggregate moved.
+    fn merge_rows(&mut self, ctx: &mut Ctx<'_, StateMsg>, rows: &Rows) -> (Rows, bool) {
+        let mut fresh = Rows::default();
+        for row @ (proxy, services, version) in &rows.sctp {
+            if *proxy == self.id {
                 continue;
             }
-            if version < self.sctp_versions.get(&proxy).copied().unwrap_or(0) {
-                self.ignored_stale += 1;
-                continue;
-            }
-            self.sctp_versions.insert(proxy, version);
-            if self.sctp.update(proxy, services.clone()) {
-                fresh_p.push((proxy, services, version));
+            match self.sctp.apply(*proxy, services, *version) {
+                None => self.ignored_stale += 1,
+                Some(true) => fresh.sctp.push(row.clone()),
+                Some(false) => {}
             }
         }
         // The local cluster's aggregate stays derived from SCT_P, like
         // the flooding handler does on every Local delivery.
         let mut aggregate_changed = false;
-        if !fresh_p.is_empty() && self.sctc.update(self.cluster, self.sctp.aggregate()) {
-            self.sctc_versions
-                .insert(self.cluster, ctx.now().as_micros());
+        if !fresh.sctp.is_empty() && self.sctc.update(self.cluster, self.sctp.aggregate()) {
+            self.sctc.stamp(self.cluster, ctx.now().as_micros());
             aggregate_changed = true;
         }
-        let mut fresh_c = SctCRows::new();
-        for (cluster, services, version) in sctc {
-            if version < self.sctc_versions.get(&cluster).copied().unwrap_or(0) {
-                self.ignored_stale += 1;
-                continue;
+        for row @ (cluster, services, version) in &rows.sctc {
+            match self.sctc.apply(*cluster, services, *version) {
+                None => self.ignored_stale += 1,
+                Some(true) => {
+                    aggregate_changed |= *cluster == self.cluster;
+                    fresh.sctc.push(row.clone());
+                }
+                Some(false) => {}
             }
-            if self.sctc.merge_update(cluster, &services) {
-                aggregate_changed |= cluster == self.cluster;
-                fresh_c.push((cluster, services, version));
-            }
-            self.sctc_versions.insert(cluster, version);
         }
-        (fresh_p, fresh_c, aggregate_changed)
+        (fresh, aggregate_changed)
+    }
+
+    /// A [`StateMsg::TreeSync`] or [`StateMsg::Repair`] arrived.
+    fn on_rows(&mut self, ctx: &mut Ctx<'_, StateMsg>, sender: ProxyId, rows: &Rows) {
+        if Some(sender) == self.parent {
+            self.parent_heard_at = ctx.now().as_micros();
+        }
+        let (fresh, aggregate_changed) = self.merge_rows(ctx, rows);
+        // Same event-driven leg as flooding: a border whose cluster
+        // aggregate just changed re-advertises to its remote pairs
+        // immediately.
+        if aggregate_changed && !self.border_duties.is_empty() {
+            self.broadcast_aggregate(ctx);
+        }
+        self.cascade(ctx, Some(sender), fresh);
     }
 
     /// Initial-knowledge seeding plus timer arming, shared by cold
@@ -421,8 +374,7 @@ impl ProxyActor {
     fn boot(&mut self, ctx: &mut Ctx<'_, StateMsg>) {
         let now = ctx.now().as_micros();
         // A proxy always knows itself.
-        self.sctp.update(self.id, self.services.clone());
-        self.sctp_versions.insert(self.id, now);
+        self.sctp.apply(self.id, &self.services, now);
         self.sctc.update(self.cluster, self.services.clone());
         self.parent_heard_at = now;
         if self.local_rounds_left > 0 {
@@ -464,18 +416,15 @@ impl Actor for ProxyActor {
                 let sender = ProxyId::new(from.index());
                 // A duplicated or reordered delivery older than what we
                 // hold must not roll the row back.
-                if version < self.sctp_versions.get(&sender).copied().unwrap_or(0) {
+                let Some(changed) = self.sctp.apply(sender, &services, version) else {
                     self.ignored_stale += 1;
                     return;
-                }
-                self.sctp_versions.insert(sender, version);
-                let changed = self.sctp.update(sender, services);
+                };
                 // The local cluster's aggregate is derivable from SCT_P
                 // without any extra messages — keep it fresh.
                 let aggregate_changed = self.sctc.update(self.cluster, self.sctp.aggregate());
                 if aggregate_changed {
-                    self.sctc_versions
-                        .insert(self.cluster, ctx.now().as_micros());
+                    self.sctc.stamp(self.cluster, ctx.now().as_micros());
                 }
                 // A border whose cluster aggregate just changed
                 // re-advertises immediately rather than waiting for the
@@ -492,15 +441,13 @@ impl Actor for ProxyActor {
             } => {
                 // Stale aggregate: a fresher snapshot of this cluster
                 // was already applied, so neither merge nor forward.
-                if version < self.sctc_versions.get(&cluster).copied().unwrap_or(0) {
+                // Otherwise merge (set union): services are static, so
+                // aggregates are monotone and merging makes delivery
+                // order and duplicate retransmissions harmless.
+                let Some(changed) = self.sctc.apply(cluster, &services, version) else {
                     self.ignored_stale += 1;
                     return;
-                }
-                // Merge (set union): services are static, so aggregates
-                // are monotone and merging makes delivery order and
-                // duplicate retransmissions harmless.
-                let changed = self.sctc.merge_update(cluster, &services);
-                self.sctc_versions.insert(cluster, version);
+                };
                 let from_outside = !self.peers.contains(&ProxyId::new(from.index()))
                     && ProxyId::new(from.index()) != self.id;
                 if from_outside {
@@ -510,8 +457,9 @@ impl Actor for ProxyActor {
                         // the tree, and only when it said something
                         // new. Periodic tree refresh repairs losses.
                         if changed {
-                            let row = vec![(cluster, services, version)];
-                            self.cascade(ctx, None, SctPRows::new(), row);
+                            let sctc = vec![(cluster, services, version)];
+                            let sctp = Vec::new();
+                            self.cascade(ctx, None, Rows { sctp, sctc });
                         } else {
                             self.suppressed += self.peers.len() as u64;
                         }
@@ -535,38 +483,15 @@ impl Actor for ProxyActor {
                     }
                 }
             }
-            StateMsg::TreeSync { sctp, sctc } => {
+            StateMsg::TreeSync(rows) => self.on_rows(ctx, ProxyId::new(from.index()), &rows),
+            StateMsg::Repair(rows) => {
                 let sender = ProxyId::new(from.index());
-                if Some(sender) == self.parent {
-                    self.parent_heard_at = ctx.now().as_micros();
-                }
-                let (fresh_p, fresh_c, aggregate_changed) = self.merge_rows(ctx, sctp, sctc);
-                // Same event-driven leg as flooding: a border whose
-                // cluster aggregate just changed re-advertises to its
-                // remote pairs immediately.
-                if aggregate_changed && !self.border_duties.is_empty() {
-                    self.broadcast_aggregate(ctx);
-                }
-                self.cascade(ctx, Some(sender), fresh_p, fresh_c);
-            }
-            StateMsg::Repair { sctp, sctc } => {
-                let sender = ProxyId::new(from.index());
-                if Some(sender) == self.parent {
-                    self.parent_heard_at = ctx.now().as_micros();
-                }
-                let (fresh_p, fresh_c, aggregate_changed) = self.merge_rows(ctx, sctp, sctc);
-                if aggregate_changed && !self.border_duties.is_empty() {
-                    self.broadcast_aggregate(ctx);
-                }
-                self.cascade(ctx, Some(sender), fresh_p, fresh_c);
+                self.on_rows(ctx, sender, &rows);
                 // The orphan's broadcast is also a plea: answer with
                 // everything we know so it relearns what its dead
                 // parent would have relayed.
-                let (sctp, sctc) = self.full_payload();
-                ctx.send(
-                    NodeId::new(sender.index()),
-                    StateMsg::TreeSync { sctp, sctc },
-                );
+                let reply = StateMsg::TreeSync(self.full_payload());
+                ctx.send(NodeId::new(sender.index()), reply);
                 self.sent_tree += 1;
             }
         }
@@ -623,15 +548,9 @@ impl Actor for ProxyActor {
                             .tick(ctx.now().as_micros())
                             .proxy(self.id.index() as u32),
                         );
-                        let (sctp, sctc) = self.full_payload();
+                        let rows = self.full_payload();
                         for &peer in &self.peers {
-                            ctx.send(
-                                NodeId::new(peer.index()),
-                                StateMsg::Repair {
-                                    sctp: sctp.clone(),
-                                    sctc: sctc.clone(),
-                                },
-                            );
+                            ctx.send(NodeId::new(peer.index()), StateMsg::Repair(rows.clone()));
                             self.sent_tree += 1;
                         }
                     } else {
@@ -664,8 +583,6 @@ impl Actor for ProxyActor {
         // account for network overhead, not per-incarnation work.
         self.sctp = SctP::new();
         self.sctc = SctC::new();
-        self.sctp_versions.clear();
-        self.sctc_versions.clear();
         self.local_rounds_left = self.config.rounds;
         self.aggregate_rounds_left = self.config.rounds;
         self.boot(ctx);
@@ -849,8 +766,6 @@ impl StateProtocol {
                 aggregate_rounds_left: config.rounds,
                 sctp: SctP::new(),
                 sctc: SctC::new(),
-                sctp_versions: BTreeMap::new(),
-                sctc_versions: BTreeMap::new(),
                 sent_local: 0,
                 sent_aggregate: 0,
                 ignored_stale: 0,

@@ -637,10 +637,16 @@ mod tests {
         // quantile sequence monotone under concurrent flushes.
         let shared = Histogram::new();
         let done = std::sync::atomic::AtomicBool::new(false);
+        // Set by the reader once a snapshot has seen some but not all
+        // of the flushes. Flusher 0 holds half-way until then, so the
+        // final `> 0` cannot fail because the reader thread was first
+        // scheduled after both flushers had finished.
+        let overlapped = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
             let flushers: Vec<_> = (0..2)
                 .map(|t| {
                     let shared = shared.clone();
+                    let overlapped = &overlapped;
                     scope.spawn(move || {
                         let mut local = LocalHistogram::new();
                         for batch in 0..200 {
@@ -655,23 +661,31 @@ mod tests {
                                 local.record(v);
                             }
                             local.flush_into(&shared);
+                            while t == 0 && batch == 100 && !overlapped.load(Ordering::Relaxed) {
+                                std::thread::yield_now();
+                            }
                         }
                     })
                 })
                 .collect();
             let reader = {
                 let shared = shared.clone();
-                let done = &done;
+                let (done, overlapped) = (&done, &overlapped);
                 scope.spawn(move || {
+                    // Counts only snapshots taken between the first
+                    // flush and the last.
                     let mut checked = 0u64;
                     while !done.load(Ordering::Relaxed) {
                         let s = shared.snapshot();
+                        if 0 < s.count && s.count < 2 * 200 * 50 {
+                            overlapped.store(true, Ordering::Relaxed);
+                            checked += 1;
+                        }
                         assert!(
                             s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max,
                             "torn snapshot: {s:?}"
                         );
                         assert!(s.count <= 2 * 200 * 50);
-                        checked += 1;
                     }
                     checked
                 })
