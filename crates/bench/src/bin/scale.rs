@@ -1,5 +1,5 @@
-//! Scale-out sweep: parallel staged builds and recursive multi-level
-//! routing at 1k/10k/50k proxies.
+//! Scale-out sweep: staged builds and recursive multi-level routing
+//! at 1k/10k/50k proxies.
 //!
 //! ```sh
 //! cargo run --release -p son-bench --bin scale             # 1k/10k/50k
@@ -9,15 +9,17 @@
 //!
 //! Per size: builds the overlay once single-threaded and once on the
 //! worker count, asserts the snapshots are bit-identical, records
-//! per-stage wall time for both, per-proxy routing state at depth 2
-//! vs depth 3, multi-level routed-path cost vs the flat optimum, and
-//! the bounded true-delay cache's row accounting. Writes
+//! per-stage wall time for both, the border election's work count,
+//! per-proxy routing state at depth 2 vs depth 3, multi-level
+//! routed-path cost vs the flat optimum, and the bounded true-delay
+//! cache's row accounting. Writes
 //! `results/BENCH_scale.json`. Exits non-zero on any path-validity
 //! violation or if nothing routed.
 //!
-//! Wall-clock speedup from the parallel stages is bounded by the
-//! machine: the artifact records the host's available parallelism so
-//! a 1-core CI runner's ~1.0x ratios are self-explaining.
+//! Wall-clock speedup from the one parallel stage (embedding) is
+//! bounded by the machine: the artifact records the host's available
+//! parallelism so a 1-core CI runner's ~1.0x ratios are
+//! self-explaining.
 
 use son_bench::{bench_artifact, write_bench_artifact, Json, ScaleOptions, ScaleRow};
 
@@ -115,6 +117,10 @@ fn print_row(row: &ScaleRow) {
             .map_or("-".to_string(), |r| format!("{r:.3}")),
         row.delay_rows_computed,
         row.delay_rows_evicted,
+    );
+    println!(
+        "{:>10}  {:>10} {} delay evaluations + {} box tests for {} cross pairs",
+        "", "election", row.election.pair_evaluations, row.election.box_tests, row.cross_pairs
     );
     for (name, seq) in &row.sequential.stages {
         let par = row

@@ -1,12 +1,13 @@
-//! Scale-out sweep: parallel staged builds and recursive multi-level
-//! routing at 1k/10k/50k proxies.
+//! Scale-out sweep: staged builds and recursive multi-level routing
+//! at 1k/10k/50k proxies.
 //!
 //! For each size the driver
 //!
 //! 1. builds the overlay on **one** thread and again on the requested
 //!    worker count, records per-stage wall time for both, and verifies
-//!    the two snapshots are bit-identical (the parallel pipeline is an
-//!    optimization, never a semantic change);
+//!    the two snapshots are bit-identical (the embedding fan-out is
+//!    an optimization, never a semantic change), and reads the border
+//!    election's work count off the topology;
 //! 2. builds the cluster hierarchy at depth 2 (the paper's bi-level
 //!    HFC) and depth 3, recording mean per-proxy state by level count;
 //! 3. routes a fixed batch over the recursive [`MultiLevelRouter`] and
@@ -19,8 +20,8 @@
 
 use crate::json::Json;
 use son_core::{
-    BuildStage, Environment, FlatRouter, HierarchyConfig, ProviderIndex, Router, ServiceOverlay,
-    SonConfig,
+    BuildStage, ElectionWork, Environment, FlatRouter, HfcTopology, HierarchyConfig, ProviderIndex,
+    Router, ServiceOverlay, SonConfig,
 };
 use std::time::{Duration, Instant};
 
@@ -75,20 +76,19 @@ pub struct BuildTimes {
 }
 
 impl BuildTimes {
-    /// Summed wall time of the stages the build parallelizes
-    /// (embedding solves, MST scans, border election, client
-    /// attachment).
+    /// Wall time of the one stage the build parallelizes (the per-host
+    /// embedding solves).
     pub fn parallelized(&self) -> Duration {
         self.stages
             .iter()
-            .filter(|(name, _)| PARALLEL_STAGES.contains(name))
+            .filter(|&&(name, _)| name == PARALLEL_STAGE)
             .map(|&(_, d)| d)
             .sum()
     }
 }
 
-/// The stages `SonConfig::threads` fans out across workers.
-pub const PARALLEL_STAGES: [&str; 4] = ["embedding", "clustering", "hfc", "state"];
+/// The stage `SonConfig::threads` fans out across workers.
+pub const PARALLEL_STAGE: &str = "embedding";
 
 /// One row of the sweep.
 #[derive(Debug, Clone)]
@@ -106,8 +106,13 @@ pub struct ScaleRow {
     /// Stage times of the multi-threaded build.
     pub parallel: BuildTimes,
     /// Wall-time ratio (sequential / parallel) over the parallelized
-    /// stages only.
+    /// stage only.
     pub stage_speedup: f64,
+    /// Delay evaluations and box tests the HFC border election spent.
+    pub election: ElectionWork,
+    /// What an exhaustive election evaluates: Σ |Cᵢ|·|Cⱼ| over all
+    /// cluster pairs.
+    pub cross_pairs: u64,
     /// Both builds produced bit-identical snapshots (hard-asserted by
     /// the driver; recorded so the artifact is self-describing).
     pub snapshot_equal: bool,
@@ -188,8 +193,8 @@ pub fn scale_row(proxies: usize, opts: &ScaleOptions) -> ScaleRow {
     drop(sequential);
     let parallel_times = timings_of(&overlay, par_total);
 
-    let hierarchy2 = overlay.hierarchy_with_depth(&hier_config(opts.threads), 2);
-    let hierarchy3 = overlay.hierarchy_with_depth(&hier_config(opts.threads), 3);
+    let hierarchy2 = overlay.hierarchy_with_depth(&HierarchyConfig::default(), 2);
+    let hierarchy3 = overlay.hierarchy_with_depth(&HierarchyConfig::default(), 3);
     let state_depth2 = hierarchy2.mean_overheads(overlay.hfc());
     let state_depth3 = hierarchy3.mean_overheads(overlay.hfc());
 
@@ -252,6 +257,8 @@ pub fn scale_row(proxies: usize, opts: &ScaleOptions) -> ScaleRow {
         superclusters: hierarchy3.unit_count(hierarchy3.top_level()),
         threads: opts.threads,
         stage_speedup: speedup(&sequential_times, &parallel_times),
+        election: overlay.hfc().election_work(),
+        cross_pairs: cross_pairs(overlay.hfc()),
         sequential: sequential_times,
         parallel: parallel_times,
         snapshot_equal,
@@ -267,11 +274,14 @@ pub fn scale_row(proxies: usize, opts: &ScaleOptions) -> ScaleRow {
     }
 }
 
-fn hier_config(threads: usize) -> HierarchyConfig {
-    HierarchyConfig {
-        threads,
-        ..HierarchyConfig::default()
-    }
+/// Σ |Cᵢ|·|Cⱼ| over all cluster pairs `i < j`: `(n² − Σ|C|²) / 2`.
+fn cross_pairs(hfc: &HfcTopology) -> u64 {
+    let n = hfc.proxy_count() as u64;
+    let squares: u64 = hfc
+        .clusters()
+        .map(|c| (hfc.members(c).len() as u64).pow(2))
+        .sum();
+    (n * n - squares) / 2
 }
 
 fn speedup(sequential: &BuildTimes, parallel: &BuildTimes) -> f64 {
@@ -308,6 +318,17 @@ pub fn scale_row_json(row: &ScaleRow) -> Json {
         ("seq_stage_us", stage_obj(&row.sequential)),
         ("par_stage_us", stage_obj(&row.parallel)),
         ("stage_speedup", Json::from(row.stage_speedup)),
+        (
+            "election",
+            Json::obj([
+                (
+                    "pair_evaluations",
+                    Json::from(row.election.pair_evaluations),
+                ),
+                ("box_tests", Json::from(row.election.box_tests)),
+                ("cross_pairs", Json::from(row.cross_pairs)),
+            ]),
+        ),
         ("snapshot_equal", Json::Bool(row.snapshot_equal)),
         (
             "state_per_proxy",

@@ -927,6 +927,12 @@ fn cmd_scale(args: &Args) -> Result<(), String> {
         return Err("parallel build diverged from the sequential build".to_string());
     }
 
+    let work = overlay.hfc().election_work();
+    println!(
+        "election   : {} delay evaluations + {} box tests",
+        work.pair_evaluations, work.box_tests
+    );
+
     // Every pipeline stage must have reported its span.
     let registry = son_core::telemetry();
     for stage in BuildStage::ALL {
@@ -938,13 +944,7 @@ fn cmd_scale(args: &Args) -> Result<(), String> {
 
     // A three-level hierarchy over the parallel build, routed end to
     // end; every returned path must validate.
-    let hierarchy = overlay.hierarchy_with_depth(
-        &HierarchyConfig {
-            threads: args.threads,
-            ..HierarchyConfig::default()
-        },
-        3,
-    );
+    let hierarchy = overlay.hierarchy_with_depth(&HierarchyConfig::default(), 3);
     println!(
         "hierarchy  : depth {}, {} superclusters over {} clusters",
         hierarchy.depth(),

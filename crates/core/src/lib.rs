@@ -64,10 +64,10 @@ pub use son_netsim::{
 };
 pub use son_overlay::{
     cluster_representatives, BorderPair, BorderSelection, CachedDelays, ClusterId, ClusterTree,
-    CoordDelays, DelayMatrix, DelayModel, DissemForest, Health, HfcDelays, HfcSnapshot,
-    HfcTopology, Hierarchy, HierarchyConfig, MeshConfig, MeshTopology, Proxy, ProxyId, ProxyStatus,
-    QosProfile, QosRequirement, ServiceGraph, ServiceId, ServiceRegistry, ServiceRequest,
-    ServiceSet, StageId, StatusMap, DEFAULT_TREE_FANOUT, UNCAPPED,
+    CoordDelays, DelayMatrix, DelayModel, DissemForest, ElectionWork, Health, HfcDelays,
+    HfcSnapshot, HfcTopology, Hierarchy, HierarchyConfig, MeshConfig, MeshTopology, Proxy, ProxyId,
+    ProxyStatus, QosProfile, QosRequirement, ServiceGraph, ServiceId, ServiceRegistry,
+    ServiceRequest, ServiceSet, StageId, StatusMap, DEFAULT_TREE_FANOUT, UNCAPPED,
 };
 pub use son_routing::fixtures;
 pub use son_routing::{

@@ -63,7 +63,7 @@ impl MultiLevelHfc {
     /// Groups the level-1 clusters of `hfc` into superclusters with the
     /// same Zahn method over cluster-representative distances, and
     /// elects closest-pair border proxies between superclusters.
-    pub fn build<D: DelayModel + Sync>(hfc: &HfcTopology, delays: &D, zahn: &ZahnConfig) -> Self {
+    pub fn build<D: DelayModel>(hfc: &HfcTopology, delays: &D, zahn: &ZahnConfig) -> Self {
         let config = HierarchyConfig {
             zahn: zahn.clone(),
             ..HierarchyConfig::default()

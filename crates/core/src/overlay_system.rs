@@ -70,10 +70,10 @@ pub struct SonConfig {
     pub border_selection: BorderSelection,
     /// State protocol timing.
     pub protocol: ProtocolConfig,
-    /// Worker threads for the parallelizable build stages — per-host
-    /// embedding solves and HFC border election — `0` = all cores.
-    /// Every stage is deterministic and thread-count-independent, so
-    /// any value produces the same overlay, bit for bit.
+    /// Worker threads for the one build stage that fans out — the
+    /// per-host embedding solves — `0` = all cores. Each host's solve
+    /// is seeded by its index, so any value produces the same overlay,
+    /// bit for bit.
     pub threads: usize,
     /// Cap on memoized true-delay rows (`None` = unbounded). At 10k+
     /// proxies an unbounded cache silently materializes the O(n²)
@@ -466,11 +466,10 @@ impl OverlayBuilder {
             BuildStage::Hfc => {
                 let clustering = self.clustering.as_ref().expect("stage order");
                 let predicted = self.predicted.as_ref().expect("stage order");
-                self.hfc = Some(HfcTopology::build_with_selection_threads(
+                self.hfc = Some(HfcTopology::build_with_selection(
                     clustering,
                     predicted,
                     self.config.border_selection,
-                    self.config.threads,
                 ));
             }
             BuildStage::State => {
@@ -742,19 +741,9 @@ impl ServiceOverlay {
 
     /// Builds the recursive cluster hierarchy (proxies → clusters →
     /// superclusters → …) over this overlay's predicted delays. Depth
-    /// follows `config` ([`Hierarchy::build`]); the build threads
-    /// default to the overlay's configured count when `config.threads`
-    /// is left at 1.
+    /// follows `config` ([`Hierarchy::build`]).
     pub fn hierarchy(&self, config: &HierarchyConfig) -> Hierarchy {
-        let config = HierarchyConfig {
-            threads: if config.threads == 1 {
-                self.config.threads
-            } else {
-                config.threads
-            },
-            ..config.clone()
-        };
-        Hierarchy::build(&self.hfc, &self.predicted, &config)
+        Hierarchy::build(&self.hfc, &self.predicted, config)
     }
 
     /// Like [`ServiceOverlay::hierarchy`] but with exactly `depth`

@@ -24,11 +24,24 @@ use std::sync::{Arc, RwLock};
 pub trait DelayModel {
     /// One-way delay between proxies `a` and `b` in milliseconds.
     fn delay(&self, a: ProxyId, b: ProxyId) -> f64;
+
+    /// The per-proxy points of a coordinate space, for a model whose
+    /// `delay(a, b)` is exactly `points[a].distance(&points[b])`.
+    /// Border election prunes geometrically over them (see
+    /// [`HfcTopology::build`]); any other metric answers `None` and
+    /// is scanned exhaustively.
+    fn points(&self) -> Option<&[Coordinates]> {
+        None
+    }
 }
 
 impl<T: DelayModel + ?Sized> DelayModel for &T {
     fn delay(&self, a: ProxyId, b: ProxyId) -> f64 {
         (**self).delay(a, b)
+    }
+
+    fn points(&self) -> Option<&[Coordinates]> {
+        (**self).points()
     }
 }
 
@@ -267,30 +280,6 @@ impl CachedDelays {
         Arc::new(row)
     }
 
-    /// Computes the rows of `sources` on `threads` scoped worker
-    /// threads (`0` = all cores) and admits them **in source order**,
-    /// so a bounded cache evicts exactly as if the sources had been
-    /// queried sequentially. Sources whose rows are already resident
-    /// are skipped.
-    pub fn prewarm(&self, sources: &[ProxyId], threads: usize) {
-        let fresh: Vec<(usize, Arc<Vec<f64>>)> =
-            son_par::par_map_chunks(threads, sources.len(), |range| {
-                range
-                    .filter_map(|k| {
-                        let i = sources[k].index();
-                        if self.rows.read().expect("cache lock poisoned").rows[i].is_some() {
-                            return None;
-                        }
-                        Some((i, self.compute_row(i)))
-                    })
-                    .collect()
-            });
-        let mut cache = self.rows.write().expect("cache lock poisoned");
-        for (i, row) in fresh {
-            cache.admit(i, row);
-        }
-    }
-
     /// Number of proxies.
     pub fn len(&self) -> usize {
         self.attachments.len()
@@ -385,6 +374,10 @@ impl DelayModel for CoordDelays {
     fn delay(&self, a: ProxyId, b: ProxyId) -> f64 {
         self.coords[a.index()].distance(&self.coords[b.index()])
     }
+
+    fn points(&self) -> Option<&[Coordinates]> {
+        Some(&self.coords)
+    }
 }
 
 /// Delay under HFC connectivity: intra-cluster pairs communicate
@@ -432,6 +425,18 @@ impl<D: DelayModel> DelayModel for HfcDelays<'_, D> {
             .windows(2)
             .map(|w| self.inner.delay(w[0], w[1]))
             .sum()
+    }
+}
+
+/// The same delays with [`DelayModel::points`] hidden, so a test can
+/// run the exhaustive border election over a coordinate space.
+#[cfg(test)]
+pub(crate) struct Opaque<'a, D>(pub &'a D);
+
+#[cfg(test)]
+impl<D: DelayModel> DelayModel for Opaque<'_, D> {
+    fn delay(&self, a: ProxyId, b: ProxyId) -> f64 {
+        self.0.delay(a, b)
     }
 }
 
@@ -574,53 +579,6 @@ mod tests {
         // Re-querying a resident row evicts nothing.
         let _ = cached.row(ProxyId::new(2));
         assert_eq!(cached.evicted_rows(), 2);
-    }
-
-    #[test]
-    fn prewarm_matches_sequential_queries() {
-        let mut g = Graph::with_nodes(40);
-        for i in 0..39 {
-            g.add_edge(NodeId::new(i), NodeId::new(i + 1), (i + 1) as f64);
-        }
-        let attachments: Vec<NodeId> = (0..40).map(NodeId::new).collect();
-        let reference = DelayMatrix::from_graph(&g, &attachments);
-        let cached = CachedDelays::new(g, attachments);
-        let sources: Vec<ProxyId> = (0..40).map(ProxyId::new).collect();
-        cached.prewarm(&sources, 4);
-        assert_eq!(cached.computed_rows(), 40);
-        for i in [0usize, 7, 39] {
-            for j in 0..40 {
-                assert_eq!(
-                    cached.delay(ProxyId::new(i), ProxyId::new(j)),
-                    reference.delay(ProxyId::new(i), ProxyId::new(j))
-                );
-            }
-        }
-        // Re-prewarming resident rows is a no-op.
-        cached.prewarm(&sources, 4);
-        assert_eq!((cached.computed_rows(), cached.evicted_rows()), (40, 0));
-    }
-
-    #[test]
-    fn bounded_prewarm_evicts_in_source_order() {
-        let mut g = Graph::with_nodes(5);
-        for i in 0..4 {
-            g.add_edge(NodeId::new(i), NodeId::new(i + 1), 1.0);
-        }
-        let attachments: Vec<NodeId> = (0..5).map(NodeId::new).collect();
-        let cached = CachedDelays::bounded(g, attachments, 2);
-        let sources: Vec<ProxyId> = (0..5).map(ProxyId::new).collect();
-        son_telemetry::set_enabled(true);
-        let before = son_telemetry::global().counter("delays.rows_evicted").get();
-        cached.prewarm(&sources, 3);
-        let after = son_telemetry::global().counter("delays.rows_evicted").get();
-        son_telemetry::set_enabled(false);
-        // Admission in source order: rows 3 and 4 survive, 0–2 evicted,
-        // exactly as if the five sources had been queried one by one.
-        assert_eq!((cached.computed_rows(), cached.evicted_rows()), (2, 3));
-        assert_eq!(after - before, 3);
-        let resident = &cached.rows.read().unwrap().order;
-        assert_eq!(resident.iter().copied().collect::<Vec<_>>(), vec![3, 4]);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 use crate::delays::DelayModel;
 use crate::proxy::ProxyId;
 use son_clustering::Clustering;
+use son_coords::Coordinates;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Identifier of a cluster (dense index).
@@ -73,6 +75,7 @@ pub struct HfcTopology {
     /// `borders[i][j]`: the proxy inside cluster `i` that borders
     /// cluster `j` (`None` on the diagonal).
     borders: Vec<Vec<Option<ProxyId>>>,
+    work: ElectionWork,
 }
 
 /// How the border pair between two clusters is chosen.
@@ -96,7 +99,10 @@ impl HfcTopology {
     /// (the paper's border-selection rule, Section 3.3).
     ///
     /// Ties are broken toward the lowest proxy indices, so
-    /// construction is deterministic.
+    /// construction is deterministic. When `delays` is a coordinate
+    /// space ([`DelayModel::points`]) each pair is elected from the few
+    /// members that per-cluster bounding boxes cannot rule out — the
+    /// same pair the exhaustive scan of any other metric finds.
     pub fn build<D: DelayModel>(clustering: &Clustering, delays: &D) -> Self {
         Self::build_with_selection(clustering, delays, BorderSelection::ClosestPair)
     }
@@ -121,11 +127,17 @@ impl HfcTopology {
                     .collect()
             })
             .collect();
+        let mut election = Election::new(delays);
+        let boxes: Vec<Option<BoundingBox>> =
+            members.iter().map(|m| election.bounding_box(m)).collect();
         let mut borders = vec![vec![None; c]; c];
         for i in 0..c {
             for j in (i + 1)..c {
                 let (bx, by) = match selection {
-                    BorderSelection::ClosestPair => closest_pair(&members[i], &members[j], delays),
+                    BorderSelection::ClosestPair => election.closest_pair(
+                        (&members[i], boxes[i].as_ref()),
+                        (&members[j], boxes[j].as_ref()),
+                    ),
                     BorderSelection::FirstPair => (members[i][0], members[j][0]),
                 };
                 borders[i][j] = Some(bx);
@@ -136,64 +148,7 @@ impl HfcTopology {
             cluster_of,
             members,
             borders,
-        }
-    }
-
-    /// Like [`HfcTopology::build_with_selection`], but electing the
-    /// `c·(c−1)/2` border pairs on `threads` scoped worker threads
-    /// (`0` = all cores). Every pair's closest-pair scan runs in the
-    /// same ascending-id order as the sequential build, so the result
-    /// is identical for any thread count.
-    pub fn build_with_selection_threads<D: DelayModel + Sync>(
-        clustering: &Clustering,
-        delays: &D,
-        selection: BorderSelection,
-        threads: usize,
-    ) -> Self {
-        if son_par::effective_threads(threads) <= 1 {
-            return Self::build_with_selection(clustering, delays, selection);
-        }
-        let c = clustering.len();
-        let cluster_of: Vec<ClusterId> = (0..clustering.point_count())
-            .map(|p| ClusterId::new(clustering.cluster_of(p)))
-            .collect();
-        let members: Vec<Vec<ProxyId>> = (0..c)
-            .map(|i| {
-                clustering
-                    .members(i)
-                    .iter()
-                    .map(|&p| ProxyId::new(p))
-                    .collect()
-            })
-            .collect();
-        let pairs: Vec<(usize, usize)> = (0..c)
-            .flat_map(|i| ((i + 1)..c).map(move |j| (i, j)))
-            .collect();
-        let members_ref = &members;
-        let elected: Vec<(usize, usize, ProxyId, ProxyId)> =
-            son_par::par_map_chunks(threads, pairs.len(), |range| {
-                range
-                    .map(|k| {
-                        let (i, j) = pairs[k];
-                        let (bx, by) = match selection {
-                            BorderSelection::ClosestPair => {
-                                closest_pair(&members_ref[i], &members_ref[j], delays)
-                            }
-                            BorderSelection::FirstPair => (members_ref[i][0], members_ref[j][0]),
-                        };
-                        (i, j, bx, by)
-                    })
-                    .collect()
-            });
-        let mut borders = vec![vec![None; c]; c];
-        for (i, j, bx, by) in elected {
-            borders[i][j] = Some(bx);
-            borders[j][i] = Some(by);
-        }
-        HfcTopology {
-            cluster_of,
-            members,
-            borders,
+            work: election.work,
         }
     }
 
@@ -224,6 +179,7 @@ impl HfcTopology {
                 local: self.borders[c][j].expect("off-diagonal borders are always present"),
                 remote: self.borders[j][c].expect("off-diagonal borders are always present"),
             };
+            self.work.pair_evaluations += 1 + self.members[j].len() as u64;
             let mut best = delays.delay(current.local, current.remote);
             let mut winner: Option<ProxyId> = None;
             for &y in &self.members[j] {
@@ -331,9 +287,18 @@ impl HfcTopology {
     /// from scratch, with the same iteration order (ascending ids,
     /// strict improvement) as [`HfcTopology::build`].
     fn reelect_border<D: DelayModel>(&mut self, i: usize, j: usize, delays: &D) {
-        let (bx, by) = closest_pair(&self.members[i], &self.members[j], delays);
+        let mut election = Election::new(delays);
+        let (bx, by) = election.closest_pair_of(&self.members[i], &self.members[j]);
         self.borders[i][j] = Some(bx);
         self.borders[j][i] = Some(by);
+        self.work.pair_evaluations += election.work.pair_evaluations;
+        self.work.box_tests += election.work.box_tests;
+    }
+
+    /// What electing this topology's borders has cost so far: the
+    /// build's election plus every incremental re-election since.
+    pub fn election_work(&self) -> ElectionWork {
+        self.work
     }
 
     /// Number of clusters.
@@ -487,10 +452,169 @@ impl HfcTopology {
     }
 }
 
-/// The closest cross pair of two non-empty member lists, scanned in
-/// ascending-id order with strict improvement (ties break toward the
-/// lowest indices — the determinism contract every build path shares).
-pub(crate) fn closest_pair<D: DelayModel>(
+/// Deterministic cost of border election, in the two operations it is
+/// made of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ElectionWork {
+    /// Proxy-to-proxy delays evaluated.
+    pub pair_evaluations: u64,
+    /// Point-to-bounding-box distances evaluated (coordinate spaces
+    /// only).
+    pub box_tests: u64,
+}
+
+/// The axis-aligned bounding box of a member list's points.
+#[derive(Debug)]
+pub(crate) struct BoundingBox {
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+}
+
+impl BoundingBox {
+    fn of(members: &[ProxyId], points: &[Coordinates]) -> Self {
+        let dims = members.first().map_or(0, |m| points[m.index()].dims());
+        let mut lo = vec![f64::INFINITY; dims];
+        let mut hi = vec![f64::NEG_INFINITY; dims];
+        for m in members {
+            for (k, &v) in points[m.index()].as_slice().iter().enumerate() {
+                lo[k] = lo[k].min(v);
+                hi[k] = hi[k].max(v);
+            }
+        }
+        BoundingBox { lo, hi }
+    }
+
+    /// A lower bound on `p.distance(q)` for every boxed point `q`,
+    /// in floating point and not just in the reals: axis by axis the
+    /// gap to the box is the rounded difference to a coordinate no
+    /// farther than `q`'s, and rounding, squaring, summing in axis
+    /// order and the square root — the arithmetic of
+    /// [`Coordinates::distance`] — are all monotone.
+    fn distance_from(&self, p: &Coordinates) -> f64 {
+        p.as_slice()
+            .iter()
+            .zip(self.lo.iter().zip(&self.hi))
+            .map(|(&v, (&lo, &hi))| {
+                let gap = if v < lo {
+                    lo - v
+                } else if v > hi {
+                    v - hi
+                } else {
+                    0.0
+                };
+                gap.powi(2)
+            })
+            .sum::<f64>()
+            .sqrt()
+    }
+}
+
+/// One side of an election: a non-empty, ascending member list with
+/// its box from [`Election::bounding_box`].
+type Side<'s> = (&'s [ProxyId], Option<&'s BoundingBox>);
+
+/// Closest-pair border election under one delay model, keeping its
+/// scratch buffers and its work count across cluster pairs.
+pub(crate) struct Election<'a, D> {
+    delays: &'a D,
+    near: [Vec<f64>; 2],
+    kept: [Vec<ProxyId>; 2],
+    pub(crate) work: ElectionWork,
+}
+
+impl<'a, D: DelayModel> Election<'a, D> {
+    pub(crate) fn new(delays: &'a D) -> Self {
+        Election {
+            delays,
+            near: Default::default(),
+            kept: Default::default(),
+            work: ElectionWork::default(),
+        }
+    }
+
+    /// The box of `members`, if the delays are a coordinate space.
+    pub(crate) fn bounding_box(&self, members: &[ProxyId]) -> Option<BoundingBox> {
+        let points = self.delays.points()?;
+        Some(BoundingBox::of(members, points))
+    }
+
+    /// [`Election::closest_pair`] with both boxes computed on the fly.
+    pub(crate) fn closest_pair_of(&mut self, xs: &[ProxyId], ys: &[ProxyId]) -> (ProxyId, ProxyId) {
+        let (bx, by) = (self.bounding_box(xs), self.bounding_box(ys));
+        self.closest_pair((xs, bx.as_ref()), (ys, by.as_ref()))
+    }
+
+    /// The closest cross pair of two sides, ties broken toward the
+    /// lowest indices — the determinism contract every build path
+    /// shares. In a coordinate space only the members the other side's
+    /// box cannot rule out are scanned: every pair attaining the
+    /// minimum is among them, in the same relative order, and no
+    /// distance between finite [`Coordinates`] is NaN, so the answer
+    /// is that of [`closest_pair_exhaustive`] over the whole lists.
+    pub(crate) fn closest_pair(&mut self, x: Side<'_>, y: Side<'_>) -> (ProxyId, ProxyId) {
+        let (Some(points), (xs, Some(box_x)), (ys, Some(box_y))) = (self.delays.points(), x, y)
+        else {
+            self.work.pair_evaluations += (x.0.len() * y.0.len()) as u64;
+            return closest_pair_exhaustive(x.0, y.0, self.delays);
+        };
+        // (a) Each member's distance to the other cluster's box bounds
+        // every delay it is part of from below.
+        let [near_x, near_y] = &mut self.near;
+        let nearest_x = lower_bounds(xs, box_y, points, near_x);
+        let nearest_y = lower_bounds(ys, box_x, points, near_y);
+        // (b) Any one delay bounds the minimum from above; the two
+        // members nearest the opposite boxes make it a tight one.
+        let upper = self.delays.delay(nearest_x, nearest_y);
+        // (c) The exhaustive scan, over the survivors only.
+        let [kept_x, kept_y] = &mut self.kept;
+        survivors(xs, near_x, upper, kept_x);
+        survivors(ys, near_y, upper, kept_y);
+        self.work.box_tests += (xs.len() + ys.len()) as u64;
+        self.work.pair_evaluations += 1 + (kept_x.len() * kept_y.len()) as u64;
+        closest_pair_exhaustive(kept_x, kept_y, self.delays)
+    }
+}
+
+/// Fills `near` with each member's distance to `other` and returns
+/// the member with the smallest (the first of equals).
+fn lower_bounds(
+    members: &[ProxyId],
+    other: &BoundingBox,
+    points: &[Coordinates],
+    near: &mut Vec<f64>,
+) -> ProxyId {
+    near.clear();
+    near.extend(
+        members
+            .iter()
+            .map(|m| other.distance_from(&points[m.index()])),
+    );
+    let mut nearest = 0;
+    for (at, &bound) in near.iter().enumerate() {
+        if bound < near[nearest] {
+            nearest = at;
+        }
+    }
+    members[nearest]
+}
+
+/// Keeps the members whose lower bound does not exceed `upper` — a
+/// bound equal to it may belong to a tying pair, and a NaN on either
+/// side rules nothing out.
+fn survivors(members: &[ProxyId], near: &[f64], upper: f64, kept: &mut Vec<ProxyId>) {
+    kept.clear();
+    kept.extend(
+        members
+            .iter()
+            .zip(near)
+            .filter(|&(_, &bound)| bound.partial_cmp(&upper) != Some(Ordering::Greater))
+            .map(|(&m, _)| m),
+    );
+}
+
+/// The closest cross pair of two non-empty member lists under any
+/// metric, scanned in ascending-id order with strict improvement.
+pub(crate) fn closest_pair_exhaustive<D: DelayModel>(
     xs: &[ProxyId],
     ys: &[ProxyId],
     delays: &D,
@@ -607,49 +731,39 @@ mod tests {
     }
 
     #[test]
-    fn threaded_build_matches_sequential() {
+    fn coordinate_build_matches_exhaustive() {
+        use crate::delays::{CoordDelays, Opaque};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(13);
         let clusters = 7;
         let per = 9;
-        let n = clusters * per;
         let mut labels = Vec::new();
-        let mut xs = Vec::new();
+        let mut coords = Vec::new();
         for c in 0..clusters {
             for _ in 0..per {
                 // Quantized positions make cross-pair distance ties
                 // likely, exercising the tie-break contract.
-                xs.push(c as f64 * 100.0 + (rng.gen::<f64>() * 20.0).round());
+                let x = c as f64 * 100.0 + (rng.gen::<f64>() * 20.0).round();
+                coords.push(Coordinates::new(vec![x]));
                 labels.push(c);
             }
         }
-        let mut values = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                values[i * n + j] = (xs[i] - xs[j]).abs();
-            }
-        }
-        let delays = DelayMatrix::from_values(n, values);
+        let delays = CoordDelays::new(coords);
         let clustering = Clustering::from_labels(&labels);
         for selection in [BorderSelection::ClosestPair, BorderSelection::FirstPair] {
-            let seq = HfcTopology::build_with_selection(&clustering, &delays, selection);
-            for threads in [2, 4, 16] {
-                let par = HfcTopology::build_with_selection_threads(
-                    &clustering,
-                    &delays,
-                    selection,
-                    threads,
-                );
-                assert_eq!(par.snapshot(), seq.snapshot());
-                for i in seq.clusters() {
-                    for j in seq.clusters() {
-                        if i != j {
-                            assert_eq!(par.border(i, j), seq.border(i, j));
-                        }
+            let pruned = HfcTopology::build_with_selection(&clustering, &delays, selection);
+            let exhaustive =
+                HfcTopology::build_with_selection(&clustering, &Opaque(&delays), selection);
+            assert_eq!(pruned.snapshot(), exhaustive.snapshot());
+            for i in exhaustive.clusters() {
+                for j in exhaustive.clusters() {
+                    if i != j {
+                        assert_eq!(pruned.border(i, j), exhaustive.border(i, j));
                     }
                 }
             }
+            assert_eq!(exhaustive.election_work().box_tests, 0);
         }
     }
 
@@ -963,5 +1077,158 @@ mod duty_tests {
         // Duty totals are identical (2 per cluster pair).
         let total: usize = closest.border_duty_counts().iter().sum();
         assert_eq!(total, clusters * (clusters - 1));
+    }
+}
+
+/// The box-pruned election against the exhaustive scan it replaces in
+/// coordinate spaces, pair for pair.
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use crate::delays::CoordDelays;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Splits proxies `0..labels.len()` into the two member lists (ids
+    /// ascending, as `HfcTopology` keeps them).
+    fn sides(labels: &[bool]) -> (Vec<ProxyId>, Vec<ProxyId>) {
+        let ids = |side: bool| {
+            (0..labels.len())
+                .filter(|&p| labels[p] == side)
+                .map(ProxyId::new)
+                .collect()
+        };
+        (ids(false), ids(true))
+    }
+
+    fn assert_same_pair(points: &[Vec<f64>], labels: &[bool]) -> ElectionWork {
+        let delays = CoordDelays::new(points.iter().cloned().map(Coordinates::new).collect());
+        let (xs, ys) = sides(labels);
+        let mut election = Election::new(&delays);
+        assert_eq!(
+            election.closest_pair_of(&xs, &ys),
+            closest_pair_exhaustive(&xs, &ys, &delays),
+            "points {points:?} split {labels:?}"
+        );
+        // The same pair seen from the other side.
+        let (y, x) = election.closest_pair_of(&ys, &xs);
+        let (ox, oy) = closest_pair_exhaustive(&ys, &xs, &delays);
+        assert_eq!(
+            (y, x),
+            (ox, oy),
+            "points {points:?} split {labels:?} reversed"
+        );
+        election.work
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// 2..=60 points in 1..=5 dims over the shapes that stress the
+        /// bound: overlapping clouds, an integer lattice (exact ties),
+        /// every point coincident, one cluster of a single member, one
+        /// box nested in the other, far-apart blobs, and magnitudes
+        /// whose differences overflow to ∞ or whose squares underflow
+        /// to 0 (`Coordinates` holds no NaN or ∞ itself).
+        #[test]
+        fn pruned_election_equals_exhaustive(
+            shape in 0usize..7, n in 2usize..61, dims in 1usize..6, seed in any::<u64>()
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut labels: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+            if shape == 3 {
+                labels.fill(false);
+            }
+            // Both sides are non-empty, whatever the draw.
+            let lone = rng.gen_range(0..n);
+            labels[lone] = true;
+            let other = (lone + 1 + rng.gen_range(0..n - 1)) % n;
+            labels[other] = false;
+            // Shape 6: every point on one extreme scale, or each on
+            // its own.
+            let extremes = [-1.7e308, 1e-170, 1.0, 1e160, 1.7e308];
+            let shared = rng.gen_bool(0.5);
+            let scales: Vec<f64> = (0..n)
+                .map(|_| extremes[rng.gen_range(0..extremes.len())])
+                .map(|own| if shared { extremes[seed as usize % extremes.len()] } else { own })
+                .collect();
+            let mut uniform = |scale: f64| -> Vec<f64> {
+                (0..dims).map(|_| rng.gen::<f64>() * scale).collect()
+            };
+            let coincident = uniform(50.0);
+            let points: Vec<Vec<f64>> = labels
+                .iter()
+                .zip(scales)
+                .map(|(&side, scale)| match shape {
+                    1 => uniform(5.0).iter().map(|v| v.round()).collect(),
+                    2 => coincident.clone(),
+                    4 if side => uniform(20.0).iter().map(|v| v + 40.0).collect(),
+                    5 if side => uniform(10.0).iter().map(|v| v + 500.0).collect(),
+                    5 => uniform(10.0),
+                    6 => uniform(scale),
+                    _ => uniform(100.0),
+                })
+                .collect();
+            assert_same_pair(&points, &labels);
+        }
+    }
+
+    #[test]
+    fn facing_members_are_all_that_is_scanned() {
+        // Ten proxies at 0..=9 against ten at 100..=109: only 9 and 100
+        // can be closest, so one box test a member and two delays (the
+        // upper bound, the surviving pair) replace the hundred of the
+        // exhaustive scan.
+        let points: Vec<Vec<f64>> = (0..10).chain(100..110).map(|x| vec![x as f64]).collect();
+        let labels: Vec<bool> = (0..20).map(|p| p >= 10).collect();
+        let work = assert_same_pair(&points, &labels);
+        assert_eq!(
+            work,
+            ElectionWork {
+                pair_evaluations: 2 * 2,
+                box_tests: 2 * 20,
+            }
+        );
+    }
+
+    #[test]
+    fn a_bound_equal_to_the_upper_bound_keeps_its_member() {
+        // 3-4-5 triangles: proxy 1 at (3, 4) is exactly 5 from the
+        // other side's only point, and so is the box it lies in; proxy
+        // 0 ties at (−5, 0). The tie goes to the lower id.
+        let points = vec![vec![-5.0, 0.0], vec![3.0, 4.0], vec![0.0, 0.0]];
+        let delays = CoordDelays::new(points.iter().cloned().map(Coordinates::new).collect());
+        let (xs, ys) = sides(&[false, false, true]);
+        assert_eq!(
+            Election::new(&delays).closest_pair_of(&xs, &ys),
+            (ProxyId::new(0), ProxyId::new(2))
+        );
+        assert_same_pair(&points, &[false, false, true]);
+    }
+
+    #[test]
+    fn any_other_metric_is_scanned_exhaustively() {
+        use crate::delays::Opaque;
+        let delays = CoordDelays::new(
+            [0.0, 1.0, 10.0, 11.0]
+                .iter()
+                .map(|&x| Coordinates::new(vec![x]))
+                .collect(),
+        );
+        let (xs, ys) = sides(&[false, false, true, true]);
+        let opaque = Opaque(&delays);
+        let mut election = Election::new(&opaque);
+        assert!(election.bounding_box(&xs).is_none());
+        assert_eq!(
+            election.closest_pair_of(&xs, &ys),
+            (ProxyId::new(1), ProxyId::new(2))
+        );
+        assert_eq!(
+            election.work,
+            ElectionWork {
+                pair_evaluations: 4,
+                box_tests: 0,
+            }
+        );
     }
 }

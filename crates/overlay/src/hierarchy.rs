@@ -13,13 +13,13 @@
 //! members exactly — the same closest-pair rule the HFC build uses,
 //! without ever touching all `|A|·|B|` member pairs of two groups.
 //!
-//! Every step is deterministic and thread-count-independent: the MST
-//! over representatives uses the tie-break-preserving parallel Prim,
-//! border election runs per group pair with a fixed scan order, and
-//! representatives are picked by first-minimum over strided samples.
+//! Every step is deterministic: the MST over representatives is the
+//! tie-break-preserving Prim, border election runs per group pair with
+//! a fixed scan order, and representatives are picked by first-minimum
+//! over strided samples.
 
 use crate::delays::DelayModel;
-use crate::hfc::{closest_pair, BorderPair, ClusterId, HfcTopology};
+use crate::hfc::{BorderPair, ClusterId, Election, HfcTopology};
 use crate::proxy::ProxyId;
 use son_clustering::{mst_complete, ZahnClusterer, ZahnConfig};
 
@@ -34,9 +34,6 @@ pub struct HierarchyConfig {
     pub max_depth: usize,
     /// Zahn settings for the upper-level clustering passes.
     pub zahn: ZahnConfig,
-    /// Worker threads for border election (`0` = all cores);
-    /// the result is identical for any value.
-    pub threads: usize,
 }
 
 impl Default for HierarchyConfig {
@@ -45,7 +42,6 @@ impl Default for HierarchyConfig {
             max_top_groups: 32,
             max_depth: 0,
             zahn: ZahnConfig::default(),
-            threads: 1,
         }
     }
 }
@@ -87,11 +83,7 @@ impl Hierarchy {
     /// Builds the hierarchy bottom-up, adding levels until at most
     /// `config.max_top_groups` groups remain (or a pass stops reducing
     /// the count, or `config.max_depth` is hit).
-    pub fn build<D: DelayModel + Sync>(
-        hfc: &HfcTopology,
-        delays: &D,
-        config: &HierarchyConfig,
-    ) -> Self {
+    pub fn build<D: DelayModel>(hfc: &HfcTopology, delays: &D, config: &HierarchyConfig) -> Self {
         Self::build_impl(hfc, delays, config, None)
     }
 
@@ -102,7 +94,7 @@ impl Hierarchy {
     /// # Panics
     ///
     /// Panics if `depth < 2`.
-    pub fn build_with_depth<D: DelayModel + Sync>(
+    pub fn build_with_depth<D: DelayModel>(
         hfc: &HfcTopology,
         delays: &D,
         config: &HierarchyConfig,
@@ -112,7 +104,7 @@ impl Hierarchy {
         Self::build_impl(hfc, delays, config, Some(depth))
     }
 
-    fn build_impl<D: DelayModel + Sync>(
+    fn build_impl<D: DelayModel>(
         hfc: &HfcTopology,
         delays: &D,
         config: &HierarchyConfig,
@@ -179,31 +171,19 @@ impl Hierarchy {
                     best.expect("groups are non-empty").1
                 })
                 .collect();
-            let pairs: Vec<(usize, usize)> = (0..g)
-                .flat_map(|i| ((i + 1)..g).map(move |j| (i, j)))
-                .collect();
-            let bases_ref = &base_clusters;
-            let reps_for_borders = &cluster_reps;
-            let elected: Vec<(usize, usize, ProxyId, ProxyId)> =
-                son_par::par_map_chunks(config.threads, pairs.len(), |range| {
-                    range
-                        .map(|k| {
-                            let (i, j) = pairs[k];
-                            let (pi, pj) = elect_border(
-                                hfc,
-                                delays,
-                                &bases_ref[i],
-                                &bases_ref[j],
-                                reps_for_borders,
-                            );
-                            (i, j, pi, pj)
-                        })
-                        .collect()
-                });
             let mut borders = vec![vec![None; g]; g];
-            for (i, j, pi, pj) in elected {
-                borders[i][j] = Some(pi);
-                borders[j][i] = Some(pj);
+            for i in 0..g {
+                for j in (i + 1)..g {
+                    let (pi, pj) = elect_border(
+                        hfc,
+                        delays,
+                        &base_clusters[i],
+                        &base_clusters[j],
+                        &cluster_reps,
+                    );
+                    borders[i][j] = Some(pi);
+                    borders[j][i] = Some(pj);
+                }
             }
             unit_reps = reps.clone();
             unit_bases = base_clusters.clone();
@@ -422,10 +402,9 @@ fn elect_border<D: DelayModel>(
         }
     }
     let (ca, cb, _) = best.expect("groups are non-empty");
-    closest_pair(
+    Election::new(delays).closest_pair_of(
         hfc.members(ClusterId::new(ca)),
         hfc.members(ClusterId::new(cb)),
-        delays,
     )
 }
 
@@ -524,7 +503,8 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_the_hierarchy() {
+    fn coordinate_election_does_not_change_the_hierarchy() {
+        use crate::delays::Opaque;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(3);
@@ -543,15 +523,13 @@ mod tests {
         }
         let delays = CoordDelays::new(coords);
         let hfc = HfcTopology::build(&Clustering::from_labels(&labels), &delays);
-        let cfg = |threads| HierarchyConfig {
+        let config = HierarchyConfig {
             max_top_groups: 3,
-            threads,
             ..HierarchyConfig::default()
         };
-        let seq = Hierarchy::build(&hfc, &delays, &cfg(1));
-        for threads in [2, 4, 0] {
-            assert_eq!(Hierarchy::build(&hfc, &delays, &cfg(threads)), seq);
-        }
+        let pruned = Hierarchy::build(&hfc, &delays, &config);
+        assert_eq!(pruned.depth(), 3);
+        assert_eq!(Hierarchy::build(&hfc, &Opaque(&delays), &config), pruned);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Minimal fork/join helpers over `std::thread::scope`.
 //!
-//! The workspace is offline (no rayon), but the expensive
-//! `OverlayBuilder` stages — per-host embedding solves, HFC border
-//! election, Dijkstra row fills — are all embarrassingly parallel
-//! over a contiguous index range. This crate
+//! The workspace is offline (no rayon), but the one `OverlayBuilder`
+//! stage still worth fanning out — the per-host embedding solves,
+//! two thirds of a 10k-proxy build — is embarrassingly parallel over
+//! a contiguous index range. This crate
 //! provides exactly that shape and nothing else: split `0..n` into
 //! per-thread chunks, run a closure per chunk on scoped threads, and
 //! concatenate the results **in range order**, so the output is

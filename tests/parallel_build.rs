@@ -4,9 +4,9 @@
 //! For any seed and overlay size, building with worker threads must
 //! produce a world bit-identical to the single-threaded build: the
 //! same [`EngineSnapshot`] digest (HFC topology, service placement,
-//! and coordinate bits) and the same canonical [`HfcSnapshot`]. Every
-//! parallelized stage — per-host embedding solves, border election —
-//! is covered, because each feeds the digest.
+//! and coordinate bits) and the same canonical [`HfcSnapshot`]. The
+//! one parallelized stage — the per-host embedding solves — is
+//! covered, because every coordinate feeds the digest.
 //!
 //! Thread counts above the host's core count are deliberate: on a
 //! small CI machine oversubscription still drives the chunked
@@ -51,7 +51,7 @@ proptest! {
 }
 
 /// The same invariant holds with the bounded delay cache in play and
-/// at a size where every stage has real work to split.
+/// at a size where every worker has real work.
 #[test]
 fn parallel_build_matches_at_depth_and_bound() {
     let build = |threads: usize| {
