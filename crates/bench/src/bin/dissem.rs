@@ -116,6 +116,7 @@ fn row(
         ),
         ("refresh_rounds", Json::from(report.refresh_rounds)),
         ("messages_sent", Json::from(report.messages_sent())),
+        ("rows_sent", Json::from(report.rows_sent)),
         ("messages_dropped", Json::from(report.messages_dropped)),
         ("tree_suppressed", Json::from(report.tree_suppressed)),
         ("tree_repairs", Json::from(report.tree_repairs)),

@@ -417,6 +417,11 @@ fn cmd_dissem(args: &Args) -> Result<(), String> {
         tree.tree_suppressed, tree.tree_repairs, tree.trace_hash
     );
     println!(
+        "tree rows  : {} shipped, {:.2} per tree message",
+        tree.rows_sent,
+        tree.rows_sent as f64 / tree.tree_messages.max(1) as f64
+    );
+    println!(
         "reduction  : {:.1}x fewer messages than flooding",
         flooding.messages_sent() as f64 / tree.messages_sent().max(1) as f64
     );
@@ -445,6 +450,10 @@ fn cmd_dissem(args: &Args) -> Result<(), String> {
         (
             "state.tree.suppressed counter moved",
             registry.counter("state.tree.suppressed").get() > 0,
+        ),
+        (
+            "state.tree.rows_sent counter moved",
+            registry.counter("state.tree.rows_sent").get() > 0,
         ),
         (
             "state.tree.depth gauge is set",

@@ -13,8 +13,9 @@
 //! proxy held by live proxies are still required to be correct,
 //! because installed services are static and survive restarts.
 
-use crate::tables::{SctC, SctP};
+use crate::tables::{Sct, SctC, SctP};
 use son_overlay::{HfcTopology, ProxyId, ServiceSet};
+use std::cmp::Ordering;
 
 /// How far a set of live tables is from the ground truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,27 +98,27 @@ impl ConvergenceChecker {
         let mut out = Staleness::default();
         for (proxy, sctp, sctc) in tables {
             out.checked_proxies += 1;
-            let expected = &self.expected_sctp[proxy.index()];
-            for (q, s) in expected.iter() {
-                if sctp.services_of(q) != Some(s) {
-                    out.stale_sctp += 1;
-                }
-            }
-            out.stale_sctp += sctp
-                .iter()
-                .filter(|(q, _)| expected.services_of(*q).is_none())
-                .count();
-            for (c, s) in self.expected_sctc.iter() {
-                if sctc.services_of(c) != Some(s) {
-                    out.stale_sctc += 1;
-                }
-            }
-            out.stale_sctc += sctc
-                .iter()
-                .filter(|(c, _)| self.expected_sctc.services_of(*c).is_none())
-                .count();
+            out.stale_sctp += stale_rows(sctp, &self.expected_sctp[proxy.index()]);
+            out.stale_sctc += stale_rows(sctc, &self.expected_sctc);
         }
         out
+    }
+}
+
+/// Rows of `held` that are missing, spurious or hold another set than
+/// in `expected`: one merge-join of the two id-ordered tables.
+fn stale_rows<K: Ord + Copy>(held: &Sct<K>, expected: &Sct<K>) -> usize {
+    let (mut held, mut expected) = (held.iter().peekable(), expected.iter().peekable());
+    let mut stale = 0;
+    loop {
+        let order = match (held.peek(), expected.peek()) {
+            (None, None) => return stale,
+            (Some(h), Some(e)) => h.0.cmp(&e.0),
+            (h, _) => h.map_or(Ordering::Greater, |_| Ordering::Less),
+        };
+        let h = order.is_le().then(|| held.next()).flatten();
+        let e = order.is_ge().then(|| expected.next()).flatten();
+        stale += usize::from(h.map(|row| row.1) != e.map(|row| row.1));
     }
 }
 

@@ -12,12 +12,12 @@
 //!
 //! That is [`DissemMode::Flooding`], the paper verbatim — O(m²)
 //! messages per cluster per round. [`DissemMode::Tree`] replaces the
-//! intra-cluster legs with batched table syncs along a per-cluster
-//! broadcast tree ([`son_overlay::DissemForest`]) rooted at the
-//! busiest border proxy, keeps the border-pair aggregate exchange
-//! point-to-point, and falls back to flooding repair when a tree
-//! parent goes silent. Same version guards, same anti-entropy refresh,
-//! same ground-truth convergence check.
+//! intra-cluster legs with row deltas along a per-cluster broadcast
+//! tree ([`son_overlay::DissemForest`]) rooted at the busiest border
+//! proxy, keeps the border-pair aggregate exchange point-to-point but
+//! rate-limited, and falls back to flooding repair when a tree parent
+//! goes silent. Same version guards, same anti-entropy refresh, same
+//! ground-truth convergence check.
 
 use crate::checker::{ConvergenceChecker, Staleness};
 use crate::tables::{Row, SctC, SctP};
@@ -26,6 +26,7 @@ use son_netsim::graph::NodeId;
 use son_netsim::sim::{Actor, Ctx, Simulator};
 use son_netsim::SimTime;
 use son_overlay::{ClusterId, DelayModel, DissemForest, HfcTopology, ProxyId, ServiceSet};
+use std::iter::once;
 use std::sync::Arc;
 
 /// How table rows travel *inside* a cluster.
@@ -36,13 +37,12 @@ pub enum DissemMode {
     /// — O(m²) messages per cluster per round. The baseline.
     #[default]
     Flooding,
-    /// Batched relay along a per-cluster [`DissemForest`] tree rooted
-    /// at the busiest border proxy: each proxy exchanges its whole
-    /// table with its tree parent and children only (O(m) messages per
-    /// cluster per round), borders exchange aggregates pairwise
-    /// without intra-cluster re-flooding, and a proxy whose parent
-    /// goes silent falls back to flooding its state until the parent
-    /// returns. Needs anti-entropy refresh to converge — use
+    /// Row deltas along a per-cluster [`DissemForest`] tree rooted at
+    /// the busiest border proxy (O(m) messages per cluster per round),
+    /// borders exchanging aggregates pairwise — at most one per
+    /// aggregate period — without intra-cluster re-flooding, and a
+    /// proxy whose parent goes silent flooding its state until the
+    /// parent returns. Needs anti-entropy refresh to converge — use
     /// [`ProtocolConfig::tree`].
     Tree,
 }
@@ -141,22 +141,23 @@ pub enum StateMsg {
         /// Intra-cluster forwards keep the original version.
         version: u64,
     },
-    /// Tree mode: a batch of table rows relayed along a tree edge —
-    /// periodic full-table syncs between parent and children, and
-    /// event-driven deltas cascading fresh rows through the tree.
-    /// Every row keeps the version its origin stamped.
-    TreeSync(Arc<Rows>),
+    /// Tree mode: the table rows the sender changed since the receiver
+    /// acknowledged them (a periodic sync; a cascade, if it was sent
+    /// them twice since) — its whole table after a restart or to answer
+    /// a [`Repair`](StateMsg::Repair). Rows keep their origin's version.
+    TreeSync { rows: Arc<Rows>, mark: Mark },
     /// Tree mode's flooding fallback: a proxy whose parent went silent
     /// broadcasts everything it knows to every cluster peer. Receivers
-    /// merge it like a [`TreeSync`] *and* reply with their own full
-    /// tables, so the orphan both teaches and relearns.
+    /// merge it like a [`TreeSync`](StateMsg::TreeSync) *and* reply
+    /// with their own full tables, so the orphan both teaches and
+    /// relearns.
     Repair(Arc<Rows>),
 }
 
-/// The row batch of one tree-mode send. The sender builds it once and
-/// every recipient's message — and every duplicate the fault plan
-/// injects — shares it; receivers read it by reference and clone only
-/// the rows that were news to them.
+/// The row batch of one tree-mode send. Every duplicate the fault plan
+/// injects — and every recipient of a [`StateMsg::Repair`] — shares it;
+/// receivers read it by reference and clone only the rows that were
+/// news to them.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Rows {
     /// `SCT_P` rows.
@@ -165,9 +166,44 @@ pub struct Rows {
     pub sctc: Vec<Row<ClusterId>>,
 }
 
+/// The change numbers a [`StateMsg::TreeSync`] carries. A proxy numbers
+/// the table writes that change a set, from 0 again at each (re)boot;
+/// its boot time (µs) names the incarnation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Mark {
+    /// The sender's incarnation.
+    pub boot: u64,
+    /// The rows are the sender's changes in `(base, upto]`, less those
+    /// the receiver sent it; a `base` of 0 is the whole table.
+    pub base: u32,
+    /// The sender's last change when it sent them.
+    pub upto: u32,
+    /// The receiver's incarnation and change up to which the sender
+    /// holds all its rows.
+    pub ack: (u64, u32),
+}
+
+/// One tree edge as one of its ends sees it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    /// The neighbour at the other end.
+    to: ProxyId,
+    /// Its incarnation as last heard (everyone first boots at 0).
+    boot: u64,
+    /// Its change up to which this proxy holds every row.
+    heard: u32,
+    /// This proxy's change up to which the neighbour acknowledged all.
+    acked: u32,
+    /// This proxy's change up to which rows were shipped to it, by the
+    /// last send and by the one before.
+    sent: u32,
+    prev: u32,
+}
+
 const LOCAL_TIMER: u64 = 1;
 const AGGREGATE_TIMER: u64 = 2;
 const REFRESH_TIMER: u64 = 3;
+const ADVERT_TIMER: u64 = 4;
 
 /// One proxy's protocol state machine.
 #[derive(Debug)]
@@ -183,11 +219,17 @@ pub struct ProxyActor {
     /// Tree-mode parent in the cluster's broadcast tree; `None` for
     /// the cluster root (and for every proxy in flooding mode).
     parent: Option<ProxyId>,
-    /// Tree-mode children this proxy relays to.
-    children: Vec<ProxyId>,
+    /// Tree-mode edges to the parent (first) and the children.
+    links: Vec<Link>,
     /// Simulated µs at which the parent was last heard from (any
     /// `TreeSync` or `Repair` it sent). Reset on (re)boot.
     parent_heard_at: u64,
+    /// When this incarnation booted, and its last change number.
+    boot: u64,
+    seq: u32,
+    /// Tree mode: `Some` while the hold after an advertisement runs,
+    /// `Some(true)` once another is owed at its end.
+    hold: Option<bool>,
     config: ProtocolConfig,
     local_rounds_left: usize,
     aggregate_rounds_left: usize,
@@ -212,6 +254,8 @@ pub struct ProxyActor {
     /// Tree-mode messages sent (syncs, cascades, repairs and their
     /// replies). Survives restarts like the other sent counters.
     pub sent_tree: u64,
+    /// Rows carried by those messages.
+    pub rows_sent: u64,
     /// Messages flooding would have sent at the same decision points
     /// but the tree did not — the measured savings.
     pub suppressed: u64,
@@ -234,9 +278,24 @@ impl ProxyActor {
         }
     }
 
-    fn broadcast_aggregate(&mut self, ctx: &mut Ctx<'_, StateMsg>) {
+    /// Advertises the cluster aggregate to the remote border pairs.
+    /// Tree mode sends at most one advertisement per aggregate period,
+    /// periodic or event-driven: at once when the last went out a
+    /// period ago, else when the period ends, with whatever accumulated.
+    fn advertise(&mut self, ctx: &mut Ctx<'_, StateMsg>) {
+        if self.tree_mode() {
+            if self.hold.is_some() {
+                self.hold = Some(true);
+                return;
+            }
+            self.hold = Some(false);
+            let period = SimTime::from_ms(self.config.aggregate_period_ms);
+            ctx.set_timer(period, ADVERT_TIMER);
+        }
         let aggregate = self.sctp.aggregate();
         let version = ctx.now().as_micros();
+        // The own-cluster row is derived from SCT_P on every proxy, so
+        // it is written version-less and never shipped.
         self.sctc.update(self.cluster, aggregate.clone());
         self.sctc.stamp(self.cluster, version);
         for &remote in &self.border_duties {
@@ -279,102 +338,141 @@ impl ProxyActor {
         self.config.mode == DissemMode::Tree
     }
 
-    /// Everything this proxy knows, with the versions it holds, ready
-    /// to ride a [`StateMsg::TreeSync`] or [`StateMsg::Repair`].
-    fn full_payload(&self) -> Arc<Rows> {
-        Arc::new(Rows {
-            sctp: self.sctp.rows().collect(),
-            sctc: self.sctc.rows().collect(),
-        })
+    /// The rows changed since `base` that `to` lacks.
+    fn rows_for(&self, base: u32, to: ProxyId) -> Rows {
+        Rows {
+            sctp: self.sctp.rows_since(base, to),
+            sctc: self.sctc.rows_since(base, to),
+        }
     }
 
-    /// One periodic tree round: full-table sync with the parent and
-    /// every child. Flooding would have sent one message per cluster
+    /// Drops the change logs below every neighbour's acknowledgement.
+    fn trim_logs(&mut self) {
+        let floor = self.links.iter().map(|link| link.acked).min();
+        self.sctp.forget(floor.unwrap_or(self.seq));
+        self.sctc.forget(floor.unwrap_or(self.seq));
+    }
+
+    /// The one tree send path: a [`StateMsg::TreeSync`] to `to` with
+    /// the rows changed since `since` of its edge (0 for a non-neighbour:
+    /// the whole table) and this proxy's acknowledgement of `to`'s.
+    fn ship(&mut self, ctx: &mut Ctx<'_, StateMsg>, to: ProxyId, since: fn(&Link) -> u32) {
+        let (seq, boot) = (self.seq, self.boot);
+        let link = self.links.iter_mut().find(|link| link.to == to);
+        let (base, ack) = link.map_or((0, (0, 0)), |link| {
+            let base = since(link);
+            link.prev = link.sent;
+            link.sent = seq;
+            (base, (link.boot, link.heard))
+        });
+        let rows = Arc::new(self.rows_for(base, to));
+        self.rows_sent += (rows.sctp.len() + rows.sctc.len()) as u64;
+        self.sent_tree += 1;
+        let mark = Mark {
+            boot,
+            base,
+            upto: seq,
+            ack,
+        };
+        ctx.send(NodeId::new(to.index()), StateMsg::TreeSync { rows, mark });
+    }
+
+    /// One periodic tree round: the parent and every child get what
+    /// they have not acknowledged — a bare acknowledgement when that
+    /// is nothing. Flooding would have sent one message per cluster
     /// peer here — the difference is the tree's saving.
     fn tree_sync_round(&mut self, ctx: &mut Ctx<'_, StateMsg>) {
-        let rows = self.full_payload();
-        let mut sent = 0u64;
-        for &n in self.parent.iter().chain(self.children.iter()) {
-            ctx.send(NodeId::new(n.index()), StateMsg::TreeSync(rows.clone()));
-            self.sent_tree += 1;
-            sent += 1;
+        for i in 0..self.links.len() {
+            self.ship(ctx, self.links[i].to, |link| link.acked);
         }
-        self.suppressed += (self.peers.len() as u64).saturating_sub(sent);
+        self.suppressed += (self.peers.len() as u64).saturating_sub(self.links.len() as u64);
     }
 
-    /// Relays fresh rows to every tree neighbor except the one they
+    /// Relays what changed to every tree neighbor except the one it
     /// came from — the event-driven wave that lets a deep tree
-    /// converge without waiting one refresh period per hop.
-    fn cascade(&mut self, ctx: &mut Ctx<'_, StateMsg>, except: Option<ProxyId>, fresh: Rows) {
-        if fresh.sctp.is_empty() && fresh.sctc.is_empty() {
-            return;
-        }
-        let fresh = Arc::new(fresh);
-        for &n in self.parent.iter().chain(self.children.iter()) {
-            if Some(n) != except {
-                ctx.send(NodeId::new(n.index()), StateMsg::TreeSync(fresh.clone()));
-                self.sent_tree += 1;
+    /// converge without waiting one refresh period per hop. Unless
+    /// acknowledged, a change rides two cascades, so one lost cascade
+    /// is repaired by the next rather than by the next refresh.
+    fn cascade(&mut self, ctx: &mut Ctx<'_, StateMsg>, except: Option<ProxyId>) {
+        for i in 0..self.links.len() {
+            if Some(self.links[i].to) != except {
+                self.ship(ctx, self.links[i].to, |link| link.prev.max(link.acked));
             }
         }
     }
 
-    /// Applies a batch of relayed rows under the same version guards
-    /// as the flooding handlers, returning the rows that actually
-    /// changed a table (fresh information worth cascading, in batch
-    /// order) and whether the own-cluster aggregate moved.
-    fn merge_rows(&mut self, ctx: &mut Ctx<'_, StateMsg>, rows: &Rows) -> (Rows, bool) {
-        let mut fresh = Rows::default();
-        for row @ (proxy, services, version) in &rows.sctp {
-            if *proxy == self.id {
-                continue;
-            }
-            match self.sctp.apply(*proxy, services, *version) {
-                None => self.ignored_stale += 1,
-                Some(true) => fresh.sctp.push(row.clone()),
-                Some(false) => {}
-            }
+    /// Applies a batch of rows `sender` relayed under the same version
+    /// guards as the flooding handlers, returning whether the
+    /// own-cluster aggregate moved.
+    fn merge_rows(&mut self, ctx: &mut Ctx<'_, StateMsg>, sender: ProxyId, rows: &Rows) -> bool {
+        let (before, from) = (self.seq, Some(sender));
+        for (proxy, set, version) in rows.sctp.iter().filter(|row| row.0 != self.id) {
+            let stamp = (*version, &mut self.seq, from);
+            self.ignored_stale += u64::from(self.sctp.apply(*proxy, set, stamp).is_none());
         }
         // The local cluster's aggregate stays derived from SCT_P, like
         // the flooding handler does on every Local delivery.
-        let mut aggregate_changed = false;
-        if !fresh.sctp.is_empty() && self.sctc.update(self.cluster, self.sctp.aggregate()) {
+        let aggregate_changed =
+            self.seq > before && self.sctc.update(self.cluster, self.sctp.aggregate());
+        if aggregate_changed {
             self.sctc.stamp(self.cluster, ctx.now().as_micros());
-            aggregate_changed = true;
         }
-        for row @ (cluster, services, version) in &rows.sctc {
-            match self.sctc.apply(*cluster, services, *version) {
-                None => self.ignored_stale += 1,
-                Some(true) => {
-                    aggregate_changed |= *cluster == self.cluster;
-                    fresh.sctc.push(row.clone());
-                }
-                Some(false) => {}
-            }
+        for (cluster, set, version) in &rows.sctc {
+            let stamp = (*version, &mut self.seq, from);
+            self.ignored_stale += u64::from(self.sctc.apply(*cluster, set, stamp).is_none());
         }
-        (fresh, aggregate_changed)
+        aggregate_changed
     }
 
-    /// A [`StateMsg::TreeSync`] or [`StateMsg::Repair`] arrived.
-    fn on_rows(&mut self, ctx: &mut Ctx<'_, StateMsg>, sender: ProxyId, rows: &Rows) {
+    /// A [`StateMsg::TreeSync`] (with its `mark`) or a
+    /// [`StateMsg::Repair`] arrived.
+    fn on_rows(
+        &mut self,
+        ctx: &mut Ctx<'_, StateMsg>,
+        sender: ProxyId,
+        rows: &Rows,
+        mark: Option<Mark>,
+    ) {
         if Some(sender) == self.parent {
             self.parent_heard_at = ctx.now().as_micros();
         }
-        let (fresh, aggregate_changed) = self.merge_rows(ctx, rows);
-        // Same event-driven leg as flooding: a border whose cluster
-        // aggregate just changed re-advertises to its remote pairs
-        // immediately.
-        if aggregate_changed && !self.border_duties.is_empty() {
-            self.broadcast_aggregate(ctx);
+        let before = self.seq;
+        let aggregate_changed = self.merge_rows(ctx, sender, rows);
+        let link = self.links.iter_mut().find(|l| l.to == sender);
+        if let (Some(mark), Some(link)) = (mark, link) {
+            if mark.boot > link.boot {
+                // It rebooted with empty tables: whatever it had
+                // acknowledged is gone, and its changes start over.
+                (link.boot, link.heard, link.acked, link.sent, link.prev) = (mark.boot, 0, 0, 0, 0);
+            }
+            if mark.boot == link.boot {
+                if mark.base <= link.heard {
+                    link.heard = link.heard.max(mark.upto);
+                }
+                if mark.ack.0 == self.boot {
+                    link.acked = link.acked.max(mark.ack.1);
+                }
+            }
+            self.trim_logs();
         }
-        self.cascade(ctx, Some(sender), fresh);
+        // Same event-driven leg as flooding: a border whose cluster
+        // aggregate changed re-advertises to its remote pairs.
+        if aggregate_changed && !self.border_duties.is_empty() {
+            self.advertise(ctx);
+        }
+        if self.seq > before {
+            self.cascade(ctx, Some(sender));
+        }
     }
 
     /// Initial-knowledge seeding plus timer arming, shared by cold
     /// start and post-crash restart.
     fn boot(&mut self, ctx: &mut Ctx<'_, StateMsg>) {
         let now = ctx.now().as_micros();
+        self.boot = now;
         // A proxy always knows itself.
-        self.sctp.apply(self.id, &self.services, now);
+        self.sctp
+            .apply(self.id, &self.services, (now, &mut self.seq, None));
         self.sctc.update(self.cluster, self.services.clone());
         self.parent_heard_at = now;
         if self.local_rounds_left > 0 {
@@ -388,7 +486,7 @@ impl ProxyActor {
         }
         if !self.border_duties.is_empty() && self.aggregate_rounds_left > 0 {
             self.aggregate_rounds_left -= 1;
-            self.broadcast_aggregate(ctx);
+            self.advertise(ctx);
             ctx.set_timer(
                 SimTime::from_ms(self.config.aggregate_period_ms),
                 AGGREGATE_TIMER,
@@ -411,12 +509,13 @@ impl Actor for ProxyActor {
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, StateMsg>, from: NodeId, msg: StateMsg) {
+        let sender = ProxyId::new(from.index());
         match msg {
             StateMsg::Local { services, version } => {
-                let sender = ProxyId::new(from.index());
                 // A duplicated or reordered delivery older than what we
                 // hold must not roll the row back.
-                let Some(changed) = self.sctp.apply(sender, &services, version) else {
+                let stamp = (version, &mut self.seq, None);
+                let Some(changed) = self.sctp.apply(sender, &services, stamp) else {
                     self.ignored_stale += 1;
                     return;
                 };
@@ -431,7 +530,7 @@ impl Actor for ProxyActor {
                 // next period; otherwise slow local-state deliveries
                 // could outlive the advertising rounds.
                 if changed && aggregate_changed && !self.border_duties.is_empty() {
-                    self.broadcast_aggregate(ctx);
+                    self.advertise(ctx);
                 }
             }
             StateMsg::Aggregate {
@@ -444,12 +543,12 @@ impl Actor for ProxyActor {
                 // Otherwise merge (set union): services are static, so
                 // aggregates are monotone and merging makes delivery
                 // order and duplicate retransmissions harmless.
-                let Some(changed) = self.sctc.apply(cluster, &services, version) else {
+                let stamp = (version, &mut self.seq, None);
+                let Some(changed) = self.sctc.apply(cluster, &services, stamp) else {
                     self.ignored_stale += 1;
                     return;
                 };
-                let from_outside = !self.peers.contains(&ProxyId::new(from.index()))
-                    && ProxyId::new(from.index()) != self.id;
+                let from_outside = !self.peers.contains(&sender) && sender != self.id;
                 if from_outside {
                     if self.tree_mode() {
                         // Subscription-style: the border pair exchange
@@ -457,9 +556,7 @@ impl Actor for ProxyActor {
                         // the tree, and only when it said something
                         // new. Periodic tree refresh repairs losses.
                         if changed {
-                            let sctc = vec![(cluster, services, version)];
-                            let sctp = Vec::new();
-                            self.cascade(ctx, None, Rows { sctp, sctc });
+                            self.cascade(ctx, None);
                         } else {
                             self.suppressed += self.peers.len() as u64;
                         }
@@ -483,16 +580,13 @@ impl Actor for ProxyActor {
                     }
                 }
             }
-            StateMsg::TreeSync(rows) => self.on_rows(ctx, ProxyId::new(from.index()), &rows),
+            StateMsg::TreeSync { rows, mark } => self.on_rows(ctx, sender, &rows, Some(mark)),
             StateMsg::Repair(rows) => {
-                let sender = ProxyId::new(from.index());
-                self.on_rows(ctx, sender, &rows);
+                self.on_rows(ctx, sender, &rows, None);
                 // The orphan's broadcast is also a plea: answer with
                 // everything we know so it relearns what its dead
                 // parent would have relayed.
-                let reply = StateMsg::TreeSync(self.full_payload());
-                ctx.send(NodeId::new(sender.index()), reply);
-                self.sent_tree += 1;
+                self.ship(ctx, sender, |_| 0);
             }
         }
     }
@@ -510,7 +604,7 @@ impl Actor for ProxyActor {
             }
             AGGREGATE_TIMER if self.aggregate_rounds_left > 0 => {
                 self.aggregate_rounds_left -= 1;
-                self.broadcast_aggregate(ctx);
+                self.advertise(ctx);
                 if self.tree_mode() {
                     // No periodic re-flood of remote aggregates: the
                     // tree syncs carry them batched. Account for what
@@ -525,12 +619,15 @@ impl Actor for ProxyActor {
                     AGGREGATE_TIMER,
                 );
             }
+            // The hold ends either way; an owed advertisement goes now.
+            ADVERT_TIMER if self.hold.take() == Some(true) => self.advertise(ctx),
             REFRESH_TIMER => {
                 // Anti-entropy: unconditionally re-send everything we
                 // know, forever. Any row a lost message left stale is
                 // repaired at most one refresh period later — along
                 // tree edges in tree mode, by re-flooding otherwise.
                 self.refresh_rounds += 1;
+                self.trim_logs();
                 if self.tree_mode() {
                     let silent = ctx.now().as_micros().saturating_sub(self.parent_heard_at);
                     if self.parent.is_some()
@@ -548,23 +645,25 @@ impl Actor for ProxyActor {
                             .tick(ctx.now().as_micros())
                             .proxy(self.id.index() as u32),
                         );
-                        let rows = self.full_payload();
+                        let rows = Arc::new(self.rows_for(0, self.id));
                         for &peer in &self.peers {
                             ctx.send(NodeId::new(peer.index()), StateMsg::Repair(rows.clone()));
-                            self.sent_tree += 1;
                         }
+                        self.sent_tree += self.peers.len() as u64;
+                        self.rows_sent +=
+                            self.peers.len() as u64 * (rows.sctp.len() + rows.sctc.len()) as u64;
                     } else {
                         self.tree_sync_round(ctx);
                     }
                     if !self.border_duties.is_empty() {
-                        self.broadcast_aggregate(ctx);
+                        self.advertise(ctx);
                     }
                     self.suppressed +=
                         self.sctc.len().saturating_sub(1) as u64 * self.peers.len() as u64;
                 } else {
                     self.broadcast_local(ctx);
                     if !self.border_duties.is_empty() {
-                        self.broadcast_aggregate(ctx);
+                        self.advertise(ctx);
                     }
                     self.reforward_known_aggregates(ctx);
                 }
@@ -578,11 +677,18 @@ impl Actor for ProxyActor {
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx<'_, StateMsg>) {
-        // Volatile state dies with the crash: tables, versions and the
-        // round budget reset; the message counters survive because they
-        // account for network overhead, not per-incarnation work.
+        // Volatile state dies with the crash: tables, versions, change
+        // numbers, what each tree edge acknowledged, the advertisement
+        // hold (its timer died too) and the round budget reset; the
+        // message counters survive because they account for network
+        // overhead, not per-incarnation work.
         self.sctp = SctP::new();
         self.sctc = SctC::new();
+        self.seq = 0;
+        for link in &mut self.links {
+            (link.boot, link.heard, link.acked, link.sent, link.prev) = (0, 0, 0, 0, 0);
+        }
+        self.hold = None;
         self.local_rounds_left = self.config.rounds;
         self.aggregate_rounds_left = self.config.rounds;
         self.boot(ctx);
@@ -625,6 +731,9 @@ pub struct StateReport {
     /// Tree-mode messages sent (syncs, cascades, repairs and replies).
     /// Zero in flooding mode.
     pub tree_messages: u64,
+    /// Rows carried by tree-mode messages (`TreeSync` and `Repair`
+    /// payloads; injected duplicates not counted).
+    pub rows_sent: u64,
     /// Messages flooding would have sent that tree mode did not.
     pub tree_suppressed: u64,
     /// Tree-mode repair rounds entered (parent silence fallbacks).
@@ -673,27 +782,14 @@ pub struct StateProtocol {
     /// The broadcast trees rows travel along in [`DissemMode::Tree`];
     /// `None` in flooding mode.
     forest: Option<DissemForest>,
+    /// Per proxy, the `(boot, seq)` its tables were last checked at and
+    /// what the check found — see [`StateProtocol::tracked_staleness`].
+    checked: Vec<Option<((u64, u32), Staleness)>>,
     /// Counter values already folded into the telemetry registry.
     /// Simulator and actor counters are cumulative over the protocol's
     /// lifetime while registry counters only grow, so each report folds
     /// the delta since the previous one.
-    folded: FoldedCounters,
-}
-
-/// Baseline for delta-folding cumulative protocol counters into the
-/// global telemetry registry (see [`StateProtocol::report`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct FoldedCounters {
-    delivered: u64,
-    dropped: u64,
-    duplicated: u64,
-    local: u64,
-    aggregate: u64,
-    stale: u64,
-    refresh: u64,
-    tree: u64,
-    suppressed: u64,
-    repairs: u64,
+    folded: [u64; 11],
 }
 
 impl std::fmt::Debug for StateProtocol {
@@ -749,9 +845,9 @@ impl StateProtocol {
                     border_duties.push(pair.remote);
                 }
             }
-            let (parent, children) = forest.as_ref().map_or((None, Vec::new()), |f| {
-                (f.parent_of(id), f.children_of(id).to_vec())
-            });
+            let (parent, children) = forest
+                .as_ref()
+                .map_or((None, &[][..]), |f| (f.parent_of(id), f.children_of(id)));
             actors.push(ProxyActor {
                 id,
                 cluster,
@@ -759,8 +855,18 @@ impl StateProtocol {
                 peers,
                 border_duties,
                 parent,
-                children,
+                links: parent
+                    .iter()
+                    .chain(children)
+                    .map(|&to| Link {
+                        to,
+                        ..Link::default()
+                    })
+                    .collect(),
                 parent_heard_at: 0,
+                boot: 0,
+                seq: 0,
+                hold: None,
                 config: config.clone(),
                 local_rounds_left: config.rounds,
                 aggregate_rounds_left: config.rounds,
@@ -771,6 +877,7 @@ impl StateProtocol {
                 ignored_stale: 0,
                 refresh_rounds: 0,
                 sent_tree: 0,
+                rows_sent: 0,
                 suppressed: 0,
                 repairs: 0,
             });
@@ -788,7 +895,8 @@ impl StateProtocol {
             checker,
             config,
             forest,
-            folded: FoldedCounters::default(),
+            checked: vec![None; n],
+            folded: [0; 11],
         }
     }
 
@@ -840,14 +948,17 @@ impl StateProtocol {
     /// Runs until `deadline` (or quiescence, whichever comes first).
     pub fn run_until(&mut self, deadline: SimTime) -> StateReport {
         let stats = self.simulator.run_until_quiescent(deadline);
-        self.report(stats)
+        let staleness = self.staleness();
+        self.report(stats, staleness)
     }
 
     /// Runs in slices until every live proxy's tables match the ground
     /// truth, the queue drains, or `deadline` passes — whichever comes
     /// first. Convergence is not declared before the fault plan's
     /// [horizon](FaultPlan::horizon): a scheduled crash or partition
-    /// can still perturb tables that currently look converged.
+    /// can still perturb tables that currently look converged. Between
+    /// slices only the proxies whose tables changed are re-checked
+    /// ([`tracked_staleness`](Self::tracked_staleness)).
     pub fn run_until_converged(&mut self, deadline: SimTime) -> StateReport {
         let horizon = self
             .simulator
@@ -865,18 +976,18 @@ impl StateProtocol {
             let bound = target.min(deadline);
             let stats = self.simulator.run_until_quiescent(bound);
             let settled = !self.simulator.has_pending();
-            if self.converged() && (self.simulator.now() >= horizon || settled) {
-                return self.report(stats);
-            }
-            if settled || bound >= deadline {
-                return self.report(stats);
+            let staleness = self.tracked_staleness();
+            if (staleness.is_converged() && self.simulator.now() >= horizon)
+                || settled
+                || bound >= deadline
+            {
+                return self.report(stats, staleness);
             }
             target += slice;
         }
     }
 
-    fn report(&mut self, stats: son_netsim::SimStats) -> StateReport {
-        let staleness = self.staleness();
+    fn report(&mut self, stats: son_netsim::SimStats, staleness: Staleness) -> StateReport {
         let actors = self.simulator.actors();
         let report = StateReport {
             converged: staleness.is_converged(),
@@ -891,6 +1002,7 @@ impl StateProtocol {
             stale_ignored: actors.iter().map(|a| a.ignored_stale).sum(),
             refresh_rounds: actors.iter().map(|a| a.refresh_rounds).sum(),
             tree_messages: actors.iter().map(|a| a.sent_tree).sum(),
+            rows_sent: actors.iter().map(|a| a.rows_sent).sum(),
             tree_suppressed: actors.iter().map(|a| a.suppressed).sum(),
             tree_repairs: actors.iter().map(|a| a.repairs).sum(),
             trace_hash: stats.trace_hash,
@@ -905,55 +1017,26 @@ impl StateProtocol {
     /// replay history; registry writes happen only while telemetry is
     /// on.
     fn fold_into_registry(&mut self, report: &StateReport) {
-        let prev = self.folded;
-        self.folded = FoldedCounters {
-            delivered: report.messages_delivered,
-            dropped: report.messages_dropped,
-            duplicated: report.messages_duplicated,
-            local: report.local_messages,
-            aggregate: report.aggregate_messages,
-            stale: report.stale_ignored,
-            refresh: report.refresh_rounds,
-            tree: report.tree_messages,
-            suppressed: report.tree_suppressed,
-            repairs: report.tree_repairs,
-        };
+        let r = report;
+        let counters = [
+            ("state.messages_delivered", r.messages_delivered),
+            ("state.messages_dropped", r.messages_dropped),
+            ("state.messages_duplicated", r.messages_duplicated),
+            ("state.local_sent", r.local_messages),
+            ("state.aggregate_sent", r.aggregate_messages),
+            ("state.stale_ignored", r.stale_ignored),
+            ("state.refresh_rounds", r.refresh_rounds),
+            ("state.tree.sent", r.tree_messages),
+            ("state.tree.rows_sent", r.rows_sent),
+            ("state.tree.suppressed", r.tree_suppressed),
+            ("state.tree.repairs", r.tree_repairs),
+        ];
+        let prev = std::mem::replace(&mut self.folded, counters.map(|(_, now)| now));
         if !son_telemetry::enabled() {
             return;
         }
         let registry = son_telemetry::global();
-        for (name, now, before) in [
-            (
-                "state.messages_delivered",
-                report.messages_delivered,
-                prev.delivered,
-            ),
-            (
-                "state.messages_dropped",
-                report.messages_dropped,
-                prev.dropped,
-            ),
-            (
-                "state.messages_duplicated",
-                report.messages_duplicated,
-                prev.duplicated,
-            ),
-            ("state.local_sent", report.local_messages, prev.local),
-            (
-                "state.aggregate_sent",
-                report.aggregate_messages,
-                prev.aggregate,
-            ),
-            ("state.stale_ignored", report.stale_ignored, prev.stale),
-            ("state.refresh_rounds", report.refresh_rounds, prev.refresh),
-            ("state.tree.sent", report.tree_messages, prev.tree),
-            (
-                "state.tree.suppressed",
-                report.tree_suppressed,
-                prev.suppressed,
-            ),
-            ("state.tree.repairs", report.tree_repairs, prev.repairs),
-        ] {
+        for ((name, now), before) in counters.into_iter().zip(prev) {
             registry.counter(name).add(now.saturating_sub(before));
         }
         if let Some(forest) = &self.forest {
@@ -989,10 +1072,29 @@ impl StateProtocol {
         )
     }
 
-    /// Returns `true` if every live proxy's tables match the expected
-    /// converged state.
-    pub fn converged(&self) -> bool {
-        self.staleness().is_converged()
+    /// [`staleness`](Self::staleness), re-checking only the live proxies
+    /// whose tables changed since their last check here: a proxy's
+    /// change sequence number grows with every write that changes a
+    /// set, and a restart names a new incarnation, so a cached count is
+    /// reused exactly while `(boot, seq)` has not moved past it.
+    pub fn tracked_staleness(&mut self) -> Staleness {
+        let mut total = Staleness::default();
+        for (p, a) in self.simulator.actors().iter().enumerate() {
+            if self.simulator.is_crashed(NodeId::new(p)) {
+                continue;
+            }
+            let at = (a.boot, a.seq);
+            let checked = &mut self.checked[p];
+            if checked.is_none_or(|(seen, _)| at > seen) {
+                let own = once((ProxyId::new(p), &a.sctp, &a.sctc));
+                *checked = Some((at, self.checker.staleness(own)));
+            }
+            let (_, own) = checked.expect("checked above");
+            total.stale_sctp += own.stale_sctp;
+            total.stale_sctc += own.stale_sctc;
+            total.checked_proxies += 1;
+        }
+        total
     }
 
     /// Per-proxy health as the serving layer should see it right now:
@@ -1017,11 +1119,9 @@ impl StateProtocol {
                 if self.simulator.is_crashed(NodeId::new(p)) {
                     son_overlay::Health::Down
                 } else {
-                    let own = self.checker.staleness(std::iter::once((
-                        ProxyId::new(p),
-                        &a.sctp,
-                        &a.sctc,
-                    )));
+                    let own = self
+                        .checker
+                        .staleness(once((ProxyId::new(p), &a.sctp, &a.sctc)));
                     if own.total() > 0 {
                         son_overlay::Health::Draining
                     } else {
@@ -1031,12 +1131,6 @@ impl StateProtocol {
             })
             .collect();
         son_overlay::StatusMap::from_health(&healths)
-    }
-
-    /// Read access to the converged actors (their tables feed the
-    /// routing layer).
-    pub fn actors(&self) -> &[ProxyActor] {
-        self.simulator.actors()
     }
 
     /// The tables of one proxy.

@@ -6,7 +6,9 @@
 //! stale only when its version is *below* the held one; an equal one
 //! is re-applied and re-stamped — so a duplicated or reordered
 //! delivery can never roll a table backwards. The version-less writes
-//! keep the version a row has, 0 when it is new.
+//! keep the version a row has, 0 when it is new. A write that changes
+//! a set also ticks the holder's change clock onto the row (and its
+//! change log): that is what tree syncs ship deltas by.
 
 use son_overlay::{ClusterId, ProxyId, ServiceId, ServiceSet};
 use std::collections::btree_map::{BTreeMap, Entry};
@@ -23,13 +25,32 @@ pub type Row<K> = (K, ServiceSet, u64);
 /// says.
 #[derive(Debug, Clone, Default)]
 pub struct Sct<K> {
-    entries: BTreeMap<K, (ServiceSet, u64)>,
+    entries: BTreeMap<K, Held>,
     /// Union of every row: computed when first read, then grown by each
     /// write that adds to a row and dropped by one that replaces a row.
     /// (Dropping it on every change instead costs `setup_s` @
     /// `churn_admit` 0.195 → 0.266 s, ten of ten paired runs.)
     union: OnceLock<ServiceSet>,
+    /// `(change, key)` of every change after change `floor`, in order.
+    log: Vec<(u32, K)>,
+    floor: u32,
 }
+
+#[derive(Debug, Clone)]
+struct Held {
+    services: ServiceSet,
+    version: u64,
+    /// The change that wrote `services` (0: version-less, never shipped).
+    seq: u32,
+    /// The sender whose row `services` is, if any (else [`NOBODY`]).
+    from: u32,
+}
+
+const NOBODY: u32 = u32::MAX;
+
+/// A row's origin version, the holder's change clock (fewer than 2³²
+/// changes an incarnation) and the row's sender, if any.
+pub(crate) type Stamp<'a> = (u64, &'a mut u32, Option<ProxyId>);
 
 /// The per-proxy Service Capability Table (`SCT_P`): which services
 /// each proxy of the *local cluster* carries.
@@ -56,70 +77,78 @@ impl<K: Ord + Copy> Sct<K> {
         Sct {
             entries: BTreeMap::new(),
             union: OnceLock::new(),
+            log: Vec::new(),
+            floor: 0,
         }
     }
 
     /// Installs or refreshes the set of `key`. Returns `true` if the
     /// stored entry changed.
     pub fn update(&mut self, key: K, services: ServiceSet) -> bool {
-        self.write(key, &services, None, false) == Some(true)
+        self.write(key, &services, false, None) == Some(true)
     }
 
     /// Re-stamps the row of `key`, if there is one.
     pub(crate) fn stamp(&mut self, key: K, version: u64) {
         if let Some(row) = self.entries.get_mut(&key) {
-            row.1 = version;
+            row.version = version;
         }
     }
 
-    /// Writes a row in one look-up. Stamped with a `version`: `None` if
-    /// a fresher one is held (nothing is written). Otherwise whether the
-    /// stored set changed — replaced by `services`, or with `merge`
-    /// grown by them.
-    fn write(
-        &mut self,
-        key: K,
-        services: &ServiceSet,
-        version: Option<u64>,
-        merge: bool,
-    ) -> Option<bool> {
-        match self.entries.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert((services.clone(), version.unwrap_or(0)));
-            }
-            Entry::Occupied(mut slot) => {
-                let (held, held_version) = slot.get_mut();
+    /// Writes a row in one look-up. Stamped: `None` if a fresher version
+    /// is held (nothing is written). Otherwise whether the
+    /// stored set changed — replaced by `set`, or with `merge` grown by
+    /// it; a change ticks the stamp's clock onto the row.
+    fn write(&mut self, key: K, set: &ServiceSet, merge: bool, at: Option<Stamp>) -> Option<bool> {
+        let version = at.as_ref().map(|stamp| stamp.0);
+        let held = match self.entries.entry(key) {
+            Entry::Vacant(slot) => slot.insert(Held {
+                services: set.clone(),
+                version: version.unwrap_or(0),
+                seq: 0,
+                from: NOBODY,
+            }),
+            Entry::Occupied(slot) => {
+                let held = slot.into_mut();
                 if let Some(version) = version {
-                    if version < *held_version {
+                    if version < held.version {
                         return None;
                     }
-                    *held_version = version;
+                    held.version = version;
                 }
                 if merge {
-                    let before = held.len();
-                    held.merge(services);
-                    if held.len() == before {
+                    let before = held.services.len();
+                    held.services.merge(set);
+                    if held.services.len() == before {
                         return Some(false);
                     }
-                } else if held == services {
+                } else if held.services == *set {
                     return Some(false);
                 } else {
                     // A replaced row may have withdrawn services.
-                    *held = services.clone();
+                    held.services = set.clone();
                     self.union.take();
-                    return Some(true);
                 }
+                held
             }
+        };
+        if let Some((_, clock, from)) = at {
+            *clock += 1;
+            held.seq = *clock;
+            held.from = from
+                .filter(|_| held.services == *set)
+                .map_or(NOBODY, |from| from.index() as u32);
+            self.log.push((*clock, key));
         }
         if let Some(union) = self.union.get_mut() {
-            union.merge(services);
+            union.merge(set);
         }
         Some(true)
     }
 
     /// The set of `key`, if known.
     pub fn services_of(&self, key: K) -> Option<&ServiceSet> {
-        self.entries.get(&key).map(|row| &row.0)
+        self.entries.get(&key).map(|row| &row.services)
     }
 
     fn holders_of(&self, service: ServiceId) -> Vec<K> {
@@ -141,14 +170,41 @@ impl<K: Ord + Copy> Sct<K> {
 
     /// Iterates over `(key, services)` entries in id order.
     pub fn iter(&self) -> impl Iterator<Item = (K, &ServiceSet)> {
-        self.entries.iter().map(|(&key, row)| (key, &row.0))
+        self.entries.iter().map(|(&key, row)| (key, &row.services))
     }
 
     /// Every row with the version held for it, in id order.
     pub(crate) fn rows(&self) -> impl Iterator<Item = Row<K>> + '_ {
         self.entries
             .iter()
-            .map(|(&key, (services, version))| (key, services.clone(), *version))
+            .map(|(&key, row)| (key, row.services.clone(), row.version))
+    }
+
+    /// The rows changed after change `base` — without those `to` sent,
+    /// unless `base` is 0, which asks for every numbered row.
+    pub(crate) fn rows_since(&self, base: u32, to: ProxyId) -> Vec<Row<K>> {
+        let row = |key: K, held: &Held| (key, held.services.clone(), held.version);
+        let to = to.index() as u32;
+        if base < self.floor || base == 0 {
+            let all = self.entries.iter();
+            let since = all.filter(|(_, held)| held.seq > base && (base == 0 || held.from != to));
+            return since.map(|(&key, held)| row(key, held)).collect();
+        }
+        let start = self.log.partition_point(|&(seq, _)| seq <= base);
+        let changed = self.log[start..]
+            .iter()
+            .map(|(seq, key)| (seq, key, &self.entries[key]));
+        let fresh = changed.filter(|(&seq, _, held)| held.seq == seq && held.from != to);
+        fresh.map(|(_, &key, held)| row(key, held)).collect()
+    }
+
+    /// Drops the log up to change `upto`; deltas from before it scan.
+    pub(crate) fn forget(&mut self, upto: u32) {
+        if upto > self.floor {
+            let end = self.log.partition_point(|&(seq, _)| seq <= upto);
+            self.log.drain(..end);
+            self.floor = upto;
+        }
     }
 }
 
@@ -161,10 +217,10 @@ impl<K: Ord + Copy> PartialEq for Sct<K> {
 impl<K: Ord + Copy> Eq for Sct<K> {}
 
 impl Sct<ProxyId> {
-    /// Installs the set `proxy` stamped at `version`: `None` if a
-    /// fresher one is held, else whether the stored set changed.
-    pub(crate) fn apply(&mut self, proxy: ProxyId, set: &ServiceSet, version: u64) -> Option<bool> {
-        self.write(proxy, set, Some(version), false)
+    /// Installs the set `proxy` under `stamp`: `None` if a fresher
+    /// version is held, else whether the stored set changed.
+    pub(crate) fn apply(&mut self, proxy: ProxyId, set: &ServiceSet, stamp: Stamp) -> Option<bool> {
+        self.write(proxy, set, false, Some(stamp))
     }
 
     /// Proxies known to carry `service`, in id order.
@@ -178,7 +234,7 @@ impl Sct<ProxyId> {
         let rows = || {
             self.entries
                 .values()
-                .fold(ServiceSet::new(), |all, row| all.union(&row.0))
+                .fold(ServiceSet::new(), |all, row| all.union(&row.services))
         };
         self.union.get_or_init(rows).clone()
     }
@@ -192,14 +248,13 @@ impl Sct<ClusterId> {
     /// grow, so merging makes table updates order-independent: a stale
     /// retransmission can never regress a fresher entry.
     pub fn merge_update(&mut self, cluster: ClusterId, services: &ServiceSet) -> bool {
-        self.write(cluster, services, None, true) == Some(true)
+        self.write(cluster, services, true, None) == Some(true)
     }
 
-    /// [`merge_update`](Self::merge_update) for a row stamped
-    /// `version`: `None` if a fresher one is held, else whether the
-    /// entry grew.
-    pub(crate) fn apply(&mut self, c: ClusterId, set: &ServiceSet, version: u64) -> Option<bool> {
-        self.write(c, set, Some(version), true)
+    /// [`merge_update`](Self::merge_update) under `stamp`: `None` if a
+    /// fresher version is held, else whether the entry grew.
+    pub(crate) fn apply(&mut self, c: ClusterId, set: &ServiceSet, stamp: Stamp) -> Option<bool> {
+        self.write(c, set, true, Some(stamp))
     }
 
     /// Clusters known to offer `service`, in id order.
@@ -287,26 +342,65 @@ mod merge_tests {
     fn only_a_lower_version_is_stale() {
         let (p, c) = (ProxyId::new(1), ClusterId::new(1));
         let (mut sctp, mut sctc) = (SctP::new(), SctC::new());
-        assert_eq!(sctp.apply(p, &set(&[1, 2]), 7), Some(true));
-        assert_eq!(sctp.apply(p, &set(&[9]), 6), None, "older: nothing written");
-        assert_eq!(sctp.apply(p, &set(&[1, 2]), 7), Some(false), "equal");
-        assert_eq!(sctp.apply(p, &set(&[2]), 8), Some(true), "newer replaces");
+        let mut clock = 0;
+        let mut apply_p = |set, version| sctp.apply(p, &set, (version, &mut clock, None));
+        assert_eq!(apply_p(set(&[1, 2]), 7), Some(true));
+        assert_eq!(apply_p(set(&[9]), 6), None, "older: nothing written");
+        assert_eq!(apply_p(set(&[1, 2]), 7), Some(false), "equal");
+        assert_eq!(apply_p(set(&[2]), 8), Some(true), "newer replaces");
         assert_eq!(sctp.aggregate(), set(&[2]), "the row withdrew service 1");
         assert!(sctp.update(ProxyId::new(2), set(&[5])));
         assert_eq!(sctp.aggregate(), set(&[2, 5]));
         assert_eq!(sctp.rows().map(|row| row.2).collect::<Vec<_>>(), [8, 0]);
         // SCT_C rows grow by union under the same guard.
-        assert_eq!(sctc.apply(c, &set(&[1]), 5), Some(true));
-        assert_eq!(sctc.apply(c, &set(&[2]), 4), None);
-        assert_eq!(sctc.apply(c, &set(&[1]), 5), Some(false));
-        assert_eq!(sctc.apply(c, &set(&[2]), 9), Some(true));
+        let mut apply_c = |set, version| sctc.apply(c, &set, (version, &mut clock, None));
+        assert_eq!(apply_c(set(&[1]), 5), Some(true));
+        assert_eq!(apply_c(set(&[2]), 4), None);
+        assert_eq!(apply_c(set(&[1]), 5), Some(false));
+        assert_eq!(apply_c(set(&[2]), 9), Some(true));
         assert!(!sctc.update(c, set(&[1, 2])), "update keeps the stamp");
         sctc.stamp(ClusterId::new(3), 1);
         assert_eq!(sctc.rows().collect::<Vec<_>>(), [(c, set(&[1, 2]), 9)]);
+        assert_eq!(clock, 4, "one tick per changed row");
         // Versions are not content.
         let mut other = SctC::new();
         other.update(c, set(&[2, 1]));
         assert_eq!(sctc, other);
+    }
+
+    #[test]
+    fn deltas_hold_what_changed_and_skip_its_sender() {
+        let (a, b) = (ProxyId::new(7), ProxyId::new(8));
+        let c = |i| ClusterId::new(i);
+        let mut sctc = SctC::new();
+        let mut clock = 0;
+        let keys = |rows: Vec<Row<ClusterId>>| rows.iter().map(|r| r.0.index()).collect::<Vec<_>>();
+        sctc.apply(c(0), &set(&[1]), (5, &mut clock, Some(a)));
+        sctc.apply(c(1), &set(&[2]), (5, &mut clock, Some(b)));
+        sctc.apply(c(2), &set(&[3]), (5, &mut clock, None));
+        assert_eq!(clock, 3);
+        assert_eq!(keys(sctc.rows_since(0, a)), [0, 1, 2], "0: all");
+        assert_eq!(keys(sctc.rows_since(1, a)), [1, 2]);
+        assert_eq!(keys(sctc.rows_since(1, b)), [2], "b sent row 1");
+        assert_eq!(keys(sctc.rows_since(3, b)), Vec::<usize>::new());
+        // A newer version with the same content is no change.
+        sctc.apply(c(0), &set(&[1]), (6, &mut clock, Some(b)));
+        assert_eq!(clock, 3);
+        // A union larger than what the sender sent is shipped back to it.
+        sctc.apply(c(0), &set(&[4]), (7, &mut clock, Some(a)));
+        assert_eq!(keys(sctc.rows_since(3, a)), [0]);
+        // One the sender's row covers is not.
+        sctc.apply(c(1), &set(&[2, 5]), (7, &mut clock, Some(a)));
+        assert_eq!(keys(sctc.rows_since(3, a)), [0]);
+        assert_eq!(keys(sctc.rows_since(3, b)), [0, 1]);
+        // Deltas are read from the change log, or below its floor by a
+        // scan, alike.
+        sctc.forget(4);
+        assert_eq!(keys(sctc.rows_since(3, b)), [0, 1]);
+        assert_eq!(keys(sctc.rows_since(4, b)), [1]);
+        // Version-less writes are never shipped.
+        sctc.update(c(3), set(&[6]));
+        assert_eq!(keys(sctc.rows_since(0, a)), [0, 1, 2]);
     }
 
     #[test]

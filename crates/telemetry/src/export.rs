@@ -146,6 +146,7 @@ mod tests {
         // Tree-dissemination keys: a counter and a gauge, as
         // `StateProtocol` folds them.
         reg.counter("state.tree.sent").add(7);
+        reg.counter("state.tree.rows_sent").add(19);
         reg.gauge("state.tree.depth").set(3.0);
         // Flight-recorder and SLO-window keys, as
         // `FlightRecorder::publish` / `SloTracker::publish` set them.

@@ -74,15 +74,15 @@ fn converged_tables_drive_identical_routing() {
     let _ = ProxyId::new(0); // silence unused-import pedantry if members empty
 }
 
-/// Runs one protocol cell over the Table 1 world of `proxies` proxies
-/// (seed 42, one build thread — the benchmark's `churn_admit` world at
-/// 500) to convergence. `plan` sees the protocol so it can aim faults
-/// at tree roots.
-fn pinned_cell(
+/// One protocol cell over the Table 1 world of `proxies` proxies (seed
+/// 42, one build thread — the benchmark's `churn_admit` world at 500),
+/// ready to run. `plan` sees the protocol so it can aim faults at tree
+/// roots.
+fn pinned_protocol(
     proxies: usize,
     config: ProtocolConfig,
     plan: impl FnOnce(&ServiceOverlay, &StateProtocol) -> FaultPlan,
-) -> StateReport {
+) -> StateProtocol {
     let overlay = ServiceOverlay::build(&SonConfig {
         threads: 1,
         ..SonConfig::from_environment(Environment::table1(proxies, 42))
@@ -95,7 +95,57 @@ fn pinned_cell(
     );
     let plan = plan(&overlay, &protocol);
     protocol.install_faults(plan);
-    protocol.run_until_converged(SimTime::from_ms(60_000.0))
+    protocol
+}
+
+/// [`pinned_protocol`] run to convergence.
+fn pinned_cell(
+    proxies: usize,
+    config: ProtocolConfig,
+    plan: impl FnOnce(&ServiceOverlay, &StateProtocol) -> FaultPlan,
+) -> StateReport {
+    pinned_protocol(proxies, config, plan).run_until_converged(SimTime::from_ms(60_000.0))
+}
+
+/// A fault plan aimed at a built overlay and its protocol.
+type Plan = fn(&ServiceOverlay, &StateProtocol) -> FaultPlan;
+
+/// The benchmark's plan: 5 % loss.
+fn lossy(_: &ServiceOverlay, _: &StateProtocol) -> FaultPlan {
+    FaultPlan::new(42).with_loss(0.05)
+}
+
+/// 5 % loss, the largest cluster's tree root down for 300 ms — long
+/// enough for its children to enter repair — and the smallest
+/// multi-member cluster cut off for the first 150 ms.
+fn root_restart_and_healed_partition(
+    overlay: &ServiceOverlay,
+    protocol: &StateProtocol,
+) -> FaultPlan {
+    let hfc = overlay.hfc();
+    let by_size = |c: &son_core::ClusterId| hfc.members(*c).len();
+    let largest = hfc.clusters().max_by_key(by_size).expect("clusters");
+    let island = hfc
+        .clusters()
+        .filter(|c| *c != largest && by_size(c) > 1)
+        .min_by_key(by_size)
+        .expect("a second multi-member cluster");
+    let root = protocol.forest().expect("tree mode").root_of(largest);
+    FaultPlan::new(42)
+        .with_loss(0.05)
+        .with_crash(
+            NodeId::new(root.index()),
+            SimTime::from_ms(50.0),
+            Some(SimTime::from_ms(350.0)),
+        )
+        .with_partition(
+            SimTime::ZERO,
+            SimTime::from_ms(150.0),
+            hfc.members(island)
+                .iter()
+                .map(|p| NodeId::new(p.index()))
+                .collect(),
+        )
 }
 
 /// A converged report with nothing crashed; the cells below fill in
@@ -113,37 +163,41 @@ const CONVERGED: StateReport = StateReport {
     stale_ignored: 0,
     refresh_rounds: 0,
     tree_messages: 0,
+    rows_sent: 0,
     tree_suppressed: 0,
     tree_repairs: 0,
     trace_hash: 0,
 };
 
 // The three digests below pin the protocol bit for bit: every counter,
-// the simulated end time and the event-trace hash were read off the
-// commit *before* service sets became shared slices and tree messages
-// shared row batches, so a change to what is sent, when, or how a
-// version guard fires shows up here as a diff, not as a slowdown.
+// the simulated end time and the event-trace hash, so a change to what
+// is sent, when, or how a version guard fires shows up here as a diff,
+// not as a slowdown. The flooding one was read off the commit before
+// service sets became shared slices; the two tree ones off the commit
+// that made tree messages rate-limited, acknowledged row deltas.
+
+/// When the benchmark cell converges, in simulated ms.
+const ENDED_BENCHMARK_CELL_MS: f64 = 360.0;
 
 #[test]
 fn tree_digest_of_the_benchmark_cell_is_pinned() {
-    let report = pinned_cell(500, ProtocolConfig::tree(), |_, _| {
-        FaultPlan::new(42).with_loss(0.05)
-    });
+    let report = pinned_cell(500, ProtocolConfig::tree(), lossy);
     assert_eq!(
         report,
         StateReport {
-            ended_at: SimTime::from_ms(440.0),
-            messages_delivered: 151_703,
-            messages_dropped: 8_314,
+            ended_at: SimTime::from_ms(ENDED_BENCHMARK_CELL_MS),
+            messages_delivered: 62_633,
+            messages_dropped: 3_576,
             local_messages: 0,
-            aggregate_messages: 30_693,
+            aggregate_messages: 16_970,
             messages_duplicated: 0,
-            stale_ignored: 52_795,
-            refresh_rounds: 5_500,
-            tree_messages: 134_314,
-            tree_suppressed: 5_351_016,
+            stale_ignored: 1,
+            refresh_rounds: 4_500,
+            tree_messages: 54_193,
+            rows_sent: 140_654,
+            tree_suppressed: 4_124_742,
             tree_repairs: 0,
-            trace_hash: 0xa956_3de5_df7c_b214,
+            trace_hash: 0x193f_67e5_c559_c4ef,
             ..CONVERGED
         }
     );
@@ -177,53 +231,66 @@ fn flooding_digest_under_duplication_jitter_and_loss_is_pinned() {
     );
 }
 
+/// When the root-restart cell converges, in simulated ms.
+const ENDED_AFTER_RESTART_MS: f64 = 520.0;
+
 #[test]
 fn tree_digest_through_a_root_restart_and_a_healed_partition_is_pinned() {
-    let report = pinned_cell(250, ProtocolConfig::tree(), |overlay, protocol| {
-        // The largest cluster's tree root goes down for 300 ms — long
-        // enough for its children to enter repair — while the smallest
-        // multi-member cluster is cut off for the first 150 ms.
-        let hfc = overlay.hfc();
-        let by_size = |c: &son_core::ClusterId| hfc.members(*c).len();
-        let largest = hfc.clusters().max_by_key(by_size).expect("clusters");
-        let island = hfc
-            .clusters()
-            .filter(|c| *c != largest && by_size(c) > 1)
-            .min_by_key(by_size)
-            .expect("a second multi-member cluster");
-        let root = protocol.forest().expect("tree mode").root_of(largest);
-        FaultPlan::new(42)
-            .with_loss(0.05)
-            .with_crash(
-                NodeId::new(root.index()),
-                SimTime::from_ms(50.0),
-                Some(SimTime::from_ms(350.0)),
-            )
-            .with_partition(
-                SimTime::ZERO,
-                SimTime::from_ms(150.0),
-                hfc.members(island)
-                    .iter()
-                    .map(|p| NodeId::new(p.index()))
-                    .collect(),
-            )
-    });
+    let report = pinned_cell(
+        250,
+        ProtocolConfig::tree(),
+        root_restart_and_healed_partition,
+    );
     assert_eq!(
         report,
         StateReport {
-            ended_at: SimTime::from_ms(520.0),
-            messages_delivered: 47_277,
-            messages_dropped: 3_182,
+            ended_at: SimTime::from_ms(ENDED_AFTER_RESTART_MS),
+            messages_delivered: 25_836,
+            messages_dropped: 1_791,
             local_messages: 0,
-            aggregate_messages: 11_552,
+            aggregate_messages: 8_061,
             messages_duplicated: 0,
-            stale_ignored: 28_853,
+            stale_ignored: 1_864,
             refresh_rounds: 3_242,
-            tree_messages: 40_667,
-            tree_suppressed: 1_488_000,
-            tree_repairs: 4,
-            trace_hash: 0x67d7_ce45_77cf_a9bd,
+            tree_messages: 21_320,
+            rows_sent: 67_286,
+            tree_suppressed: 1_477_467,
+            tree_repairs: 5,
+            trace_hash: 0x12af_f0bb_7338_4cc5,
             ..CONVERGED
         }
     );
+}
+
+/// `run_until_converged` re-checks only the proxies whose tables changed
+/// since the previous slice. After every slice of both tree cells that
+/// incremental count must equal a full check of every live proxy, and
+/// the first slice it reads converged past the plan's horizon (the
+/// restart at 350 ms) is the pinned end time.
+#[test]
+fn incremental_staleness_equals_a_full_check_after_every_slice() {
+    let cells: [(usize, Plan, f64, f64); 2] = [
+        (500, lossy, 0.0, ENDED_BENCHMARK_CELL_MS),
+        (
+            250,
+            root_restart_and_healed_partition,
+            350.0,
+            ENDED_AFTER_RESTART_MS,
+        ),
+    ];
+    for (proxies, plan, horizon, ended) in cells {
+        let mut protocol = pinned_protocol(proxies, ProtocolConfig::tree(), plan);
+        let mut at = 0.0;
+        while at < ended {
+            at += 40.0;
+            protocol.run_until(SimTime::from_ms(at));
+            let tracked = protocol.tracked_staleness();
+            assert_eq!(tracked, protocol.staleness(), "{proxies} proxies, {at} ms");
+            assert_eq!(
+                tracked.is_converged() && at >= horizon,
+                at == ended,
+                "{proxies} proxies, {at} ms"
+            );
+        }
+    }
 }
