@@ -142,9 +142,10 @@ pub enum StateMsg {
         version: u64,
     },
     /// Tree mode: the table rows the sender changed since the receiver
-    /// acknowledged them (a periodic sync; a cascade, if it was sent
-    /// them twice since) — its whole table after a restart or to answer
-    /// a [`Repair`](StateMsg::Repair). Rows keep their origin's version.
+    /// acknowledged them (a periodic sync; a cascade or its re-send, if
+    /// it was sent them twice since) — its whole table after a restart
+    /// or to answer a [`Repair`](StateMsg::Repair). Rows keep their
+    /// origin's version.
     TreeSync { rows: Arc<Rows>, mark: Mark },
     /// Tree mode's flooding fallback: a proxy whose parent went silent
     /// broadcasts everything it knows to every cluster peer. Receivers
@@ -200,10 +201,19 @@ struct Link {
     prev: u32,
 }
 
+impl Link {
+    /// This proxy's change after which a row may have reached the
+    /// neighbour by one send at most, unacknowledged.
+    fn unsure(&self) -> u32 {
+        self.prev.max(self.acked)
+    }
+}
+
 const LOCAL_TIMER: u64 = 1;
 const AGGREGATE_TIMER: u64 = 2;
 const REFRESH_TIMER: u64 = 3;
 const ADVERT_TIMER: u64 = 4;
+const RESEND_TIMER: u64 = 5;
 
 /// One proxy's protocol state machine.
 #[derive(Debug)]
@@ -230,6 +240,8 @@ pub struct ProxyActor {
     /// Tree mode: `Some` while the hold after an advertisement runs,
     /// `Some(true)` once another is owed at its end.
     hold: Option<bool>,
+    /// Tree mode: `true` while a re-send of the last cascades is due.
+    resend: bool,
     config: ProtocolConfig,
     local_rounds_left: usize,
     aggregate_rounds_left: usize,
@@ -391,13 +403,20 @@ impl ProxyActor {
     /// Relays what changed to every tree neighbor except the one it
     /// came from — the event-driven wave that lets a deep tree
     /// converge without waiting one refresh period per hop. Unless
-    /// acknowledged, a change rides two cascades, so one lost cascade
-    /// is repaired by the next rather than by the next refresh.
+    /// acknowledged, a change rides two sends, so one lost cascade is
+    /// repaired by the next rather than by the next refresh; the last
+    /// one has no next, so an aggregate period after a cascade (one
+    /// re-send pending at a time) each edge's last send goes again.
     fn cascade(&mut self, ctx: &mut Ctx<'_, StateMsg>, except: Option<ProxyId>) {
         for i in 0..self.links.len() {
             if Some(self.links[i].to) != except {
-                self.ship(ctx, self.links[i].to, |link| link.prev.max(link.acked));
+                self.ship(ctx, self.links[i].to, Link::unsure);
             }
+        }
+        if !self.resend {
+            self.resend = true;
+            let period = SimTime::from_ms(self.config.aggregate_period_ms);
+            ctx.set_timer(period, RESEND_TIMER);
         }
     }
 
@@ -621,6 +640,15 @@ impl Actor for ProxyActor {
             }
             // The hold ends either way; an owed advertisement goes now.
             ADVERT_TIMER if self.hold.take() == Some(true) => self.advertise(ctx),
+            // Rows the last cascades shipped once go again.
+            RESEND_TIMER => {
+                self.resend = false;
+                for i in 0..self.links.len() {
+                    if self.links[i].sent > self.links[i].unsure() {
+                        self.ship(ctx, self.links[i].to, Link::unsure);
+                    }
+                }
+            }
             REFRESH_TIMER => {
                 // Anti-entropy: unconditionally re-send everything we
                 // know, forever. Any row a lost message left stale is
@@ -679,9 +707,9 @@ impl Actor for ProxyActor {
     fn on_restart(&mut self, ctx: &mut Ctx<'_, StateMsg>) {
         // Volatile state dies with the crash: tables, versions, change
         // numbers, what each tree edge acknowledged, the advertisement
-        // hold (its timer died too) and the round budget reset; the
-        // message counters survive because they account for network
-        // overhead, not per-incarnation work.
+        // hold and a due re-send (their timers died too) and the round
+        // budget reset; the message counters survive because they
+        // account for network overhead, not per-incarnation work.
         self.sctp = SctP::new();
         self.sctc = SctC::new();
         self.seq = 0;
@@ -689,6 +717,7 @@ impl Actor for ProxyActor {
             (link.boot, link.heard, link.acked, link.sent, link.prev) = (0, 0, 0, 0, 0);
         }
         self.hold = None;
+        self.resend = false;
         self.local_rounds_left = self.config.rounds;
         self.aggregate_rounds_left = self.config.rounds;
         self.boot(ctx);
@@ -867,6 +896,7 @@ impl StateProtocol {
                 boot: 0,
                 seq: 0,
                 hold: None,
+                resend: false,
                 config: config.clone(),
                 local_rounds_left: config.rounds,
                 aggregate_rounds_left: config.rounds,

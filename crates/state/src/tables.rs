@@ -31,7 +31,11 @@ pub struct Sct<K> {
     /// (Dropping it on every change instead costs `setup_s` @
     /// `churn_admit` 0.195 → 0.266 s, ten of ten paired runs.)
     union: OnceLock<ServiceSet>,
-    /// `(change, key)` of every change after change `floor`, in order.
+    /// `(change, key)` of every change after change `floor`, in order,
+    /// so a delta is read without scanning the table. (On a two-core
+    /// x86-64 machine, 10 000 proxies under 5 % loss converge in 24 s;
+    /// scanning for every delta instead takes 43–46 s, and never
+    /// trimming the log raises peak RSS 542 → 601 MB.)
     log: Vec<(u32, K)>,
     floor: u32,
 }

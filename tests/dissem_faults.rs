@@ -282,18 +282,18 @@ fn one_tree_edge_digest_is_pinned() {
             stale_entries: 0,
             crashed_proxies: 0,
             ended_at: SimTime::from_ms(1_000.0),
-            messages_delivered: 1_324,
-            messages_dropped: 147,
+            messages_delivered: 1_502,
+            messages_dropped: 176,
             local_messages: 0,
-            aggregate_messages: 336,
-            messages_duplicated: 250,
-            stale_ignored: 3,
+            aggregate_messages: 338,
+            messages_duplicated: 273,
+            stale_ignored: 10,
             refresh_rounds: 495,
-            tree_messages: 1_093,
-            rows_sent: 575,
-            tree_suppressed: 5_030,
+            tree_messages: 1_259,
+            rows_sent: 662,
+            tree_suppressed: 5_082,
             tree_repairs: 0,
-            trace_hash: 0x52a9_57b0_46fa_0d89,
+            trace_hash: 0xe20f_2e95_e6b9_ab35,
         }
     );
 }

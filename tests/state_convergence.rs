@@ -186,18 +186,18 @@ fn tree_digest_of_the_benchmark_cell_is_pinned() {
         report,
         StateReport {
             ended_at: SimTime::from_ms(ENDED_BENCHMARK_CELL_MS),
-            messages_delivered: 62_633,
-            messages_dropped: 3_576,
+            messages_delivered: 70_964,
+            messages_dropped: 3_999,
             local_messages: 0,
-            aggregate_messages: 16_970,
+            aggregate_messages: 16_937,
             messages_duplicated: 0,
             stale_ignored: 1,
             refresh_rounds: 4_500,
-            tree_messages: 54_193,
-            rows_sent: 140_654,
-            tree_suppressed: 4_124_742,
+            tree_messages: 63_027,
+            rows_sent: 139_909,
+            tree_suppressed: 4_126_825,
             tree_repairs: 0,
-            trace_hash: 0x193f_67e5_c559_c4ef,
+            trace_hash: 0xbc97_01d2_4be3_2002,
             ..CONVERGED
         }
     );
@@ -232,7 +232,7 @@ fn flooding_digest_under_duplication_jitter_and_loss_is_pinned() {
 }
 
 /// When the root-restart cell converges, in simulated ms.
-const ENDED_AFTER_RESTART_MS: f64 = 520.0;
+const ENDED_AFTER_RESTART_MS: f64 = 480.0;
 
 #[test]
 fn tree_digest_through_a_root_restart_and_a_healed_partition_is_pinned() {
@@ -245,18 +245,18 @@ fn tree_digest_through_a_root_restart_and_a_healed_partition_is_pinned() {
         report,
         StateReport {
             ended_at: SimTime::from_ms(ENDED_AFTER_RESTART_MS),
-            messages_delivered: 25_836,
-            messages_dropped: 1_791,
+            messages_delivered: 28_479,
+            messages_dropped: 1_956,
             local_messages: 0,
-            aggregate_messages: 8_061,
+            aggregate_messages: 7_555,
             messages_duplicated: 0,
-            stale_ignored: 1_864,
-            refresh_rounds: 3_242,
-            tree_messages: 21_320,
-            rows_sent: 67_286,
-            tree_suppressed: 1_477_467,
-            tree_repairs: 5,
-            trace_hash: 0x12af_f0bb_7338_4cc5,
+            stale_ignored: 1_593,
+            refresh_rounds: 2_992,
+            tree_messages: 24_611,
+            rows_sent: 67_473,
+            tree_suppressed: 1_347_313,
+            tree_repairs: 4,
+            trace_hash: 0x4b17_c88e_8c85_ebe8,
             ..CONVERGED
         }
     );
