@@ -11,10 +11,14 @@
 //!   the bi-level design it generalizes;
 //! * at 2 000 proxies, where top-level groups hold several clusters
 //!   each, 300 routes are hop for hop and cost bit for cost bit the
-//!   ones the map-based planner of ISSUE 18's commit produced.
+//!   ones the map-based planner of ISSUE 18's commit produced;
+//! * on the 500-proxy Table 1 world, 300 bi-level routes with
+//!   back-tracking on and 300 with it off are hop for hop and cost bit
+//!   for cost bit the ones the separate bi-level router produced.
 
 use son_core::{
-    Environment, FlatRouter, HierarchyConfig, ProviderIndex, Router, ServiceOverlay, SonConfig,
+    Environment, FlatRouter, HierConfig, HierarchicalRouter, HierarchyConfig, ProviderIndex,
+    Router, ServiceOverlay, SonConfig,
 };
 
 fn overlay_1k() -> ServiceOverlay {
@@ -119,4 +123,39 @@ fn depth_three_routes_at_2k_are_bit_identical_to_the_map_based_planner() {
     // `plan_over` was the `BTreeMap` DP.
     let digest = fnv(words);
     assert_eq!(digest, 0x4dc3_92a4_8d37_ecda, "digest {digest:#018x}");
+}
+
+#[test]
+fn depth_two_routes_on_the_table1_world_are_pinned() {
+    let mut config = SonConfig::from_environment(Environment::table1(500, 42));
+    config.threads = 2;
+    let overlay = ServiceOverlay::build(&config);
+    let requests = overlay.generate_client_requests(300, 9);
+
+    let mut words = Vec::new();
+    for backtracking in [true, false] {
+        let router = HierarchicalRouter::from_services(
+            overlay.hfc(),
+            overlay.services(),
+            overlay.predicted_delays(),
+            HierConfig { backtracking },
+        );
+        for request in &requests {
+            let path = router
+                .route_path(request)
+                .expect("every client request is routable");
+            path.validate(request, |p, s| overlay.carries(p, s))
+                .expect("bi-level path must be structurally valid");
+            for hop in path.hops() {
+                words.push(hop.proxy.index() as u64);
+                words.push(hop.service.map_or(u64::MAX, |s| s.index() as u64));
+            }
+            words.push(path.length(overlay.predicted_delays()).to_bits());
+        }
+    }
+    // Printed by this very test while `HierarchicalRouter` was the
+    // bi-level router alone, before it learned to recurse over a
+    // `Hierarchy`.
+    let digest = fnv(words);
+    assert_eq!(digest, 0x405d_94ee_5ad5_ad04, "digest {digest:#018x}");
 }
