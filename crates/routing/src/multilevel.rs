@@ -352,9 +352,12 @@ where
     /// and its estimated cost, over the units of
     /// [`MultiLevelRouter::siblings`].
     ///
-    /// The source always sorts at its own id: it starts in its border
-    /// slot when it is a border towards a sibling, else in its unit's
-    /// source slot, visited where its id falls among the borders.
+    /// The source starts in its border slot when it is a border towards
+    /// a sibling, else in its unit's source slot, visited where its id
+    /// falls among the borders — except that at the base level a source
+    /// the solve has no coordinates for (no border, outside the
+    /// destination's cluster) is visited after its cluster's borders,
+    /// as in the bi-level router.
     fn plan_over(
         &self,
         level: usize,
@@ -391,9 +394,16 @@ where
                         }
                     })
                     .collect();
+                let coordinates = level > 1
+                    || self.hfc.is_border(source)
+                    || self.hfc.cluster_of(source).index() == dst_unit;
                 Start {
                     state: table.source_slot(src_unit),
-                    rank,
+                    rank: if coordinates {
+                        rank
+                    } else {
+                        table.borders(src_unit).len()
+                    },
                     row: &source_row,
                 }
             }

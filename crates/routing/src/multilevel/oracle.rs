@@ -44,6 +44,19 @@ where
     ) -> Result<(f64, Vec<(StageId, usize)>), RouteError> {
         let src_unit = self.unit_of(level, source);
         let dst_unit = self.unit_of(level, dest);
+        // A base-level source without known coordinates keys after its
+        // cluster's borders.
+        let last = level == 1
+            && !self.hfc.is_border(source)
+            && self.hfc.cluster_of(source).index() != dst_unit;
+        let key = |unit, entry| match key(unit, entry) {
+            (u, _) if last && entry == source => (u, u32::MAX),
+            k => k,
+        };
+        let unkey = |k: StateKey| match k {
+            (u, u32::MAX) if last => (u as usize, source),
+            k => unkey(k),
+        };
 
         let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(graph.len());
         for stage in graph.stage_ids() {
