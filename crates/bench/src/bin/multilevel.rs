@@ -8,10 +8,20 @@
 //! ```
 
 use son_bench::environment_for;
-use son_core::{
-    HierConfig, MultiLevelHfc, MultiLevelRouter, OverheadKind, ServiceOverlay, SonConfig,
-    ZahnConfig,
-};
+use son_core::{Hierarchy, HierarchyConfig, OverheadKind, ServiceOverlay, SonConfig, ZahnConfig};
+
+/// The depth-3 hierarchy over `overlay`: clusters grouped again by the
+/// Zahn method over cluster-representative distances.
+fn superclusters(overlay: &ServiceOverlay) -> Hierarchy {
+    let config = HierarchyConfig {
+        zahn: ZahnConfig {
+            min_cluster_size: 2,
+            ..ZahnConfig::default()
+        },
+        ..HierarchyConfig::default()
+    };
+    Hierarchy::build_with_depth(overlay.hfc(), overlay.predicted_delays(), &config, 3)
+}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -29,22 +39,15 @@ fn main() {
     for &proxies in sizes {
         let overlay =
             ServiceOverlay::build(&SonConfig::from_environment(environment_for(proxies, 42)));
-        let ml = MultiLevelHfc::build(
-            overlay.hfc(),
-            overlay.predicted_delays(),
-            &ZahnConfig {
-                min_cluster_size: 2,
-                ..ZahnConfig::default()
-            },
-        );
+        let hierarchy = superclusters(&overlay);
         let (flat_c, two_c) = overlay.overhead(OverheadKind::Coordinates);
         let (flat_s, two_s) = overlay.overhead(OverheadKind::ServiceCapability);
-        let (three_c, three_s) = ml.mean_overheads(overlay.hfc());
+        let (three_c, three_s) = hierarchy.mean_overheads(overlay.hfc());
         println!(
             "{:>8} {:>7} {:>7} | {:>8.0} {:>9.1} {:>9.1} | {:>8.0} {:>9.1} {:>9.1}",
             proxies,
             overlay.hfc().cluster_count(),
-            ml.supercluster_count(),
+            hierarchy.unit_count(2),
             flat_c.mean,
             two_c.mean,
             three_c,
@@ -62,22 +65,9 @@ fn main() {
     // Path-quality price of the extra level, at the smallest size.
     let proxies = sizes[0];
     let overlay = ServiceOverlay::build(&SonConfig::from_environment(environment_for(proxies, 42)));
-    let ml = MultiLevelHfc::build(
-        overlay.hfc(),
-        overlay.predicted_delays(),
-        &ZahnConfig {
-            min_cluster_size: 2,
-            ..ZahnConfig::default()
-        },
-    );
+    let hierarchy = superclusters(&overlay);
     let two = overlay.hier_router();
-    let three = MultiLevelRouter::from_services(
-        overlay.hfc(),
-        ml.hierarchy(),
-        overlay.services(),
-        overlay.predicted_delays(),
-        HierConfig::default(),
-    );
+    let three = overlay.multilevel_router(&hierarchy);
     let batch = overlay.generate_client_requests(200, 7);
     let (mut l2, mut l3, mut n) = (0.0, 0.0, 0);
     for request in &batch {
@@ -85,7 +75,7 @@ fn main() {
             continue;
         };
         l2 += overlay.true_length(&a.path);
-        l3 += overlay.true_length(&b);
+        l3 += overlay.true_length(&b.path);
         n += 1;
     }
     println!(

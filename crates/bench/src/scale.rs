@@ -10,7 +10,7 @@
 //!    election's work count off the topology;
 //! 2. builds the cluster hierarchy at depth 2 (the paper's bi-level
 //!    HFC) and depth 3, recording mean per-proxy state by level count;
-//! 3. routes a fixed batch over the recursive [`MultiLevelRouter`] and
+//! 3. routes a fixed batch over the hierarchical router at depth 3 and
 //!    — at sizes where it is affordable — over the flat global-view
 //!    router, recording the cost ratio to the flat optimum;
 //! 4. asserts the bounded true-delay cache held its row cap.

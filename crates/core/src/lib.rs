@@ -33,11 +33,9 @@
 
 pub mod export;
 pub mod membership;
-pub mod multilevel;
 pub mod overlay_system;
 
 pub use membership::{ChurnStats, DynamicOverlay};
-pub use multilevel::{MultiLevelHfc, SuperClusterId};
 pub use overlay_system::{
     BuildStage, BuildStats, OverlayBuilder, ServiceOverlay, SonConfig, StageTimings,
 };
@@ -73,9 +71,8 @@ pub use son_routing::fixtures;
 pub use son_routing::{
     request_trace, resolve_distributed, solve_service_dag, trace_hops, Assignment, BasicTraced,
     ChildSpec, CostConfig, CostModel, FlatRouter, HierConfig, HierRoute, HierarchicalRouter,
-    LoadAwareDelays, MultiLevelRouter, PathBuilder, PathHop, ProviderIndex, ProviderLookup,
-    RouteError, RoutePlan, Router, ServicePath, SessionReport, TraceRouter, Traced,
-    ValidatePathError,
+    LoadAwareDelays, PathBuilder, PathHop, ProviderIndex, ProviderLookup, RouteError, RoutePlan,
+    Router, ServicePath, SessionReport, TraceRouter, Traced, ValidatePathError,
 };
 pub use son_state::{
     flat_overhead, hfc_overhead, ClusterLoad, ClusterLoadRow, ConvergenceChecker, DissemMode,

@@ -38,8 +38,7 @@ use son_overlay::{
     ServiceSet, StatusMap,
 };
 use son_routing::{
-    FlatRouter, HierConfig, HierarchicalRouter, MultiLevelRouter, ProviderIndex, RouteError,
-    ServicePath,
+    FlatRouter, HierConfig, HierarchicalRouter, ProviderIndex, RouteError, ServicePath,
 };
 use son_state::{
     flat_overhead, hfc_overhead, DissemMode, OverheadKind, OverheadReport, ProtocolConfig,
@@ -711,7 +710,7 @@ impl ServiceOverlay {
     pub fn qos_router(&self, req: &QosRequirement) -> HierarchicalRouter<'_, &CoordDelays> {
         HierarchicalRouter::from_services(
             &self.hfc,
-            &self.admissible_services(req),
+            self.admissible_services(req),
             &self.predicted,
             self.config.hier,
         )
@@ -754,8 +753,7 @@ impl ServiceOverlay {
     }
 
     /// Engine snapshot carrying a recursive hierarchy, so
-    /// [`son_engine::MultiLevelProvider`] routes over all its levels
-    /// instead of falling back to the bi-level router.
+    /// [`son_engine::MultiLevelProvider`] plans over all its levels.
     pub fn engine_snapshot_with_hierarchy(
         &self,
         hierarchy: Arc<Hierarchy>,
@@ -763,19 +761,13 @@ impl ServiceOverlay {
         self.engine_snapshot().with_hierarchy(hierarchy)
     }
 
-    /// A recursive multi-level router over `hierarchy` and this
-    /// overlay's converged state.
+    /// The hierarchical router planning over every level of
+    /// `hierarchy`, over this overlay's converged state.
     pub fn multilevel_router<'a>(
         &'a self,
         hierarchy: &'a Hierarchy,
-    ) -> MultiLevelRouter<'a, &'a CoordDelays> {
-        MultiLevelRouter::from_services(
-            &self.hfc,
-            hierarchy,
-            &self.services,
-            &self.predicted,
-            self.config.hier,
-        )
+    ) -> HierarchicalRouter<'a, &'a CoordDelays> {
+        self.hier_router().with_hierarchy(hierarchy)
     }
 
     /// A multi-threaded serving engine over this overlay using the

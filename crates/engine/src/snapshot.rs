@@ -13,8 +13,8 @@
 //! [`RouterProvider`], so routers need no internal synchronization and
 //! the only cross-thread state is the snapshot (read-only) and the
 //! sharded cache. [`HierProvider`] and [`FlatProvider`] cover the two
-//! routers living in `son-routing`; son-core adds a provider for its
-//! three-level `MultiLevelRouter` the same way.
+//! routers living in `son-routing`; [`MultiLevelProvider`] hands the
+//! hierarchical router the snapshot's [`Hierarchy`] as well.
 
 use son_overlay::{
     ClusterId, CoordDelays, DelayModel, Health, HfcTopology, Hierarchy, ProxyId, ServiceRequest,
@@ -22,7 +22,7 @@ use son_overlay::{
 };
 use son_routing::{
     BasicTraced, CostConfig, CostModel, CspRouter, FlatRouter, HierConfig, HierarchicalRouter,
-    LoadAwareDelays, MultiLevelRouter, ProviderIndex, Router, TraceRouter,
+    LoadAwareDelays, ProviderIndex, Router, TraceRouter,
 };
 use son_state::ClusterLoad;
 use std::sync::Arc;
@@ -248,9 +248,7 @@ impl EngineSnapshot<CoordDelays> {
 /// Builds a fresh router over a snapshot, once per worker per batch.
 ///
 /// The `&'a self` receiver lets a provider lend router inputs it owns
-/// *beside* the snapshot — son-core's multi-level provider keeps the
-/// supercluster hierarchy it derived from the snapshot and lends it to
-/// every router it builds.
+/// *beside* the snapshot to every router it builds.
 pub trait RouterProvider<D: DelayModel>: Sync {
     /// Constructs a router borrowing from `snapshot` (and possibly from
     /// the provider itself).
@@ -291,27 +289,32 @@ pub struct HierProvider {
     pub config: HierConfig,
 }
 
-impl HierProvider {
-    fn build<'a, D: DelayModel>(
-        &self,
-        snapshot: &'a EngineSnapshot<D>,
-    ) -> HierarchicalRouter<'a, LoadAwareDelays<'a, D>> {
-        let router = HierarchicalRouter::from_services(
-            &snapshot.hfc,
-            &snapshot.services,
-            snapshot.route_delays(),
-            self.config,
-        );
-        match snapshot.cluster_load() {
-            Some(load) => router.with_cluster_load(load.clone()),
-            None => router,
-        }
+/// The hierarchical router over `snapshot`, planning over the levels of
+/// `hierarchy` when one is given and over the clusters alone otherwise.
+fn hier_router<'a, D: DelayModel>(
+    config: HierConfig,
+    snapshot: &'a EngineSnapshot<D>,
+    hierarchy: Option<&'a Hierarchy>,
+) -> HierarchicalRouter<'a, LoadAwareDelays<'a, D>> {
+    let router = HierarchicalRouter::from_services(
+        &snapshot.hfc,
+        &snapshot.services,
+        snapshot.route_delays(),
+        config,
+    );
+    let router = match hierarchy {
+        Some(hierarchy) => router.with_hierarchy(hierarchy),
+        None => router,
+    };
+    match snapshot.cluster_load() {
+        Some(load) => router.with_cluster_load(load.clone()),
+        None => router,
     }
 }
 
 impl<D: DelayModel> RouterProvider<D> for HierProvider {
     fn router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn Router + 'a> {
-        Box::new(self.build(snapshot))
+        Box::new(hier_router(self.config, snapshot, None))
     }
 
     fn name(&self) -> &'static str {
@@ -319,14 +322,14 @@ impl<D: DelayModel> RouterProvider<D> for HierProvider {
     }
 
     fn traced_router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn TraceRouter + 'a> {
-        Box::new(self.build(snapshot))
+        Box::new(hier_router(self.config, snapshot, None))
     }
 
     fn csp_router<'a>(
         &'a self,
         snapshot: &'a EngineSnapshot<D>,
     ) -> Option<Box<dyn CspRouter + 'a>> {
-        Some(Box::new(self.build(snapshot)))
+        Some(Box::new(hier_router(self.config, snapshot, None)))
     }
 }
 
@@ -350,12 +353,10 @@ impl<D: DelayModel> RouterProvider<D> for FlatProvider {
     }
 }
 
-/// Provider of the recursive multi-level router.
-///
-/// Routes over the [`Hierarchy`] attached to the snapshot
-/// ([`EngineSnapshot::with_hierarchy`]); on snapshots without one it
-/// falls back to the bi-level hierarchical router, which the
-/// multi-level algorithm reproduces at depth 2 anyway.
+/// Provider of the hierarchical router over every level of the
+/// [`Hierarchy`] attached to the snapshot
+/// ([`EngineSnapshot::with_hierarchy`]), or over the clusters alone —
+/// exactly what [`HierProvider`] builds — on snapshots without one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MultiLevelProvider {
     /// Hierarchical router tuning (shared with [`HierProvider`]).
@@ -364,48 +365,26 @@ pub struct MultiLevelProvider {
 
 impl<D: DelayModel> RouterProvider<D> for MultiLevelProvider {
     fn router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn Router + 'a> {
-        match snapshot.hierarchy() {
-            Some(hierarchy) => {
-                let router = MultiLevelRouter::from_services(
-                    snapshot.hfc(),
-                    hierarchy,
-                    snapshot.services(),
-                    snapshot.route_delays(),
-                    self.config,
-                );
-                match snapshot.cluster_load() {
-                    Some(load) => Box::new(router.with_cluster_load(load.clone())),
-                    None => Box::new(router),
-                }
-            }
-            None => Box::new(
-                HierProvider {
-                    config: self.config,
-                }
-                .build(snapshot),
-            ),
-        }
+        Box::new(hier_router(self.config, snapshot, snapshot.hierarchy()))
     }
 
     fn name(&self) -> &'static str {
         "multilevel"
     }
 
+    fn traced_router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn TraceRouter + 'a> {
+        Box::new(hier_router(self.config, snapshot, snapshot.hierarchy()))
+    }
+
     fn csp_router<'a>(
         &'a self,
         snapshot: &'a EngineSnapshot<D>,
     ) -> Option<Box<dyn CspRouter + 'a>> {
-        // The recursive router has no single-level frontier to reuse;
-        // the bi-level fallback (no hierarchy attached) is the plain
-        // hierarchical router and shares its frontier implementation.
+        // The engine's CSP keys name clusters, so it replays frontiers
+        // only where the top level is the clusters.
         match snapshot.hierarchy() {
             Some(_) => None,
-            None => Some(Box::new(
-                HierProvider {
-                    config: self.config,
-                }
-                .build(snapshot),
-            )),
+            None => Some(Box::new(hier_router(self.config, snapshot, None))),
         }
     }
 }
@@ -525,13 +504,9 @@ mod tests {
             .with_hierarchy(hierarchy.clone());
         let provider = MultiLevelProvider::default();
         assert_eq!(RouterProvider::<DelayMatrix>::name(&provider), "multilevel");
-        let direct = MultiLevelRouter::from_services(
-            &hfc,
-            &hierarchy,
-            &services,
-            &delays,
-            HierConfig::default(),
-        );
+        let direct =
+            HierarchicalRouter::from_services(&hfc, &services, &delays, HierConfig::default())
+                .with_hierarchy(&hierarchy);
         let engine = Engine::new(
             snapshot,
             provider,
@@ -557,7 +532,7 @@ mod tests {
             served
                 .validate(request, |p, s| services[p.index()].contains(s))
                 .unwrap();
-            assert_eq!(served, &direct.route(request).unwrap());
+            assert_eq!(served, &direct.route(request).unwrap().path);
         }
     }
 

@@ -503,6 +503,21 @@ mod tests {
     }
 
     #[test]
+    fn overheads_count_the_right_pieces() {
+        let (hfc, delays) = nested_world();
+        let h = Hierarchy::build_with_depth(&hfc, &delays, &HierarchyConfig::default(), 3);
+        // A proxy sees: 3 own members + its region's internal border
+        // pair (2) + 2 region borders (one may coincide with an
+        // internal border or own member, so allow dedup).
+        let count = h.coordinate_overhead_of(&hfc, ProxyId::new(0));
+        assert!(count <= 3 + 2 + 2, "count {count}");
+        assert!(count >= 3);
+        // Services: 3 members + 2 clusters in its region + 1 other
+        // region.
+        assert_eq!(h.service_overhead_of(&hfc, ProxyId::new(0)), 6);
+    }
+
+    #[test]
     fn coordinate_election_does_not_change_the_hierarchy() {
         use crate::delays::Opaque;
         use rand::rngs::StdRng;

@@ -1,36 +1,51 @@
 //! Hierarchical (divide-and-conquer) service path finding — the
-//! paper's Section 5.
+//! paper's Section 5, applied at every level of a hierarchy.
 //!
 //! The destination proxy `pd` holds aggregate state only (`SCT_C` plus
 //! coordinates of its own cluster and of every border proxy), so
 //! routing proceeds top-down:
 //!
-//! 1. **map** — find, per stage, the clusters whose aggregate set
-//!    offers the demanded service, forming a cluster-level service DAG;
+//! 1. **map** — find, per stage, the units whose aggregate set offers
+//!    the demanded service, forming a unit-level service DAG;
 //! 2. **shortest path with back-tracking** — run a shortest-path pass
 //!    whose edge weights include not only the external border links but
 //!    also the *internal* border-to-border distances `pd` can estimate
 //!    from the coordinates it knows (the paper's back-tracking
 //!    refinement; disable via [`HierConfig::backtracking`] to measure
 //!    its benefit);
-//! 3. **divide** — dissect the cluster-level service path (CSP) into
-//!    child requests, one per maximal run of stages in the same
-//!    cluster, with entry/exit border proxies as child endpoints;
-//! 4. **conquer** — solve each child optimally inside its cluster with
-//!    the flat service-DAG method over `SCT_P`, then compose the child
-//!    paths and the border glue hops into the final service path.
+//! 3. **divide** — dissect the chosen service path into child requests,
+//!    one per maximal run of stages in the same unit, with entry/exit
+//!    border proxies as child endpoints;
+//! 4. **conquer** — solve each child one level down, then compose the
+//!    child paths and the border glue hops into the final service path.
+//!
+//! Level 1 is the HFC clusters; levels 2 and up come from an optional
+//! [`Hierarchy`] ([`HierarchicalRouter::with_hierarchy`]). Without one,
+//! the top level is the clusters and a child is solved inside its
+//! cluster with the flat service-DAG method over `SCT_P` — the paper's
+//! bi-level router. With one, a child of a level-*k* unit is planned
+//! over the level-*k − 1* units inside it by steps 1–3 again, until the
+//! chains bottom out in single clusters.
+//!
+//! Knowledge model, generalizing the paper's visibility rules: a solve
+//! at level *k* sees one aggregate per unit and the border pairs
+//! between units. Above the clusters every border proxy is a known
+//! coordinate; inside a cluster the solve knows its destination's
+//! cluster and every border proxy, and prices what it does not know at
+//! the lower bound zero.
 
 use crate::csp::{CspCandidate, CspFrontier, CspRouter};
 use crate::flat::RouteError;
-use crate::level::{LevelTable, Start};
+use crate::level::{LevelTable, Solved, Start};
 use crate::path::{PathBuilder, ServicePath};
 use crate::providers::ProviderIndex;
 use crate::sdag::{solve_service_dag, Assignment};
 use son_overlay::{
-    ClusterId, DelayModel, HfcDelays, HfcTopology, ProxyId, ServiceGraph, ServiceId,
-    ServiceRequest, ServiceSet, StageId,
+    BorderPair, ClusterId, DelayModel, HfcDelays, HfcTopology, Hierarchy, ProxyId, ServiceGraph,
+    ServiceId, ServiceRequest, ServiceSet, StageId,
 };
 use son_state::{ClusterLoad, SctC, SctP};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 #[cfg(test)]
@@ -52,28 +67,30 @@ impl Default for HierConfig {
 }
 
 /// The result of a hierarchical route: the composed concrete path plus
-/// the cluster-level decisions that produced it.
+/// the top-level decisions that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierRoute {
     /// The final composed service path.
     pub path: ServicePath,
-    /// Cluster assigned to each stage of the chosen configuration, in
-    /// path order.
+    /// Top-level unit assigned to each stage of the chosen
+    /// configuration, in path order: a cluster, or with a hierarchy of
+    /// depth three and more a unit of its top level.
     pub csp: Vec<(StageId, ClusterId)>,
     /// Number of child requests the CSP was dissected into.
     pub child_count: usize,
-    /// The cluster-level cost estimate that selected this CSP (external
+    /// The top-level cost estimate that selected this CSP (external
     /// links plus known internal lower bounds).
     pub estimate: f64,
 }
 
 /// One child request of a dissected CSP: a linear chain of services to
-/// be resolved inside one cluster, between an entry and an exit proxy.
+/// be resolved inside one unit, between an entry and an exit proxy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChildSpec {
-    /// The cluster that must resolve this child.
+    /// The unit that must resolve this child (a cluster, or a top-level
+    /// unit of a deeper hierarchy).
     pub cluster: ClusterId,
-    /// The proxy responsible for solving it (the cluster's exit border,
+    /// The proxy responsible for solving it (the unit's exit border,
     /// or the destination proxy for the final child).
     pub solver: ProxyId,
     /// The services demanded, in order.
@@ -85,13 +102,14 @@ pub struct ChildSpec {
 }
 
 /// The outcome of the destination proxy's local planning (Section 5
-/// steps 1–3): the cluster-level service path and the child requests it
+/// steps 1–3): the top-level service path and the child requests it
 /// dissects into.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutePlan {
-    /// Cluster assigned to each stage of the chosen configuration.
+    /// Top-level unit assigned to each stage of the chosen
+    /// configuration.
     pub csp: Vec<(StageId, ClusterId)>,
-    /// The cluster-level cost estimate that selected this CSP.
+    /// The top-level cost estimate that selected this CSP.
     pub estimate: f64,
     /// Child requests, in path order.
     pub children: Vec<ChildSpec>,
@@ -99,27 +117,40 @@ pub struct RoutePlan {
 
 /// The hierarchical router.
 ///
-/// Holds the converged distributed state (aggregates per cluster,
+/// Holds the converged distributed state (aggregates per unit,
 /// capability tables per cluster) and answers requests the way the
-/// deployed system would: cluster-level decisions use only
+/// deployed system would: unit-level decisions use only
 /// aggregate-visible information, intra-cluster decisions use only the
 /// local cluster's tables.
 #[derive(Debug)]
 pub struct HierarchicalRouter<'a, D> {
-    hfc: &'a HfcTopology,
-    delays: D,
-    sctc: SctC,
-    cluster_providers: Vec<ProviderIndex>,
-    /// Union of `cluster_providers`, read only by
-    /// [`HierarchicalRouter::route_without_aggregation`]; filled on
-    /// first use so ordinary construction never pays for it.
+    pub(crate) hfc: &'a HfcTopology,
+    /// Levels 2 and up; `None` plans over the clusters alone.
+    hierarchy: Option<&'a Hierarchy>,
+    /// Installed services per proxy, which the per-cluster provider
+    /// indexes are built from (empty when the router was built from
+    /// tables, which fill every index up front).
+    services: Cow<'a, [ServiceSet]>,
+    pub(crate) delays: D,
+    /// `aggregates[l - 1][u]`: merged service set of unit `u` at level
+    /// `l`, for every level `1..=top`.
+    aggregates: Vec<Vec<ServiceSet>>,
+    /// The `SCT_C` view of `aggregates[0]`, built when first asked for.
+    sctc: OnceLock<SctC>,
+    /// Per cluster, filled by the first leaf solve inside it: routers
+    /// are rebuilt per batch and a request solves in a cluster or two.
+    cluster_providers: Vec<OnceLock<ProviderIndex>>,
+    /// Union of the cluster providers, read only by
+    /// [`HierarchicalRouter::route_without_aggregation`].
     global_providers: OnceLock<ProviderIndex>,
     config: HierConfig,
     cluster_load: Option<ClusterLoad>,
-    /// Pre-computed delays of the cluster-level DP, filled by the
-    /// first frontier solve: routers are rebuilt per batch, and a batch
-    /// of cache hits must not pay for a table it never reads.
-    border_table: OnceLock<LevelTable>,
+    /// `tables[l - 1][g]`: the level solver's table over the units of
+    /// level `l` inside group `g` of level `l + 1` (over every unit of
+    /// the top level, as `tables[top - 1][0]`), built by the first solve
+    /// that reads it — a request pays for the groups it crosses, and a
+    /// batch of cache hits for none.
+    tables: Vec<Vec<OnceLock<LevelTable>>>,
 }
 
 impl<'a, D> HierarchicalRouter<'a, D>
@@ -129,34 +160,45 @@ where
     /// Builds the router directly from per-proxy installed services
     /// (producing the same tables the state protocol converges to).
     ///
-    /// `delays` is the *known* distance map — coordinate-predicted
-    /// distances in a deployment, exact distances in unit tests.
+    /// `services` is borrowed or owned; `delays` is the *known*
+    /// distance map — coordinate-predicted distances in a deployment,
+    /// exact distances in unit tests.
     ///
     /// # Panics
     ///
     /// Panics if `services.len()` differs from the proxy count.
     pub fn from_services(
         hfc: &'a HfcTopology,
-        services: &[ServiceSet],
+        services: impl Into<Cow<'a, [ServiceSet]>>,
         delays: D,
         config: HierConfig,
     ) -> Self {
+        let services = services.into();
         assert_eq!(
             services.len(),
             hfc.proxy_count(),
             "one service set per proxy required"
         );
-        let mut sctc = SctC::new();
-        let mut cluster_tables = Vec::with_capacity(hfc.cluster_count());
-        for c in hfc.clusters() {
-            let mut table = SctP::new();
-            for &m in hfc.members(c) {
-                table.update(m, services[m.index()].clone());
-            }
-            sctc.update(c, table.aggregate());
-            cluster_tables.push(table);
-        }
-        Self::from_tables(hfc, sctc, &cluster_tables, delays, config)
+        let aggregates = hfc
+            .clusters()
+            .map(|c| {
+                let mut set = ServiceSet::new();
+                for &m in hfc.members(c) {
+                    set.merge(&services[m.index()]);
+                }
+                set
+            })
+            .collect();
+        let providers = (0..hfc.cluster_count()).map(|_| OnceLock::new()).collect();
+        Self::new(
+            hfc,
+            services,
+            aggregates,
+            OnceLock::new(),
+            providers,
+            delays,
+            config,
+        )
     }
 
     /// Builds the router from converged protocol tables: the
@@ -174,36 +216,103 @@ where
             hfc.cluster_count(),
             "one SCT_P per cluster required"
         );
-        let cluster_providers: Vec<ProviderIndex> = cluster_tables
-            .iter()
-            .map(ProviderIndex::from_sctp)
+        let aggregates = hfc
+            .clusters()
+            .map(|c| sctc.services_of(c).cloned().unwrap_or_default())
             .collect();
-        HierarchicalRouter {
+        let providers = cluster_tables
+            .iter()
+            .map(|table| OnceLock::from(ProviderIndex::from_sctp(table)))
+            .collect();
+        Self::new(
             hfc,
+            Cow::Borrowed(&[]),
+            aggregates,
+            sctc.into(),
+            providers,
             delays,
+            config,
+        )
+    }
+
+    fn new(
+        hfc: &'a HfcTopology,
+        services: Cow<'a, [ServiceSet]>,
+        aggregates: Vec<ServiceSet>,
+        sctc: OnceLock<SctC>,
+        cluster_providers: Vec<OnceLock<ProviderIndex>>,
+        delays: D,
+        config: HierConfig,
+    ) -> Self {
+        let mut router = HierarchicalRouter {
+            hfc,
+            hierarchy: None,
+            services,
+            delays,
+            aggregates: vec![aggregates],
             sctc,
             cluster_providers,
             global_providers: OnceLock::new(),
             config,
             cluster_load: None,
-            border_table: OnceLock::new(),
+            tables: Vec::new(),
+        };
+        router.tables = router.unset_tables();
+        router
+    }
+
+    /// Plans over the levels of `hierarchy` above the clusters: the top
+    /// level becomes its top level, and every child is planned one
+    /// level down until it lies in a single cluster. A depth-2
+    /// hierarchy changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hierarchy was built over a different topology.
+    pub fn with_hierarchy(mut self, hierarchy: &'a Hierarchy) -> Self {
+        assert_eq!(
+            hierarchy.unit_count(1),
+            self.hfc.cluster_count(),
+            "hierarchy and topology disagree on the cluster count"
+        );
+        self.aggregates.truncate(1);
+        for level in 2..=hierarchy.top_level() {
+            let merged = (0..hierarchy.unit_count(level))
+                .map(|u| {
+                    let mut set = ServiceSet::new();
+                    for &c in hierarchy.clusters_under(level, u) {
+                        set.merge(&self.aggregates[0][c]);
+                    }
+                    set
+                })
+                .collect();
+            self.aggregates.push(merged);
         }
+        self.hierarchy = Some(hierarchy);
+        self.tables = self.unset_tables();
+        self
     }
 
     /// Attaches per-cluster load/health summaries (the saturation
-    /// counterpart of the aggregate `SCT_C` rows): cluster-level (CSP)
-    /// selection then skips clusters with no routable members and
-    /// penalizes saturated ones.
+    /// counterpart of the aggregate `SCT_C` rows): unit-level selection
+    /// then skips clusters with no routable members — and upper units
+    /// with no routable cluster — and penalizes saturated clusters.
     pub fn with_cluster_load(mut self, load: ClusterLoad) -> Self {
         self.cluster_load = Some(load);
-        // The table carries the load penalties.
-        self.border_table = OnceLock::new();
+        // The tables carry the load penalties and routable flags.
+        self.tables = self.unset_tables();
         self
     }
 
     /// The aggregate table the router decides from.
     pub fn sctc(&self) -> &SctC {
-        &self.sctc
+        self.sctc.get_or_init(|| {
+            let mut sctc = SctC::new();
+            for (c, set) in self.hfc.clusters().zip(&self.aggregates[0]) {
+                sctc.update(c, set.clone());
+            }
+            sctc
+        })
     }
 
     /// The HFC topology this router operates on.
@@ -226,25 +335,18 @@ where
     /// # Errors
     ///
     /// [`RouteError::NoProvider`] when some demanded service exists in
-    /// no cluster's aggregate; [`RouteError::Infeasible`] when no
-    /// configuration admits a full cluster-level mapping.
+    /// no unit's aggregate; [`RouteError::Infeasible`] when no
+    /// configuration admits a full mapping.
     pub fn route(&self, request: &ServiceRequest) -> Result<HierRoute, RouteError> {
         let plan = self.plan(request)?;
-        // Solve every child locally (the distributed variant lives in
-        // [`crate::session`]).
-        let mut answers = Vec::with_capacity(plan.children.len());
-        for child in &plan.children {
-            answers.push(self.solve_child(child).ok_or(RouteError::Infeasible)?);
-        }
-        Ok(self.compose(request, plan, &answers))
+        self.conquer(request, plan)
     }
 
     /// Routes with crankback recovery: when a child request turns out
-    /// unsolvable inside its assigned cluster (stale aggregate state —
-    /// the cluster advertised a service its table can no longer back),
-    /// the offending `(stage, cluster)` assignments are excluded and
-    /// the cluster-level path is recomputed, up to `max_attempts`
-    /// times.
+    /// unsolvable inside its assigned unit (stale aggregate state — the
+    /// unit advertised a service its tables can no longer back), the
+    /// offending `(stage, unit)` assignments are excluded and the
+    /// top-level path is recomputed, up to `max_attempts` times.
     ///
     /// With converged state this behaves exactly like
     /// [`HierarchicalRouter::route`]; under churn it trades extra
@@ -295,11 +397,10 @@ where
     }
 
     /// Steps 1–3 of Section 5 as performed *by the destination proxy
-    /// alone*: compute the cluster-level service path from aggregate
-    /// state and dissect it into child requests. The returned plan
-    /// names, per child, the proxy responsible for solving it (the
-    /// cluster's exit border; the last child belongs to the
-    /// destination proxy itself).
+    /// alone*: compute the top-level service path from aggregate state
+    /// and dissect it into child requests. The returned plan names, per
+    /// child, the proxy responsible for solving it (the unit's exit
+    /// border; the last child belongs to the destination proxy itself).
     ///
     /// # Errors
     ///
@@ -309,70 +410,51 @@ where
     }
 
     /// Like [`HierarchicalRouter::plan`], but never maps an excluded
-    /// `(stage, cluster)` pair — the knob behind crankback recovery.
+    /// `(stage, unit)` pair — the knob behind crankback recovery.
     pub fn plan_excluding(
         &self,
         request: &ServiceRequest,
         excluded: &[(StageId, ClusterId)],
     ) -> Result<RoutePlan, RouteError> {
-        let source_cluster = self.hfc.cluster_of(request.source);
-        let dest_cluster = self.hfc.cluster_of(request.destination);
-        let (estimate, chain) =
-            self.cluster_level_path(request, source_cluster, dest_cluster, excluded)?;
+        let (source, dest) = (request.source, request.destination);
+        let top = self.top_level();
+        if request.graph.is_empty() {
+            // Relay only: at most one border crossing at the top level.
+            let (from, to) = (self.unit_of(top, source), self.unit_of(top, dest));
+            let mut estimate = 0.0;
+            if from != to {
+                estimate = self.leave(top, source, self.unit_border(top, from, to), to);
+                if !estimate.is_finite() {
+                    return Err(RouteError::Infeasible);
+                }
+            }
+            return Ok(self.plan_from_chain(request, estimate, Vec::new()));
+        }
+        let (estimate, chain) = self.plan_over(top, 0, source, dest, &request.graph, excluded)?;
+        let chain = chain
+            .into_iter()
+            .map(|(stage, unit)| (stage, ClusterId::new(unit)))
+            .collect();
         Ok(self.plan_from_chain(request, estimate, chain))
     }
 
-    /// Step 3 of Section 5 alone: dissects an already-selected
-    /// cluster-level chain into child requests. Shared by the plain
-    /// planning path and the frontier-replay path so both produce the
-    /// same plan from the same chain by construction.
+    /// Step 3 at the top level: dissects an already-selected chain into
+    /// child requests. Shared by the plain planning path and the
+    /// frontier-replay path so both produce the same plan from the same
+    /// chain by construction.
     fn plan_from_chain(
         &self,
         request: &ServiceRequest,
         estimate: f64,
         chain: Vec<(StageId, ClusterId)>,
     ) -> RoutePlan {
-        let source_cluster = self.hfc.cluster_of(request.source);
-        let dest_cluster = self.hfc.cluster_of(request.destination);
-        let groups = dissect(&chain);
-
-        let mut children = Vec::with_capacity(groups.len());
-        let mut prev_cluster = source_cluster;
-        for (gi, group) in groups.iter().enumerate() {
-            let cluster = group.cluster;
-            let source = if cluster == prev_cluster && gi == 0 {
-                request.source
-            } else {
-                self.hfc.border(cluster, prev_cluster).local
-            };
-            let is_last = gi + 1 == groups.len();
-            let dest = if !is_last {
-                self.hfc.border(cluster, groups[gi + 1].cluster).local
-            } else if cluster == dest_cluster {
-                request.destination
-            } else {
-                self.hfc.border(cluster, dest_cluster).local
-            };
-            // The paper ships each child request to the cluster's exit
-            // border; the final child is handled by pd itself.
-            let solver = if is_last && cluster == dest_cluster {
-                request.destination
-            } else {
-                dest
-            };
-            children.push(ChildSpec {
-                cluster,
-                solver,
-                services: group
-                    .stages
-                    .iter()
-                    .map(|&s| request.graph.service(s))
-                    .collect(),
-                source,
-                dest,
-            });
-            prev_cluster = cluster;
-        }
+        let children = self.dissect(
+            self.top_level(),
+            request.source,
+            request.destination,
+            &request.graph,
+            chain.iter().map(|&(stage, unit)| (stage, unit.index())),
+        );
         RoutePlan {
             csp: chain,
             estimate,
@@ -380,20 +462,101 @@ where
         }
     }
 
-    /// Solves one child request optimally within its cluster (what the
+    /// Step 3 of Section 5 at `level`: one child request per maximal
+    /// run of stages in the same unit, entering through the border from
+    /// the previous run's unit (or at `source`) and leaving through the
+    /// border towards the next one (or at `dest`, or through the border
+    /// towards `dest`'s unit).
+    fn dissect(
+        &self,
+        level: usize,
+        source: ProxyId,
+        dest: ProxyId,
+        graph: &ServiceGraph,
+        chain: impl IntoIterator<Item = (StageId, usize)>,
+    ) -> Vec<ChildSpec> {
+        let mut runs: Vec<(usize, Vec<ServiceId>)> = Vec::new();
+        for (stage, unit) in chain {
+            let service = graph.service(stage);
+            match runs.last_mut() {
+                Some((u, services)) if *u == unit => services.push(service),
+                _ => runs.push((unit, vec![service])),
+            }
+        }
+        let dst_unit = self.unit_of(level, dest);
+        let mut prev = self.unit_of(level, source);
+        let mut children = Vec::with_capacity(runs.len());
+        for i in 0..runs.len() {
+            let next = runs.get(i + 1).map(|&(unit, _)| unit);
+            let (unit, services) = std::mem::take(&mut runs[i]);
+            let entry = if i == 0 && unit == prev {
+                source
+            } else {
+                self.unit_border(level, unit, prev).local
+            };
+            let exit = match next {
+                Some(next) => self.unit_border(level, unit, next).local,
+                None if unit == dst_unit => dest,
+                None => self.unit_border(level, unit, dst_unit).local,
+            };
+            // The paper ships each child request to the unit's exit
+            // border; the final child is handled by pd itself.
+            let solver = if next.is_none() && unit == dst_unit {
+                dest
+            } else {
+                exit
+            };
+            children.push(ChildSpec {
+                cluster: ClusterId::new(unit),
+                solver,
+                services,
+                source: entry,
+                dest: exit,
+            });
+            prev = unit;
+        }
+        children
+    }
+
+    /// Solves one child request optimally within its unit (what the
     /// child's solver proxy does upon receipt, Section 5.2). Returns
-    /// `None` if the cluster cannot satisfy the chain — impossible for
+    /// `None` if the unit cannot satisfy the chain — impossible for
     /// plans derived from converged state, kept for robustness.
     pub fn solve_child(&self, child: &ChildSpec) -> Option<Vec<Assignment>> {
+        self.solve(self.top_level(), child).ok()
+    }
+
+    /// Solves `child` inside its unit of `level`: inside a cluster with
+    /// the flat service-DAG method over its `SCT_P`, above that by
+    /// planning over the units one level down and solving each of the
+    /// chain's children there in turn. Assignments index the child's
+    /// services, in path order.
+    fn solve(&self, level: usize, child: &ChildSpec) -> Result<Vec<Assignment>, RouteError> {
         let graph = ServiceGraph::linear(child.services.clone());
-        let (_, assignments) = solve_service_dag(
-            &graph,
-            child.source,
-            child.dest,
-            &self.cluster_providers[child.cluster.index()],
-            &self.delays,
-        )?;
-        Some(assignments)
+        let unit = child.cluster.index();
+        if level == 1 {
+            return solve_service_dag(
+                &graph,
+                child.source,
+                child.dest,
+                self.providers(unit),
+                &self.delays,
+            )
+            .map(|(_, assignments)| assignments)
+            .ok_or(RouteError::Infeasible);
+        }
+        let (_, chain) = self.plan_over(level - 1, unit, child.source, child.dest, &graph, &[])?;
+        let mut assignments = Vec::with_capacity(graph.len());
+        for part in self.dissect(level - 1, child.source, child.dest, &graph, chain) {
+            let offset = assignments.len();
+            for a in self.solve(level - 1, &part)? {
+                assignments.push(Assignment {
+                    stage: StageId::new(offset + a.stage.index()),
+                    proxy: a.proxy,
+                });
+            }
+        }
+        Ok(assignments)
     }
 
     /// Step 4 of Section 5: composes child answers and border glue hops
@@ -413,28 +576,19 @@ where
             plan.children.len(),
             "one answer per child request required"
         );
-        let source_cluster = self.hfc.cluster_of(request.source);
-        let dest_cluster = self.hfc.cluster_of(request.destination);
+        // Every leg between two consecutive proxies the path must visit
+        // crosses units exactly where they differ, so walking from each
+        // to the next from above the top level adds every glue hop.
+        let above = self.top_level() + 1;
         let mut path = PathBuilder::start(request.source);
-        let mut prev_cluster = source_cluster;
         for (child, assignments) in plan.children.iter().zip(answers) {
-            let cluster = child.cluster;
-            if cluster != prev_cluster {
-                let pair = self.hfc.border(prev_cluster, cluster);
-                path.relay(pair.local);
-                path.relay(pair.remote);
-            }
             for a in assignments {
+                self.walk(above, a.proxy, &mut path);
                 path.serve(a.proxy, child.services[a.stage.index()]);
             }
-            path.relay(child.dest);
-            prev_cluster = cluster;
+            self.walk(above, child.dest, &mut path);
         }
-        if prev_cluster != dest_cluster {
-            let pair = self.hfc.border(prev_cluster, dest_cluster);
-            path.relay(pair.local);
-            path.relay(pair.remote);
-        }
+        self.walk(above, request.destination, &mut path);
 
         HierRoute {
             path: path.finish(request.destination),
@@ -442,6 +596,39 @@ where
             csp: plan.csp,
             estimate: plan.estimate,
         }
+    }
+
+    /// Relays from the end of `path` to `to`, crossing the units of
+    /// every level below `level` in which the two differ through that
+    /// level's border pair; inside a cluster the hop is direct.
+    fn walk(&self, level: usize, to: ProxyId, path: &mut PathBuilder) {
+        if path.current() == to {
+            return;
+        }
+        if level == 1 {
+            path.relay(to);
+            return;
+        }
+        let below = level - 1;
+        let from_unit = self.unit_of(below, path.current());
+        let to_unit = self.unit_of(below, to);
+        if from_unit != to_unit {
+            let pair = self.unit_border(below, from_unit, to_unit);
+            self.walk(below, pair.local, path);
+            path.relay(pair.remote);
+        }
+        self.walk(below, to, path);
+    }
+
+    /// Solves every child of `plan` and composes the route.
+    fn conquer(&self, request: &ServiceRequest, plan: RoutePlan) -> Result<HierRoute, RouteError> {
+        let top = self.top_level();
+        let answers = plan
+            .children
+            .iter()
+            .map(|child| self.solve(top, child))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.compose(request, plan, &answers))
     }
 
     /// The "HFC without topology abstraction" comparison of
@@ -457,110 +644,49 @@ where
         request: &ServiceRequest,
     ) -> Result<ServicePath, RouteError> {
         let constrained = HfcDelays::new(self.hfc, &self.delays);
-        let providers = self
-            .global_providers
-            .get_or_init(|| ProviderIndex::union(&self.cluster_providers));
+        let providers = self.global_providers.get_or_init(|| {
+            ProviderIndex::union((0..self.hfc.cluster_count()).map(|c| self.providers(c)))
+        });
         let router = crate::flat::FlatRouter::new(providers, &constrained);
         router.route_expanded(request, |a, b| constrained.hops(a, b))
     }
 
-    /// Computes the cluster-level shortest service path.
-    ///
-    /// Implemented as the destination-independent [`sink_frontier`] DP
-    /// followed by the cheap [`close_frontier`] replay — one code path
-    /// whether the frontier came from a fresh solve or a cache, which
-    /// is what makes CSP-tier caching bit-identical to uncached
-    /// routing.
-    ///
-    /// [`sink_frontier`]: HierarchicalRouter::sink_frontier
-    /// [`close_frontier`]: HierarchicalRouter::close_frontier
-    fn cluster_level_path(
+    /// Steps 1–2 of Section 5 at `level`, inside group `parent` of the
+    /// level above (over every unit, at the top level), then the closing
+    /// leg to `dest`: the cheapest mapping of `graph` onto the
+    /// [sibling units](HierarchicalRouter::siblings) and its estimated
+    /// cost. Only the winning sink is backtracked.
+    pub(crate) fn plan_over(
         &self,
-        request: &ServiceRequest,
-        source_cluster: ClusterId,
-        dest_cluster: ClusterId,
+        level: usize,
+        parent: usize,
+        source: ProxyId,
+        dest: ProxyId,
+        graph: &ServiceGraph,
         excluded: &[(StageId, ClusterId)],
-    ) -> Result<(f64, Vec<(StageId, ClusterId)>), RouteError> {
-        if request.graph.is_empty() {
-            let (cost, _) = self.inter_cluster_cost(request.source, source_cluster, dest_cluster);
-            if !cost.is_finite() {
-                return Err(RouteError::Infeasible);
-            }
-            return Ok((cost, Vec::new()));
-        }
-        let frontier = self.sink_frontier(request, source_cluster, dest_cluster, excluded)?;
-        self.close_frontier(request, dest_cluster, &frontier)
+    ) -> Result<(f64, Vec<(StageId, usize)>), RouteError> {
+        let solved = self.solve_level(level, parent, source, dest, graph, excluded)?;
+        let sinks = solved
+            .sinks(graph)
+            .map(|sink| (sink.at, sink.cost, sink.unit, sink.entry.unwrap_or(source)));
+        let (total, at) = self.close(level, dest, sinks)?;
+        Ok((total, solved.chain(at, |unit| unit)))
     }
 
-    /// The cluster-level DP (Section 5 steps 1–2) up to — but not
-    /// including — the closing leg at the destination: every sink
-    /// state is backtracked into a [`CspCandidate`] and returned. The
-    /// DP itself is the [level solver](crate::level) over one table of
-    /// all clusters.
-    ///
-    /// The frontier lists sink states in visiting order: by cluster,
-    /// then by entry proxy id — except that a source the planner has no
-    /// coordinates for (a non-border outside the destination's cluster)
-    /// sorts after its cluster's borders whatever its id. Such a source
-    /// never contributes a cost term either, so neither costs nor order
-    /// depend on which proxy it is. That invariance is what lets a
-    /// frontier computed for one source be replayed verbatim for
-    /// another.
+    /// The top-level DP (Section 5 steps 1–2) up to — but not including
+    /// — the closing leg at the destination: every sink state is
+    /// backtracked into a [`CspCandidate`] and returned, in the exact
+    /// order the closing loop enumerates them.
     fn sink_frontier(
         &self,
         request: &ServiceRequest,
-        source_cluster: ClusterId,
-        dest_cluster: ClusterId,
         excluded: &[(StageId, ClusterId)],
     ) -> Result<CspFrontier, RouteError> {
         let graph = &request.graph;
-        let table = self.border_table.get_or_init(|| self.level_table());
-
-        // Where the path starts: the source's own border slot when it
-        // is a border, else its cluster's source slot — which the table
-        // prices at zero internal distance, while a source inside the
-        // destination's cluster has known ones.
-        let sc = source_cluster.index();
-        let known_source_row: Vec<f64>;
-        let start = match table.border_slot(sc, request.source) {
-            Ok(state) => Start {
-                state,
-                rank: 0,
-                row: table.row(state),
-            },
-            Err(rank) => {
-                let state = table.source_slot(sc);
-                let known = source_cluster == dest_cluster;
-                let row = if known && self.config.backtracking {
-                    known_source_row = table
-                        .borders(sc)
-                        .map(|b| self.delays.delay(request.source, b))
-                        .collect();
-                    &known_source_row
-                } else {
-                    table.row(state)
-                };
-                Start {
-                    state,
-                    rank: if known { rank } else { table.borders(sc).len() },
-                    row,
-                }
-            }
-        };
-
-        // Candidate clusters come from aggregate state.
-        let mut aggregates = vec![None; self.hfc.cluster_count()];
-        for (c, set) in self.sctc.iter() {
-            aggregates[c.index()] = Some(set);
-        }
-        let solved = table.solve(graph, &start, |stage, c| {
-            aggregates[c].is_some_and(|set| set.contains(graph.service(stage)))
-                && !excluded.contains(&(stage, ClusterId::new(c)))
-        })?;
-
-        // Backtrack every sink state, in the exact order the closing
-        // loop will enumerate them.
-        let out: Vec<CspCandidate> = solved
+        let top = self.top_level();
+        let solved =
+            self.solve_level(top, 0, request.source, request.destination, graph, excluded)?;
+        let candidates: Vec<CspCandidate> = solved
             .sinks(graph)
             .map(|sink| CspCandidate {
                 chain: solved.chain(sink.at, ClusterId::new),
@@ -569,60 +695,253 @@ where
                 entry: sink.entry.unwrap_or(request.source),
             })
             .collect();
-        if out.is_empty() {
+        if candidates.is_empty() {
             return Err(RouteError::Infeasible);
         }
-        Ok(CspFrontier { candidates: out })
+        Ok(CspFrontier { candidates })
     }
 
-    /// The level-1 table over every cluster: HFC borders, the
-    /// back-tracking rule between two border proxies (both always
-    /// known), the attached load summary.
-    fn level_table(&self) -> LevelTable {
-        LevelTable::build(
-            self.hfc.clusters().map(ClusterId::index),
-            |from, to| self.hfc.border(ClusterId::new(from), ClusterId::new(to)),
-            |a, b| {
-                if self.config.backtracking && a != b {
-                    self.delays.delay(a, b)
-                } else {
-                    0.0
-                }
-            },
-            |local, remote| self.delays.delay(local, remote),
-            |c| self.cluster_penalty(ClusterId::new(c)),
-            |c| self.cluster_routable(ClusterId::new(c)),
-        )
-    }
-
-    /// The closing loop of the cluster-level solve: adds the final leg
-    /// to the concrete destination per candidate and picks the cheapest
-    /// finite total, first-seen winning ties — exactly the selection
-    /// the monolithic solve performed.
-    fn close_frontier(
+    /// The DP of Section 5 steps 1–2 at `level` — the [level
+    /// solver](crate::level) over the table of `parent`'s units — from
+    /// `source` towards `dest`.
+    ///
+    /// The path starts in the source's own border slot when it is one,
+    /// else in its unit's source slot. A source the solve has no
+    /// coordinates for (inside a cluster, a non-border outside the
+    /// destination's cluster) is priced at zero internal distance and
+    /// visited after its unit's borders whatever its id, so neither
+    /// costs nor order depend on which proxy it is. That invariance is
+    /// what lets a frontier computed for one source be replayed
+    /// verbatim for another.
+    fn solve_level(
         &self,
-        request: &ServiceRequest,
-        dest_cluster: ClusterId,
-        frontier: &CspFrontier,
-    ) -> Result<(f64, Vec<(StageId, ClusterId)>), RouteError> {
-        let mut best: Option<(f64, usize)> = None;
-        for (i, cand) in frontier.candidates.iter().enumerate() {
-            let (close, _) =
-                self.close_at_destination(cand.entry, cand.cluster, dest_cluster, request);
-            let total = cand.cost + close;
+        level: usize,
+        parent: usize,
+        source: ProxyId,
+        dest: ProxyId,
+        graph: &ServiceGraph,
+        excluded: &[(StageId, ClusterId)],
+    ) -> Result<Solved<'_>, RouteError> {
+        let table = self.table(level, parent);
+        let src_unit = self.unit_of(level, source);
+        let known_row: Vec<f64>;
+        let start = match table.border_slot(src_unit, source) {
+            Ok(state) => Start {
+                state,
+                rank: 0,
+                row: table.row(state),
+            },
+            Err(rank) => {
+                let state = table.source_slot(src_unit);
+                let dst_unit = self.unit_of(level, dest);
+                if level > 1 || self.knows(source, ClusterId::new(dst_unit)) {
+                    known_row = table
+                        .borders(src_unit)
+                        .map(|b| self.internal(level, source, b))
+                        .collect();
+                    Start {
+                        state,
+                        rank,
+                        row: &known_row,
+                    }
+                } else {
+                    Start {
+                        state,
+                        rank: table.borders(src_unit).len(),
+                        row: table.row(state),
+                    }
+                }
+            }
+        };
+        table.solve(graph, &start, |stage, unit| {
+            self.unit_aggregate(level, unit)
+                .contains(graph.service(stage))
+                && !excluded.contains(&(stage, ClusterId::new(unit)))
+        })
+    }
+
+    /// The closing loop shared by plain routes and frontier replays:
+    /// adds the final leg at `level` from each sink `(item, cost, unit,
+    /// entry)` to `dest` and picks the cheapest finite total, first
+    /// seen winning ties.
+    fn close<T>(
+        &self,
+        level: usize,
+        dest: ProxyId,
+        sinks: impl IntoIterator<Item = (T, f64, usize, ProxyId)>,
+    ) -> Result<(f64, T), RouteError> {
+        let dst_unit = self.unit_of(level, dest);
+        let mut best: Option<(f64, T)> = None;
+        for (item, cost, unit, entry) in sinks {
+            let total = cost + self.level_close(level, entry, unit, dst_unit, dest);
             // Non-finite totals (a `Down` border or a saturated
             // cluster on every remaining route) are unroutable.
-            if total.is_finite() && best.is_none_or(|(b, _)| total < b) {
-                best = Some((total, i));
+            if total.is_finite() && best.as_ref().is_none_or(|(b, _)| total < *b) {
+                best = Some((total, item));
             }
         }
-        let (total, i) = best.ok_or(RouteError::Infeasible)?;
-        Ok((total, frontier.candidates[i].chain.clone()))
+        best.ok_or(RouteError::Infeasible)
     }
 
-    /// Whether CSP selection may map stages into `cluster` at all
-    /// (always, unless an attached load summary says every member is
-    /// down).
+    /// Cost of the final leg from `entry` inside unit `from` of `level`
+    /// to `dest`, whose unit is `dst_unit`. Above the clusters a solve
+    /// prices only leaving `from`; inside a cluster also the known
+    /// distance on to `dest`.
+    pub(crate) fn level_close(
+        &self,
+        level: usize,
+        entry: ProxyId,
+        from: usize,
+        dst_unit: usize,
+        dest: ProxyId,
+    ) -> f64 {
+        let last = |p| {
+            if level == 1 {
+                self.known_internal(p, dest, ClusterId::new(dst_unit))
+            } else {
+                0.0
+            }
+        };
+        if from == dst_unit {
+            return last(entry);
+        }
+        let pair = self.unit_border(level, from, dst_unit);
+        self.leave(level, entry, pair, dst_unit) + last(pair.remote)
+    }
+
+    /// Cost of leaving a unit of `level` from `entry` through border
+    /// `pair`, towards a destination in unit `dst_unit`: the known
+    /// approach to the border plus the border link.
+    fn leave(&self, level: usize, entry: ProxyId, pair: BorderPair, dst_unit: usize) -> f64 {
+        let approach = if level == 1 {
+            self.known_internal(entry, pair.local, ClusterId::new(dst_unit))
+        } else {
+            self.internal(level, entry, pair.local)
+        };
+        approach + self.delays.delay(pair.local, pair.remote)
+    }
+
+    /// The level solver's table over the
+    /// [sibling units](HierarchicalRouter::siblings) of `level` inside
+    /// `parent`: their border pairs, the known distance between two of
+    /// a unit's border proxies, the attached load summary.
+    fn table(&self, level: usize, parent: usize) -> &LevelTable {
+        self.tables[level - 1][parent].get_or_init(|| {
+            LevelTable::build(
+                self.siblings(level, parent),
+                |from, to| self.unit_border(level, from, to),
+                |a, b| self.internal(level, a, b),
+                |local, remote| self.delays.delay(local, remote),
+                |unit| {
+                    if level == 1 {
+                        self.cluster_penalty(ClusterId::new(unit))
+                    } else {
+                        0.0
+                    }
+                },
+                |unit| self.unit_routable(level, unit),
+            )
+        })
+    }
+
+    /// One unset table per group of every level below the top, then
+    /// the top level's own.
+    fn unset_tables(&self) -> Vec<Vec<OnceLock<LevelTable>>> {
+        let top = self.top_level();
+        (1..=top)
+            .map(|level| {
+                let groups = if level == top {
+                    1
+                } else {
+                    self.unit_count(level + 1)
+                };
+                (0..groups).map(|_| OnceLock::new()).collect()
+            })
+            .collect()
+    }
+
+    /// The provider index of cluster `cluster`, built on first use.
+    fn providers(&self, cluster: usize) -> &ProviderIndex {
+        self.cluster_providers[cluster].get_or_init(|| {
+            ProviderIndex::from_entries(
+                self.hfc
+                    .members(ClusterId::new(cluster))
+                    .iter()
+                    .map(|&m| (m, &self.services[m.index()])),
+            )
+        })
+    }
+
+    /// The level the destination plans at: the clusters, or the top of
+    /// the attached hierarchy.
+    fn top_level(&self) -> usize {
+        self.hierarchy.map_or(1, Hierarchy::top_level)
+    }
+
+    /// The hierarchy behind every level above the clusters.
+    fn upper(&self) -> &'a Hierarchy {
+        self.hierarchy
+            .expect("levels above the clusters come from a hierarchy")
+    }
+
+    /// Number of units at `level`.
+    fn unit_count(&self, level: usize) -> usize {
+        if level == 1 {
+            self.hfc.cluster_count()
+        } else {
+            self.upper().unit_count(level)
+        }
+    }
+
+    /// The unit at `level` containing `proxy`.
+    pub(crate) fn unit_of(&self, level: usize, proxy: ProxyId) -> usize {
+        if level == 1 {
+            self.hfc.cluster_of(proxy).index()
+        } else {
+            self.upper().ancestor_of_proxy(self.hfc, level, proxy)
+        }
+    }
+
+    /// The border pair from unit `from` to unit `to` of `level`.
+    pub(crate) fn unit_border(&self, level: usize, from: usize, to: usize) -> BorderPair {
+        if level == 1 {
+            self.hfc.border(ClusterId::new(from), ClusterId::new(to))
+        } else {
+            self.upper().border(level, from, to)
+        }
+    }
+
+    /// The units of `level` a solve inside group `parent` of the level
+    /// above may map onto: its members, or every unit at the top level.
+    pub(crate) fn siblings(&self, level: usize, parent: usize) -> Vec<usize> {
+        if level == self.top_level() {
+            (0..self.unit_count(level)).collect()
+        } else {
+            self.upper().members(level + 1, parent).to_vec()
+        }
+    }
+
+    /// The merged aggregate service set of unit `unit` at `level`.
+    pub(crate) fn unit_aggregate(&self, level: usize, unit: usize) -> &ServiceSet {
+        &self.aggregates[level - 1][unit]
+    }
+
+    /// Whether mapping may use `unit` of `level` at all (always, unless
+    /// an attached load summary says every cluster under it is down).
+    pub(crate) fn unit_routable(&self, level: usize, unit: usize) -> bool {
+        if level == 1 {
+            self.cluster_routable(ClusterId::new(unit))
+        } else {
+            self.upper()
+                .clusters_under(level, unit)
+                .iter()
+                .any(|&c| self.cluster_routable(ClusterId::new(c)))
+        }
+    }
+
+    /// Whether unit-level selection may map stages into `cluster` at
+    /// all (always, unless an attached load summary says every member
+    /// is down).
     fn cluster_routable(&self, cluster: ClusterId) -> bool {
         self.cluster_load
             .as_ref()
@@ -631,92 +950,42 @@ where
 
     /// The saturation penalty of entering `cluster`, from the attached
     /// load summary (zero without one).
-    fn cluster_penalty(&self, cluster: ClusterId) -> f64 {
+    pub(crate) fn cluster_penalty(&self, cluster: ClusterId) -> f64 {
         self.cluster_load
             .as_ref()
             .map_or(0.0, |load| load.penalty(cluster))
     }
 
-    /// Cost of the final leg from (entry inside `from`) to the
-    /// destination proxy.
-    fn close_at_destination(
-        &self,
-        entry: ProxyId,
-        from: ClusterId,
-        dest_cluster: ClusterId,
-        request: &ServiceRequest,
-    ) -> (f64, ProxyId) {
-        if from == dest_cluster {
-            (
-                self.known_internal(entry, request.destination, dest_cluster),
-                request.destination,
-            )
-        } else {
-            let pair = self.hfc.border(from, dest_cluster);
-            let internal = self.known_internal(entry, pair.local, dest_cluster);
-            let external = self.delays.delay(pair.local, pair.remote);
-            let last = self.known_internal(pair.remote, request.destination, dest_cluster);
-            (internal + external + last, request.destination)
-        }
+    /// Whether a solve towards a destination in `dest_cluster` has the
+    /// coordinates of `proxy`: those of its own cluster's members and
+    /// of every border proxy.
+    fn knows(&self, proxy: ProxyId, dest_cluster: ClusterId) -> bool {
+        self.hfc.cluster_of(proxy) == dest_cluster || self.hfc.is_border(proxy)
     }
 
-    /// Cost of a relay-only inter-cluster hop sequence (empty service
-    /// graphs).
-    fn inter_cluster_cost(
-        &self,
-        source: ProxyId,
-        source_cluster: ClusterId,
-        dest_cluster: ClusterId,
-    ) -> (f64, ProxyId) {
-        if source_cluster == dest_cluster {
-            (0.0, source)
-        } else {
-            let pair = self.hfc.border(source_cluster, dest_cluster);
-            (
-                self.known_internal(source, pair.local, dest_cluster)
-                    + self.delays.delay(pair.local, pair.remote),
-                pair.remote,
-            )
-        }
-    }
-
-    /// The internal distance between two proxies of the same cluster,
-    /// *as far as the destination proxy can estimate it*: it knows the
-    /// coordinates of its own cluster's members and of every border
-    /// proxy; other proxies contribute a lower bound of zero. Disabled
-    /// entirely when back-tracking is off.
-    fn known_internal(&self, a: ProxyId, b: ProxyId, dest_cluster: ClusterId) -> f64 {
-        if !self.config.backtracking || a == b {
-            return 0.0;
-        }
-        let knows = |p: ProxyId| self.hfc.is_border(p) || self.hfc.cluster_of(p) == dest_cluster;
-        if knows(a) && knows(b) {
+    /// The internal distance between two proxies of one unit of `level`
+    /// whose coordinates the solve has: their predicted delay above the
+    /// clusters; inside a cluster the same with back-tracking on, and
+    /// zero with it off.
+    fn internal(&self, level: usize, a: ProxyId, b: ProxyId) -> f64 {
+        if level > 1 || self.config.backtracking && a != b {
             self.delays.delay(a, b)
         } else {
             0.0
         }
     }
-}
 
-/// A maximal run of consecutive stages mapped to the same cluster.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Group {
-    cluster: ClusterId,
-    stages: Vec<StageId>,
-}
-
-fn dissect(chain: &[(StageId, ClusterId)]) -> Vec<Group> {
-    let mut groups: Vec<Group> = Vec::new();
-    for &(stage, cluster) in chain {
-        match groups.last_mut() {
-            Some(g) if g.cluster == cluster => g.stages.push(stage),
-            _ => groups.push(Group {
-                cluster,
-                stages: vec![stage],
-            }),
+    /// The internal distance between two proxies of the same cluster,
+    /// *as far as a solve towards a destination in `dest_cluster` can
+    /// estimate it*: proxies whose coordinates it lacks contribute a
+    /// lower bound of zero.
+    pub(crate) fn known_internal(&self, a: ProxyId, b: ProxyId, dest_cluster: ClusterId) -> f64 {
+        if self.knows(a, dest_cluster) && self.knows(b, dest_cluster) {
+            self.internal(1, a, b)
+        } else {
+            0.0
         }
     }
-    groups
 }
 
 impl<D> CspRouter for HierarchicalRouter<'_, D>
@@ -729,9 +998,7 @@ where
         if request.graph.is_empty() {
             return Err(RouteError::Infeasible);
         }
-        let source_cluster = self.hfc.cluster_of(request.source);
-        let dest_cluster = self.hfc.cluster_of(request.destination);
-        self.sink_frontier(request, source_cluster, dest_cluster, &[])
+        self.sink_frontier(request, &[])
     }
 
     fn route_from_frontier(
@@ -739,14 +1006,14 @@ where
         request: &ServiceRequest,
         frontier: &CspFrontier,
     ) -> Result<ServicePath, RouteError> {
-        let dest_cluster = self.hfc.cluster_of(request.destination);
-        let (estimate, chain) = self.close_frontier(request, dest_cluster, frontier)?;
-        let plan = self.plan_from_chain(request, estimate, chain);
-        let mut answers = Vec::with_capacity(plan.children.len());
-        for child in &plan.children {
-            answers.push(self.solve_child(child).ok_or(RouteError::Infeasible)?);
-        }
-        Ok(self.compose(request, plan, &answers).path)
+        let candidates = frontier
+            .candidates
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (i, c.cost, c.cluster.index(), c.entry));
+        let (estimate, i) = self.close(self.top_level(), request.destination, candidates)?;
+        let plan = self.plan_from_chain(request, estimate, frontier.candidates[i].chain.clone());
+        Ok(self.conquer(request, plan)?.path)
     }
 }
 
@@ -954,32 +1221,62 @@ mod tests {
         }
     }
 
+    /// On the paper's bi-level example, and at the top level of a
+    /// depth-3 hierarchy (two regions of two clusters).
     #[test]
     fn frontier_replay_matches_plain_route() {
+        let check = |router: &HierarchicalRouter<'_, &son_overlay::DelayMatrix>,
+                     cases: &[(usize, Vec<usize>, usize)]| {
+            for (src, svc, dst) in cases {
+                let request = ServiceRequest::new(
+                    ProxyId::new(*src),
+                    ServiceGraph::linear(svc.iter().map(|&i| sid(i)).collect()),
+                    ProxyId::new(*dst),
+                );
+                let plain = router.route(&request).unwrap();
+                let frontier = router.solve_frontier(&request).unwrap();
+                let replayed = router.route_from_frontier(&request, &frontier).unwrap();
+                assert_eq!(
+                    plain.path, replayed,
+                    "frontier replay diverged for {src}→{dst} via {svc:?}"
+                );
+            }
+        };
         let (hfc, delays, services) = paper_example();
         let router =
             HierarchicalRouter::from_services(&hfc, &services, &delays, HierConfig::default());
-        let cases = [
-            (2usize, vec![1usize, 2, 3, 4, 5], 9usize),
-            (3, vec![4, 5], 10),
-            (12, vec![1, 2], 9),
-            (8, vec![5, 2], 1),
-            (7, vec![2, 3], 6),
-        ];
-        for (src, svc, dst) in cases {
-            let request = ServiceRequest::new(
-                ProxyId::new(src),
-                ServiceGraph::linear(svc.iter().map(|&i| sid(i)).collect()),
-                ProxyId::new(dst),
-            );
-            let plain = router.route(&request).unwrap();
-            let frontier = router.solve_frontier(&request).unwrap();
-            let replayed = router.route_from_frontier(&request, &frontier).unwrap();
-            assert_eq!(
-                plain.path, replayed,
-                "frontier replay diverged for {src}→{dst} via {svc:?}"
-            );
-        }
+        check(
+            &router,
+            &[
+                (2, vec![1, 2, 3, 4, 5], 9),
+                (3, vec![4, 5], 10),
+                (12, vec![1, 2], 9),
+                (8, vec![5, 2], 1),
+                (7, vec![2, 3], 6),
+            ],
+        );
+
+        let (hfc, delays, services) = crate::multilevel::routed_world();
+        let hierarchy = son_overlay::Hierarchy::build_with_depth(
+            &hfc,
+            &delays,
+            &son_overlay::HierarchyConfig::default(),
+            3,
+        );
+        assert_eq!(hierarchy.depth(), 3);
+        let router =
+            HierarchicalRouter::from_services(&hfc, &services, &delays, HierConfig::default())
+                .with_hierarchy(&hierarchy);
+        check(
+            &router,
+            &[
+                (0, vec![9], 1),
+                (2, vec![0, 9, 3], 4),
+                (7, vec![1, 2], 11),
+                (3, vec![2, 9], 10),
+                (10, vec![3, 0, 1], 5),
+            ],
+        );
     }
 
     /// The reuse the serving engine relies on: a frontier computed for

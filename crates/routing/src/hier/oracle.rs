@@ -41,7 +41,7 @@ where
         for stage in graph.stage_ids() {
             let service = graph.service(stage);
             let clusters: Vec<ClusterId> = self
-                .sctc
+                .sctc()
                 .clusters_with(service)
                 .into_iter()
                 .filter(|c| !excluded.contains(&(stage, *c)))
@@ -309,8 +309,7 @@ mod tests {
                         .collect::<Vec<_>>()
                 })
             };
-            let dense =
-                router.sink_frontier(&self.request, source_cluster, dest_cluster, &self.excluded);
+            let dense = router.sink_frontier(&self.request, &self.excluded);
             let reference = router.sink_frontier_reference(
                 &self.request,
                 source_cluster,

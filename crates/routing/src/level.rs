@@ -15,10 +15,10 @@
 //! table reads, two adds and a compare.
 //!
 //! [`HierarchicalRouter`](crate::hier::HierarchicalRouter) solves over
-//! one table of all clusters, [`MultiLevelRouter`](crate::multilevel)
-//! over one table per (level, parent group). What fills a table and
-//! where a solve starts are the callers' business; the loop here never
-//! asks which of them it serves.
+//! one table per (level, parent group) — a single table of all clusters
+//! when it plans over the clusters alone. What fills a table and where
+//! a solve starts are the caller's business; the loop here never asks
+//! which level it serves.
 //!
 //! Order is part of the result: a tie keeps the first offer, and sink
 //! states come out in visiting order. States are visited by unit id,

@@ -13,11 +13,12 @@
 //!   computes a **cluster-level service path** (CSP) from aggregate
 //!   state — including the back-tracking refinement that accounts for
 //!   intra-cluster border-to-border distances — dissects the request
-//!   into child requests, solves each inside its cluster with the flat
-//!   method, and composes the child paths.
-//! * [`multilevel`] applies the same algorithm recursively over a
-//!   hierarchy of any depth; both run the cluster-level shortest-path
-//!   pass of the one `level` solver.
+//!   into child requests, solves each one level down, and composes the
+//!   child paths. Over the clusters alone that is the paper's bi-level
+//!   router; given a `Hierarchy` the same planner recurses through its
+//!   levels until each child lies in one cluster, where the flat method
+//!   finishes it. Every level runs the shortest-path pass of the one
+//!   `level` solver.
 //!
 //! # Example
 //!
@@ -54,7 +55,8 @@ pub mod fixtures;
 pub mod flat;
 pub mod hier;
 mod level;
-pub mod multilevel;
+#[cfg(test)]
+mod multilevel;
 pub mod path;
 mod proptests;
 pub mod providers;
@@ -67,7 +69,6 @@ pub use cost::{CostConfig, CostModel, LoadAwareDelays};
 pub use csp::{CspCandidate, CspFrontier, CspRouter};
 pub use flat::{FlatRouter, RouteError};
 pub use hier::{ChildSpec, HierConfig, HierRoute, HierarchicalRouter, RoutePlan};
-pub use multilevel::MultiLevelRouter;
 pub use path::{PathBuilder, PathHop, ServicePath, ValidatePathError};
 pub use providers::{ProviderIndex, ProviderLookup};
 pub use router::Router;

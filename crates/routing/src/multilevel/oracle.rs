@@ -1,5 +1,5 @@
 //! The map-based level DP the dense [level solver](crate::level)
-//! replaced in [`MultiLevelRouter::plan_over`], kept as the oracle:
+//! replaced in [`HierarchicalRouter::plan_over`], kept as the oracle:
 //! chains (the chosen sink is a chain's last entry) and total cost bits
 //! must compare equal at every level of every hierarchy.
 
@@ -28,7 +28,7 @@ fn upsert(map: &mut StateMap, k: StateKey, cost: f64, prev: Option<(usize, State
     }
 }
 
-impl<D> MultiLevelRouter<'_, D>
+impl<D> HierarchicalRouter<'_, D>
 where
     D: DelayModel,
 {
@@ -150,11 +150,14 @@ where
         if from == to {
             return (0.0, entry);
         }
-        let pair = self.hierarchy.unit_border(self.hfc, level, from, to);
+        let pair = self.unit_border(level, from, to);
         let external = self.delays.delay(pair.local, pair.remote);
         if level == 1 {
             let internal = self.known_internal(entry, pair.local, ClusterId::new(dst_unit));
-            (internal + external + self.cluster_penalty(to), pair.remote)
+            (
+                internal + external + self.cluster_penalty(ClusterId::new(to)),
+                pair.remote,
+            )
         } else {
             (self.delays.delay(entry, pair.local) + external, pair.remote)
         }
@@ -330,13 +333,13 @@ mod tests {
             };
             match &self.statuses {
                 None => self.compare(
-                    &MultiLevelRouter::from_services(
+                    &HierarchicalRouter::from_services(
                         &self.hfc,
-                        &self.hierarchy,
                         &self.services,
                         &self.delays,
                         config,
-                    ),
+                    )
+                    .with_hierarchy(&self.hierarchy),
                     solves,
                 ),
                 // Wired the way the serving engine wires it.
@@ -349,13 +352,13 @@ mod tests {
                         weights.cluster_load_penalty,
                     );
                     self.compare(
-                        &MultiLevelRouter::from_services(
+                        &HierarchicalRouter::from_services(
                             &self.hfc,
-                            &self.hierarchy,
                             &self.services,
                             LoadAwareDelays::new(&self.delays, &model),
                             config,
                         )
+                        .with_hierarchy(&self.hierarchy)
                         .with_cluster_load(load),
                         solves,
                     )
@@ -365,14 +368,14 @@ mod tests {
 
         fn compare<D: DelayModel>(
             &self,
-            router: &MultiLevelRouter<'_, D>,
+            router: &HierarchicalRouter<'_, D>,
             solves: &[Solve],
         ) -> TestCaseResult {
             let exact = |plan: Result<(f64, Vec<(StageId, usize)>), RouteError>| {
                 plan.map(|(total, chain)| (total.to_bits(), chain))
             };
             for s in solves {
-                let dense = router.plan_over(s.level, s.parent, s.source, s.dest, &s.graph);
+                let dense = router.plan_over(s.level, s.parent, s.source, s.dest, &s.graph, &[]);
                 let reference = router.plan_over_reference(
                     s.level,
                     &router.siblings(s.level, s.parent),

@@ -76,7 +76,7 @@ impl ProviderIndex {
 
     /// The union of several indexes — every cluster's, say, giving the
     /// global view.
-    pub(crate) fn union(parts: &[ProviderIndex]) -> Self {
+    pub(crate) fn union<'a>(parts: impl IntoIterator<Item = &'a ProviderIndex>) -> Self {
         let mut map: BTreeMap<ServiceId, Vec<ProxyId>> = BTreeMap::new();
         for part in parts {
             for (&service, providers) in &part.map {

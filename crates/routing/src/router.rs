@@ -1,8 +1,8 @@
 //! The unified routing interface.
 //!
-//! Every router in the workspace — [`FlatRouter`],
-//! [`crate::hier::HierarchicalRouter`], and son-core's three-level
-//! `MultiLevelRouter` — answers the same question: *given a service
+//! Every router in the workspace — [`FlatRouter`] and
+//! [`crate::hier::HierarchicalRouter`], at any hierarchy depth — answers
+//! the same question: *given a service
 //! request, produce a concrete service path or explain why none
 //! exists*. [`Router`] captures exactly that, so benches and tests can
 //! swap routing strategies generically instead of hard-coding one

@@ -2,8 +2,9 @@
 //!
 //! [`TraceRouter`] extends [`Router`] with a variant that also returns
 //! a [`RouteTrace`] — the telemetry record explaining which decisions
-//! produced the path. The hierarchical router fills the whole record
-//! (CSP dissection, per-cluster child answers, border glue); other
+//! produced the path. The hierarchical router fills the whole record at
+//! every depth (top-level dissection, per-unit child answers, the
+//! cluster border crossings of the composed path); other
 //! routers report the basics (path, cost, timing). [`Traced`] wraps any
 //! `TraceRouter` and accumulates traces behind the plain [`Router`]
 //! interface, so generic call sites (the engine's workers, benches) can
@@ -120,8 +121,6 @@ where
                 assigned: Vec::new(),
             })
             .collect();
-        trace.border_hops = border_hops_for(self, request, &plan.children);
-
         let mut answers = Vec::with_capacity(plan.children.len());
         for (i, child) in plan.children.iter().enumerate() {
             match self.solve_child(child) {
@@ -142,41 +141,21 @@ where
         }
         let route = self.compose(request, plan, &answers);
         trace.elapsed_us = start.elapsed().as_secs_f64() * 1e6;
+        let hfc = self.hfc();
+        trace.border_hops = route
+            .path
+            .hops()
+            .windows(2)
+            .filter(|w| hfc.cluster_of(w[0].proxy) != hfc.cluster_of(w[1].proxy))
+            .map(|w| BorderHop {
+                from_proxy: w[0].proxy.index(),
+                to_proxy: w[1].proxy.index(),
+            })
+            .collect();
         trace.hops = trace_hops(&route.path);
         trace.cost = Some(route.path.length(self.known_delays()));
         (Ok(route.path), trace)
     }
-}
-
-/// The border crossings composition stitches into a path built from
-/// these children — mirrors [`HierarchicalRouter::compose`]'s glue.
-fn border_hops_for<D: DelayModel>(
-    router: &HierarchicalRouter<'_, D>,
-    request: &ServiceRequest,
-    children: &[crate::hier::ChildSpec],
-) -> Vec<BorderHop> {
-    let hfc = router.hfc();
-    let mut hops = Vec::new();
-    let mut prev_cluster = hfc.cluster_of(request.source);
-    for child in children {
-        if child.cluster != prev_cluster {
-            let pair = hfc.border(prev_cluster, child.cluster);
-            hops.push(BorderHop {
-                from_proxy: pair.local.index(),
-                to_proxy: pair.remote.index(),
-            });
-        }
-        prev_cluster = child.cluster;
-    }
-    let dest_cluster = hfc.cluster_of(request.destination);
-    if prev_cluster != dest_cluster {
-        let pair = hfc.border(prev_cluster, dest_cluster);
-        hops.push(BorderHop {
-            from_proxy: pair.local.index(),
-            to_proxy: pair.remote.index(),
-        });
-    }
-    hops
 }
 
 /// Wraps any boxed [`Router`] into a [`TraceRouter`] that reports only

@@ -1,7 +1,7 @@
 //! Recursive multi-level routing quality at 1k proxies.
 //!
 //! Builds the paper-scale 1000-proxy world, stacks a depth-3 hierarchy
-//! on it, and checks the [`MultiLevelRouter`] end to end:
+//! on it, and checks the hierarchical router over it end to end:
 //!
 //! * every routed path is structurally valid (right source, services
 //!   in order, every stage on a proxy that carries it);
