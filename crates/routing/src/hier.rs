@@ -135,8 +135,6 @@ pub struct HierarchicalRouter<'a, D> {
     /// `aggregates[l - 1][u]`: merged service set of unit `u` at level
     /// `l`, for every level `1..=top`.
     aggregates: Vec<Vec<ServiceSet>>,
-    /// The `SCT_C` view of `aggregates[0]`, built when first asked for.
-    sctc: OnceLock<SctC>,
     /// Per cluster, filled by the first leaf solve inside it: routers
     /// are rebuilt per batch and a request solves in a cluster or two.
     cluster_providers: Vec<OnceLock<ProviderIndex>>,
@@ -190,15 +188,7 @@ where
             })
             .collect();
         let providers = (0..hfc.cluster_count()).map(|_| OnceLock::new()).collect();
-        Self::new(
-            hfc,
-            services,
-            aggregates,
-            OnceLock::new(),
-            providers,
-            delays,
-            config,
-        )
+        Self::new(hfc, services, aggregates, providers, delays, config)
     }
 
     /// Builds the router from converged protocol tables: the
@@ -228,7 +218,6 @@ where
             hfc,
             Cow::Borrowed(&[]),
             aggregates,
-            sctc.into(),
             providers,
             delays,
             config,
@@ -239,7 +228,6 @@ where
         hfc: &'a HfcTopology,
         services: Cow<'a, [ServiceSet]>,
         aggregates: Vec<ServiceSet>,
-        sctc: OnceLock<SctC>,
         cluster_providers: Vec<OnceLock<ProviderIndex>>,
         delays: D,
         config: HierConfig,
@@ -250,7 +238,6 @@ where
             services,
             delays,
             aggregates: vec![aggregates],
-            sctc,
             cluster_providers,
             global_providers: OnceLock::new(),
             config,
@@ -304,15 +291,14 @@ where
         self
     }
 
-    /// The aggregate table the router decides from.
-    pub fn sctc(&self) -> &SctC {
-        self.sctc.get_or_init(|| {
-            let mut sctc = SctC::new();
-            for (c, set) in self.hfc.clusters().zip(&self.aggregates[0]) {
-                sctc.update(c, set.clone());
-            }
-            sctc
-        })
+    /// The aggregate table the router decides from, one row per
+    /// cluster.
+    pub fn sctc(&self) -> SctC {
+        let mut sctc = SctC::new();
+        for (c, set) in self.hfc.clusters().zip(&self.aggregates[0]) {
+            sctc.update(c, set.clone());
+        }
+        sctc
     }
 
     /// The HFC topology this router operates on.
