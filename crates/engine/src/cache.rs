@@ -23,7 +23,8 @@
 
 use son_overlay::{ClusterId, ServiceRequest};
 use son_routing::{CspFrontier, RouteError, ServicePath};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -106,6 +107,23 @@ struct Entry {
 struct Shard {
     entries: HashMap<RouteKey, Entry>,
     order: VecDeque<RouteKey>,
+}
+
+/// Bounds a FIFO eviction queue by its map. A key dropped on sight
+/// (stale) or by hand and then inserted again is queued again, and
+/// while the map has room nothing dequeues the old occurrence — under
+/// epoch churn the queue would grow by a key per re-insert. Once the
+/// queue holds more than twice the map, it keeps the first occurrence
+/// of each resident key, which is the one eviction reaches first.
+fn compact<K: Hash + Eq, V>(order: &mut VecDeque<K>, entries: &HashMap<K, V>) {
+    if order.len() > 2 * entries.len() {
+        let mut queued = HashSet::with_capacity(entries.len());
+        order.retain(|key| {
+            entries
+                .get_key_value(key)
+                .is_some_and(|(resident, _)| queued.insert(resident))
+        });
+    }
 }
 
 /// Monotonic counters describing cache behavior since construction —
@@ -341,6 +359,8 @@ impl RouteCache {
             .is_none()
         {
             shard.order.push_back(key);
+            let Shard { entries, order } = &mut *shard;
+            compact(order, entries);
         }
         drop(shard);
         self.insertions.fetch_add(1, Ordering::Relaxed);
@@ -552,6 +572,8 @@ impl CspCache {
             .is_none()
         {
             shard.order.push_back(key);
+            let CspShard { entries, order } = &mut *shard;
+            compact(order, entries);
         }
     }
 
@@ -659,6 +681,8 @@ impl NegativeCache {
             .is_none()
         {
             inner.order.push_back(key);
+            let NegShard { entries, order } = &mut *inner;
+            compact(order, entries);
         }
     }
 
@@ -769,6 +793,20 @@ mod tests {
         for (i, key) in keys.iter().enumerate().skip(2) {
             assert_eq!(cache.lookup(key, 0), Some(path(i, 9)), "key {i}");
         }
+    }
+
+    /// A key dropped as stale and inserted again under every new epoch
+    /// must not leave an occurrence in the eviction queue each time.
+    #[test]
+    fn stale_reinserts_keep_the_eviction_queue_bounded() {
+        let cache = RouteCache::new(1, 64);
+        let key = RouteKey::encode(ClusterId::new(0), &request(0, &[1], 2));
+        for epoch in 0..1_000 {
+            assert_eq!(cache.lookup(&key, epoch), None);
+            cache.insert(key.clone(), epoch, path(0, 2));
+        }
+        assert_eq!(cache.stats().stale_drops, 999);
+        assert!(cache.shard(&key).lock().unwrap().order.len() <= 2);
     }
 
     #[test]
