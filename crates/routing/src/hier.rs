@@ -472,10 +472,10 @@ where
         let dst_unit = self.unit_of(level, dest);
         let mut prev = self.unit_of(level, source);
         let mut children = Vec::with_capacity(runs.len());
-        for i in 0..runs.len() {
-            let next = runs.get(i + 1).map(|&(unit, _)| unit);
-            let (unit, services) = std::mem::take(&mut runs[i]);
-            let entry = if i == 0 && unit == prev {
+        let mut runs = runs.into_iter().peekable();
+        while let Some((unit, services)) = runs.next() {
+            let next = runs.peek().map(|&(unit, _)| unit);
+            let entry = if children.is_empty() && unit == prev {
                 source
             } else {
                 self.unit_border(level, unit, prev).local
