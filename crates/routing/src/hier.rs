@@ -122,6 +122,9 @@ pub struct RoutePlan {
 /// deployed system would: unit-level decisions use only
 /// aggregate-visible information, intra-cluster decisions use only the
 /// local cluster's tables.
+///
+/// (Items marked `pub(crate)` are read by the multi-level oracle, a
+/// sibling test module.)
 #[derive(Debug)]
 pub struct HierarchicalRouter<'a, D> {
     pub(crate) hfc: &'a HfcTopology,
