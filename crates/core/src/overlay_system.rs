@@ -1065,6 +1065,23 @@ mod tests {
         assert_eq!(a.hfc().cluster_count(), b.hfc().cluster_count());
         assert_eq!(a.services(), b.services());
     }
+
+    /// The Table 1 world at 500 proxies, pinned: any change to a build
+    /// stage that moves the overlay shows here.
+    #[test]
+    fn table1_500_build_is_pinned() {
+        let o = ServiceOverlay::build(&SonConfig::table1(500, 42));
+        assert_eq!(o.engine_snapshot().digest(), 0x9694_89a8_a063_f0d5);
+        let stats = o.stats();
+        assert_eq!(
+            (stats.clusters, stats.max_cluster_size, stats.border_proxies),
+            (38, 74, 144)
+        );
+        assert_eq!(
+            stats.embedding_error.median.to_bits(),
+            0x3fc4_8035_bb29_7743
+        );
+    }
 }
 
 #[cfg(test)]
