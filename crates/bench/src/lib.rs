@@ -22,4 +22,4 @@ pub mod scale;
 
 pub use experiments::{environment_for, figure10, figure9, Fig10Options, Figure10Row, Figure9Row};
 pub use json::{bench_artifact, write_bench_artifact, Json};
-pub use scale::{scale_row, scale_row_json, scale_sweep, ScaleOptions, ScaleRow};
+pub use scale::{scale_row, scale_row_json, ScaleOptions, ScaleRow};

@@ -88,7 +88,7 @@ impl BuildTimes {
 }
 
 /// The stage `SonConfig::threads` fans out across workers.
-pub const PARALLEL_STAGE: &str = "embedding";
+const PARALLEL_STAGE: &str = "embedding";
 
 /// One row of the sweep.
 #[derive(Debug, Clone)]
@@ -292,11 +292,6 @@ fn speedup(sequential: &BuildTimes, parallel: &BuildTimes) -> f64 {
     } else {
         s / p
     }
-}
-
-/// Runs the whole sweep.
-pub fn scale_sweep(opts: &ScaleOptions) -> Vec<ScaleRow> {
-    opts.sizes.iter().map(|&n| scale_row(n, opts)).collect()
 }
 
 /// Renders one row as a bench-artifact JSON object.

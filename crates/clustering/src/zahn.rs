@@ -84,7 +84,7 @@ impl ZahnClusterer {
     }
 
     /// Returns the indices (into `mst.edges()`) of inconsistent edges.
-    pub fn inconsistent_edges(&self, mst: &Mst) -> Vec<usize> {
+    fn inconsistent_edges(&self, mst: &Mst) -> Vec<usize> {
         (0..mst.edges().len())
             .filter(|&ei| self.is_inconsistent(mst, ei))
             .collect()

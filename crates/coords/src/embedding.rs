@@ -85,7 +85,6 @@ pub struct GnpEmbedding {
     dims: usize,
     landmarks: Vec<NodeId>,
     coords: Vec<Option<Coordinates>>,
-    landmark_fit_error: f64,
 }
 
 impl GnpEmbedding {
@@ -164,7 +163,7 @@ impl GnpEmbedding {
                 best = Some((x, v));
             }
         }
-        let (landmark_flat, landmark_fit_error) = best.expect("at least one restart ran");
+        let (landmark_flat, _) = best.expect("at least one restart ran");
         let landmark_coords: Vec<Coordinates> = (0..m)
             .map(|i| Coordinates::new(landmark_flat[i * dims..(i + 1) * dims].to_vec()))
             .collect();
@@ -245,7 +244,6 @@ impl GnpEmbedding {
             dims,
             landmarks: landmarks.to_vec(),
             coords,
-            landmark_fit_error,
         }
     }
 
@@ -259,12 +257,6 @@ impl GnpEmbedding {
         &self.landmarks
     }
 
-    /// Residual objective value of the landmark fit (sum of squared
-    /// relative errors) — a quality indicator.
-    pub fn landmark_fit_error(&self) -> f64 {
-        self.landmark_fit_error
-    }
-
     /// Coordinates of `node`, if it was embedded.
     pub fn coordinates(&self, node: NodeId) -> Option<&Coordinates> {
         self.coords.get(node.index()).and_then(|c| c.as_ref())
@@ -275,7 +267,7 @@ impl GnpEmbedding {
     /// # Panics
     ///
     /// Panics if either node was not embedded.
-    pub fn predicted_delay(&self, a: NodeId, b: NodeId) -> f64 {
+    fn predicted_delay(&self, a: NodeId, b: NodeId) -> f64 {
         let ca = self
             .coordinates(a)
             .unwrap_or_else(|| panic!("{a} was not embedded"));

@@ -1,35 +1,11 @@
 //! Landmark selection strategies.
 //!
 //! The paper just assumes "a small group of m landmarks" (Section 3.1);
-//! where they sit matters for embedding quality, so we provide both the
-//! naive random pick and a greedy max-min (k-center) spread that GNP
-//! deployments favour.
+//! where they sit matters for embedding quality, so landmarks are
+//! picked by the greedy max-min (k-center) spread that GNP deployments
+//! favour.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use son_netsim::graph::{Graph, NodeId};
-
-/// Picks `m` landmarks uniformly at random from `candidates`.
-///
-/// # Panics
-///
-/// Panics if `m == 0` or `m > candidates.len()`.
-pub fn select_landmarks_random(candidates: &[NodeId], m: usize, seed: u64) -> Vec<NodeId> {
-    assert!(m > 0, "need at least one landmark");
-    assert!(
-        m <= candidates.len(),
-        "cannot pick {m} landmarks from {} candidates",
-        candidates.len()
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pool = candidates.to_vec();
-    for i in 0..m {
-        let j = rng.gen_range(i..pool.len());
-        pool.swap(i, j);
-    }
-    pool.truncate(m);
-    pool
-}
 
 /// Picks `m` landmarks by greedy max-min delay spread (k-center
 /// heuristic): start from the candidate farthest from all others, then
@@ -83,30 +59,6 @@ mod tests {
     use son_netsim::topology::{PhysicalNetwork, TransitStubConfig};
 
     #[test]
-    fn random_selection_has_no_duplicates() {
-        let candidates: Vec<NodeId> = (0..50).map(NodeId::new).collect();
-        let picked = select_landmarks_random(&candidates, 10, 1);
-        assert_eq!(picked.len(), 10);
-        let mut sorted = picked.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 10);
-    }
-
-    #[test]
-    fn random_selection_is_seeded() {
-        let candidates: Vec<NodeId> = (0..50).map(NodeId::new).collect();
-        assert_eq!(
-            select_landmarks_random(&candidates, 5, 7),
-            select_landmarks_random(&candidates, 5, 7)
-        );
-        assert_ne!(
-            select_landmarks_random(&candidates, 5, 7),
-            select_landmarks_random(&candidates, 5, 8)
-        );
-    }
-
-    #[test]
     fn maxmin_spreads_better_than_worst_case() {
         let net = PhysicalNetwork::generate(&TransitStubConfig::default());
         let stubs = net.stub_nodes();
@@ -136,13 +88,13 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_landmarks_panics() {
         let candidates = [NodeId::new(0)];
-        let _ = select_landmarks_random(&candidates, 0, 0);
+        let _ = select_landmarks_maxmin(&Graph::with_nodes(1), &candidates, 0);
     }
 
     #[test]
     #[should_panic(expected = "cannot pick")]
     fn too_many_landmarks_panics() {
         let candidates = [NodeId::new(0)];
-        let _ = select_landmarks_random(&candidates, 2, 0);
+        let _ = select_landmarks_maxmin(&Graph::with_nodes(1), &candidates, 2);
     }
 }

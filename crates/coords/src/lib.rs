@@ -42,6 +42,6 @@ pub mod neldermead;
 pub mod space;
 
 pub use embedding::{EmbeddingConfig, ErrorStats, GnpEmbedding};
-pub use landmark::{select_landmarks_maxmin, select_landmarks_random};
+pub use landmark::select_landmarks_maxmin;
 pub use neldermead::{minimize, NelderMeadConfig};
 pub use space::Coordinates;

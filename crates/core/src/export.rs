@@ -1,11 +1,9 @@
-//! Graphviz DOT export of the physical network, the clustered overlay
-//! and service paths — for inspecting what the pipeline built (the
+//! Graphviz DOT export of the physical network and the clustered
+//! overlay — for inspecting what the pipeline built (the
 //! paper's Figures 1 and 6, regenerable for any world).
 
 use crate::overlay_system::ServiceOverlay;
 use son_netsim::topology::NodeKind;
-use son_overlay::ProxyId;
-use son_routing::ServicePath;
 use std::fmt::Write as _;
 
 /// Renders the physical transit-stub network as an undirected DOT
@@ -84,29 +82,6 @@ pub fn hfc_to_dot(overlay: &ServiceOverlay) -> String {
     out
 }
 
-/// Renders a concrete service path as a DOT digraph: service hops
-/// labelled with their service, relays unlabelled.
-pub fn path_to_dot(path: &ServicePath) -> String {
-    let mut out = String::from("digraph service_path {\n  rankdir=LR;\n");
-    for (i, hop) in path.hops().iter().enumerate() {
-        let label = match hop.service {
-            Some(s) => format!("{s}/p{}", hop.proxy.index()),
-            None => format!("p{}", hop.proxy.index()),
-        };
-        let shape = if hop.service.is_some() {
-            "box"
-        } else {
-            "ellipse"
-        };
-        let _ = writeln!(out, "  h{i} [label=\"{label}\", shape={shape}];");
-    }
-    for i in 1..path.hops().len() {
-        let _ = writeln!(out, "  h{} -> h{};", i - 1, i);
-    }
-    out.push_str("}\n");
-    out
-}
-
 /// A plain-text summary of the clustered overlay (cluster membership,
 /// borders, aggregate services) — the Figure 4 view for every node.
 pub fn hfc_to_text(overlay: &ServiceOverlay) -> String {
@@ -146,18 +121,10 @@ pub fn hfc_to_text(overlay: &ServiceOverlay) -> String {
     out
 }
 
-/// Convenience: is `proxy` mentioned in the DOT output? (Used by tests
-/// and downstream tooling that post-processes exports.)
-pub fn dot_mentions_proxy(dot: &str, proxy: ProxyId) -> bool {
-    dot.contains(&format!("p{}", proxy.index()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::overlay_system::SonConfig;
-    use son_overlay::ServiceId;
-    use son_routing::PathHop;
 
     fn overlay() -> ServiceOverlay {
         ServiceOverlay::build(&SonConfig::small(3))
@@ -206,23 +173,8 @@ mod tests {
         let c = o.hfc().cluster_count();
         assert_eq!(dot.matches("style=bold").count(), c * (c - 1) / 2);
         for p in 0..o.proxy_count() {
-            assert!(dot_mentions_proxy(&dot, ProxyId::new(p)));
+            assert!(dot.contains(&format!("p{p} [")), "proxy {p} missing");
         }
-    }
-
-    #[test]
-    fn path_dot_orders_hops() {
-        let path = ServicePath::new(vec![
-            PathHop::relay(ProxyId::new(0)),
-            PathHop::serving(ProxyId::new(3), ServiceId::new(1)),
-            PathHop::relay(ProxyId::new(7)),
-        ]);
-        let dot = path_to_dot(&path);
-        assert!(braces_balance(&dot));
-        assert!(dot.contains("h0 -> h1"));
-        assert!(dot.contains("h1 -> h2"));
-        assert!(dot.contains("s1/p3"));
-        assert!(dot.contains("shape=box"));
     }
 
     #[test]

@@ -35,60 +35,37 @@ pub mod export;
 pub mod membership;
 pub mod overlay_system;
 
-pub use membership::{ChurnStats, DynamicOverlay};
-pub use overlay_system::{
-    BuildStage, BuildStats, OverlayBuilder, ServiceOverlay, SonConfig, StageTimings,
-};
+pub use membership::DynamicOverlay;
+pub use overlay_system::{BuildStage, ServiceOverlay, SonConfig};
 
-// Re-export the full public API of the component crates so downstream
-// users (examples, benches) need only one dependency.
-pub use son_clustering::{
-    mst_complete, mst_euclidean, mst_kruskal, Clustering, InconsistencyRule, Mst, MstEdge,
-    UnionFind, ZahnClusterer, ZahnConfig,
-};
-pub use son_coords::{
-    minimize, select_landmarks_maxmin, select_landmarks_random, Coordinates, EmbeddingConfig,
-    ErrorStats, GnpEmbedding, NelderMeadConfig,
-};
+// The component-crate names the examples, bins, tests and benchmark
+// import, so they need only this one dependency.
+pub use son_clustering::{mst_complete, Clustering, ZahnClusterer, ZahnConfig};
+pub use son_coords::{select_landmarks_maxmin, Coordinates, EmbeddingConfig, GnpEmbedding};
 pub use son_engine::{
-    AdmissionConfig, AdmissionStats, CacheStats, CspCache, CspKey, Disposition, Engine,
-    EngineConfig, EngineSnapshot, FlatProvider, HierProvider, LatencySummary, LookupOutcome,
-    MultiLevelProvider, NegativeCache, RejectReason, RouteCache, RouteKey, RouterProvider,
-    ServeOutcome, ServeReport, StageBreakdown, SwrLookup, WorkerStats,
+    AdmissionConfig, CspCache, CspKey, Disposition, Engine, EngineConfig, EngineSnapshot,
+    FlatProvider, HierProvider, MultiLevelProvider, NegativeCache, RouteCache, RouteKey,
+    RouterProvider, ServeOutcome, ServeReport,
 };
 pub use son_netsim::{
-    Actor, CrashEvent, Ctx, DelayMeasurer, EventQueue, FaultPlan, Graph, MeasureConfig, NodeId,
-    NodeKind, Partition, PhysicalNetwork, SimStats, SimTime, Simulator, TransitStubConfig,
+    FaultPlan, MeasureConfig, NodeId, PhysicalNetwork, SimTime, TransitStubConfig,
 };
 pub use son_overlay::{
-    cluster_representatives, BorderPair, BorderSelection, CachedDelays, ClusterId, ClusterTree,
-    CoordDelays, DelayMatrix, DelayModel, DissemForest, ElectionWork, Health, HfcDelays,
-    HfcSnapshot, HfcTopology, Hierarchy, HierarchyConfig, MeshConfig, MeshTopology, Proxy, ProxyId,
-    ProxyStatus, QosProfile, QosRequirement, ServiceGraph, ServiceId, ServiceRegistry,
-    ServiceRequest, ServiceSet, StageId, StatusMap, DEFAULT_TREE_FANOUT, UNCAPPED,
+    BorderSelection, ClusterId, CoordDelays, DelayMatrix, DelayModel, ElectionWork, Health,
+    HfcDelays, HfcTopology, Hierarchy, HierarchyConfig, ProxyId, QosRequirement, ServiceGraph,
+    ServiceId, ServiceRegistry, ServiceRequest, ServiceSet, StatusMap,
 };
 pub use son_routing::fixtures;
 pub use son_routing::{
-    request_trace, resolve_distributed, solve_service_dag, trace_hops, Assignment, BasicTraced,
-    ChildSpec, CostConfig, CostModel, FlatRouter, HierConfig, HierRoute, HierarchicalRouter,
-    LoadAwareDelays, PathBuilder, PathHop, ProviderIndex, ProviderLookup, RouteError, RoutePlan,
-    Router, ServicePath, SessionReport, TraceRouter, Traced, ValidatePathError,
+    resolve_distributed, CostConfig, FlatRouter, HierConfig, HierarchicalRouter, ProviderIndex,
+    RouteError, Router, ServicePath,
 };
-pub use son_state::{
-    flat_overhead, hfc_overhead, ClusterLoad, ClusterLoadRow, ConvergenceChecker, DissemMode,
-    OverheadKind, OverheadReport, ProtocolConfig, SctC, SctP, Staleness, StateProtocol,
-    StateReport,
-};
+pub use son_state::{DissemMode, OverheadKind, ProtocolConfig, StateProtocol, StateReport};
 pub use son_telemetry::{
-    enabled as telemetry_enabled, flight, global as telemetry, render_prometheus,
-    set_enabled as set_telemetry_enabled, snapshot_json, write_json_snapshot, AnomalyKind,
-    AnomalySnapshot, CacheOutcome, CacheVerdict, DispositionMark, FlightEvent, FlightKind,
-    FlightRecorder, Histogram, HistogramCells, Json, LocalHistogram, Registry, RouteTrace,
-    SloConfig, SloTracker, Span, Stage as FlightStage, WindowFrame, NO_PROXY, NO_REQUEST,
-    NO_WORKER,
+    flight, global as telemetry, render_prometheus, set_enabled as set_telemetry_enabled,
+    write_json_snapshot, AnomalyKind, CacheVerdict, DispositionMark, FlightEvent, FlightKind,
+    FlightRecorder, Histogram, Json, SloConfig, SloTracker, NO_PROXY, NO_REQUEST, NO_WORKER,
 };
 pub use son_workload::{
-    assign_services, generate_requests, place_proxies, place_proxies_excluding,
-    table1_environments, zipf_request_mix, Environment, NonRepeatingWorkload, RequestProfile,
-    Scenario, ScenarioPhase, Zipf,
+    table1_environments, zipf_request_mix, Environment, NonRepeatingWorkload, Scenario,
 };

@@ -18,7 +18,7 @@
 
 use son_clustering::{mst_euclidean, Clustering, ZahnClusterer, ZahnConfig};
 use son_coords::Coordinates;
-use son_overlay::{CoordDelays, DissemForest, HfcTopology, ProxyId};
+use son_overlay::{CoordDelays, HfcTopology, ProxyId};
 
 /// How often (in membership events) the automatic drift fallback
 /// recomputes the O(n²) quality score. Checking every event would
@@ -75,10 +75,6 @@ pub struct DynamicOverlay {
     drift_threshold: Option<f64>,
     events_since_check: usize,
     stats: ChurnStats,
-    /// Bumped on every membership change (join, leave, restructure) so
-    /// epoch-stamped derivations — dissemination forests in particular
-    /// — can tell when they are stale.
-    epoch: u64,
 }
 
 impl DynamicOverlay {
@@ -101,11 +97,9 @@ impl DynamicOverlay {
             drift_threshold: None,
             events_since_check: 0,
             stats: ChurnStats::default(),
-            epoch: 0,
         };
         overlay.restructure();
         overlay.stats = ChurnStats::default();
-        overlay.epoch = 0;
         overlay
     }
 
@@ -143,23 +137,6 @@ impl DynamicOverlay {
         self.stats
     }
 
-    /// The current membership epoch: 0 at construction, +1 per join,
-    /// leave, or restructure. Compare against
-    /// [`DissemForest::epoch`] to spot a forest derived from an older
-    /// membership.
-    pub fn membership_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Derives the per-cluster dissemination forest for the *current*
-    /// membership, stamped with the current epoch. Callers holding a
-    /// forest from an earlier epoch should re-derive when
-    /// [`membership_epoch`](Self::membership_epoch) moves past the
-    /// forest's stamp.
-    pub fn dissem_forest(&self, max_fanout: usize) -> DissemForest {
-        DissemForest::build_at_epoch(&self.hfc, &self.delays, max_fanout, self.epoch)
-    }
-
     /// Current per-proxy cluster labels (dense hfc cluster indices).
     pub fn labels(&self) -> Vec<usize> {
         (0..self.coords.len())
@@ -183,7 +160,6 @@ impl DynamicOverlay {
         self.delays.push(coords);
         let p = self.hfc.insert_proxy(cluster, &self.delays);
         self.stats.incremental_joins += 1;
-        self.epoch += 1;
         self.maybe_restructure_on_drift();
         p
     }
@@ -204,7 +180,6 @@ impl DynamicOverlay {
         self.delays.swap_remove(proxy);
         let moved = self.hfc.remove_proxy(proxy, &self.delays);
         self.stats.incremental_leaves += 1;
-        self.epoch += 1;
         self.maybe_restructure_on_drift();
         moved
     }
@@ -225,7 +200,6 @@ impl DynamicOverlay {
         self.delays = CoordDelays::new(self.coords.clone());
         self.hfc = HfcTopology::build(&clustering, &self.delays);
         self.stats.full_rebuilds += 1;
-        self.epoch += 1;
     }
 
     /// Restructures only when quality has deteriorated past
@@ -386,34 +360,6 @@ mod tests {
         if degraded > 0.05 {
             assert!(overlay.restructure_if_needed(0.05));
         }
-    }
-
-    #[test]
-    fn epoch_tracks_membership_and_stamps_forests() {
-        let mut overlay = DynamicOverlay::new(grid_coords(), ZahnConfig::default());
-        assert_eq!(overlay.membership_epoch(), 0);
-        let forest = overlay.dissem_forest(4);
-        assert_eq!(forest.epoch(), 0);
-
-        let p = overlay.join(Coordinates::new(vec![510.0, 0.0]));
-        assert_eq!(overlay.membership_epoch(), 1, "join bumps the epoch");
-        // The old forest is visibly stale; a re-derivation covers the
-        // newcomer and carries the new stamp.
-        assert!(forest.epoch() < overlay.membership_epoch());
-        assert!(
-            forest.proxy_count() <= p.index(),
-            "old forest predates the join"
-        );
-        let fresh = overlay.dissem_forest(4);
-        assert_eq!(fresh.epoch(), 1);
-        assert_eq!(fresh.proxy_count(), overlay.len());
-        assert_eq!(fresh.tree_of(p).cluster(), overlay.hfc().cluster_of(p));
-
-        overlay.leave(p);
-        assert_eq!(overlay.membership_epoch(), 2, "leave bumps the epoch");
-        overlay.restructure();
-        assert_eq!(overlay.membership_epoch(), 3, "restructure bumps it too");
-        assert_eq!(overlay.dissem_forest(4).epoch(), 3);
     }
 
     #[test]

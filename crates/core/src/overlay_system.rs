@@ -1,7 +1,7 @@
 //! End-to-end construction of a clustered service overlay.
 //!
-//! [`OverlayBuilder`] runs the paper's pipeline as explicit stages
-//! ([`BuildStage`]):
+//! [`ServiceOverlay::build`] runs the paper's pipeline once, as seven
+//! stages in order ([`BuildStage`]):
 //!
 //! 1. **Topology** — generate a transit-stub physical topology
 //!    (GT-ITM style);
@@ -16,11 +16,9 @@
 //!    selection (Section 3.3);
 //! 7. **State** — install services, QoS profiles, and clients.
 //!
-//! The builder records per-stage wall time in [`BuildStats`] and
-//! reruns only stages whose inputs changed, so parameter sweeps (e.g.
-//! over Zahn thresholds or border-selection rules) skip regenerating
-//! the world. [`ServiceOverlay::build`] remains the one-shot
-//! convenience wrapper.
+//! Each stage runs under its `span.build.<name>` telemetry span and
+//! its wall time lands in [`BuildStats::timings`]; its output moves
+//! into the overlay.
 //!
 //! The result answers hierarchical routes, mesh-baseline routes,
 //! full-state HFC routes, overhead reports (Figure 9) and state
@@ -124,8 +122,8 @@ impl SonConfig {
     }
 }
 
-/// The pipeline stages of [`OverlayBuilder`], in execution order.
-/// Invalidating a stage invalidates everything after it.
+/// The pipeline stages of [`ServiceOverlay::build`], in execution
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BuildStage {
     /// Physical transit-stub topology generation.
@@ -175,26 +173,37 @@ impl BuildStage {
     }
 }
 
-/// Wall time each pipeline stage took on its most recent run.
+/// Wall time each pipeline stage took.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     times: [Duration; BuildStage::ALL.len()],
 }
 
 impl StageTimings {
-    /// Wall time of `stage`'s most recent run (zero if it never ran).
+    /// Wall time of `stage`.
     pub fn get(&self, stage: BuildStage) -> Duration {
         self.times[stage.index()]
     }
 
-    /// Total wall time across all stages' most recent runs.
+    /// Total wall time across all stages.
     pub fn total(&self) -> Duration {
         self.times.iter().sum()
     }
 
-    /// Iterates stages with their most recent wall times.
+    /// Iterates stages with their wall times.
     pub fn iter(&self) -> impl Iterator<Item = (BuildStage, Duration)> + '_ {
         BuildStage::ALL.iter().map(|&s| (s, self.times[s.index()]))
+    }
+
+    /// Runs `stage` under its telemetry span and records its wall time.
+    fn time<T>(&mut self, stage: BuildStage, run: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let output = {
+            let _stage = son_telemetry::span!(stage.name());
+            run()
+        };
+        self.times[stage.index()] = start.elapsed();
+        output
     }
 }
 
@@ -209,333 +218,8 @@ pub struct BuildStats {
     pub max_cluster_size: usize,
     /// Number of distinct border proxies.
     pub border_proxies: usize,
-    /// Per-stage wall time of the pipeline runs that produced this
-    /// overlay.
+    /// Per-stage wall time of the build that produced this overlay.
     pub timings: StageTimings,
-}
-
-/// A staged, rerunnable builder for [`ServiceOverlay`].
-///
-/// Each call to [`OverlayBuilder::run`] executes only the *dirty*
-/// stages (initially all of them). The `set_*` mutators mark exactly
-/// the stages their parameter feeds — e.g. swapping the Zahn config
-/// reruns clustering, HFC, and state, but keeps the generated world
-/// and its embedding.
-///
-/// # Example
-///
-/// ```
-/// use son_core::{BuildStage, OverlayBuilder, SonConfig};
-/// use son_core::ZahnConfig;
-///
-/// let mut builder = OverlayBuilder::new(SonConfig::small(3));
-/// let first = builder.finish();
-///
-/// // Sweep a clustering parameter: the physical world, landmarks and
-/// // embedding are reused, only clustering and later stages rerun.
-/// builder.set_zahn(ZahnConfig { min_cluster_size: 3, ..ZahnConfig::default() });
-/// assert!(!builder.is_dirty(BuildStage::Embedding));
-/// assert!(builder.is_dirty(BuildStage::Clustering));
-/// let second = builder.finish();
-/// assert_eq!(first.attachments(), second.attachments());
-/// ```
-#[derive(Debug)]
-pub struct OverlayBuilder {
-    config: SonConfig,
-    dirty: [bool; BuildStage::ALL.len()],
-    run_counts: [usize; BuildStage::ALL.len()],
-    timings: StageTimings,
-    physical: Option<PhysicalNetwork>,
-    landmarks: Option<Vec<NodeId>>,
-    attachments: Option<Vec<NodeId>>,
-    predicted: Option<CoordDelays>,
-    embedding_error: Option<ErrorStats>,
-    true_delays: Option<CachedDelays>,
-    clustering: Option<Clustering>,
-    hfc: Option<HfcTopology>,
-    services: Option<Vec<ServiceSet>>,
-    qos: Option<Vec<QosProfile>>,
-    clients: Option<Vec<NodeId>>,
-    client_proxies: Option<Vec<ProxyId>>,
-}
-
-impl OverlayBuilder {
-    /// Starts a builder with every stage pending.
-    pub fn new(config: SonConfig) -> Self {
-        OverlayBuilder {
-            config,
-            dirty: [true; BuildStage::ALL.len()],
-            run_counts: [0; BuildStage::ALL.len()],
-            timings: StageTimings::default(),
-            physical: None,
-            landmarks: None,
-            attachments: None,
-            predicted: None,
-            embedding_error: None,
-            true_delays: None,
-            clustering: None,
-            hfc: None,
-            services: None,
-            qos: None,
-            clients: None,
-            client_proxies: None,
-        }
-    }
-
-    /// The current configuration.
-    pub fn config(&self) -> &SonConfig {
-        &self.config
-    }
-
-    /// Marks `stage` and every later stage for rerun.
-    pub fn invalidate(&mut self, stage: BuildStage) {
-        for flag in self.dirty[stage.index()..].iter_mut() {
-            *flag = true;
-        }
-    }
-
-    /// Whether `stage` will rerun on the next [`OverlayBuilder::run`].
-    pub fn is_dirty(&self, stage: BuildStage) -> bool {
-        self.dirty[stage.index()]
-    }
-
-    /// How many times `stage` has executed.
-    pub fn runs(&self, stage: BuildStage) -> usize {
-        self.run_counts[stage.index()]
-    }
-
-    /// Per-stage wall times of the most recent runs.
-    pub fn timings(&self) -> &StageTimings {
-        &self.timings
-    }
-
-    /// Replaces the environment; regenerates the world from scratch.
-    pub fn set_environment(&mut self, environment: Environment) -> &mut Self {
-        self.config.environment = environment;
-        self.invalidate(BuildStage::Topology);
-        self
-    }
-
-    /// Replaces the embedding parameters; reruns embedding onward.
-    pub fn set_embedding(&mut self, embedding: EmbeddingConfig) -> &mut Self {
-        self.config.embedding = embedding;
-        self.invalidate(BuildStage::Embedding);
-        self
-    }
-
-    /// Replaces the Zahn clustering parameters; reruns clustering
-    /// onward, keeping the world and embedding.
-    pub fn set_zahn(&mut self, zahn: ZahnConfig) -> &mut Self {
-        self.config.zahn = zahn;
-        self.invalidate(BuildStage::Clustering);
-        self
-    }
-
-    /// Replaces the border-selection rule; reruns only HFC and state.
-    pub fn set_border_selection(&mut self, selection: BorderSelection) -> &mut Self {
-        self.config.border_selection = selection;
-        self.invalidate(BuildStage::Hfc);
-        self
-    }
-
-    /// Replaces the mesh parameters (query-time only; nothing reruns).
-    pub fn set_mesh(&mut self, mesh: MeshConfig) -> &mut Self {
-        self.config.mesh = mesh;
-        self
-    }
-
-    /// Replaces the hierarchical-router parameters (query-time only).
-    pub fn set_hier(&mut self, hier: HierConfig) -> &mut Self {
-        self.config.hier = hier;
-        self
-    }
-
-    /// Replaces the state-protocol timing (query-time only).
-    pub fn set_protocol(&mut self, protocol: ProtocolConfig) -> &mut Self {
-        self.config.protocol = protocol;
-        self
-    }
-
-    /// Replaces the build thread count. Nothing reruns: every stage is
-    /// thread-count-independent, so existing results stay valid.
-    pub fn set_threads(&mut self, threads: usize) -> &mut Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Replaces the true-delay row cap; reruns the distances setup.
-    pub fn set_delay_rows_limit(&mut self, limit: Option<usize>) -> &mut Self {
-        self.config.delay_rows_limit = limit;
-        self.invalidate(BuildStage::Distances);
-        self
-    }
-
-    /// Executes all dirty stages in order, timing each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the environment is inconsistent (e.g. more proxies
-    /// than stub nodes).
-    pub fn run(&mut self) -> &mut Self {
-        let _build = son_telemetry::span!("build");
-        for stage in BuildStage::ALL {
-            if !self.dirty[stage.index()] {
-                continue;
-            }
-            let start = Instant::now();
-            {
-                let _stage = son_telemetry::span!(stage.name());
-                self.run_stage(stage);
-            }
-            self.timings.times[stage.index()] = start.elapsed();
-            self.run_counts[stage.index()] += 1;
-            self.dirty[stage.index()] = false;
-        }
-        self
-    }
-
-    fn run_stage(&mut self, stage: BuildStage) {
-        let env = &self.config.environment;
-        match stage {
-            BuildStage::Topology => {
-                let ts = TransitStubConfig::with_target_size(env.physical_nodes, env.seed);
-                self.physical = Some(PhysicalNetwork::generate(&ts));
-            }
-            BuildStage::Landmarks => {
-                let physical = self.physical.as_ref().expect("stage order");
-                let stubs = physical.stub_nodes();
-                let landmarks = select_landmarks_maxmin(physical.graph(), &stubs, env.landmarks);
-                self.attachments = Some(place_proxies_excluding(
-                    physical,
-                    env.proxies,
-                    &landmarks,
-                    env.seed.wrapping_add(1),
-                ));
-                self.landmarks = Some(landmarks);
-            }
-            BuildStage::Embedding => {
-                // Distance map via GNP (what the deployed system
-                // would know).
-                let physical = self.physical.as_ref().expect("stage order");
-                let landmarks = self.landmarks.as_ref().expect("stage order");
-                let attachments = self.attachments.as_ref().expect("stage order");
-                let embedding_config = EmbeddingConfig {
-                    threads: self.config.threads,
-                    ..self.config.embedding.clone()
-                };
-                let embedding = GnpEmbedding::compute(
-                    physical.graph(),
-                    landmarks,
-                    attachments,
-                    &embedding_config,
-                );
-                self.embedding_error =
-                    Some(embedding.relative_error_stats(physical.graph(), attachments));
-                self.predicted = Some(CoordDelays::new(
-                    attachments
-                        .iter()
-                        .map(|&a| {
-                            embedding
-                                .coordinates(a)
-                                .expect("every attachment was embedded")
-                                .clone()
-                        })
-                        .collect(),
-                ));
-            }
-            BuildStage::Distances => {
-                // Ground truth for evaluation — lazy rows, so building
-                // the overlay costs nothing here; evaluation pays one
-                // Dijkstra per source it actually queries.
-                let physical = self.physical.as_ref().expect("stage order");
-                let attachments = self.attachments.as_ref().expect("stage order");
-                self.true_delays = Some(match self.config.delay_rows_limit {
-                    Some(limit) => {
-                        CachedDelays::bounded(physical.graph().clone(), attachments.clone(), limit)
-                    }
-                    None => CachedDelays::new(physical.graph().clone(), attachments.clone()),
-                });
-            }
-            BuildStage::Clustering => {
-                // Cluster in the coordinate space.
-                let predicted = self.predicted.as_ref().expect("stage order");
-                let mst = mst_euclidean(predicted.as_slice());
-                self.clustering = Some(ZahnClusterer::new(self.config.zahn.clone()).cluster(&mst));
-            }
-            BuildStage::Hfc => {
-                let clustering = self.clustering.as_ref().expect("stage order");
-                let predicted = self.predicted.as_ref().expect("stage order");
-                self.hfc = Some(HfcTopology::build_with_selection(
-                    clustering,
-                    predicted,
-                    self.config.border_selection,
-                ));
-            }
-            BuildStage::State => {
-                let physical = self.physical.as_ref().expect("stage order");
-                let landmarks = self.landmarks.as_ref().expect("stage order");
-                let attachments = self.attachments.as_ref().expect("stage order");
-                self.services = Some(assign_services(
-                    env.proxies,
-                    env.service_universe,
-                    env.services_per_proxy,
-                    env.seed.wrapping_add(2),
-                ));
-                self.qos = Some(assign_qos(env.proxies, env.seed.wrapping_add(3)));
-                // Clients attach to stub nodes too (distinct from
-                // landmarks); each client's requests terminate at its
-                // nearest proxy.
-                let clients = place_proxies_excluding(
-                    physical,
-                    env.clients
-                        .min(physical.stub_nodes().len().saturating_sub(env.landmarks)),
-                    landmarks,
-                    env.seed.wrapping_add(4),
-                );
-                // One multi-source Dijkstra labels every physical node
-                // with its nearest proxy (lowest id among equals); a
-                // client that reaches none keeps proxy 0.
-                let nearest = physical.graph().nearest_sources(attachments);
-                self.client_proxies = Some(
-                    clients
-                        .iter()
-                        .map(|c| ProxyId::new(nearest[c.index()].unwrap_or(0)))
-                        .collect(),
-                );
-                self.clients = Some(clients);
-            }
-        }
-    }
-
-    /// Runs any dirty stages and assembles a [`ServiceOverlay`]. The
-    /// builder stays usable for further parameter changes and reruns.
-    pub fn finish(&mut self) -> ServiceOverlay {
-        self.run();
-        let clustering = self.clustering.clone().expect("pipeline ran");
-        let hfc = self.hfc.clone().expect("pipeline ran");
-        let stats = BuildStats {
-            embedding_error: self.embedding_error.expect("pipeline ran"),
-            clusters: hfc.cluster_count(),
-            max_cluster_size: clustering.max_cluster_size(),
-            border_proxies: hfc.all_border_proxies().len(),
-            timings: self.timings,
-        };
-        ServiceOverlay {
-            config: self.config.clone(),
-            physical: self.physical.clone().expect("pipeline ran"),
-            landmarks: self.landmarks.clone().expect("pipeline ran"),
-            attachments: self.attachments.clone().expect("pipeline ran"),
-            services: self.services.clone().expect("pipeline ran"),
-            qos: self.qos.clone().expect("pipeline ran"),
-            clients: self.clients.clone().expect("pipeline ran"),
-            client_proxies: self.client_proxies.clone().expect("pipeline ran"),
-            true_delays: self.true_delays.clone().expect("pipeline ran"),
-            predicted: self.predicted.clone().expect("pipeline ran"),
-            clustering,
-            hfc,
-            stats,
-        }
-    }
 }
 
 /// A fully built clustered service overlay network.
@@ -544,7 +228,6 @@ pub struct ServiceOverlay {
     config: SonConfig,
     physical: PhysicalNetwork,
     landmarks: Vec<NodeId>,
-    attachments: Vec<NodeId>,
     services: Vec<ServiceSet>,
     qos: Vec<QosProfile>,
     clients: Vec<NodeId>,
@@ -558,14 +241,132 @@ pub struct ServiceOverlay {
 
 impl ServiceOverlay {
     /// Runs the full pipeline. Deterministic in the config's seed.
-    /// One-shot convenience over [`OverlayBuilder`].
     ///
     /// # Panics
     ///
     /// Panics if the environment is inconsistent (e.g. more proxies
     /// than stub nodes).
     pub fn build(config: &SonConfig) -> Self {
-        OverlayBuilder::new(config.clone()).finish()
+        let _build = son_telemetry::span!("build");
+        let env = &config.environment;
+        let mut timings = StageTimings::default();
+
+        let physical = timings.time(BuildStage::Topology, || {
+            let ts = TransitStubConfig::with_target_size(env.physical_nodes, env.seed);
+            PhysicalNetwork::generate(&ts)
+        });
+
+        let (landmarks, attachments) = timings.time(BuildStage::Landmarks, || {
+            let stubs = physical.stub_nodes();
+            let landmarks = select_landmarks_maxmin(physical.graph(), &stubs, env.landmarks);
+            let attachments = place_proxies_excluding(
+                &physical,
+                env.proxies,
+                &landmarks,
+                env.seed.wrapping_add(1),
+            );
+            (landmarks, attachments)
+        });
+
+        // Distance map via GNP (what the deployed system would know).
+        let (predicted, embedding_error) = timings.time(BuildStage::Embedding, || {
+            let embedding_config = EmbeddingConfig {
+                threads: config.threads,
+                ..config.embedding.clone()
+            };
+            let embedding = GnpEmbedding::compute(
+                physical.graph(),
+                &landmarks,
+                &attachments,
+                &embedding_config,
+            );
+            let error = embedding.relative_error_stats(physical.graph(), &attachments);
+            let predicted = CoordDelays::new(
+                attachments
+                    .iter()
+                    .map(|&a| {
+                        embedding
+                            .coordinates(a)
+                            .expect("every attachment was embedded")
+                            .clone()
+                    })
+                    .collect(),
+            );
+            (predicted, error)
+        });
+
+        // Ground truth for evaluation — lazy rows, so building the
+        // overlay costs nothing here; evaluation pays one Dijkstra per
+        // source it actually queries.
+        let true_delays = timings.time(BuildStage::Distances, || {
+            let graph = physical.graph().clone();
+            match config.delay_rows_limit {
+                Some(limit) => CachedDelays::bounded(graph, attachments, limit),
+                None => CachedDelays::new(graph, attachments),
+            }
+        });
+        let attachments = true_delays.attachments();
+
+        // Cluster in the coordinate space.
+        let clustering = timings.time(BuildStage::Clustering, || {
+            let mst = mst_euclidean(predicted.as_slice());
+            ZahnClusterer::new(config.zahn.clone()).cluster(&mst)
+        });
+
+        let hfc = timings.time(BuildStage::Hfc, || {
+            HfcTopology::build_with_selection(&clustering, &predicted, config.border_selection)
+        });
+
+        let (services, qos, clients, client_proxies) = timings.time(BuildStage::State, || {
+            let services = assign_services(
+                env.proxies,
+                env.service_universe,
+                env.services_per_proxy,
+                env.seed.wrapping_add(2),
+            );
+            let qos = assign_qos(env.proxies, env.seed.wrapping_add(3));
+            // Clients attach to stub nodes too (distinct from
+            // landmarks); each client's requests terminate at its
+            // nearest proxy.
+            let clients = place_proxies_excluding(
+                &physical,
+                env.clients
+                    .min(physical.stub_nodes().len().saturating_sub(env.landmarks)),
+                &landmarks,
+                env.seed.wrapping_add(4),
+            );
+            // One multi-source Dijkstra labels every physical node with
+            // its nearest proxy (lowest id among equals); a client that
+            // reaches none keeps proxy 0.
+            let nearest = physical.graph().nearest_sources(attachments);
+            let client_proxies = clients
+                .iter()
+                .map(|c| ProxyId::new(nearest[c.index()].unwrap_or(0)))
+                .collect();
+            (services, qos, clients, client_proxies)
+        });
+
+        let stats = BuildStats {
+            embedding_error,
+            clusters: hfc.cluster_count(),
+            max_cluster_size: clustering.max_cluster_size(),
+            border_proxies: hfc.all_border_proxies().len(),
+            timings,
+        };
+        ServiceOverlay {
+            config: config.clone(),
+            physical,
+            landmarks,
+            services,
+            qos,
+            clients,
+            client_proxies,
+            true_delays,
+            predicted,
+            clustering,
+            hfc,
+            stats,
+        }
     }
 
     /// Replaces the randomly assigned services with an explicit
@@ -602,12 +403,12 @@ impl ServiceOverlay {
 
     /// Physical attachment point of each proxy.
     pub fn attachments(&self) -> &[NodeId] {
-        &self.attachments
+        self.true_delays.attachments()
     }
 
     /// Number of proxies.
     pub fn proxy_count(&self) -> usize {
-        self.attachments.len()
+        self.true_delays.len()
     }
 
     /// Installed services per proxy.
@@ -690,7 +491,7 @@ impl ServiceOverlay {
     /// the hierarchical state: aggregates and provider tables are
     /// computed over admissible proxies only, staying exact at both
     /// levels.
-    pub fn admissible_services(&self, req: &QosRequirement) -> Vec<ServiceSet> {
+    fn admissible_services(&self, req: &QosRequirement) -> Vec<ServiceSet> {
         self.services
             .iter()
             .zip(&self.qos)
@@ -868,36 +669,6 @@ impl ServiceOverlay {
     pub fn run_state_protocol_faulty(&self, plan: FaultPlan, deadline: SimTime) -> StateReport {
         self.faulty_state_protocol(plan)
             .run_until_converged(deadline)
-    }
-
-    /// [`run_state_protocol_faulty`](Self::run_state_protocol_faulty)
-    /// in an explicit dissemination mode.
-    pub fn run_state_protocol_faulty_in(
-        &self,
-        mode: DissemMode,
-        plan: FaultPlan,
-        deadline: SimTime,
-    ) -> StateReport {
-        self.faulty_state_protocol_in(mode, plan)
-            .run_until_converged(deadline)
-    }
-
-    /// Engine snapshot with `down` proxies marked [`Health::Down`]:
-    /// after [`son_engine::Engine::install_snapshot`], no route can
-    /// select a dead proxy as provider *or relay* (its service set is
-    /// emptied and its traversal cost is `+∞`), and the epoch bump
-    /// evicts cached routes that did. Equivalent to
-    /// [`engine_snapshot_with`](Self::engine_snapshot_with) over
-    /// [`StatusMap::from_down`] — health is the one mechanism for
-    /// excluding a proxy.
-    pub fn engine_snapshot_without(
-        &self,
-        down: &[ProxyId],
-    ) -> son_engine::EngineSnapshot<CoordDelays> {
-        self.engine_snapshot_with(
-            StatusMap::from_down(self.proxy_count(), down),
-            son_routing::CostConfig::default(),
-        )
     }
 
     /// Engine snapshot carrying per-proxy health/capacity/load statuses
@@ -1088,65 +859,6 @@ mod tests {
 mod builder_tests {
     use super::*;
     use son_overlay::DelayModel;
-
-    #[test]
-    fn builder_matches_one_shot_build() {
-        let config = SonConfig::small(3);
-        let one_shot = ServiceOverlay::build(&config);
-        let staged = OverlayBuilder::new(config).finish();
-        assert_eq!(one_shot.attachments(), staged.attachments());
-        assert_eq!(one_shot.services(), staged.services());
-        assert_eq!(one_shot.hfc().snapshot(), staged.hfc().snapshot());
-        assert_eq!(one_shot.client_proxies(), staged.client_proxies());
-    }
-
-    #[test]
-    fn only_dirty_stages_rerun() {
-        let mut builder = OverlayBuilder::new(SonConfig::small(3));
-        builder.run();
-        for stage in BuildStage::ALL {
-            assert_eq!(builder.runs(stage), 1);
-            assert!(!builder.is_dirty(stage));
-        }
-        // A clean rerun does nothing.
-        builder.run();
-        for stage in BuildStage::ALL {
-            assert_eq!(builder.runs(stage), 1);
-        }
-        // Changing the border rule reruns HFC and state only.
-        builder.set_border_selection(BorderSelection::FirstPair);
-        builder.run();
-        assert_eq!(builder.runs(BuildStage::Topology), 1);
-        assert_eq!(builder.runs(BuildStage::Embedding), 1);
-        assert_eq!(builder.runs(BuildStage::Clustering), 1);
-        assert_eq!(builder.runs(BuildStage::Hfc), 2);
-        assert_eq!(builder.runs(BuildStage::State), 2);
-        // Changing clustering parameters reaches back one stage more.
-        builder.set_zahn(ZahnConfig {
-            min_cluster_size: 3,
-            ..ZahnConfig::default()
-        });
-        builder.run();
-        assert_eq!(builder.runs(BuildStage::Embedding), 1);
-        assert_eq!(builder.runs(BuildStage::Clustering), 2);
-        assert_eq!(builder.runs(BuildStage::Hfc), 3);
-    }
-
-    #[test]
-    fn rerun_with_same_params_reproduces_the_one_shot_world() {
-        // Sweep away and back: the final overlay must be identical to
-        // a fresh build with the final parameters.
-        let mut builder = OverlayBuilder::new(SonConfig::small(7));
-        let _ = builder.finish();
-        builder.set_border_selection(BorderSelection::FirstPair);
-        let ablated = builder.finish();
-        let fresh = ServiceOverlay::build(&SonConfig {
-            border_selection: BorderSelection::FirstPair,
-            ..SonConfig::small(7)
-        });
-        assert_eq!(ablated.hfc().snapshot(), fresh.hfc().snapshot());
-        assert_eq!(ablated.attachments(), fresh.attachments());
-    }
 
     #[test]
     fn stage_timings_are_recorded() {

@@ -101,7 +101,7 @@ impl LatencySummary {
 
     /// Summarizes an already-captured histogram snapshot — used for
     /// windowed (delta) summaries, where no live histogram exists.
-    pub fn from_snapshot(snap: &son_telemetry::HistogramSnapshot) -> Self {
+    fn from_snapshot(snap: &son_telemetry::HistogramSnapshot) -> Self {
         LatencySummary {
             p50_us: snap.p50,
             p90_us: snap.p90,

@@ -17,7 +17,7 @@
 //! hierarchical router the snapshot's [`Hierarchy`] as well.
 
 use son_overlay::{
-    ClusterId, CoordDelays, DelayModel, Health, HfcTopology, Hierarchy, ProxyId, ServiceRequest,
+    ClusterId, CoordDelays, DelayModel, HfcTopology, Hierarchy, ProxyId, ServiceRequest,
     ServiceSet, StatusMap,
 };
 use son_routing::{
@@ -167,19 +167,6 @@ impl<D: DelayModel> EngineSnapshot<D> {
     /// Whether `proxy` may carry new traffic in this snapshot.
     pub fn is_routable(&self, proxy: ProxyId) -> bool {
         self.statuses().is_routable(proxy)
-    }
-
-    /// Whether the ingress cluster of `request` has at least one `Up`
-    /// member to accept the session. Vacuously true without statuses.
-    pub fn has_up_ingress(&self, request: &ServiceRequest) -> bool {
-        let statuses = self.statuses();
-        if statuses.is_empty() {
-            return true;
-        }
-        self.hfc
-            .members(self.ingress(request))
-            .iter()
-            .any(|&p| statuses.health(p) == Health::Up)
     }
 
     /// Number of proxies in this snapshot.

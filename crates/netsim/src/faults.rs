@@ -32,7 +32,6 @@ use crate::event::SimTime;
 use crate::graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// A scheduled network partition: during `[start, end)` the `island`
 /// nodes cannot exchange messages with the rest of the network
@@ -100,9 +99,6 @@ pub struct FaultPlan {
     pub duplicate: f64,
     /// Maximum extra delivery delay, drawn uniformly per delivery.
     pub jitter_ms: f64,
-    /// Per-link loss overrides (unordered pairs), taking precedence
-    /// over the uniform `loss`.
-    pub link_loss: Vec<(NodeId, NodeId, f64)>,
     /// Scheduled partitions.
     pub partitions: Vec<Partition>,
     /// Scheduled crash/restart events.
@@ -117,7 +113,6 @@ impl FaultPlan {
             loss: 0.0,
             duplicate: 0.0,
             jitter_ms: 0.0,
-            link_loss: Vec::new(),
             partitions: Vec::new(),
             crashes: Vec::new(),
         }
@@ -173,20 +168,6 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides the drop probability of the unordered link `(a, b)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= loss <= 1.0`.
-    pub fn with_link_loss(mut self, a: NodeId, b: NodeId, loss: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&loss),
-            "loss probability must be in [0, 1], got {loss}"
-        );
-        self.link_loss.push((a, b, loss));
-        self
-    }
-
     /// Schedules a partition of `island` from the rest during
     /// `[start, end)`.
     ///
@@ -218,7 +199,6 @@ impl FaultPlan {
         self.loss == 0.0
             && self.duplicate == 0.0
             && self.jitter_ms == 0.0
-            && self.link_loss.is_empty()
             && self.partitions.is_empty()
             && self.crashes.is_empty()
     }
@@ -246,7 +226,6 @@ impl FaultPlan {
 pub(crate) struct FaultState {
     plan: FaultPlan,
     rng: StdRng,
-    link_loss: HashMap<(NodeId, NodeId), f64>,
     crashed: Vec<bool>,
     /// Bumped on every crash; timers armed under an older incarnation
     /// are dead on arrival.
@@ -255,14 +234,8 @@ pub(crate) struct FaultState {
 
 impl FaultState {
     pub(crate) fn new(plan: FaultPlan, nodes: usize) -> Self {
-        let link_loss = plan
-            .link_loss
-            .iter()
-            .flat_map(|&(a, b, p)| [((a, b), p), ((b, a), p)])
-            .collect();
         FaultState {
             rng: StdRng::seed_from_u64(plan.seed),
-            link_loss,
             crashed: vec![false; nodes],
             incarnation: vec![0; nodes],
             plan,
@@ -276,12 +249,7 @@ impl FaultState {
         if self.plan.partitions.iter().any(|p| p.severs(now, from, to)) {
             return true;
         }
-        let p = self
-            .link_loss
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.plan.loss);
-        p > 0.0 && self.rng.gen_bool(p)
+        self.plan.loss > 0.0 && self.rng.gen_bool(self.plan.loss)
     }
 
     /// Whether a surviving message gets a duplicate delivery.
@@ -368,20 +336,6 @@ mod tests {
             )
             .with_crash(NodeId::new(2), SimTime::from_ms(30.0), None);
         assert_eq!(plan.horizon(), SimTime::from_ms(60.0));
-    }
-
-    #[test]
-    fn link_overrides_beat_uniform_loss() {
-        let plan =
-            FaultPlan::new(1)
-                .with_loss(0.0)
-                .with_link_loss(NodeId::new(0), NodeId::new(1), 1.0);
-        let mut state = FaultState::new(plan, 3);
-        // The overridden link always drops, in both directions.
-        assert!(state.drops(SimTime::ZERO, NodeId::new(0), NodeId::new(1)));
-        assert!(state.drops(SimTime::ZERO, NodeId::new(1), NodeId::new(0)));
-        // Every other link never does.
-        assert!(!state.drops(SimTime::ZERO, NodeId::new(0), NodeId::new(2)));
     }
 
     #[test]

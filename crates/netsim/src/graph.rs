@@ -221,25 +221,6 @@ impl Graph {
             .collect()
     }
 
-    /// Shortest path from `src` to `dst` as `(total_delay, hops)`.
-    ///
-    /// Returns `None` when `dst` is unreachable. The hop list includes
-    /// both endpoints.
-    pub fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<(f64, Vec<NodeId>)> {
-        let (dist, pred) = self.dijkstra_with_predecessors(src);
-        if !dist[dst.index()].is_finite() {
-            return None;
-        }
-        let mut hops = vec![dst];
-        let mut cur = dst;
-        while let Some(p) = pred[cur.index()] {
-            hops.push(p);
-            cur = p;
-        }
-        hops.reverse();
-        Some((dist[dst.index()], hops))
-    }
-
     /// All-pairs shortest paths via Floyd–Warshall.
     ///
     /// Quadratic memory and cubic time — intended for tests and small
@@ -374,11 +355,6 @@ impl DistanceTable {
             self.source_row[from.index()].expect("`from` must be one of the DistanceTable sources");
         &self.rows[row]
     }
-
-    /// Returns `true` if `n` is one of the sources.
-    pub fn contains_source(&self, n: NodeId) -> bool {
-        self.source_row[n.index()].is_some()
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -442,19 +418,21 @@ mod tests {
     #[test]
     fn shortest_path_returns_hops() {
         let (g, ids) = diamond();
-        let (d, hops) = g.shortest_path(ids[0], ids[3]).unwrap();
-        assert_eq!(d, 3.0);
-        assert_eq!(hops, vec![ids[0], ids[1], ids[3]]);
+        let (d, pred) = g.dijkstra_with_predecessors(ids[0]);
+        assert_eq!(d[ids[3].index()], 3.0);
+        assert_eq!(pred[ids[3].index()], Some(ids[1]));
+        assert_eq!(pred[ids[1].index()], Some(ids[0]));
+        assert_eq!(pred[ids[0].index()], None);
     }
 
     #[test]
     fn unreachable_is_none() {
         let mut g = Graph::with_nodes(2);
-        assert!(g.shortest_path(NodeId::new(0), NodeId::new(1)).is_none());
-        let d = g.dijkstra(NodeId::new(0));
+        let (d, pred) = g.dijkstra_with_predecessors(NodeId::new(0));
         assert!(d[1].is_infinite());
+        assert_eq!(pred[1], None);
         g.add_edge(NodeId::new(0), NodeId::new(1), 5.0);
-        assert!(g.shortest_path(NodeId::new(0), NodeId::new(1)).is_some());
+        assert_eq!(g.dijkstra(NodeId::new(0))[1], 5.0);
     }
 
     #[test]
@@ -525,8 +503,6 @@ mod tests {
         let table = DistanceTable::new(&g, &[ids[0], ids[3]]);
         assert_eq!(table.delay(ids[0], ids[2]), 4.0);
         assert_eq!(table.delay(ids[3], ids[0]), 3.0);
-        assert!(table.contains_source(ids[0]));
-        assert!(!table.contains_source(ids[1]));
         assert_eq!(table.row(ids[0])[ids[1].index()], 1.0);
     }
 
@@ -628,27 +604,28 @@ mod proptests {
             }
         }
 
-        /// Shortest-path hop lists are real paths whose edge weights sum
-        /// to the reported distance.
+        /// Predecessor chains are real shortest paths: walked back from
+        /// any reachable node they end at the source, and their edge
+        /// weights sum to the reported distance.
         #[test]
         fn shortest_path_hops_are_consistent(g in graph_strategy()) {
             for src in g.node_ids() {
-                for dst in g.node_ids() {
-                    if let Some((dist, hops)) = g.shortest_path(src, dst) {
-                        prop_assert_eq!(*hops.first().unwrap(), src);
-                        prop_assert_eq!(*hops.last().unwrap(), dst);
-                        let mut total = 0.0;
-                        for w in hops.windows(2) {
-                            let weight = g
-                                .neighbors(w[0])
-                                .iter()
-                                .find(|(n, _)| *n == w[1])
-                                .map(|(_, wt)| *wt);
-                            prop_assert!(weight.is_some(), "hop is not an edge");
-                            total += weight.unwrap();
-                        }
-                        prop_assert!((total - dist).abs() < 1e-9);
+                let (dist, pred) = g.dijkstra_with_predecessors(src);
+                for dst in g.node_ids().filter(|d| dist[d.index()].is_finite()) {
+                    let mut total = 0.0;
+                    let mut cur = dst;
+                    while let Some(prev) = pred[cur.index()] {
+                        let weight = g
+                            .neighbors(prev)
+                            .iter()
+                            .find(|(n, _)| *n == cur)
+                            .map(|(_, wt)| *wt);
+                        prop_assert!(weight.is_some(), "hop is not an edge");
+                        total += weight.unwrap();
+                        cur = prev;
                     }
+                    prop_assert_eq!(cur, src);
+                    prop_assert!((total - dist[dst.index()]).abs() < 1e-9);
                 }
             }
         }

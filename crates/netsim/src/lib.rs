@@ -48,5 +48,5 @@ pub use event::{EventQueue, SimTime};
 pub use faults::{CrashEvent, FaultPlan, Partition};
 pub use graph::{Graph, NodeId};
 pub use measure::{DelayMeasurer, MeasureConfig};
-pub use sim::{Actor, Ctx, SimStats, Simulator, TraceEntry, TraceEvent};
+pub use sim::{Actor, Ctx, SimStats, Simulator};
 pub use topology::{NodeKind, PhysicalNetwork, TransitStubConfig};

@@ -111,15 +111,6 @@ impl DelayMeasurer {
         best
     }
 
-    /// The exact (noise-free) delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not a source of the underlying table.
-    pub fn true_delay(&self, from: NodeId, to: NodeId) -> f64 {
-        self.table.delay(from, to)
-    }
-
     /// The underlying distance table.
     pub fn table(&self) -> &DistanceTable {
         &self.table
@@ -145,7 +136,7 @@ mod tests {
         let table = DistanceTable::new(&g, &ids);
         let mut m = DelayMeasurer::new(table, MeasureConfig::noiseless());
         assert_eq!(m.measure(ids[0], ids[2]), 12.0);
-        assert_eq!(m.true_delay(ids[0], ids[2]), 12.0);
+        assert_eq!(m.table().delay(ids[0], ids[2]), 12.0);
     }
 
     #[test]

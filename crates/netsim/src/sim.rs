@@ -137,52 +137,6 @@ enum Event<M> {
     },
 }
 
-/// One recorded simulation event (when tracing is enabled) — the
-/// ns-2-style trace for debugging protocols.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A message was delivered.
-    Delivered {
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-    },
-    /// A message was dropped by injected loss.
-    Dropped {
-        /// Sender.
-        from: NodeId,
-        /// Intended receiver.
-        to: NodeId,
-    },
-    /// A timer fired.
-    TimerFired {
-        /// The actor whose timer fired.
-        on: NodeId,
-        /// The token the timer was armed with.
-        token: u64,
-    },
-    /// A node crashed (injected fault).
-    Crashed {
-        /// The node that went down.
-        node: NodeId,
-    },
-    /// A crashed node came back up with empty volatile state.
-    Restarted {
-        /// The node that restarted.
-        node: NodeId,
-    },
-}
-
-/// A timestamped trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// When the event happened.
-    pub at: SimTime,
-    /// What happened.
-    pub event: TraceEvent,
-}
-
 /// Counters describing a finished simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -248,7 +202,6 @@ pub struct Simulator<A: Actor, D> {
     /// Installed fault plan state (loss, duplication, jitter,
     /// partitions, crashes), applied inside delivery.
     faults: Option<FaultState>,
-    trace: Option<Vec<TraceEntry>>,
     queue: EventQueue<Event<A::Msg>>,
     now: SimTime,
     started: bool,
@@ -283,7 +236,6 @@ where
             delay_fn,
             loss_fn: None,
             faults: None,
-            trace: None,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             started: false,
@@ -358,25 +310,9 @@ where
             .unwrap_or_default()
     }
 
-    /// Starts recording a trace of deliveries, drops and timer firings.
-    /// Call before running; entries accumulate across runs.
-    pub fn enable_trace(&mut self) {
-        self.trace.get_or_insert_with(Vec::new);
-    }
-
-    /// The recorded trace (empty slice when tracing was never enabled).
-    pub fn trace(&self) -> &[TraceEntry] {
-        self.trace.as_deref().unwrap_or(&[])
-    }
-
     /// Read access to the actors (e.g. to inspect converged state).
     pub fn actors(&self) -> &[A] {
         &self.actors
-    }
-
-    /// Mutable access to the actors.
-    pub fn actors_mut(&mut self) -> &mut [A] {
-        &mut self.actors
     }
 
     /// Current simulation time.
@@ -423,23 +359,11 @@ where
                     if self.faults.as_ref().is_some_and(|f| f.is_crashed(to)) {
                         self.stats.messages_dropped += 1;
                         self.stats.mix(TAG_DROP, self.now, from.index(), to.index());
-                        if let Some(trace) = &mut self.trace {
-                            trace.push(TraceEntry {
-                                at: self.now,
-                                event: TraceEvent::Dropped { from, to },
-                            });
-                        }
                         continue;
                     }
                     self.stats.messages_delivered += 1;
                     self.stats
                         .mix(TAG_DELIVER, self.now, from.index(), to.index());
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(TraceEntry {
-                            at: self.now,
-                            event: TraceEvent::Delivered { from, to },
-                        });
-                    }
                     let mut ctx = Ctx {
                         me: to,
                         now: self.now,
@@ -468,12 +392,6 @@ where
                     self.stats.timers_fired += 1;
                     self.stats
                         .mix(TAG_FIRE, self.now, on.index(), token as usize);
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(TraceEntry {
-                            at: self.now,
-                            event: TraceEvent::TimerFired { on, token },
-                        });
-                    }
                     let mut ctx = Ctx {
                         me: on,
                         now: self.now,
@@ -485,12 +403,6 @@ where
                 Event::Crash { node } => {
                     self.stats.crashes += 1;
                     self.stats.mix(TAG_CRASH, self.now, node.index(), 0);
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(TraceEntry {
-                            at: self.now,
-                            event: TraceEvent::Crashed { node },
-                        });
-                    }
                     self.faults
                         .as_mut()
                         .expect("crash events exist only with faults installed")
@@ -499,12 +411,6 @@ where
                 Event::Restart { node } => {
                     self.stats.restarts += 1;
                     self.stats.mix(TAG_RESTART, self.now, node.index(), 0);
-                    if let Some(trace) = &mut self.trace {
-                        trace.push(TraceEntry {
-                            at: self.now,
-                            event: TraceEvent::Restarted { node },
-                        });
-                    }
                     self.faults
                         .as_mut()
                         .expect("restart events exist only with faults installed")
@@ -577,12 +483,6 @@ where
                             self.stats.messages_dropped += 1;
                             self.stats
                                 .mix(TAG_DROP, self.now, source.index(), to.index());
-                            if let Some(trace) = &mut self.trace {
-                                trace.push(TraceEntry {
-                                    at: self.now,
-                                    event: TraceEvent::Dropped { from: source, to },
-                                });
-                            }
                             continue;
                         }
                     }
@@ -595,12 +495,6 @@ where
                             self.stats.messages_dropped += 1;
                             self.stats
                                 .mix(TAG_DROP, self.now, source.index(), to.index());
-                            if let Some(trace) = &mut self.trace {
-                                trace.push(TraceEntry {
-                                    at: self.now,
-                                    event: TraceEvent::Dropped { from: source, to },
-                                });
-                            }
                             continue;
                         }
                         jitter = faults.jitter();
@@ -818,50 +712,6 @@ pub(crate) mod tests {
             sim.run_until_quiescent(SimTime::from_ms(1_000.0))
         };
         assert_eq!(run(), run());
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use crate::sim::tests::gossip_net;
-
-    #[test]
-    fn trace_records_deliveries_in_time_order() {
-        let mut sim = Simulator::new(gossip_net(5), |_, _| SimTime::from_ms(2.0));
-        sim.enable_trace();
-        let stats = sim.run_until_quiescent(SimTime::from_ms(1_000.0));
-        let deliveries = sim
-            .trace()
-            .iter()
-            .filter(|e| matches!(e.event, TraceEvent::Delivered { .. }))
-            .count();
-        assert_eq!(deliveries as u64, stats.messages_delivered);
-        for w in sim.trace().windows(2) {
-            assert!(w[0].at <= w[1].at, "trace out of order");
-        }
-    }
-
-    #[test]
-    fn trace_records_drops() {
-        let mut sim = Simulator::new(gossip_net(4), |_, _| SimTime::from_ms(1.0));
-        sim.enable_trace();
-        sim.set_loss(|_, _| true);
-        let stats = sim.run_until_quiescent(SimTime::from_ms(100.0));
-        let drops = sim
-            .trace()
-            .iter()
-            .filter(|e| matches!(e.event, TraceEvent::Dropped { .. }))
-            .count();
-        assert_eq!(drops as u64, stats.messages_dropped);
-        assert!(drops > 0);
-    }
-
-    #[test]
-    fn disabled_trace_is_empty() {
-        let mut sim = Simulator::new(gossip_net(4), |_, _| SimTime::from_ms(1.0));
-        sim.run_until_quiescent(SimTime::from_ms(100.0));
-        assert!(sim.trace().is_empty());
     }
 }
 

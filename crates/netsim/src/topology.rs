@@ -136,12 +136,6 @@ impl TransitStubConfig {
         cfg.transit_nodes_per_domain = nt.max(2);
         cfg
     }
-
-    /// Total number of nodes this configuration generates.
-    pub fn total_nodes(&self) -> usize {
-        let backbone = self.transit_domains * self.transit_nodes_per_domain;
-        backbone + backbone * self.stub_domains_per_transit_node * self.stub_nodes_per_domain
-    }
 }
 
 /// A generated physical network: graph, node positions and node kinds.
@@ -153,7 +147,7 @@ impl TransitStubConfig {
 ///
 /// let net = PhysicalNetwork::generate(&TransitStubConfig::default());
 /// assert!(net.graph().is_connected());
-/// assert!(net.stub_nodes().len() > net.transit_nodes().len());
+/// assert!(net.stub_nodes().len() > net.len() / 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PhysicalNetwork {
@@ -315,16 +309,6 @@ impl PhysicalNetwork {
             .collect()
     }
 
-    /// Ids of all transit (backbone) nodes.
-    pub fn transit_nodes(&self) -> Vec<NodeId> {
-        self.kinds
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| !k.is_stub())
-            .map(|(i, _)| NodeId::new(i))
-            .collect()
-    }
-
     /// Total node count.
     pub fn len(&self) -> usize {
         self.graph.len()
@@ -431,7 +415,8 @@ mod tests {
     fn default_topology_is_connected() {
         let net = PhysicalNetwork::generate(&TransitStubConfig::default());
         assert!(net.graph().is_connected());
-        assert_eq!(net.len(), TransitStubConfig::default().total_nodes());
+        // 16 transit nodes, each with 3 stub domains of 6 nodes.
+        assert_eq!(net.len(), 16 + 16 * 3 * 6);
     }
 
     #[test]
@@ -466,14 +451,13 @@ mod tests {
     #[test]
     fn target_size_is_close() {
         for &target in &[300usize, 600, 900, 1200] {
-            let cfg = TransitStubConfig::with_target_size(target, 0);
-            let total = cfg.total_nodes();
+            let net = PhysicalNetwork::generate(&TransitStubConfig::with_target_size(target, 0));
+            let total = net.len();
             let err = (total as f64 - target as f64).abs() / target as f64;
             assert!(
                 err < 0.25,
                 "target {target} produced {total} nodes ({err:.2} relative error)"
             );
-            let net = PhysicalNetwork::generate(&cfg);
             assert!(net.graph().is_connected(), "size {target} not connected");
         }
     }
@@ -482,13 +466,10 @@ mod tests {
     fn stub_and_transit_partition_nodes() {
         let net = PhysicalNetwork::generate(&TransitStubConfig::default());
         let stubs = net.stub_nodes();
-        let transits = net.transit_nodes();
-        assert_eq!(stubs.len() + transits.len(), net.len());
+        let transits = net.kinds().iter().filter(|k| !k.is_stub()).count();
+        assert_eq!(stubs.len() + transits, net.len());
         for id in &stubs {
             assert!(net.kinds()[id.index()].is_stub());
-        }
-        for id in &transits {
-            assert!(!net.kinds()[id.index()].is_stub());
         }
     }
 

@@ -285,6 +285,11 @@ impl CachedDelays {
         self.attachments.len()
     }
 
+    /// The physical attachment point of each proxy.
+    pub fn attachments(&self) -> &[NodeId] {
+        &self.attachments
+    }
+
     /// Returns `true` if no proxies are attached.
     pub fn is_empty(&self) -> bool {
         self.attachments.is_empty()
@@ -299,18 +304,6 @@ impl CachedDelays {
     /// zero for an unbounded cache).
     pub fn evicted_rows(&self) -> u64 {
         self.rows.read().expect("cache lock poisoned").evictions
-    }
-
-    /// Forces every row and densifies into a [`DelayMatrix`] (for
-    /// consumers that genuinely need all `n²` delays).
-    pub fn to_matrix(&self) -> DelayMatrix {
-        let n = self.len();
-        let mut values = vec![0.0; n * n];
-        for i in 0..n {
-            let row = self.row(ProxyId::new(i));
-            values[i * n..(i + 1) * n].copy_from_slice(&row);
-        }
-        DelayMatrix { n, values }
     }
 }
 
@@ -521,25 +514,6 @@ mod tests {
         let clone = cached.clone();
         let _ = clone.delay(ProxyId::new(1), ProxyId::new(3));
         assert_eq!(cached.computed_rows(), 2);
-    }
-
-    #[test]
-    fn cached_delays_densify() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(NodeId::new(0), NodeId::new(1), 2.0);
-        g.add_edge(NodeId::new(1), NodeId::new(2), 5.0);
-        let attachments: Vec<NodeId> = (0..3).map(NodeId::new).collect();
-        let cached = CachedDelays::new(g.clone(), attachments.clone());
-        let dense = cached.to_matrix();
-        let reference = DelayMatrix::from_graph(&g, &attachments);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(
-                    dense.delay(ProxyId::new(i), ProxyId::new(j)),
-                    reference.delay(ProxyId::new(i), ProxyId::new(j))
-                );
-            }
-        }
     }
 
     #[test]

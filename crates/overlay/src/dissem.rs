@@ -125,15 +125,6 @@ impl ClusterTree {
         self.children.get(&proxy).map_or(&[], Vec::as_slice)
     }
 
-    /// Hops from the root to `proxy` (0 for the root itself).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proxy` is not a member of this cluster.
-    pub fn depth_of(&self, proxy: ProxyId) -> usize {
-        self.depth_of[&proxy]
-    }
-
     /// The deepest member's distance from the root.
     pub fn depth(&self) -> usize {
         self.depth
@@ -170,14 +161,12 @@ impl DissemForest {
         Self::build_at_epoch(hfc, delays, max_fanout, 0)
     }
 
-    /// Derives the forest for `hfc`, stamping it with `epoch` —
-    /// membership-churn callers pass their current epoch so stale
-    /// forests are detectable.
+    /// Derives the forest for `hfc`, stamped with `epoch`.
     ///
     /// # Panics
     ///
     /// Panics if `max_fanout` is zero.
-    pub fn build_at_epoch<D: DelayModel>(
+    fn build_at_epoch<D: DelayModel>(
         hfc: &HfcTopology,
         delays: &D,
         max_fanout: usize,
@@ -212,11 +201,6 @@ impl DissemForest {
         self.epoch
     }
 
-    /// The child-count bound every tree was built under.
-    pub fn max_fanout(&self) -> usize {
-        self.max_fanout
-    }
-
     /// The tree of `cluster`.
     ///
     /// # Panics
@@ -231,7 +215,7 @@ impl DissemForest {
     /// # Panics
     ///
     /// Panics if `proxy` is out of range.
-    pub fn tree_of(&self, proxy: ProxyId) -> &ClusterTree {
+    fn tree_of(&self, proxy: ProxyId) -> &ClusterTree {
         self.tree(self.cluster_of[proxy.index()])
     }
 
@@ -309,7 +293,7 @@ mod tests {
                     None => assert_eq!(m, tree.root()),
                     Some(parent) => {
                         assert!(tree.children_of(parent).contains(&m));
-                        assert_eq!(tree.depth_of(m), tree.depth_of(parent) + 1);
+                        assert_eq!(tree.depth_of[&m], tree.depth_of[&parent] + 1);
                     }
                 }
             }

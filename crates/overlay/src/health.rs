@@ -37,14 +37,14 @@ impl Health {
 }
 
 /// Capacity value meaning "no admission limit".
-pub const UNCAPPED: u32 = u32::MAX;
+const UNCAPPED: u32 = u32::MAX;
 
 /// Health, capacity, and live load of one proxy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProxyStatus {
     /// Liveness state.
     pub health: Health,
-    /// Service executions admitted per serving batch ([`UNCAPPED`] for
+    /// Service executions admitted per serving batch (`u32::MAX` for
     /// no limit).
     pub capacity: u32,
     /// Live-load gauge in `[0, 1]` (fraction of capacity in use).

@@ -226,7 +226,7 @@ impl Hierarchy {
 
     /// The group at `level + 1` containing unit `unit` of `level`
     /// (`level >= 1`).
-    pub fn group_of(&self, level: usize, unit: usize) -> usize {
+    fn group_of(&self, level: usize, unit: usize) -> usize {
         assert!(level >= 1, "proxy membership lives in the HfcTopology");
         self.levels[level - 1].parent_of[unit]
     }
@@ -268,7 +268,7 @@ impl Hierarchy {
     }
 
     /// The ancestor unit at `level` containing base cluster `cluster`.
-    pub fn ancestor_of_cluster(&self, level: usize, cluster: usize) -> usize {
+    fn ancestor_of_cluster(&self, level: usize, cluster: usize) -> usize {
         let mut u = cluster;
         for l in 1..level {
             u = self.group_of(l, u);
@@ -286,7 +286,7 @@ impl Hierarchy {
     /// between sibling units inside each of its ancestor groups, and
     /// the border proxies between all top-level groups (the recursive
     /// generalization of paper Figure 4).
-    pub fn coordinate_overhead_of(&self, hfc: &HfcTopology, proxy: ProxyId) -> usize {
+    fn coordinate_overhead_of(&self, hfc: &HfcTopology, proxy: ProxyId) -> usize {
         let own = hfc.cluster_of(proxy);
         let mut seen: Vec<ProxyId> = hfc.members(own).to_vec();
         let top = self.top_level();
@@ -317,7 +317,7 @@ impl Hierarchy {
     /// How many service-table rows `proxy` keeps: one SCT_P row per
     /// cluster member, one aggregate row per sibling unit inside each
     /// ancestor group, and one per other top-level group.
-    pub fn service_overhead_of(&self, hfc: &HfcTopology, proxy: ProxyId) -> usize {
+    fn service_overhead_of(&self, hfc: &HfcTopology, proxy: ProxyId) -> usize {
         let own = hfc.cluster_of(proxy);
         let mut total = hfc.members(own).len();
         let top = self.top_level();
@@ -356,7 +356,7 @@ impl Hierarchy {
 /// strided candidate members, the one minimizing total delay to up to
 /// 8 strided sample members (first minimum wins ties). `O(512)` delay
 /// queries per cluster instead of `O(|C|²)`.
-pub fn cluster_representatives<D: DelayModel>(hfc: &HfcTopology, delays: &D) -> Vec<ProxyId> {
+fn cluster_representatives<D: DelayModel>(hfc: &HfcTopology, delays: &D) -> Vec<ProxyId> {
     hfc.clusters()
         .map(|c| {
             let ms = hfc.members(c);

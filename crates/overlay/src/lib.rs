@@ -41,9 +41,9 @@ pub mod sgraph;
 
 pub use delays::{CachedDelays, CoordDelays, DelayMatrix, DelayModel, HfcDelays};
 pub use dissem::{ClusterTree, DissemForest, DEFAULT_TREE_FANOUT};
-pub use health::{Health, ProxyStatus, StatusMap, UNCAPPED};
+pub use health::{Health, ProxyStatus, StatusMap};
 pub use hfc::{BorderPair, BorderSelection, ClusterId, ElectionWork, HfcSnapshot, HfcTopology};
-pub use hierarchy::{cluster_representatives, Hierarchy, HierarchyConfig};
+pub use hierarchy::{Hierarchy, HierarchyConfig};
 pub use mesh::{MeshConfig, MeshTopology};
 pub use proxy::{Proxy, ProxyId};
 pub use qos::{QosProfile, QosRequirement};

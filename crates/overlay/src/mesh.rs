@@ -185,11 +185,6 @@ impl MeshTopology {
         hops.reverse();
         hops
     }
-
-    /// Mean number of mesh links per proxy.
-    pub fn average_degree(&self) -> f64 {
-        2.0 * self.graph.edge_count() as f64 / self.graph.len() as f64
-    }
 }
 
 impl DelayModel for MeshTopology {
@@ -260,7 +255,7 @@ mod tests {
     fn degree_is_in_expected_band() {
         let true_delays = line_delays(50);
         let mesh = MeshTopology::build(50, &true_delays, &MeshConfig::default());
-        let deg = mesh.average_degree();
+        let deg = 2.0 * mesh.graph().edge_count() as f64 / 50.0;
         // Each proxy initiates 2–6 links; shared both ways, expect
         // between ~2 and ~12 after dedup.
         assert!((2.0..=12.0).contains(&deg), "average degree {deg}");

@@ -120,13 +120,6 @@ impl QosRequirement {
         }
         true
     }
-
-    /// Returns `true` if no bound is stated (everything admissible).
-    pub fn is_unconstrained(&self) -> bool {
-        self.min_bandwidth_mbps.is_none()
-            && self.max_load.is_none()
-            && self.max_volatility.is_none()
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +129,6 @@ mod tests {
     #[test]
     fn default_requirement_admits_everything() {
         let req = QosRequirement::default();
-        assert!(req.is_unconstrained());
         assert!(req.admits(&QosProfile::new(0.0, 1.0, 1.0)));
         assert!(req.admits(&QosProfile::default()));
     }
@@ -165,7 +157,6 @@ mod tests {
             max_volatility: Some(0.2),
         };
         assert!(all_ok.admits(&profile));
-        assert!(!all_ok.is_unconstrained());
     }
 
     #[test]

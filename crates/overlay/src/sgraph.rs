@@ -210,11 +210,6 @@ impl ServiceGraph {
             .collect()
     }
 
-    /// Direct successors of `stage`.
-    pub fn successors(&self, stage: StageId) -> &[StageId] {
-        &self.successors[stage.index()]
-    }
-
     /// Direct predecessors of `stage`.
     pub fn predecessors(&self, stage: StageId) -> &[StageId] {
         &self.predecessors[stage.index()]
@@ -461,7 +456,7 @@ mod proptests {
                 .map(|i| order.iter().position(|s| s.index() == i).unwrap())
                 .collect();
             for stage in graph.stage_ids() {
-                for &next in graph.successors(stage) {
+                for &next in &graph.successors[stage.index()] {
                     prop_assert!(pos[stage.index()] < pos[next.index()]);
                 }
             }
@@ -476,7 +471,7 @@ mod proptests {
                 prop_assert!(sources.contains(config.first().unwrap()));
                 prop_assert!(sinks.contains(config.last().unwrap()));
                 for w in config.windows(2) {
-                    prop_assert!(graph.successors(w[0]).contains(&w[1]),
+                    prop_assert!(graph.successors[w[0].index()].contains(&w[1]),
                         "configuration skipped an edge");
                 }
             }

@@ -1,6 +1,6 @@
 //! Minimal fork/join helpers over `std::thread::scope`.
 //!
-//! The workspace is offline (no rayon), but the one `OverlayBuilder`
+//! The workspace is offline (no rayon), but the one overlay build
 //! stage still worth fanning out — the per-host embedding solves,
 //! two thirds of a 10k-proxy build — is embarrassingly parallel over
 //! a contiguous index range. This crate
@@ -23,7 +23,7 @@ use std::ops::Range;
 
 /// Resolves a requested thread count: `0` means "use the machine",
 /// anything else is taken literally (minimum 1).
-pub fn effective_threads(requested: usize) -> usize {
+fn effective_threads(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()
             .map(|p| p.get())
@@ -36,7 +36,7 @@ pub fn effective_threads(requested: usize) -> usize {
 /// Splits `0..n` into at most `threads` contiguous chunks of
 /// near-equal size (first chunks one longer when `n % threads != 0`).
 /// Empty ranges are never produced.
-pub fn chunk_ranges(threads: usize, n: usize) -> Vec<Range<usize>> {
+fn chunk_ranges(threads: usize, n: usize) -> Vec<Range<usize>> {
     let threads = effective_threads(threads).min(n.max(1));
     let base = n / threads;
     let extra = n % threads;

@@ -74,4 +74,4 @@ pub use providers::{ProviderIndex, ProviderLookup};
 pub use router::Router;
 pub use sdag::{solve_service_dag, Assignment};
 pub use session::{resolve_distributed, SessionReport};
-pub use trace::{request_trace, trace_hops, BasicTraced, TraceRouter, Traced};
+pub use trace::{request_trace, trace_hops, BasicTraced, TraceRouter};

@@ -257,24 +257,6 @@ impl PathBuilder {
         }
     }
 
-    /// Splices a child path that starts at the current end: its source
-    /// hop is skipped, relay hops are deduplicated, serving hops are
-    /// appended verbatim.
-    pub fn splice(&mut self, path: &ServicePath) {
-        debug_assert_eq!(
-            path.source(),
-            self.current(),
-            "spliced path must start at the current hop"
-        );
-        for hop in &path.hops()[1..] {
-            if hop.service.is_none() {
-                self.relay(hop.proxy);
-            } else {
-                self.hops.push(*hop);
-            }
-        }
-    }
-
     /// Ends the path at `destination`, deduplicating by proxy: if the
     /// path already ends there (even with a service applied) no hop is
     /// added.
@@ -491,27 +473,5 @@ mod tests {
         let explicit = b.finish_with_relay(ProxyId::new(2));
         assert_eq!(explicit.hops().len(), 3);
         assert_eq!(explicit.hops()[2], PathHop::relay(ProxyId::new(2)));
-    }
-
-    #[test]
-    fn builder_splice_skips_source_and_keeps_services() {
-        let child = ServicePath::new(vec![
-            PathHop::relay(ProxyId::new(1)),
-            PathHop::serving(ProxyId::new(1), ServiceId::new(5)),
-            PathHop::relay(ProxyId::new(2)),
-        ]);
-        let mut b = PathBuilder::start(ProxyId::new(0));
-        b.relay(ProxyId::new(1));
-        b.splice(&child);
-        let path = b.finish(ProxyId::new(2));
-        assert_eq!(
-            path.hops(),
-            &[
-                PathHop::relay(ProxyId::new(0)),
-                PathHop::relay(ProxyId::new(1)),
-                PathHop::serving(ProxyId::new(1), ServiceId::new(5)),
-                PathHop::relay(ProxyId::new(2)),
-            ]
-        );
     }
 }

@@ -85,11 +85,6 @@ impl ProviderIndex {
         }
         Self::from_unsorted(map)
     }
-
-    /// Number of distinct services with at least one provider.
-    pub fn service_count(&self) -> usize {
-        self.map.len()
-    }
 }
 
 impl ProviderLookup for ProviderIndex {
@@ -122,7 +117,6 @@ mod tests {
             &[ProxyId::new(0), ProxyId::new(1)]
         );
         assert!(index.providers(ServiceId::new(2)).is_empty());
-        assert_eq!(index.service_count(), 2);
     }
 
     #[test]

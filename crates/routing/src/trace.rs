@@ -1,16 +1,12 @@
-//! Route provenance: [`TraceRouter`] and the [`Traced`] wrapper.
+//! Route provenance: [`TraceRouter`].
 //!
 //! [`TraceRouter`] extends [`Router`] with a variant that also returns
 //! a [`RouteTrace`] — the telemetry record explaining which decisions
 //! produced the path. The hierarchical router fills the whole record at
 //! every depth (top-level dissection, per-unit child answers, the
 //! cluster border crossings of the composed path); other
-//! routers report the basics (path, cost, timing). [`Traced`] wraps any
-//! `TraceRouter` and accumulates traces behind the plain [`Router`]
-//! interface, so generic call sites (the engine's workers, benches) can
-//! collect provenance without changing type signatures.
+//! routers report the basics (path, cost, timing).
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::flat::{FlatRouter, RouteError};
@@ -196,42 +192,6 @@ impl TraceRouter for BasicTraced<'_> {
     }
 }
 
-/// A [`Router`] adapter that records the provenance of every request it
-/// serves. `route_path` stays the generic entry point; collected traces
-/// are drained with [`Traced::take_traces`].
-pub struct Traced<R> {
-    inner: R,
-    traces: Mutex<Vec<RouteTrace>>,
-}
-
-impl<R: TraceRouter> Traced<R> {
-    /// Wraps `inner`.
-    pub fn new(inner: R) -> Traced<R> {
-        Traced {
-            inner,
-            traces: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The wrapped router.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// Removes and returns every trace recorded so far, oldest first.
-    pub fn take_traces(&self) -> Vec<RouteTrace> {
-        std::mem::take(&mut self.traces.lock().unwrap())
-    }
-}
-
-impl<R: TraceRouter> Router for Traced<R> {
-    fn route_path(&self, request: &ServiceRequest) -> Result<ServicePath, RouteError> {
-        let (result, trace) = self.inner.route_with_trace(request);
-        self.traces.lock().unwrap().push(trace);
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,25 +250,6 @@ mod tests {
         assert!(result.is_err());
         assert!(trace.outcome.contains("no provider"), "{}", trace.outcome);
         assert!(trace.hops.is_empty());
-    }
-
-    #[test]
-    fn traced_wrapper_accumulates_traces() {
-        let (hfc, delays, services) = paper_example();
-        let router =
-            HierarchicalRouter::from_services(&hfc, &services, &delays, HierConfig::default());
-        let traced = Traced::new(router);
-        let request = paper_request();
-        traced.route_path(&request).unwrap();
-        traced.route_path(&request).unwrap();
-        let mut traces = traced.take_traces();
-        assert_eq!(traces.len(), 2);
-        // Identical provenance modulo wall-clock timing.
-        for trace in &mut traces {
-            trace.elapsed_us = 0.0;
-        }
-        assert_eq!(traces[0], traces[1]);
-        assert!(traced.take_traces().is_empty());
     }
 
     #[test]

@@ -79,15 +79,6 @@ impl ConvergenceChecker {
         }
     }
 
-    /// The ground-truth tables of one proxy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proxy` is out of range.
-    pub fn expected_tables_of(&self, proxy: ProxyId) -> (&SctP, &SctC) {
-        (&self.expected_sctp[proxy.index()], &self.expected_sctc)
-    }
-
     /// Compares live tables against the ground truth. `tables` yields
     /// `(proxy, sctp, sctc)` for every proxy to check; pass only live
     /// proxies — the caller knows which nodes are down.
@@ -145,14 +136,13 @@ mod tests {
         (hfc, services)
     }
 
-    /// Converged tables for the fixture, built by hand.
+    /// Converged tables for the fixture: the checker's ground truth.
     fn converged_tables(hfc: &HfcTopology, services: &[ServiceSet]) -> Vec<(SctP, SctC)> {
         let checker = ConvergenceChecker::new(hfc, services);
-        (0..services.len())
-            .map(|p| {
-                let (sctp, sctc) = checker.expected_tables_of(ProxyId::new(p));
-                (sctp.clone(), sctc.clone())
-            })
+        checker
+            .expected_sctp
+            .iter()
+            .map(|sctp| (sctp.clone(), checker.expected_sctc.clone()))
             .collect()
     }
 

@@ -77,7 +77,7 @@ pub fn hfc_overhead(hfc: &HfcTopology, kind: OverheadKind) -> OverheadReport {
 }
 
 /// Node-states kept by one specific proxy under HFC.
-pub fn hfc_overhead_of(hfc: &HfcTopology, proxy: ProxyId, kind: OverheadKind) -> usize {
+fn hfc_overhead_of(hfc: &HfcTopology, proxy: ProxyId, kind: OverheadKind) -> usize {
     match kind {
         // Coordinates of all members within the cluster plus all border
         // proxies in the system (deduplicated — own borders are both).

@@ -67,7 +67,7 @@ pub(crate) type Stamp<'a> = (u64, &'a mut u32, Option<ProxyId>);
 ///
 /// let mut sct = SctP::new();
 /// sct.update(ProxyId::new(3), ServiceSet::from_iter([ServiceId::new(1)]));
-/// assert_eq!(sct.providers_of(ServiceId::new(1)), vec![ProxyId::new(3)]);
+/// assert_eq!(sct.aggregate(), ServiceSet::from_iter([ServiceId::new(1)]));
 /// ```
 pub type SctP = Sct<ProxyId>;
 
@@ -227,11 +227,6 @@ impl Sct<ProxyId> {
         self.write(proxy, set, false, Some(stamp))
     }
 
-    /// Proxies known to carry `service`, in id order.
-    pub fn providers_of(&self, service: ServiceId) -> Vec<ProxyId> {
-        self.holders_of(service)
-    }
-
     /// The union of every known proxy's services — the aggregate SCI a
     /// border proxy advertises for its cluster (Section 4, footnote 5).
     pub fn aggregate(&self) -> ServiceSet {
@@ -245,18 +240,13 @@ impl Sct<ProxyId> {
 }
 
 impl Sct<ClusterId> {
-    /// Merges `services` into the stored entry of `cluster` (set
-    /// union). Returns `true` if the entry grew (or was created).
+    /// Merges `set` into the stored entry of `c` (set union) under
+    /// `stamp`: `None` if a fresher version is held, else whether the
+    /// entry grew (or was created).
     ///
     /// With statically installed services, cluster aggregates only ever
     /// grow, so merging makes table updates order-independent: a stale
     /// retransmission can never regress a fresher entry.
-    pub fn merge_update(&mut self, cluster: ClusterId, services: &ServiceSet) -> bool {
-        self.write(cluster, services, true, None) == Some(true)
-    }
-
-    /// [`merge_update`](Self::merge_update) under `stamp`: `None` if a
-    /// fresher version is held, else whether the entry grew.
     pub(crate) fn apply(&mut self, c: ClusterId, set: &ServiceSet, stamp: Stamp) -> Option<bool> {
         self.write(c, set, true, Some(stamp))
     }
@@ -291,10 +281,10 @@ mod tests {
         sct.update(ProxyId::new(2), set(&[1, 3]));
         sct.update(ProxyId::new(9), set(&[3]));
         assert_eq!(
-            sct.providers_of(ServiceId::new(1)),
+            sct.holders_of(ServiceId::new(1)),
             vec![ProxyId::new(2), ProxyId::new(5)]
         );
-        assert!(sct.providers_of(ServiceId::new(7)).is_empty());
+        assert!(sct.holders_of(ServiceId::new(7)).is_empty());
     }
 
     #[test]
@@ -330,15 +320,20 @@ mod merge_tests {
         ids.iter().map(|&i| ServiceId::new(i)).collect()
     }
 
+    /// An unversioned merge: whether the entry of `c` grew.
+    fn merge(sct: &mut SctC, c: ClusterId, set: &ServiceSet) -> bool {
+        sct.write(c, set, true, None) == Some(true)
+    }
+
     #[test]
     fn merge_update_is_monotone() {
         let mut sct = SctC::new();
-        assert!(sct.merge_update(ClusterId::new(0), &set(&[1, 2])));
+        assert!(merge(&mut sct, ClusterId::new(0), &set(&[1, 2])));
         // A stale retransmission cannot shrink the entry.
-        assert!(!sct.merge_update(ClusterId::new(0), &set(&[1])));
+        assert!(!merge(&mut sct, ClusterId::new(0), &set(&[1])));
         assert_eq!(sct.services_of(ClusterId::new(0)), Some(&set(&[1, 2])));
         // New services grow it.
-        assert!(sct.merge_update(ClusterId::new(0), &set(&[3])));
+        assert!(merge(&mut sct, ClusterId::new(0), &set(&[3])));
         assert_eq!(sct.services_of(ClusterId::new(0)), Some(&set(&[1, 2, 3])));
     }
 
@@ -412,11 +407,11 @@ mod merge_tests {
         let parts = [set(&[1]), set(&[2, 3]), set(&[1, 4])];
         let mut forward = SctC::new();
         for p in &parts {
-            forward.merge_update(ClusterId::new(0), p);
+            merge(&mut forward, ClusterId::new(0), p);
         }
         let mut backward = SctC::new();
         for p in parts.iter().rev() {
-            backward.merge_update(ClusterId::new(0), p);
+            merge(&mut backward, ClusterId::new(0), p);
         }
         assert_eq!(
             forward.services_of(ClusterId::new(0)),

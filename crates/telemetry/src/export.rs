@@ -12,7 +12,7 @@ use crate::registry::{MetricValue, Registry};
 
 /// Maps a dotted metric name onto the Prometheus charset
 /// (`[a-zA-Z0-9_:]`): every other character becomes `_`.
-pub fn sanitize_name(name: &str) -> String {
+fn sanitize_name(name: &str) -> String {
     name.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
@@ -99,7 +99,7 @@ pub fn render_prometheus(registry: &Registry) -> String {
 /// Builds the JSON snapshot object: `{"snapshot": "son-telemetry",
 /// "metrics": {<rendered key>: <value>, ...}}`. Histogram values are
 /// objects with `count`/`sum`/`p50`/`p90`/`p99`/`max`.
-pub fn snapshot_json(registry: &Registry) -> Json {
+fn snapshot_json(registry: &Registry) -> Json {
     let metrics: Vec<(String, Json)> = registry
         .snapshot()
         .into_iter()

@@ -30,7 +30,7 @@ use std::sync::{Mutex, OnceLock};
 use crate::registry::Registry;
 
 /// Default slot count for the process-wide recorder.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 8192;
+const DEFAULT_FLIGHT_CAPACITY: usize = 8192;
 
 /// Sentinel for events not tied to a request.
 pub const NO_REQUEST: u64 = u64::MAX;

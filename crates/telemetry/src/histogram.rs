@@ -220,17 +220,10 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.cells().summary()
     }
-
-    /// Summarizes only what was recorded since `earlier` was captured:
-    /// a windowed view with per-bucket deltas, so sliding-window SLO
-    /// math never re-reads cumulative totals.
-    pub fn delta_since(&self, earlier: &HistogramCells) -> HistogramSnapshot {
-        self.cells().delta(earlier)
-    }
 }
 
 /// Full bucket-resolution capture of a [`Histogram`], used as the
-/// baseline for windowed deltas ([`Histogram::delta_since`]).
+/// baseline for windowed deltas ([`HistogramCells::delta`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramCells {
     buckets: Vec<u64>,
@@ -580,7 +573,7 @@ mod tests {
         }
         let baseline = h.cells();
         // Nothing recorded since the capture: the delta is empty.
-        let empty = h.delta_since(&baseline);
+        let empty = h.cells().delta(&baseline);
         assert_eq!(
             (empty.count, empty.sum, empty.p50, empty.max),
             (0, 0.0, 0.0, 0.0)
@@ -589,7 +582,7 @@ mod tests {
         for &v in &window {
             h.record(v);
         }
-        let delta = h.delta_since(&baseline);
+        let delta = h.cells().delta(&baseline);
         assert_eq!(delta.count, 100);
         let exact_sum: f64 = window.iter().sum();
         assert!((delta.sum - exact_sum).abs() < 1e-6 * exact_sum);
@@ -619,7 +612,7 @@ mod tests {
             for _ in 0..len {
                 h.record(rng() % 1e6);
             }
-            let d = h.delta_since(&baseline);
+            let d = h.cells().delta(&baseline);
             assert_eq!(d.count, len as u64, "window {window}");
             assert!(
                 d.p50 <= d.p90 && d.p90 <= d.p99 && d.p99 <= d.max,

@@ -27,10 +27,10 @@ pub mod span;
 pub mod trace;
 pub mod window;
 
-pub use export::{render_prometheus, sanitize_name, snapshot_json, write_json_snapshot};
+pub use export::{render_prometheus, write_json_snapshot};
 pub use flight::{
     flight, AnomalyKind, AnomalySnapshot, CacheVerdict, DispositionMark, FlightEvent, FlightKind,
-    FlightRecorder, Stage, DEFAULT_FLIGHT_CAPACITY, NO_PROXY, NO_REQUEST, NO_WORKER,
+    FlightRecorder, Stage, NO_PROXY, NO_REQUEST, NO_WORKER,
 };
 pub use histogram::{
     Histogram, HistogramCells, HistogramSnapshot, LocalHistogram, RELATIVE_ERROR_BOUND,

@@ -3,8 +3,8 @@
 //! `span!("build.topology")` starts a timer; when the guard drops, the
 //! elapsed time lands in the global histogram `span.<path>_us`. Spans
 //! opened while another span is live on the same thread nest under it
-//! (`outer.inner`), so a registry snapshot shows the stage breakdown the
-//! `OverlayBuilder` used to keep by hand.
+//! (`outer.inner`), so a registry snapshot shows the overlay build's
+//! stage breakdown (`span.build.<stage>_us`).
 //!
 //! The span stack is thread-local; guards must drop in LIFO order (the
 //! natural order for lexically scoped guards). When telemetry is

@@ -7,18 +7,10 @@ use son_netsim::graph::NodeId;
 use son_netsim::topology::PhysicalNetwork;
 use son_overlay::{ProxyId, QosProfile, ServiceGraph, ServiceId, ServiceRequest, ServiceSet};
 
-/// Attaches `count` proxies to distinct random stub nodes of `net`.
-///
-/// # Panics
-///
-/// Panics if the topology has fewer stub nodes than `count`.
-pub fn place_proxies(net: &PhysicalNetwork, count: usize, seed: u64) -> Vec<NodeId> {
-    place_proxies_excluding(net, count, &[], seed)
-}
-
-/// Like [`place_proxies`], but never selects a node in `exclude` —
-/// used to keep landmarks out of the proxy set (the paper's landmarks
-/// "will not participate in any other activities").
+/// Attaches `count` proxies to distinct random stub nodes of `net`,
+/// never selecting a node in `exclude` — used to keep landmarks out of
+/// the proxy set (the paper's landmarks "will not participate in any
+/// other activities").
 ///
 /// # Panics
 ///
@@ -195,7 +187,7 @@ mod tests {
     #[test]
     fn proxies_are_distinct_stub_nodes() {
         let net = PhysicalNetwork::generate(&TransitStubConfig::default());
-        let proxies = place_proxies(&net, 50, 1);
+        let proxies = place_proxies_excluding(&net, 50, &[], 1);
         assert_eq!(proxies.len(), 50);
         let mut sorted = proxies.clone();
         sorted.sort();
@@ -209,8 +201,14 @@ mod tests {
     #[test]
     fn placement_is_seeded() {
         let net = PhysicalNetwork::generate(&TransitStubConfig::default());
-        assert_eq!(place_proxies(&net, 20, 7), place_proxies(&net, 20, 7));
-        assert_ne!(place_proxies(&net, 20, 7), place_proxies(&net, 20, 8));
+        assert_eq!(
+            place_proxies_excluding(&net, 20, &[], 7),
+            place_proxies_excluding(&net, 20, &[], 7)
+        );
+        assert_ne!(
+            place_proxies_excluding(&net, 20, &[], 7),
+            place_proxies_excluding(&net, 20, &[], 8)
+        );
     }
 
     #[test]
@@ -276,7 +274,7 @@ mod tests {
     #[should_panic(expected = "cannot host")]
     fn too_many_proxies_panics() {
         let net = PhysicalNetwork::generate(&TransitStubConfig::default());
-        let _ = place_proxies(&net, net.len() + 1, 0);
+        let _ = place_proxies_excluding(&net, net.len() + 1, &[], 0);
     }
 }
 

@@ -22,8 +22,7 @@ pub mod zipf;
 
 pub use env::{table1_environments, Environment};
 pub use generate::{
-    assign_qos, assign_services, generate_requests, place_proxies, place_proxies_excluding,
-    RequestProfile,
+    assign_qos, assign_services, generate_requests, place_proxies_excluding, RequestProfile,
 };
 pub use scenario::{Scenario, ScenarioPhase};
 pub use unique::NonRepeatingWorkload;

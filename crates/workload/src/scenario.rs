@@ -55,11 +55,6 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Total number of requests across all phases.
-    pub fn request_count(&self) -> usize {
-        self.phases.iter().map(|p| p.requests.len()).sum()
-    }
-
     /// A flash crowd out of one region: a `baseline`-sized Zipf(`s`)
     /// warm-up, a `surge`-sized burst whose *sources* are rewritten
     /// round-robin onto `surge_sources` (everyone in that region asks
@@ -180,7 +175,8 @@ mod tests {
         let region: Vec<ProxyId> = (0..5).map(ProxyId::new).collect();
         let scenario = Scenario::regional_surge(&pool(), &region, 50, 200, 0.9, 7);
         assert_eq!(scenario.phases.len(), 3);
-        assert_eq!(scenario.request_count(), 300);
+        let total: usize = scenario.phases.iter().map(|p| p.requests.len()).sum();
+        assert_eq!(total, 300);
         let surge = &scenario.phases[1];
         assert_eq!(surge.name, "surge");
         for r in &surge.requests {

@@ -56,7 +56,7 @@ impl Shape {
 /// Built from cluster membership lists and a universe of service
 /// chains, it draws `shape_count` distinct shapes (source cluster ≠
 /// destination cluster), ranks them by popularity, and answers each
-/// [`next_request`](Self::next_request) by Zipf-sampling a shape and
+/// request of [`take`](Self::take) by Zipf-sampling a shape and
 /// emitting its next unused endpoint pair. A shape whose pairs are
 /// exhausted is resampled (rejection), which mildly flattens the very
 /// top of the distribution only once shapes start running dry — size
@@ -64,7 +64,7 @@ impl Shape {
 ///
 /// # Panics
 ///
-/// `next_request` panics when every shape is exhausted: the stream has
+/// `take` panics when every shape is exhausted: the stream has
 /// emitted all distinct requests it can and continuing would repeat
 /// one, which is exactly what this generator exists to never do.
 #[derive(Debug, Clone)]
@@ -72,7 +72,6 @@ pub struct NonRepeatingWorkload {
     shapes: Vec<Shape>,
     zipf: Zipf,
     rng: StdRng,
-    draws: Vec<u64>,
     remaining: usize,
 }
 
@@ -146,16 +145,10 @@ impl NonRepeatingWorkload {
         let remaining = shapes.iter().map(Shape::capacity).sum();
         NonRepeatingWorkload {
             zipf: Zipf::new(shapes.len(), s),
-            draws: vec![0; shapes.len()],
             shapes,
             rng,
             remaining,
         }
-    }
-
-    /// Number of shapes (popularity ranks).
-    pub fn shape_count(&self) -> usize {
-        self.shapes.len()
     }
 
     /// Distinct requests the stream can still emit.
@@ -163,16 +156,10 @@ impl NonRepeatingWorkload {
         self.remaining
     }
 
-    /// How many requests each shape (by popularity rank) has emitted —
-    /// the observable for goodness-of-fit checks against the Zipf PMF.
-    pub fn draws_per_shape(&self) -> &[u64] {
-        &self.draws
-    }
-
     /// Emits the next request: Zipf-sample a shape, step its cursor.
     /// Never returns a request whose (source, chain, destination)
     /// triple was emitted before.
-    pub fn next_request(&mut self) -> ServiceRequest {
+    fn next_request(&mut self) -> ServiceRequest {
         assert!(
             self.remaining > 0,
             "non-repeating workload exhausted: every distinct request was emitted"
@@ -182,7 +169,6 @@ impl NonRepeatingWorkload {
             if self.shapes[rank].remaining() == 0 {
                 continue;
             }
-            self.draws[rank] += 1;
             self.remaining -= 1;
             return self.shapes[rank].emit();
         }
@@ -266,6 +252,11 @@ mod tests {
         assert_ne!(mk(7), mk(8));
     }
 
+    /// How many requests each shape (by popularity rank) has emitted.
+    fn draws_per_shape(wl: &NonRepeatingWorkload) -> Vec<u64> {
+        wl.shapes.iter().map(|shape| shape.cursor as u64).collect()
+    }
+
     /// Pearson's χ² of the observed per-shape draw counts against the
     /// Zipf PMF the sampler claims to follow.
     fn chi_square(draws: &[u64], s: f64) -> f64 {
@@ -295,12 +286,9 @@ mod tests {
             for _ in 0..200_000 {
                 let _ = wl.next_request();
             }
-            let chi2 = chi_square(wl.draws_per_shape(), s);
-            assert!(
-                chi2 < 43.8,
-                "s={s}: chi2={chi2:.1}, draws={:?}",
-                wl.draws_per_shape()
-            );
+            let draws = draws_per_shape(&wl);
+            let chi2 = chi_square(&draws, s);
+            assert!(chi2 < 43.8, "s={s}: chi2={chi2:.1}, draws={draws:?}");
         }
     }
 
@@ -312,7 +300,7 @@ mod tests {
         for r in &batch {
             assert!(seen.insert(key(r)));
         }
-        let draws = wl.draws_per_shape();
+        let draws = draws_per_shape(&wl);
         // Rank 0 carries ~1/H_12 ≈ 32% of the mix; the tail ~2.7%.
         assert!(draws[0] > draws[11] * 4, "{draws:?}");
     }
