@@ -130,6 +130,15 @@ impl Graph {
         self.adjacency.is_empty()
     }
 
+    /// Drops the spare capacity edge insertion left in the adjacency
+    /// lists.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.adjacency.shrink_to_fit();
+        for neighbors in &mut self.adjacency {
+            neighbors.shrink_to_fit();
+        }
+    }
+
     /// Number of (undirected) edges.
     pub fn edge_count(&self) -> usize {
         self.edge_count

@@ -271,6 +271,11 @@ impl PhysicalNetwork {
             }
         }
 
+        // The network lives as long as the overlay built on it: keep no
+        // growth slack from the pushes above.
+        graph.shrink_to_fit();
+        positions.shrink_to_fit();
+        kinds.shrink_to_fit();
         PhysicalNetwork {
             graph,
             positions,

@@ -37,6 +37,8 @@ pub fn place_proxies_excluding(
         stubs.swap(i, j);
     }
     stubs.truncate(count);
+    // The caller keeps the result; release the other stubs' slots.
+    stubs.shrink_to_fit();
     stubs
 }
 
