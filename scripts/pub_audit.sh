@@ -12,6 +12,7 @@
 # A name counts as used wherever it appears as a whole word, comments
 # and doc examples included. Offline: git, sed, awk, sort.
 set -euo pipefail
+export LC_ALL=C # one collation for sort and comm
 
 cd "$(git rev-parse --show-toplevel)"
 allow=scripts/pub_audit.allow
@@ -42,22 +43,16 @@ awk '
 
 # Allow-list names: the first word of every non-comment line.
 sed -E 's/#.*//; /^[[:space:]]*$/d; s/^[[:space:]]*([^[:space:]]+).*/\1/' "$allow" | sort -u >"$scratch/allowed"
-
-status=0
-while read -r name file; do
-  if ! grep -qxF "$name" "$scratch/allowed"; then
-    echo "unused public item: $name ($file) — delete it, make it private, or add it to $allow with a reason"
-    status=1
-  fi
-done <"$scratch/unused"
 cut -d' ' -f1 "$scratch/unused" | sort -u >"$scratch/unused_names"
-while read -r name; do
-  if ! grep -qxF "$name" "$scratch/unused_names"; then
-    echo "stale allow-list entry: $name is named outside its file now — remove it from $allow"
-    status=1
-  fi
-done <"$scratch/allowed"
-if [ "$status" -eq 0 ]; then
-  echo "pub_audit: $(wc -l <"$scratch/items") public items, $(wc -l <"$scratch/allowed") allow-listed, none unused"
-fi
-exit "$status"
+
+unlisted=$(comm -23 "$scratch/unused_names" "$scratch/allowed")
+stale=$(comm -13 "$scratch/unused_names" "$scratch/allowed")
+for name in $unlisted; do
+  where=$(awk -v n="$name" '$1 == n { print $2 }' "$scratch/unused" | paste -sd' ')
+  echo "unused public item: $name ($where) — delete it, make it private, or add it to $allow with a reason"
+done
+for name in $stale; do
+  echo "stale allow-list entry: $name is no unused public item — remove it from $allow"
+done
+[ -z "$unlisted$stale" ] || exit 1
+echo "pub_audit: $(wc -l <"$scratch/items") public items, $(wc -l <"$scratch/allowed") allow-listed, none unused"
