@@ -1,9 +1,10 @@
 //! # son-bench
 //!
 //! The experiment harness: drivers that regenerate every table and
-//! figure of the paper's evaluation (Section 6), shared between the
-//! command-line bins (`table1`, `fig9`, `fig10`, `paper_example`) and
-//! the Criterion benches.
+//! figure of the paper's evaluation (Section 6), shared by the
+//! command-line bins (`table1`, `fig9`, `fig10`, `paper_example`).
+//! Serving and build performance are measured by the standalone
+//! `benchmark/` package.
 //!
 //! | Artifact | Regenerate with |
 //! |----------|-----------------|
@@ -18,8 +19,6 @@
 
 pub mod experiments;
 pub mod json;
-pub mod scale;
 
 pub use experiments::{environment_for, figure10, figure9, Fig10Options, Figure10Row, Figure9Row};
 pub use json::{bench_artifact, write_bench_artifact, Json};
-pub use scale::{scale_row, scale_row_json, ScaleOptions, ScaleRow};

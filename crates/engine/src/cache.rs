@@ -186,17 +186,6 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
-
-    /// CSP-tier hits over all CSP-tier lookups, 0.0 when the tier was
-    /// never consulted.
-    pub fn csp_hit_rate(&self) -> f64 {
-        let total = self.csp_hits + self.csp_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.csp_hits as f64 / total as f64
-        }
-    }
 }
 
 /// How a stale-while-revalidate lookup resolved (see

@@ -14,16 +14,6 @@
 //! their old snapshot (and its epoch) to the end, so each batch is
 //! internally consistent; the next batch routes over the new topology
 //! and every cached path from before the change misses on epoch.
-//!
-//! **Simulated dispatch.** Real proxies don't just *compute* paths —
-//! they synchronously push the session's data along them. With
-//! [`EngineConfig::dispatch_us_per_delay`] > 0 each worker holds a
-//! request for `path length × that factor` microseconds after routing
-//! it, modeling transmission time proportional to the overlay delay of
-//! the chosen path. Worker threads overlap these holds the way an
-//! I/O-bound server overlaps in-flight responses, which is what makes
-//! thread count matter even on a single core. Set it to 0 to benchmark
-//! pure route computation.
 
 use crate::cache::{
     CacheStats, CspCache, CspKey, LookupOutcome, NegativeCache, RouteCache, RouteKey, SwrLookup,
@@ -43,7 +33,7 @@ use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Overload/failover tuning: token-bucket admission and bounded
 /// re-routing. Disabled by default — the engine then behaves exactly
@@ -80,10 +70,6 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Total route-cache entries before FIFO eviction.
     pub cache_capacity: usize,
-    /// Microseconds a worker holds a served request per unit of path
-    /// delay, modeling synchronous data dispatch along the path.
-    /// 0 disables the hold and measures pure route computation.
-    pub dispatch_us_per_delay: f64,
     /// Admission control and failover retry.
     pub admission: AdmissionConfig,
     /// Second cache tier: reuse solved cluster-level service paths
@@ -116,7 +102,6 @@ impl Default for EngineConfig {
             workers: 1,
             cache_shards: 16,
             cache_capacity: 65_536,
-            dispatch_us_per_delay: 0.0,
             admission: AdmissionConfig::default(),
             csp_cache: true,
             csp_cache_capacity: 16_384,
@@ -715,7 +700,6 @@ where
                 worker_hists[0].as_ref(),
                 ctx,
                 0,
-                started,
                 rid_base,
                 slo,
             )]
@@ -735,7 +719,6 @@ where
                                 hist.as_ref(),
                                 ctx,
                                 w,
-                                started,
                                 rid_base,
                                 slo,
                             )
@@ -769,8 +752,8 @@ where
         let mut items: Vec<WorkerItem> = Vec::with_capacity(requests.len());
         for (list, mut stats) in produced {
             // Idle is the wall the batch spent waiting on *other*
-            // workers after this one finished — the shard-imbalance
-            // cost the attribution bench quantifies.
+            // workers after this one finished: the cost of shard
+            // imbalance.
             stats.idle_us = (elapsed * 1e6 - stats.busy_us).max(0.0);
             worker_stats.push(stats);
             items.extend(list);
@@ -909,18 +892,16 @@ where
                 }
             }
             // Per-worker time attribution: where each worker's
-            // microseconds went, and how deep its shard queue was.
+            // microseconds went, and how many requests its shard held.
             for stats in &report.worker_stats {
                 let worker = stats.worker.to_string();
                 let labels: &[(&str, &str)] = &[("worker", &worker)];
                 for (name, us) in [
                     ("engine.worker.busy_us", stats.busy_us),
                     ("engine.worker.idle_us", stats.idle_us),
-                    ("engine.worker.queue_us", stats.queue_us),
                     ("engine.worker.route_us", stats.route_us),
                     ("engine.worker.admit_us", stats.admit_us),
                     ("engine.worker.cache_us", stats.cache_us),
-                    ("engine.worker.dispatch_us", stats.dispatch_us),
                 ] {
                     registry.counter_with(name, labels).add(us as u64);
                 }
@@ -939,11 +920,9 @@ where
                 for (stage, us) in [
                     (Stage::Busy, stats.busy_us),
                     (Stage::Idle, stats.idle_us),
-                    (Stage::Queue, stats.queue_us),
                     (Stage::Route, stats.route_us),
                     (Stage::Admit, stats.admit_us),
                     (Stage::Cache, stats.cache_us),
-                    (Stage::Dispatch, stats.dispatch_us),
                 ] {
                     rec.record(
                         FlightEvent::new(FlightKind::StageTime(stage))
@@ -971,9 +950,8 @@ where
     /// loop, so revalidation never sits on a request's latency path.
     ///
     /// Alongside the answers, the worker measures where its time went
-    /// ([`WorkerStats`]): queue wait, route computation, admission
-    /// checks, cache work, and dispatch holds. Route/admit/cache
-    /// sections are clocked only while telemetry is enabled.
+    /// ([`WorkerStats`]): route computation, admission checks and cache
+    /// work, clocked only while telemetry is enabled.
     #[allow(clippy::too_many_arguments)]
     fn run_worker(
         &self,
@@ -984,15 +962,12 @@ where
         latency_hist: Option<&Histogram>,
         ctx: Option<&BatchConstraints>,
         worker: usize,
-        batch_started: Instant,
         rid_base: u64,
         slo: Option<&SloTracker>,
     ) -> (Vec<WorkerItem>, WorkerStats) {
         let worker_started = Instant::now();
         let flight_on = flight().is_enabled();
         let mut acc = StageAcc::new(son_telemetry::enabled());
-        let mut queue_us = 0.0f64;
-        let mut dispatch_us = 0.0f64;
         let router = self.provider.router(snap);
         // The CSP tier needs a router that can expose its cluster-level
         // sink frontier; providers that can't (flat, or multi-level with
@@ -1033,7 +1008,6 @@ where
             };
             acc.arm();
             let begun = Instant::now();
-            queue_us += begun.duration_since(batch_started).as_secs_f64() * 1e6;
             let key = RouteKey::encode(snap.ingress(request), request);
             let (result, retries, degraded, health_drops, backoff_us) = match ctx {
                 None => {
@@ -1118,13 +1092,6 @@ where
                     &mut acc,
                 ),
             };
-            if self.config.dispatch_us_per_delay > 0.0 {
-                if let Ok(path) = &result {
-                    let hold = path.length(snap.delays()) * self.config.dispatch_us_per_delay;
-                    dispatch_us += hold;
-                    thread::sleep(Duration::from_micros(hold as u64));
-                }
-            }
             // Backoff is *accounted* into the client-visible latency
             // rather than slept — benches see the penalty without the
             // harness wasting wall-clock.
@@ -1201,20 +1168,17 @@ where
             }
             self.revalidations.fetch_add(1, Ordering::Relaxed);
         }
-        // Sampled stage times scale back up to shard estimates; busy,
-        // queue, and dispatch are exact (their clocks and holds exist
-        // regardless of instrumentation).
+        // Sampled stage times scale back up to shard estimates; busy is
+        // exact (its clock runs regardless of instrumentation).
         let scale = acc.scale();
         let stats = WorkerStats {
             worker,
             requests: indices.len() as u64,
             busy_us: worker_started.elapsed().as_secs_f64() * 1e6,
             idle_us: 0.0, // filled by serve() once the batch wall is known
-            queue_us,
             route_us: acc.route_us * scale,
             admit_us: acc.admit_us * scale,
             cache_us: acc.cache_us * scale,
-            dispatch_us,
         };
         (out, stats)
     }
@@ -1976,22 +1940,6 @@ mod tests {
         assert!(outcome.dispositions.iter().all(|d| d.is_served()));
     }
 
-    #[test]
-    fn dispatch_hold_slows_single_worker() {
-        let snapshot = line_snapshot(12, 3);
-        let batch = requests(12, 8);
-        let config = EngineConfig {
-            workers: 1,
-            dispatch_us_per_delay: 2_000.0,
-            ..EngineConfig::default()
-        };
-        let eng = Engine::new(snapshot, HierProvider::default(), config);
-        let outcome = eng.serve(&batch);
-        // Every request holds ≥ 0; cross-proxy paths hold ≥ 2ms each.
-        assert!(outcome.report.elapsed_secs > 0.002);
-        assert_eq!(outcome.report.errors, 0);
-    }
-
     /// A leaked private recorder so SLO/anomaly tests never touch the
     /// process-global ring other tests may be using.
     fn private_flight(capacity: usize) -> &'static son_telemetry::FlightRecorder {
@@ -2011,15 +1959,12 @@ mod tests {
         for w in stats {
             assert!(w.busy_us > 0.0, "{w:?}");
             assert!(w.idle_us >= 0.0, "{w:?}");
-            assert!(w.queue_us >= 0.0, "{w:?}");
         }
         // Telemetry is on by default, so the cold batch's CSP solves
         // show up as route time and its lookups as cache time.
-        let breakdown = outcome.report.stage_breakdown();
-        assert!(breakdown.busy_us > 0.0, "{breakdown:?}");
-        assert!(breakdown.route_us > 0.0, "{breakdown:?}");
-        assert!(breakdown.cache_us > 0.0, "{breakdown:?}");
-        assert!(breakdown.imbalance >= 1.0, "{breakdown:?}");
+        let route_us: f64 = stats.iter().map(|w| w.route_us).sum();
+        let cache_us: f64 = stats.iter().map(|w| w.cache_us).sum();
+        assert!(route_us > 0.0 && cache_us > 0.0, "{stats:?}");
     }
 
     #[test]
@@ -2144,7 +2089,7 @@ mod tests {
             .iter()
             .filter(|e| matches!(e.kind, FlightKind::StageTime(_)))
             .collect();
-        assert_eq!(stages.len(), 7, "{stages:?}");
+        assert_eq!(stages.len(), 5, "{stages:?}");
         assert!(stages
             .iter()
             .any(|e| matches!(e.kind, FlightKind::StageTime(Stage::Busy)) && e.value > 0.0));

@@ -62,7 +62,7 @@ pub use cache::{
     CacheStats, CspCache, CspKey, LookupOutcome, NegativeCache, RouteCache, RouteKey, SwrLookup,
 };
 pub use engine::{AdmissionConfig, Disposition, Engine, EngineConfig, RejectReason, ServeOutcome};
-pub use report::{AdmissionStats, LatencySummary, ServeReport, StageBreakdown, WorkerStats};
+pub use report::{AdmissionStats, LatencySummary, ServeReport, WorkerStats};
 pub use snapshot::{
     EngineSnapshot, FlatProvider, HierProvider, MultiLevelProvider, RouterProvider,
 };

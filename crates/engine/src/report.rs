@@ -130,9 +130,6 @@ pub struct WorkerStats {
     /// Wall time between this worker finishing and the whole batch
     /// finishing — the cost of shard imbalance.
     pub idle_us: f64,
-    /// Sum over requests of the wait between batch start and service
-    /// start (queueing delay behind earlier requests on this worker).
-    pub queue_us: f64,
     /// Route computation: CSP solves, frontier replays, fallback
     /// re-routes. Zero when telemetry is disabled.
     pub route_us: f64,
@@ -142,30 +139,6 @@ pub struct WorkerStats {
     /// Cache lookups and negative-cache probes. Zero when telemetry is
     /// disabled.
     pub cache_us: f64,
-    /// Simulated dispatch holds (the overlappable part of serving).
-    pub dispatch_us: f64,
-}
-
-/// Batch-wide totals of the per-worker stage attribution.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageBreakdown {
-    /// Σ busy over workers.
-    pub busy_us: f64,
-    /// Σ idle over workers.
-    pub idle_us: f64,
-    /// Σ queue wait over requests.
-    pub queue_us: f64,
-    /// Σ route computation.
-    pub route_us: f64,
-    /// Σ admission/health validation.
-    pub admit_us: f64,
-    /// Σ cache work.
-    pub cache_us: f64,
-    /// Σ dispatch holds.
-    pub dispatch_us: f64,
-    /// Busiest worker's busy time over the mean worker busy time
-    /// (1.0 = perfectly balanced shards).
-    pub imbalance: f64,
 }
 
 /// Everything the engine measured while serving one batch.
@@ -205,33 +178,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Sums the per-worker stage attribution across the batch.
-    pub fn stage_breakdown(&self) -> StageBreakdown {
-        let mut total = StageBreakdown::default();
-        let mut max_busy = 0.0f64;
-        for w in &self.worker_stats {
-            total.busy_us += w.busy_us;
-            total.idle_us += w.idle_us;
-            total.queue_us += w.queue_us;
-            total.route_us += w.route_us;
-            total.admit_us += w.admit_us;
-            total.cache_us += w.cache_us;
-            total.dispatch_us += w.dispatch_us;
-            max_busy = max_busy.max(w.busy_us);
-        }
-        let mean_busy = if self.worker_stats.is_empty() {
-            0.0
-        } else {
-            total.busy_us / self.worker_stats.len() as f64
-        };
-        total.imbalance = if mean_busy > 0.0 {
-            max_busy / mean_busy
-        } else {
-            1.0
-        };
-        total
-    }
-
     /// Border proxies ranked by load, busiest first (zero-load borders
     /// are omitted).
     pub fn busiest_borders(&self) -> Vec<(ProxyId, u64)> {

@@ -168,3 +168,75 @@ fn stale_budget_is_respected_under_concurrent_churn() {
         "{stale_served} stale serves exceed {INSTALLS} installs x budget {BUDGET}"
     );
 }
+
+/// Churn with and without stale serving: warm two engines, install the
+/// next epoch, take a non-border proxy that warm paths cross `Down`
+/// live, and serve the batch again. The engine whose stale budget
+/// covers the batch bridges the install from previous-epoch entries,
+/// validated against the current health view and revalidated before
+/// the batch returns; the control, with budget 0, re-solves everything.
+/// Neither serves a route through the dead proxy.
+#[test]
+fn stale_serving_bridges_an_install_without_crossing_a_down_proxy() {
+    let batch: Vec<ServiceRequest> = (0..48)
+        .map(|k| {
+            request(
+                k % PROXIES,
+                (k * 5 + 7) % PROXIES,
+                &[k % SERVICES, (k + 1) % SERVICES],
+            )
+        })
+        .collect();
+    let engine = |budget: usize| {
+        Engine::new(
+            snapshot(7),
+            HierProvider::default(),
+            EngineConfig {
+                stale_serve_budget: budget as u64,
+                ..EngineConfig::default()
+            },
+        )
+    };
+    let swr = engine(batch.len());
+    let control = engine(0);
+    let warm = swr.serve(&batch);
+    control.serve(&batch);
+
+    // The victim is the non-border proxy that the most warm paths
+    // cross, so stale entries through it exist and must be refused.
+    let mut crossings = [0usize; PROXIES];
+    for path in warm.paths.iter().flatten() {
+        for hop in path.hops() {
+            crossings[hop.proxy.index()] += 1;
+        }
+    }
+    let borders = snapshot(7);
+    let victim = (0..PROXIES)
+        .map(ProxyId::new)
+        .filter(|&p| !borders.is_border(p))
+        .max_by_key(|p| crossings[p.index()])
+        .expect("some proxy is not a border");
+    assert!(
+        crossings[victim.index()] > 0,
+        "no warm path crosses {victim:?}"
+    );
+    for eng in [&swr, &control] {
+        eng.install_snapshot(snapshot(7));
+        eng.set_health(victim, Health::Down);
+    }
+    let swr_out = swr.serve(&batch);
+    let control_out = control.serve(&batch);
+
+    for (label, outcome) in [("swr", &swr_out), ("control", &control_out)] {
+        for path in outcome.paths.iter().flatten() {
+            assert!(
+                path.hops().iter().all(|h| h.proxy != victim),
+                "{label}: served a route through the Down proxy {victim:?}"
+            );
+        }
+    }
+    let cache = &swr_out.report.cache;
+    assert!(cache.stale_served > 0, "{cache:?}");
+    assert!(cache.revalidations > 0, "{cache:?}");
+    assert_eq!(control_out.report.cache.stale_served, 0);
+}

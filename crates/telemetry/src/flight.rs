@@ -61,16 +61,12 @@ pub enum CacheVerdict {
 /// Serving pipeline stage, used by [`FlightKind::StageTime`] events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Time requests waited in the worker's queue before service began.
-    Queue,
     /// Route computation (CSP solve, fallback retries).
     Route,
     /// Admission control and path-health validation.
     Admit,
     /// Cache lookups, inserts, and revalidation.
     Cache,
-    /// Simulated dispatch holds (the overlappable part of serving).
-    Dispatch,
     /// Whole-loop busy time for one worker.
     Busy,
     /// Wall time the worker sat idle while the batch completed.
@@ -161,12 +157,10 @@ impl FlightKind {
             }),
             5 => FlightKind::TreeRepair,
             6 => FlightKind::StageTime(match detail {
-                0 => Stage::Queue,
-                1 => Stage::Route,
-                2 => Stage::Admit,
-                3 => Stage::Cache,
-                4 => Stage::Dispatch,
-                5 => Stage::Busy,
+                0 => Stage::Route,
+                1 => Stage::Admit,
+                2 => Stage::Cache,
+                3 => Stage::Busy,
                 _ => Stage::Idle,
             }),
             _ => FlightKind::Anomaly(match detail {
@@ -208,11 +202,9 @@ impl FlightKind {
             FlightKind::StageTime(s) => format!(
                 "stage.{}",
                 match s {
-                    Stage::Queue => "queue",
                     Stage::Route => "route",
                     Stage::Admit => "admit",
                     Stage::Cache => "cache",
-                    Stage::Dispatch => "dispatch",
                     Stage::Busy => "busy",
                     Stage::Idle => "idle",
                 }
@@ -677,11 +669,9 @@ mod tests {
             FlightKind::Disposition(DispositionMark::RejectOverloaded),
             FlightKind::Disposition(DispositionMark::RejectUnroutable),
             FlightKind::TreeRepair,
-            FlightKind::StageTime(Stage::Queue),
             FlightKind::StageTime(Stage::Route),
             FlightKind::StageTime(Stage::Admit),
             FlightKind::StageTime(Stage::Cache),
-            FlightKind::StageTime(Stage::Dispatch),
             FlightKind::StageTime(Stage::Busy),
             FlightKind::StageTime(Stage::Idle),
             FlightKind::Anomaly(AnomalyKind::LatencyP99),

@@ -16,7 +16,8 @@
 //!
 //! Recording can be globally disabled ([`set_enabled`]) which reduces
 //! each instrumentation site to one relaxed atomic load; the
-//! `telemetry` bench uses this to measure instrumentation overhead.
+//! benchmark's `--trace` run uses this to measure instrumentation
+//! overhead.
 
 pub mod export;
 pub mod flight;

@@ -239,7 +239,7 @@ static ENABLED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::n
 /// Globally enables or disables telemetry recording. Instrumentation
 /// sites check [`enabled`] before touching the registry, so disabling
 /// reduces overhead to a single relaxed load — this is what the
-/// `telemetry` bench toggles to measure instrumentation cost.
+/// benchmark's `--trace` run toggles to measure instrumentation cost.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
