@@ -84,18 +84,6 @@ impl RouteKey {
     }
 }
 
-/// How the cache participated in one lookup (see
-/// [`RouteCache::lookup_explain`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LookupOutcome {
-    /// Entry present at the serving epoch.
-    Hit,
-    /// No entry for the key.
-    Miss,
-    /// Entry present but stamped with another epoch; dropped.
-    StaleDrop,
-}
-
 #[derive(Debug)]
 struct Entry {
     epoch: u64,
@@ -247,37 +235,9 @@ impl RouteCache {
     /// Looks `key` up for a batch serving snapshot `epoch`. An entry
     /// from a different epoch is dropped and reported as a miss.
     pub fn lookup(&self, key: &RouteKey, epoch: u64) -> Option<ServicePath> {
-        self.lookup_explain(key, epoch).0
-    }
-
-    /// Like [`RouteCache::lookup`], but also reports *how* the cache
-    /// participated — hit, plain miss, or stale drop — for route
-    /// provenance.
-    pub fn lookup_explain(
-        &self,
-        key: &RouteKey,
-        epoch: u64,
-    ) -> (Option<ServicePath>, LookupOutcome) {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        match shard.entries.get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                let path = entry.path.clone();
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                (Some(path), LookupOutcome::Hit)
-            }
-            Some(_) => {
-                shard.entries.remove(key);
-                drop(shard);
-                self.stale_drops.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                (None, LookupOutcome::StaleDrop)
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                (None, LookupOutcome::Miss)
-            }
+        match self.lookup_swr(key, epoch, &AtomicU64::new(0)) {
+            SwrLookup::Hit(path) => Some(path),
+            _ => None,
         }
     }
 
@@ -292,7 +252,9 @@ impl RouteCache {
     ///
     /// The token is taken under the shard lock, so the budget is never
     /// exceeded even under concurrent lookups. With an exhausted (or
-    /// zero) budget this is exactly [`RouteCache::lookup_explain`].
+    /// zero) budget no entry is served stale: this is
+    /// [`RouteCache::lookup`] with the miss told apart from the stale
+    /// drop.
     pub fn lookup_swr(&self, key: &RouteKey, epoch: u64, budget: &AtomicU64) -> SwrLookup {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         match shard.entries.get(key) {

@@ -15,9 +15,7 @@
 //! internally consistent; the next batch routes over the new topology
 //! and every cached path from before the change misses on epoch.
 
-use crate::cache::{
-    CacheStats, CspCache, CspKey, LookupOutcome, NegativeCache, RouteCache, RouteKey, SwrLookup,
-};
+use crate::cache::{CacheStats, CspCache, CspKey, NegativeCache, RouteCache, RouteKey, SwrLookup};
 use crate::report::{AdmissionStats, LatencySummary, ServeReport, WorkerStats};
 use crate::snapshot::{EngineSnapshot, RouterProvider};
 use son_overlay::{DelayModel, Health, ProxyId, ServiceRequest};
@@ -29,15 +27,17 @@ use son_telemetry::flight::{
     flight, CacheVerdict, DispositionMark, FlightEvent, FlightKind, Stage, NO_REQUEST,
 };
 use son_telemetry::{CacheOutcome, Histogram, LocalHistogram, RouteTrace, SloTracker};
-use std::cell::OnceCell;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread;
 use std::time::Instant;
 
 /// Overload/failover tuning: token-bucket admission and bounded
-/// re-routing. Disabled by default — the engine then behaves exactly
-/// as before (deterministic across worker counts).
+/// re-routing. Disabled by default — no tokens are charged, so the
+/// answers are independent of the worker count. Live health overrides
+/// and snapshot statuses still re-route around `Down` proxies with the
+/// retries configured here.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionConfig {
     /// Master switch for per-proxy token-bucket admission and retry.
@@ -141,6 +141,33 @@ impl Disposition {
     pub fn is_served(self) -> bool {
         matches!(self, Disposition::Optimal | Disposition::Degraded)
     }
+
+    /// The flight recorder's mark for this disposition.
+    fn mark(self) -> DispositionMark {
+        match self {
+            Disposition::Optimal => DispositionMark::Optimal,
+            Disposition::Degraded => DispositionMark::Degraded,
+            Disposition::Rejected(RejectReason::NoIngress) => DispositionMark::RejectNoIngress,
+            Disposition::Rejected(RejectReason::Overloaded) => DispositionMark::RejectOverloaded,
+            Disposition::Rejected(RejectReason::Unroutable) => DispositionMark::RejectUnroutable,
+        }
+    }
+
+    /// Counts this disposition into a batch's admission accounting.
+    fn tally(self, stats: &mut AdmissionStats) {
+        match self {
+            Disposition::Optimal => stats.optimal += 1,
+            Disposition::Degraded => stats.degraded += 1,
+            Disposition::Rejected(reason) => {
+                stats.rejected += 1;
+                *match reason {
+                    RejectReason::NoIngress => &mut stats.rejected_no_ingress,
+                    RejectReason::Overloaded => &mut stats.rejected_overloaded,
+                    RejectReason::Unroutable => &mut stats.rejected_unroutable,
+                } += 1;
+            }
+        }
+    }
 }
 
 /// What one [`Engine::serve`] call produced: the answers, in request
@@ -160,9 +187,9 @@ pub struct ServeOutcome {
 struct WorkerItem {
     index: usize,
     result: Result<ServicePath, RouteError>,
+    disposition: Disposition,
     latency_us: f64,
     retries: u32,
-    degraded: bool,
     health_drops: u64,
 }
 
@@ -290,22 +317,10 @@ impl ReqCtx {
     }
 }
 
-/// Maps a request outcome onto the flight recorder's disposition
-/// taxonomy (mirrors the `Disposition` computed during merge).
-fn disposition_mark(result: &Result<ServicePath, RouteError>, degraded: bool) -> DispositionMark {
-    match result {
-        Ok(_) if degraded => DispositionMark::Degraded,
-        Ok(_) => DispositionMark::Optimal,
-        Err(RouteError::NoIngress) => DispositionMark::RejectNoIngress,
-        Err(RouteError::Overloaded) => DispositionMark::RejectOverloaded,
-        Err(_) => DispositionMark::RejectUnroutable,
-    }
-}
-
 /// The per-batch context shared by every worker when health or
-/// admission constraints are active. `None` means the fully
-/// unconstrained fast path — bit-identical to the engine before
-/// admission existed.
+/// admission constraints are active. Without one (`None`) a request
+/// skips the live-health checks, admission and the retry loop; its
+/// cache lookups and solves are the same either way.
 struct BatchConstraints {
     /// Snapshot statuses merged with live health overrides.
     model: CostModel,
@@ -314,6 +329,9 @@ struct BatchConstraints {
     buckets: Option<Vec<AtomicU32>>,
     /// Per-proxy admitted-request counters (admission enabled only).
     admitted: Option<Vec<AtomicU64>>,
+    /// The fail-over's provider index, built by the batch's first
+    /// retry.
+    providers: OnceLock<ProviderIndex>,
 }
 
 impl BatchConstraints {
@@ -362,6 +380,28 @@ impl BatchConstraints {
         path.hops()
             .iter()
             .any(|h| self.model.statuses().health(h.proxy) == Health::Draining)
+    }
+
+    /// The fail-over route: `request` solved by the flat router over
+    /// every proxy's services, with this batch's health view and the
+    /// `avoid` proxies priced out as `Down`. It is complete over the
+    /// whole topology, so it finds whatever healthy path remains.
+    fn failover<D: DelayModel>(
+        &self,
+        snap: &EngineSnapshot<D>,
+        request: &ServiceRequest,
+        avoid: &[ProxyId],
+    ) -> Result<ServicePath, RouteError> {
+        let mut statuses = self.model.statuses().clone();
+        for &p in avoid {
+            statuses.set_health(p, Health::Down);
+        }
+        let model = CostModel::new(*self.model.config(), statuses);
+        let delays = LoadAwareDelays::new(snap.delays(), &model);
+        let providers = self
+            .providers
+            .get_or_init(|| ProviderIndex::from_service_sets(snap.services()));
+        FlatRouter::new(providers, delays).route(request)
     }
 }
 
@@ -501,7 +541,7 @@ where
     /// Builds the batch constraints: snapshot statuses merged with live
     /// overrides, plus admission buckets. `None` when nothing
     /// constrains this batch (no statuses, no overrides, admission
-    /// off) — the serve path is then exactly the legacy one.
+    /// off).
     fn constraints(&self, snap: &EngineSnapshot<D>) -> Option<BatchConstraints> {
         let live = self.live.read().expect("live health lock poisoned").clone();
         let admission = self.config.admission;
@@ -533,6 +573,7 @@ where
             admission,
             buckets,
             admitted,
+            providers: OnceLock::new(),
         })
     }
 
@@ -670,6 +711,7 @@ where
         // SLO ticks and dispositions are recorded up front — a batch
         // that sheds everything still advances the windows.
         let sample_mask = self.flight_sample_mask();
+        let shed = Disposition::Rejected(RejectReason::NoIngress);
         for &i in &pre_rejected {
             if let Some(slo) = slo {
                 slo.record(false, 0.0);
@@ -677,7 +719,7 @@ where
             let rid = rid_base + i as u64;
             if flight_on && rid & sample_mask == 0 {
                 flight().record(
-                    FlightEvent::new(FlightKind::Disposition(DispositionMark::RejectNoIngress))
+                    FlightEvent::new(FlightKind::Disposition(shed.mark()))
                         .tick(rid)
                         .request(rid)
                         .epoch(epoch),
@@ -694,7 +736,6 @@ where
         let produced: Vec<(Vec<WorkerItem>, WorkerStats)> = if workers == 1 {
             vec![self.run_worker(
                 snap,
-                epoch,
                 requests,
                 &assigned[0],
                 worker_hists[0].as_ref(),
@@ -713,7 +754,6 @@ where
                         scope.spawn(move || {
                             self.run_worker(
                                 snap,
-                                epoch,
                                 requests,
                                 indices,
                                 hist.as_ref(),
@@ -739,14 +779,11 @@ where
         let mut dispositions: Vec<Disposition> = vec![Disposition::Optimal; requests.len()];
         let batch_latency = Histogram::new();
         let mut border_load = vec![0u64; snap.proxy_count()];
-        let mut errors = 0;
         let mut admission = AdmissionStats::default();
         for &i in &pre_rejected {
             paths[i] = Some(Err(RouteError::NoIngress));
-            dispositions[i] = Disposition::Rejected(RejectReason::NoIngress);
-            errors += 1;
-            admission.rejected += 1;
-            admission.rejected_no_ingress += 1;
+            dispositions[i] = shed;
+            shed.tally(&mut admission);
         }
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
         let mut items: Vec<WorkerItem> = Vec::with_capacity(requests.len());
@@ -762,44 +799,18 @@ where
             batch_latency.record(item.latency_us);
             admission.retries += u64::from(item.retries);
             admission.health_drops += item.health_drops;
-            let disposition = match &item.result {
-                Ok(path) => {
-                    for hop in path.hops() {
-                        if snap.is_border(hop.proxy) {
-                            border_load[hop.proxy.index()] += 1;
-                        }
-                    }
-                    if item.degraded {
-                        admission.degraded += 1;
-                        Disposition::Degraded
-                    } else {
-                        admission.optimal += 1;
-                        Disposition::Optimal
+            if let Ok(path) = &item.result {
+                for hop in path.hops() {
+                    if snap.is_border(hop.proxy) {
+                        border_load[hop.proxy.index()] += 1;
                     }
                 }
-                Err(err) => {
-                    errors += 1;
-                    admission.rejected += 1;
-                    let reason = match err {
-                        RouteError::NoIngress => {
-                            admission.rejected_no_ingress += 1;
-                            RejectReason::NoIngress
-                        }
-                        RouteError::Overloaded => {
-                            admission.rejected_overloaded += 1;
-                            RejectReason::Overloaded
-                        }
-                        _ => {
-                            admission.rejected_unroutable += 1;
-                            RejectReason::Unroutable
-                        }
-                    };
-                    Disposition::Rejected(reason)
-                }
-            };
-            dispositions[item.index] = disposition;
+            }
+            item.disposition.tally(&mut admission);
+            dispositions[item.index] = item.disposition;
             paths[item.index] = Some(item.result);
         }
+        let errors = admission.rejected as usize;
         let admitted_load: Vec<u64> = constraints
             .as_ref()
             .and_then(|c| c.admitted.as_ref())
@@ -945,9 +956,10 @@ where
     }
 
     /// One worker's batch share: build a router, then answer each
-    /// assigned request cache-first. Stale-served keys collected along
-    /// the way are revalidated with fresh solves *after* the serving
-    /// loop, so revalidation never sits on a request's latency path.
+    /// assigned request with [`Engine::serve_request`]. Stale-served
+    /// keys collected along the way are revalidated with fresh solves
+    /// *after* the serving loop, so revalidation never sits on a
+    /// request's latency path.
     ///
     /// Alongside the answers, the worker measures where its time went
     /// ([`WorkerStats`]): route computation, admission checks and cache
@@ -956,7 +968,6 @@ where
     fn run_worker(
         &self,
         snap: &EngineSnapshot<D>,
-        epoch: u64,
         requests: &[ServiceRequest],
         indices: &[usize],
         latency_hist: Option<&Histogram>,
@@ -966,6 +977,7 @@ where
         slo: Option<&SloTracker>,
     ) -> (Vec<WorkerItem>, WorkerStats) {
         let worker_started = Instant::now();
+        let epoch = snap.epoch();
         let flight_on = flight().is_enabled();
         let mut acc = StageAcc::new(son_telemetry::enabled());
         let router = self.provider.router(snap);
@@ -978,11 +990,6 @@ where
             None
         };
         let csp = csp_router.as_deref();
-        // Retry re-routes go through a flat fallback router — complete
-        // over the full topology, so with the avoid-set folded into its
-        // cost model it finds whatever healthy path remains. Its index
-        // is built by the batch's first retry.
-        let fallback = OnceCell::new();
         // Latencies accumulate in a plain local histogram and fold into
         // the shared sinks (per-worker metric series, SLO tracker) at
         // window seals and batch end, so the per-request cost of
@@ -995,11 +1002,9 @@ where
         let sample_mask = self.flight_sample_mask();
         // Dedup is a hash probe, not a scan: the stale-serve fast path
         // must stay O(1) however long the revalidation queue grows.
-        let mut queued: std::collections::HashSet<RouteKey> = std::collections::HashSet::new();
-        let mut revalidate: Vec<(RouteKey, usize)> = Vec::new();
+        let mut revalidate = (HashSet::new(), Vec::new());
         let mut out = Vec::with_capacity(indices.len());
         for &i in indices {
-            let request = &requests[i];
             let rid = rid_base + i as u64;
             let rc = ReqCtx {
                 rid,
@@ -1008,105 +1013,29 @@ where
             };
             acc.arm();
             let begun = Instant::now();
-            let key = RouteKey::encode(snap.ingress(request), request);
-            let (result, retries, degraded, health_drops, backoff_us) = match ctx {
-                None => {
-                    let lookup = acc.measure(StageSlot::Cache, || {
-                        self.cache.lookup_swr(&key, epoch, &self.stale_budget)
-                    });
-                    let result = match lookup {
-                        SwrLookup::Hit(path) => {
-                            rc.verdict(CacheVerdict::Hit, epoch);
-                            Ok(path)
-                        }
-                        SwrLookup::Stale(path) => {
-                            // A previous-epoch route may be served only
-                            // if every hop still exists, still offers
-                            // its service, and is routable in the
-                            // *current* snapshot.
-                            let usable = acc.measure(StageSlot::Admit, || {
-                                self.stale_path_usable(snap, &path, None)
-                            });
-                            if usable {
-                                rc.verdict(CacheVerdict::StaleServe, epoch);
-                                if queued.insert(key.clone()) {
-                                    revalidate.push((key.clone(), i));
-                                }
-                                Ok(path)
-                            } else {
-                                rc.verdict(CacheVerdict::StaleDrop, epoch);
-                                self.cache.remove(&key);
-                                self.route_uncached(
-                                    snap,
-                                    epoch,
-                                    request,
-                                    &key,
-                                    router.as_ref(),
-                                    csp,
-                                    rc,
-                                    &mut acc,
-                                )
-                            }
-                        }
-                        SwrLookup::Miss => {
-                            rc.verdict(CacheVerdict::Miss, epoch);
-                            self.route_uncached(
-                                snap,
-                                epoch,
-                                request,
-                                &key,
-                                router.as_ref(),
-                                csp,
-                                rc,
-                                &mut acc,
-                            )
-                        }
-                        SwrLookup::StaleDrop => {
-                            rc.verdict(CacheVerdict::StaleDrop, epoch);
-                            self.route_uncached(
-                                snap,
-                                epoch,
-                                request,
-                                &key,
-                                router.as_ref(),
-                                csp,
-                                rc,
-                                &mut acc,
-                            )
-                        }
-                    };
-                    (result, 0, false, 0, 0.0)
-                }
-                Some(ctx) => self.serve_constrained(
-                    snap,
-                    epoch,
-                    request,
-                    &key,
-                    router.as_ref(),
-                    csp,
-                    &fallback,
-                    ctx,
-                    (&mut queued, &mut revalidate),
-                    i,
-                    rc,
-                    &mut acc,
-                ),
-            };
+            let mut item = self.serve_request(
+                snap,
+                requests,
+                i,
+                router.as_ref(),
+                csp,
+                ctx,
+                &mut revalidate,
+                rc,
+                &mut acc,
+            );
             // Backoff is *accounted* into the client-visible latency
             // rather than slept — benches see the penalty without the
             // harness wasting wall-clock.
-            let latency_us = begun.elapsed().as_secs_f64() * 1e6 + backoff_us;
+            item.latency_us += begun.elapsed().as_secs_f64() * 1e6;
             if let Some(local) = local_latency.as_mut() {
-                local.record(latency_us);
+                local.record(item.latency_us);
             }
-            rc.emit(
-                FlightKind::Disposition(disposition_mark(&result, degraded)),
-                epoch,
-            );
+            rc.emit(FlightKind::Disposition(item.disposition.mark()), epoch);
             if let Some(slo) = slo {
                 // One relaxed fetch-add per request; latencies ride the
                 // local histogram and fold in at window boundaries.
-                let sealing = if result.is_ok() {
+                let sealing = if item.result.is_ok() {
                     slo.tick_served()
                 } else {
                     slo.tick_rejected()
@@ -1126,14 +1055,7 @@ where
                     slo.seal_at(tick);
                 }
             }
-            out.push(WorkerItem {
-                index: i,
-                result,
-                latency_us,
-                retries,
-                degraded,
-                health_drops,
-            });
+            out.push(item);
         }
         if let Some(local) = local_latency.as_mut() {
             let mut sinks: Vec<&Histogram> = Vec::with_capacity(2);
@@ -1145,9 +1067,9 @@ where
         // solve. This runs after the last request is answered, so the
         // serving loop pays cache-lookup latency while the cache still
         // converges to current-epoch truth within the batch.
-        for (key, i) in revalidate {
+        for (key, i) in revalidate.1 {
             let request = &requests[i];
-            match self.solve_fresh(snap, epoch, request, router.as_ref(), csp, ReqCtx::silent()) {
+            match self.solve_fresh(snap, request, router.as_ref(), csp, ReqCtx::silent()) {
                 Ok(path) => {
                     let ok_for_ctx = ctx.is_none_or(|c| c.first_down_hop(&path).is_none());
                     if ok_for_ctx {
@@ -1181,6 +1103,214 @@ where
             cache_us: acc.cache_us * scale,
         };
         (out, stats)
+    }
+
+    /// Answers request `index` of a batch — the one serving path, with
+    /// or without constraints:
+    ///
+    /// 1. the exact tier, validated for serving ([`Engine::cached`]);
+    /// 2. on a miss, the negative tier fast-rejects a known-unroutable
+    ///    key, and otherwise [`Engine::solve_fresh`] solves through the
+    ///    CSP tier;
+    /// 3. under constraints, the answer is checked against live health
+    ///    and charged against per-proxy admission tokens (all hops or
+    ///    nothing); on failure the offending proxy joins the avoid set
+    ///    and a bounded exponential-backoff retry re-routes around it
+    ///    ([`BatchConstraints::failover`]);
+    /// 4. a fresh first-attempt path fills the exact tier; an
+    ///    unroutable verdict fills the negative tier unless admission is
+    ///    on.
+    ///
+    /// Without constraints step 3 is skipped: no health check, no
+    /// admission, no retry. With them every *served* path is
+    /// health-checked, which is what makes "no served route traverses a
+    /// `Down` proxy" structural rather than statistical — including
+    /// routes served stale.
+    ///
+    /// The item's `latency_us` holds the backoff its retries accounted;
+    /// the caller adds the measured wall time.
+    #[allow(clippy::too_many_arguments)]
+    fn serve_request(
+        &self,
+        snap: &EngineSnapshot<D>,
+        requests: &[ServiceRequest],
+        index: usize,
+        router: &dyn Router,
+        csp: Option<&dyn CspRouter>,
+        ctx: Option<&BatchConstraints>,
+        revalidate: &mut (HashSet<RouteKey>, Vec<(RouteKey, usize)>),
+        rc: ReqCtx,
+        acc: &mut StageAcc,
+    ) -> WorkerItem {
+        let request = &requests[index];
+        let epoch = snap.epoch();
+        let key = RouteKey::encode(snap.ingress(request), request);
+        let health_gen = self.health_gen.load(Ordering::SeqCst);
+        let mut retries = 0u32;
+        let mut health_drops = 0u64;
+        let mut backoff_us = 0.0f64;
+        let (result, degraded) = 'answer: {
+            let (cached, verdict) = self.cached(snap, &key, ctx, &self.stale_budget, acc);
+            rc.verdict(verdict, epoch);
+            let (mut candidate, from_cache) = match cached {
+                Some(path) => {
+                    if verdict == CacheVerdict::StaleServe && revalidate.0.insert(key.clone()) {
+                        revalidate.1.push((key.clone(), index));
+                    }
+                    (Ok(path), true)
+                }
+                None => {
+                    health_drops = u64::from(verdict == CacheVerdict::HealthDrop);
+                    // An unroutable verdict recorded under this epoch and
+                    // health generation is final — recomputing (and
+                    // re-retrying) it would reach the same answer.
+                    let negative = acc.measure(StageSlot::Cache, || {
+                        self.negative.lookup(&key, epoch, health_gen)
+                    });
+                    if let Some(err) = negative {
+                        rc.verdict(CacheVerdict::NegativeHit, epoch);
+                        break 'answer (Err(err), false);
+                    }
+                    let fresh = acc.measure(StageSlot::Route, || {
+                        self.solve_fresh(snap, request, router, csp, rc)
+                    });
+                    (fresh, false)
+                }
+            };
+            let mut avoid: Vec<ProxyId> = Vec::new();
+            let mut overloaded = false;
+            loop {
+                let mut route_error = None;
+                match candidate {
+                    Ok(path) => {
+                        // The first hop live health forbids, else the
+                        // first whose admission bucket is empty.
+                        let refused = ctx.and_then(|ctx| {
+                            acc.measure(StageSlot::Admit, || match ctx.first_down_hop(&path) {
+                                Some(p) => Some((p, false)),
+                                None => ctx.try_admit(&path).err().map(|p| (p, true)),
+                            })
+                        });
+                        let Some((p, saturated)) = refused else {
+                            if !from_cache && retries == 0 {
+                                acc.measure(StageSlot::Cache, || {
+                                    self.cache.insert(key.clone(), epoch, path.clone())
+                                });
+                            }
+                            let degraded =
+                                retries > 0 || ctx.is_some_and(|c| c.touches_draining(&path));
+                            break 'answer (Ok(path), degraded);
+                        };
+                        if !avoid.contains(&p) {
+                            avoid.push(p);
+                        }
+                        overloaded = saturated;
+                    }
+                    Err(err) => route_error = Some(err),
+                }
+                let Some(ctx) = ctx.filter(|c| retries < c.admission.max_retries) else {
+                    let err = match route_error {
+                        Some(err) => err,
+                        None if overloaded => RouteError::Overloaded,
+                        None => RouteError::Infeasible,
+                    };
+                    // Cache the unroutable verdict, but only when
+                    // admission is off: with token buckets active the
+                    // final error can depend on this batch's token
+                    // state, which the (epoch, health-gen) key does not
+                    // capture.
+                    if ctx.is_none_or(|c| !c.admission.enabled)
+                        && matches!(err, RouteError::NoProvider(_) | RouteError::Infeasible)
+                    {
+                        acc.measure(StageSlot::Cache, || {
+                            self.negative.insert(key, epoch, health_gen, err.clone())
+                        });
+                    }
+                    break 'answer (Err(err), false);
+                };
+                retries += 1;
+                backoff_us += ctx.admission.backoff_base_us * 2f64.powi(retries as i32 - 1);
+                if rc.flight_on {
+                    // The retry event names the proxy being routed around —
+                    // the most recent addition to the avoid set, if any.
+                    let mut ev = FlightEvent::new(FlightKind::FailoverRetry)
+                        .tick(rc.rid)
+                        .request(rc.rid)
+                        .epoch(epoch)
+                        .worker(rc.worker)
+                        .value(backoff_us);
+                    if let Some(p) = avoid.last() {
+                        ev = ev.proxy(p.index() as u32);
+                    }
+                    flight().record(ev);
+                }
+                candidate = acc.measure(StageSlot::Route, || ctx.failover(snap, request, &avoid));
+            }
+        };
+        // The one mapping from a routing error to a reject reason.
+        let disposition = match &result {
+            Ok(_) if degraded => Disposition::Degraded,
+            Ok(_) => Disposition::Optimal,
+            Err(RouteError::NoIngress) => Disposition::Rejected(RejectReason::NoIngress),
+            Err(RouteError::Overloaded) => Disposition::Rejected(RejectReason::Overloaded),
+            Err(_) => Disposition::Rejected(RejectReason::Unroutable),
+        };
+        WorkerItem {
+            index,
+            result,
+            disposition,
+            latency_us: backoff_us,
+            retries,
+            health_drops,
+        }
+    }
+
+    /// The exact tier's answer for `key`, validated for serving, and
+    /// its verdict. Under constraints a hit must not cross a proxy the
+    /// live health view forbids (epoch-independent invalidation:
+    /// `HealthDrop`), and a stale entry must pass
+    /// [`Engine::stale_path_usable`] (else `StaleDrop`); an entry that
+    /// fails is removed. A path comes back only with `Hit` or
+    /// `StaleServe`. Serving passes the engine's stale budget;
+    /// [`Engine::trace_request`] passes an empty one, so it never serves
+    /// stale.
+    fn cached(
+        &self,
+        snap: &EngineSnapshot<D>,
+        key: &RouteKey,
+        ctx: Option<&BatchConstraints>,
+        budget: &AtomicU64,
+        acc: &mut StageAcc,
+    ) -> (Option<ServicePath>, CacheVerdict) {
+        let lookup = acc.measure(StageSlot::Cache, || {
+            self.cache.lookup_swr(key, snap.epoch(), budget)
+        });
+        match lookup {
+            SwrLookup::Hit(path) => {
+                let down =
+                    ctx.and_then(|ctx| acc.measure(StageSlot::Admit, || ctx.first_down_hop(&path)));
+                if down.is_none() {
+                    return (Some(path), CacheVerdict::Hit);
+                }
+                self.cache.remove(key);
+                (None, CacheVerdict::HealthDrop)
+            }
+            SwrLookup::Stale(path) => {
+                // A previous-epoch route may be served only if every hop
+                // still exists, still offers its service, and is
+                // routable in the *current* snapshot.
+                let usable = acc.measure(StageSlot::Admit, || {
+                    self.stale_path_usable(snap, &path, ctx)
+                });
+                if usable {
+                    return (Some(path), CacheVerdict::StaleServe);
+                }
+                self.cache.remove(key);
+                (None, CacheVerdict::StaleDrop)
+            }
+            SwrLookup::Miss => (None, CacheVerdict::Miss),
+            SwrLookup::StaleDrop => (None, CacheVerdict::StaleDrop),
+        }
     }
 
     /// Whether a previous-epoch cached path is still servable over the
@@ -1234,7 +1364,6 @@ where
     fn solve_fresh(
         &self,
         snap: &EngineSnapshot<D>,
-        epoch: u64,
         request: &ServiceRequest,
         router: &dyn Router,
         csp: Option<&dyn CspRouter>,
@@ -1246,6 +1375,7 @@ where
         let Some(ckey) = self.csp_key(snap, request) else {
             return router.route_path(request);
         };
+        let epoch = snap.epoch();
         match self.csp.lookup(&ckey, epoch) {
             Some(frontier) => {
                 rc.verdict(CacheVerdict::CspHit, epoch);
@@ -1262,243 +1392,18 @@ where
         }
     }
 
-    /// Uncached unconstrained solve: negative fast-reject, then the
-    /// CSP-aware fresh solve, then cache fill (positive or negative).
-    #[allow(clippy::too_many_arguments)]
-    fn route_uncached(
-        &self,
-        snap: &EngineSnapshot<D>,
-        epoch: u64,
-        request: &ServiceRequest,
-        key: &RouteKey,
-        router: &dyn Router,
-        csp: Option<&dyn CspRouter>,
-        rc: ReqCtx,
-        acc: &mut StageAcc,
-    ) -> Result<ServicePath, RouteError> {
-        let health_gen = self.health_gen.load(Ordering::SeqCst);
-        let negative = acc.measure(StageSlot::Cache, || {
-            self.negative.lookup(key, epoch, health_gen)
-        });
-        if let Some(err) = negative {
-            rc.verdict(CacheVerdict::NegativeHit, epoch);
-            return Err(err);
-        }
-        let result = acc.measure(StageSlot::Route, || {
-            self.solve_fresh(snap, epoch, request, router, csp, rc)
-        });
-        acc.measure(StageSlot::Cache, || match &result {
-            Ok(path) => self.cache.insert(key.clone(), epoch, path.clone()),
-            Err(err) => {
-                if matches!(err, RouteError::NoProvider(_) | RouteError::Infeasible) {
-                    self.negative
-                        .insert(key.clone(), epoch, health_gen, err.clone());
-                }
-            }
-        });
-        result
-    }
-
-    /// The admission/failover pipeline for one request:
-    ///
-    /// 1. cache-first, with **epoch-independent health validation** —
-    ///    a hit through a proxy the live view says is `Down` is dropped
-    ///    from the cache and recomputed;
-    /// 2. the primary router answers over the snapshot's load-aware
-    ///    cost model;
-    /// 3. the answer is checked against live health and charged against
-    ///    per-proxy admission tokens (all hops or nothing);
-    /// 4. on failure, the offending proxy joins the avoid set and a
-    ///    bounded exponential-backoff retry re-routes around it via the
-    ///    flat fallback router.
-    ///
-    /// Every *served* path is health-checked here, which is what makes
-    /// "no served route traverses a `Down` proxy" structural rather
-    /// than statistical — including routes served stale: a
-    /// previous-epoch entry is validated against the current snapshot
-    /// *and* the live health view before it is ever handed out.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_constrained(
-        &self,
-        snap: &EngineSnapshot<D>,
-        epoch: u64,
-        request: &ServiceRequest,
-        key: &RouteKey,
-        router: &dyn Router,
-        csp: Option<&dyn CspRouter>,
-        fallback: &OnceCell<ProviderIndex>,
-        ctx: &BatchConstraints,
-        revalidate: (
-            &mut std::collections::HashSet<RouteKey>,
-            &mut Vec<(RouteKey, usize)>,
-        ),
-        index: usize,
-        rc: ReqCtx,
-        acc: &mut StageAcc,
-    ) -> (Result<ServicePath, RouteError>, u32, bool, u64, f64) {
-        let mut health_drops = 0u64;
-        let mut retries = 0u32;
-        let mut backoff_us = 0.0f64;
-        let mut avoid: Vec<ProxyId> = Vec::new();
-        let mut overloaded = false;
-
-        // Negative fast-reject: an unroutable verdict recorded under
-        // this epoch and health generation is final — recomputing (and
-        // re-retrying) it would reach the same answer.
-        let health_gen = self.health_gen.load(Ordering::SeqCst);
-        let negative = acc.measure(StageSlot::Cache, || {
-            self.negative.lookup(key, epoch, health_gen)
-        });
-        if let Some(err) = negative {
-            rc.verdict(CacheVerdict::NegativeHit, epoch);
-            return (Err(err), 0, false, 0, 0.0);
-        }
-
-        let lookup = acc.measure(StageSlot::Cache, || {
-            self.cache.lookup_swr(key, epoch, &self.stale_budget)
-        });
-        let mut candidate: Result<(ServicePath, bool), RouteError> = match lookup {
-            SwrLookup::Hit(path) => {
-                let down = acc.measure(StageSlot::Admit, || ctx.first_down_hop(&path));
-                if down.is_some() {
-                    rc.verdict(CacheVerdict::HealthDrop, epoch);
-                    self.cache.remove(key);
-                    health_drops += 1;
-                    acc.measure(StageSlot::Route, || {
-                        self.solve_fresh(snap, epoch, request, router, csp, rc)
-                    })
-                    .map(|p| (p, false))
-                } else {
-                    rc.verdict(CacheVerdict::Hit, epoch);
-                    Ok((path, true))
-                }
-            }
-            SwrLookup::Stale(path) => {
-                let usable = acc.measure(StageSlot::Admit, || {
-                    self.stale_path_usable(snap, &path, Some(ctx))
-                });
-                if usable {
-                    rc.verdict(CacheVerdict::StaleServe, epoch);
-                    if revalidate.0.insert(key.clone()) {
-                        revalidate.1.push((key.clone(), index));
-                    }
-                    Ok((path, true))
-                } else {
-                    rc.verdict(CacheVerdict::StaleDrop, epoch);
-                    self.cache.remove(key);
-                    acc.measure(StageSlot::Route, || {
-                        self.solve_fresh(snap, epoch, request, router, csp, rc)
-                    })
-                    .map(|p| (p, false))
-                }
-            }
-            miss @ (SwrLookup::Miss | SwrLookup::StaleDrop) => {
-                rc.verdict(
-                    if matches!(miss, SwrLookup::Miss) {
-                        CacheVerdict::Miss
-                    } else {
-                        CacheVerdict::StaleDrop
-                    },
-                    epoch,
-                );
-                acc.measure(StageSlot::Route, || {
-                    self.solve_fresh(snap, epoch, request, router, csp, rc)
-                })
-                .map(|p| (p, false))
-            }
-        };
-
-        let mut attempt = 0u32;
-        loop {
-            let mut route_error = None;
-            match candidate {
-                Ok((path, from_cache)) => {
-                    let down = acc.measure(StageSlot::Admit, || ctx.first_down_hop(&path));
-                    if let Some(p) = down {
-                        if !avoid.contains(&p) {
-                            avoid.push(p);
-                        }
-                        overloaded = false;
-                    } else {
-                        let admitted = acc.measure(StageSlot::Admit, || ctx.try_admit(&path));
-                        match admitted {
-                            Ok(()) => {
-                                if !from_cache && attempt == 0 {
-                                    acc.measure(StageSlot::Cache, || {
-                                        self.cache.insert(key.clone(), epoch, path.clone())
-                                    });
-                                }
-                                let degraded = attempt > 0 || ctx.touches_draining(&path);
-                                return (Ok(path), retries, degraded, health_drops, backoff_us);
-                            }
-                            Err(p) => {
-                                if !avoid.contains(&p) {
-                                    avoid.push(p);
-                                }
-                                overloaded = true;
-                            }
-                        }
-                    }
-                }
-                Err(err) => route_error = Some(err),
-            }
-            if attempt >= ctx.admission.max_retries {
-                let err = match route_error {
-                    Some(err) => err,
-                    None if overloaded => RouteError::Overloaded,
-                    None => RouteError::Infeasible,
-                };
-                // Cache the unroutable verdict, but only when admission
-                // is off: with token buckets active the final error can
-                // depend on this batch's token state, which the
-                // (epoch, health-gen) key does not capture.
-                if !ctx.admission.enabled
-                    && matches!(err, RouteError::NoProvider(_) | RouteError::Infeasible)
-                {
-                    self.negative
-                        .insert(key.clone(), epoch, health_gen, err.clone());
-                }
-                return (Err(err), retries, false, health_drops, backoff_us);
-            }
-            attempt += 1;
-            retries += 1;
-            backoff_us += ctx.admission.backoff_base_us * 2f64.powi(attempt as i32 - 1);
-            if rc.flight_on {
-                // The retry event names the proxy being routed around —
-                // the most recent addition to the avoid set, if any.
-                let mut ev = FlightEvent::new(FlightKind::FailoverRetry)
-                    .tick(rc.rid)
-                    .request(rc.rid)
-                    .epoch(epoch)
-                    .worker(rc.worker)
-                    .value(backoff_us);
-                if let Some(p) = avoid.last() {
-                    ev = ev.proxy(p.index() as u32);
-                }
-                flight().record(ev);
-            }
-            // Re-route with dead and saturated proxies priced out.
-            candidate = acc.measure(StageSlot::Route, || {
-                let mut statuses = ctx.model.statuses().clone();
-                for &p in &avoid {
-                    statuses.set_health(p, Health::Down);
-                }
-                let model = CostModel::new(*ctx.model.config(), statuses);
-                let delays = LoadAwareDelays::new(snap.delays(), &model);
-                let providers =
-                    fallback.get_or_init(|| ProviderIndex::from_service_sets(snap.services()));
-                FlatRouter::new(providers, delays)
-                    .route(request)
-                    .map(|p| (p, false))
-            });
-        }
-    }
-
-    /// Routes one request through the full serving path — cache lookup,
-    /// router, cache fill — and returns its provenance record alongside
-    /// the answer. The cache is consulted and populated exactly as in
-    /// [`Engine::serve`], so tracing the same request twice shows a miss
-    /// followed by a hit.
+    /// Routes one request the way [`Engine::serve`] does and returns its
+    /// provenance record beside the answer. The exact tier is looked up,
+    /// validated against live health and filled as in `serve`, so
+    /// tracing a request twice shows a miss, then a hit; a fresh route
+    /// through a live-`Down` proxy falls over to the same flat re-route
+    /// `serve` retries with ([`BatchConstraints::failover`], with an
+    /// empty avoid set), and like every fail-over path it is not cached.
+    /// Unlike `serve`, a trace skips the negative tier, the CSP tier
+    /// (the fresh solve runs the provider's traced router, whose CSP
+    /// dissection is what a trace shows) and stale serving (a
+    /// previous-epoch entry is a stale drop), and charges no admission
+    /// tokens.
     pub fn trace_request(
         &self,
         request: &ServiceRequest,
@@ -1508,70 +1413,51 @@ where
         let epoch = snap.epoch();
         let key = RouteKey::encode(snap.ingress(request), request);
         let started = Instant::now();
-        let (mut cached, mut outcome) = self.cache.lookup_explain(&key, epoch);
-        // Same epoch-independent health validation as the serve path: a
-        // hit through a live-`Down` proxy is dropped, not traced as
-        // served.
-        if let (Some(path), Some(ctx)) = (&cached, self.constraints(snap)) {
-            if ctx.first_down_hop(path).is_some() {
-                self.cache.remove(&key);
-                cached = None;
-                outcome = LookupOutcome::StaleDrop;
-            }
-        }
-        match cached {
+        let constraints = self.constraints(snap);
+        let ctx = constraints.as_ref();
+        let no_stale = AtomicU64::new(0);
+        let (cached, verdict) = self.cached(snap, &key, ctx, &no_stale, &mut StageAcc::new(false));
+        let (result, mut trace) = match cached {
             Some(path) => {
                 let mut trace = son_routing::request_trace(self.provider.name(), request);
-                trace.epoch = Some(epoch);
                 trace.cache = Some(CacheOutcome::Hit);
                 trace.hops = trace_hops(&path);
-                trace.cost = Some(path.length(snap.delays()));
-                trace.elapsed_us = started.elapsed().as_secs_f64() * 1e6;
                 (Ok(path), trace)
             }
             None => {
                 let router = self.provider.traced_router(snap);
                 let (mut result, mut trace) = router.route_with_trace(request);
-                trace.epoch = Some(epoch);
-                trace.cache = Some(match outcome {
-                    LookupOutcome::StaleDrop => CacheOutcome::StaleDrop,
-                    _ => CacheOutcome::Miss,
+                trace.cache = Some(if verdict == CacheVerdict::Miss {
+                    CacheOutcome::Miss
+                } else {
+                    CacheOutcome::StaleDrop
                 });
                 // The provider router only knows the snapshot statuses;
-                // when a live override forbids a hop of the fresh
-                // route, fail over exactly as the serve path does:
-                // re-route flat with `Down` proxies priced out.
-                let mut failover = false;
-                if let Some(ctx) = self.constraints(snap) {
-                    if result
-                        .as_ref()
-                        .is_ok_and(|path| ctx.first_down_hop(path).is_some())
-                    {
-                        failover = true;
-                        let index = ProviderIndex::from_service_sets(snap.services());
-                        let delays = LoadAwareDelays::new(snap.delays(), &ctx.model);
-                        result = FlatRouter::new(&index, delays).route(request);
+                // a fresh route through a live-`Down` proxy falls over.
+                match ctx.filter(|c| result.as_ref().is_ok_and(|p| c.first_down_hop(p).is_some())) {
+                    Some(ctx) => {
+                        result = ctx.failover(snap, request, &[]);
                         trace.router = "flat-failover".to_string();
+                        trace.cost = None;
                         if let Ok(path) = &result {
                             trace.hops = trace_hops(path);
                         }
-                        trace.cost = None;
+                    }
+                    None => {
+                        if let Ok(path) = &result {
+                            self.cache.insert(key, epoch, path.clone());
+                        }
                     }
                 }
-                if let Ok(path) = &result {
-                    if trace.cost.is_none() {
-                        trace.cost = Some(path.length(snap.delays()));
-                    }
-                    // Failover paths are valid only while the override
-                    // holds, so (as in `serve`) they are not cached.
-                    if !failover {
-                        self.cache.insert(key, epoch, path.clone());
-                    }
-                }
-                trace.elapsed_us = started.elapsed().as_secs_f64() * 1e6;
                 (result, trace)
             }
+        };
+        trace.epoch = Some(epoch);
+        if let Ok(path) = &result {
+            trace.cost.get_or_insert_with(|| path.length(snap.delays()));
         }
+        trace.elapsed_us = started.elapsed().as_secs_f64() * 1e6;
+        (result, trace)
     }
 }
 

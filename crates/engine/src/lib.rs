@@ -58,9 +58,7 @@ pub mod engine;
 pub mod report;
 pub mod snapshot;
 
-pub use cache::{
-    CacheStats, CspCache, CspKey, LookupOutcome, NegativeCache, RouteCache, RouteKey, SwrLookup,
-};
+pub use cache::{CacheStats, CspCache, CspKey, NegativeCache, RouteCache, RouteKey, SwrLookup};
 pub use engine::{AdmissionConfig, Disposition, Engine, EngineConfig, RejectReason, ServeOutcome};
 pub use report::{AdmissionStats, LatencySummary, ServeReport, WorkerStats};
 pub use snapshot::{

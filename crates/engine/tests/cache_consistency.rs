@@ -240,3 +240,58 @@ fn stale_serving_bridges_an_install_without_crossing_a_down_proxy() {
     assert!(cache.revalidations > 0, "{cache:?}");
     assert_eq!(control_out.report.cache.stale_served, 0);
 }
+
+/// A stale route is checked against the installed snapshot even when
+/// nothing constrains the batch: after an install in which one warm
+/// provider withdraws its service, no served path — stale or fresh —
+/// asks that proxy for a service it no longer carries, while warm
+/// routes still bridge the install stale.
+#[test]
+fn stale_serving_never_uses_a_withdrawn_service() {
+    let batch: Vec<ServiceRequest> = (0..48)
+        .map(|k| {
+            request(
+                k % PROXIES,
+                (k * 5 + 7) % PROXIES,
+                &[k % SERVICES, (k + 1) % SERVICES],
+            )
+        })
+        .collect();
+    let engine = Engine::new(
+        snapshot(7),
+        HierProvider::default(),
+        EngineConfig {
+            stale_serve_budget: batch.len() as u64,
+            ..EngineConfig::default()
+        },
+    );
+    let warm = engine.serve(&batch);
+    let withdrawn = warm
+        .paths
+        .iter()
+        .flatten()
+        .flat_map(|p| p.hops())
+        .find(|h| h.service.is_some())
+        .map(|h| h.proxy)
+        .expect("some warm path has a provider hop");
+
+    let base = snapshot(7);
+    let mut services = base.services().to_vec();
+    services[withdrawn.index()] = ServiceSet::new();
+    engine.install_snapshot(EngineSnapshot::new(
+        base.hfc().clone(),
+        services.clone(),
+        base.delays().clone(),
+    ));
+    let churned = engine.serve(&batch);
+    for (request, path) in batch.iter().zip(&churned.paths) {
+        let path = path.as_ref().expect("every service keeps three providers");
+        assert!(
+            path.validate(request, |p, s| services[p.index()].contains(s))
+                .is_ok(),
+            "served {path:?} asks {withdrawn:?} for a service it withdrew"
+        );
+    }
+    let cache = &churned.report.cache;
+    assert!(cache.stale_served > 0, "{cache:?}");
+}

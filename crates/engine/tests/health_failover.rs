@@ -189,3 +189,53 @@ fn fully_down_cluster_sheds_with_no_ingress() {
     assert!(outcome.report.admission.rejected_no_ingress > 0);
     assert!(served_proxies(&outcome).iter().all(|p| p.index() >= 6));
 }
+
+/// `trace_request` explains the path `serve` takes. With admission off
+/// and no override both return the cached path. With a live `Down` on
+/// a provider hop of that path both fall over to the same flat
+/// re-route, which neither caches: once the proxy recovers, both are
+/// back on the original path.
+#[test]
+fn trace_request_and_serve_agree_around_a_live_down() {
+    let eng = Engine::new(
+        snapshot(17),
+        HierProvider::default(),
+        EngineConfig::default(),
+    );
+    let requests = batch(31, 40);
+    let cold = eng.serve(&requests);
+    let (request, original, victim) = requests
+        .iter()
+        .zip(&cold.paths)
+        .filter_map(|(r, p)| p.as_ref().ok().map(|p| (r, p)))
+        .find_map(|(r, p)| {
+            p.hops()
+                .iter()
+                .find(|h| h.service.is_some() && h.proxy != r.source && h.proxy != r.destination)
+                .map(|h| (r, p.clone(), h.proxy))
+        })
+        .expect("some path has an interior provider hop");
+    let one = std::slice::from_ref(request);
+
+    let (traced, trace) = eng.trace_request(request);
+    assert_eq!(trace.cache, Some(CacheOutcome::Hit));
+    assert_eq!(traced.as_ref(), Ok(&original));
+    assert_eq!(eng.serve(one).paths[0].as_ref(), Ok(&original));
+
+    eng.set_health(victim, Health::Down);
+    let served = eng.serve(one);
+    assert_eq!(served.dispositions[0], Disposition::Degraded);
+    assert_eq!(served.report.admission.health_drops, 1);
+    let served = served.paths[0].clone().expect("the request re-routes");
+    assert!(served.hops().iter().all(|h| h.proxy != victim));
+    let (traced, trace) = eng.trace_request(request);
+    assert_eq!(trace.router, "flat-failover");
+    assert_eq!(trace.cache, Some(CacheOutcome::Miss), "{trace:?}");
+    assert_eq!(traced, Ok(served));
+
+    eng.set_health(victim, Health::Up);
+    assert_eq!(eng.serve(one).paths[0].as_ref(), Ok(&original));
+    let (traced, trace) = eng.trace_request(request);
+    assert_eq!(trace.cache, Some(CacheOutcome::Hit));
+    assert_eq!(traced, Ok(original));
+}
