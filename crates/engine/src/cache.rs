@@ -20,33 +20,65 @@
 //! **Sharding.** Entries hash-partition across [`Mutex`]ed shards so
 //! concurrent workers rarely contend; counters are atomics outside the
 //! locks.
+//!
+//! **Keys.** A key is a run of `u32` words and their hash, computed
+//! once when the words are encoded. That one hash picks the shard and
+//! is what the shard's map hashes by; entries still compare by their
+//! full words. A worker re-encodes one key per tier in place for every
+//! request, so a lookup allocates nothing; an insert clones the key,
+//! which allocates exactly its words.
 
-use son_overlay::{ClusterId, ServiceRequest};
+use son_overlay::{ClusterId, ServiceGraph, ServiceRequest};
 use son_routing::{CspFrontier, RouteError, ServicePath};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Canonical cache key: the ingress cluster plus a lossless encoding
-/// of the request (source, destination, stage services, stage edges).
-///
-/// Keys compare by value — two requests collide only if they are the
-/// same request entering at the same cluster, so cache hits can never
-/// return a path for a different request.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RouteKey {
-    ingress: u32,
+/// Hashes key words: a rotate-xor-multiply step per word, then a
+/// final fold and multiply so that both halves are well mixed — the
+/// shard index reads the high half, the map the low bits and the top
+/// seven. It is unkeyed, so shard placement (and with it FIFO
+/// eviction) repeats from run to run; the price is that a client
+/// choosing many requests could make their keys collide in one shard.
+fn hash_words(words: &[u32]) -> u64 {
+    let mut h = words.len() as u64;
+    for &w in words {
+        h = (h.rotate_left(5) ^ u64::from(w)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    let h = (h ^ (h >> 32)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 32)
+}
+
+/// Which of `shards` a key with `hash` lives in.
+fn shard_index(hash: u64, shards: usize) -> usize {
+    ((hash >> 32) % shards as u64) as usize
+}
+
+/// Words of either key for `request`: three header words, then the
+/// service DAG — its stage count, `n` services, `n` predecessor counts
+/// and the `E` predecessor edges.
+fn key_len(request: &ServiceRequest) -> usize {
+    let graph = &request.graph;
+    let edges: usize = graph.stage_ids().map(|s| graph.predecessors(s).len()).sum();
+    3 + 1 + 2 * graph.len() + edges
+}
+
+/// An encoded key: three header words, then `graph` losslessly (the
+/// stage count, every stage's service, then every stage's predecessor
+/// count and predecessors), and the hash of it all.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Key {
+    hash: u64,
     words: Vec<u32>,
 }
 
-impl RouteKey {
-    /// Encodes `request` as seen from `ingress`.
-    pub fn encode(ingress: ClusterId, request: &ServiceRequest) -> Self {
-        let graph = &request.graph;
-        let mut words = Vec::with_capacity(3 + 2 * graph.len());
-        words.push(request.source.index() as u32);
-        words.push(request.destination.index() as u32);
+impl Key {
+    /// Overwrites the key in place, reusing its buffer.
+    fn set(&mut self, header: [u32; 3], graph: &ServiceGraph) {
+        let words = &mut self.words;
+        words.clear();
+        words.extend(header);
         words.push(graph.len() as u32);
         for stage in graph.stage_ids() {
             words.push(graph.service(stage).index() as u32);
@@ -56,31 +88,70 @@ impl RouteKey {
             words.push(preds.len() as u32);
             words.extend(preds.iter().map(|p| p.index() as u32));
         }
-        RouteKey {
-            ingress: ingress.index() as u32,
-            words,
-        }
+        self.hash = hash_words(words);
     }
 
-    /// The ingress cluster component.
-    pub fn ingress(&self) -> ClusterId {
-        ClusterId::new(self.ingress as usize)
+    /// An empty key with room for exactly `request`'s words.
+    fn for_request(request: &ServiceRequest) -> Key {
+        let words = Vec::with_capacity(key_len(request));
+        Key { hash: 0, words }
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The shard maps' hasher: a key writes its precomputed hash, and this
+/// hands it back.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
-    /// FNV-1a over the key, used for shard selection.
-    fn shard_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |w: u32| {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        mix(self.ingress);
-        for &w in &self.words {
-            mix(w);
-        }
-        h
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("cache keys hash as one precomputed u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<PassThrough>>;
+
+/// Canonical cache key: the ingress cluster plus a lossless encoding
+/// of the request (source, destination, stage services, stage edges).
+///
+/// Keys compare by value — two requests collide only if they are the
+/// same request entering at the same cluster, so cache hits can never
+/// return a path for a different request. The default key has no
+/// words, which no request encodes to.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct RouteKey(Key);
+
+impl RouteKey {
+    /// Encodes `request` as seen from `ingress`, in one allocation.
+    pub fn encode(ingress: ClusterId, request: &ServiceRequest) -> Self {
+        let mut key = RouteKey(Key::for_request(request));
+        key.reencode(ingress, request);
+        key
+    }
+
+    /// [`RouteKey::encode`] into this key's buffer, which allocates
+    /// only while the buffer grows.
+    pub(crate) fn reencode(&mut self, ingress: ClusterId, request: &ServiceRequest) {
+        let header = [
+            ingress.index(),
+            request.source.index(),
+            request.destination.index(),
+        ];
+        self.0.set(header.map(|i| i as u32), &request.graph);
     }
 }
 
@@ -93,7 +164,7 @@ struct Entry {
 /// One shard: a map plus FIFO insertion order for eviction.
 #[derive(Debug, Default)]
 struct Shard {
-    entries: HashMap<RouteKey, Entry>,
+    entries: KeyMap<RouteKey, Entry>,
     order: VecDeque<RouteKey>,
 }
 
@@ -103,7 +174,7 @@ struct Shard {
 /// epoch churn the queue would grow by a key per re-insert. Once the
 /// queue holds more than twice the map, it keeps the first occurrence
 /// of each resident key, which is the one eviction reaches first.
-fn compact<K: Hash + Eq, V>(order: &mut VecDeque<K>, entries: &HashMap<K, V>) {
+fn compact<K: Hash + Eq, V>(order: &mut VecDeque<K>, entries: &KeyMap<K, V>) {
     if order.len() > 2 * entries.len() {
         let mut queued = HashSet::with_capacity(entries.len());
         order.retain(|key| {
@@ -229,7 +300,7 @@ impl RouteCache {
     }
 
     fn shard(&self, key: &RouteKey) -> &Mutex<Shard> {
-        &self.shards[(key.shard_hash() % self.shards.len() as u64) as usize]
+        &self.shards[shard_index(key.0.hash, self.shards.len())]
     }
 
     /// Looks `key` up for a batch serving snapshot `epoch`. An entry
@@ -371,13 +442,8 @@ impl RouteCache {
 /// a member of the destination's cluster) contributes internal-distance
 /// terms to the DP, so it keys by identity; any other source is
 /// cost-invisible and collapses to a shared sentinel.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CspKey {
-    ingress: u32,
-    source_class: u32,
-    dest_cluster: u32,
-    words: Vec<u32>,
-}
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct CspKey(Key);
 
 impl CspKey {
     /// Encodes the frontier key for `request` entering at `ingress`
@@ -394,44 +460,34 @@ impl CspKey {
         known_source: Option<u32>,
         request: &ServiceRequest,
     ) -> Option<Self> {
-        let graph = &request.graph;
-        if graph.is_empty() {
+        if request.graph.is_empty() {
             return None;
         }
-        let mut words = Vec::with_capacity(1 + 2 * graph.len());
-        words.push(graph.len() as u32);
-        for stage in graph.stage_ids() {
-            words.push(graph.service(stage).index() as u32);
-        }
-        for stage in graph.stage_ids() {
-            let preds = graph.predecessors(stage);
-            words.push(preds.len() as u32);
-            words.extend(preds.iter().map(|p| p.index() as u32));
-        }
-        Some(CspKey {
-            ingress: ingress.index() as u32,
-            source_class: known_source.unwrap_or(u32::MAX),
-            dest_cluster: dest_cluster.index() as u32,
-            words,
-        })
+        let mut key = CspKey(Key::for_request(request));
+        key.reencode(ingress, dest_cluster, known_source, request);
+        Some(key)
     }
 
-    /// FNV-1a over the key, used for shard selection.
-    fn shard_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |w: u32| {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        mix(self.ingress);
-        mix(self.source_class);
-        mix(self.dest_cluster);
-        for &w in &self.words {
-            mix(w);
+    /// [`CspKey::encode`] into this key's buffer, which allocates only
+    /// while the buffer grows; `None` (and the key unchanged) for an
+    /// empty service graph.
+    pub(crate) fn reencode(
+        &mut self,
+        ingress: ClusterId,
+        dest_cluster: ClusterId,
+        known_source: Option<u32>,
+        request: &ServiceRequest,
+    ) -> Option<&CspKey> {
+        if request.graph.is_empty() {
+            return None;
         }
-        h
+        let header = [
+            ingress.index() as u32,
+            known_source.unwrap_or(u32::MAX),
+            dest_cluster.index() as u32,
+        ];
+        self.0.set(header, &request.graph);
+        Some(self)
     }
 }
 
@@ -443,7 +499,7 @@ struct CspEntry {
 
 #[derive(Debug, Default)]
 struct CspShard {
-    entries: HashMap<CspKey, CspEntry>,
+    entries: KeyMap<CspKey, CspEntry>,
     order: VecDeque<CspKey>,
 }
 
@@ -479,7 +535,7 @@ impl CspCache {
     }
 
     fn shard(&self, key: &CspKey) -> &Mutex<CspShard> {
-        &self.shards[(key.shard_hash() % self.shards.len() as u64) as usize]
+        &self.shards[shard_index(key.0.hash, self.shards.len())]
     }
 
     /// Looks `key` up for the serving `epoch`; entries from any other
@@ -576,7 +632,7 @@ pub struct NegativeCache {
 
 #[derive(Debug, Default)]
 struct NegShard {
-    entries: HashMap<RouteKey, NegEntry>,
+    entries: KeyMap<RouteKey, NegEntry>,
     order: VecDeque<RouteKey>,
 }
 
@@ -684,7 +740,6 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, a2);
-        assert_eq!(a.ingress(), ClusterId::new(0));
     }
 
     #[test]
@@ -700,6 +755,120 @@ mod tests {
         assert_ne!(
             RouteKey::encode(ClusterId::new(0), &linear),
             RouteKey::encode(ClusterId::new(0), &parallel)
+        );
+    }
+
+    /// Chains of 0–12 services and a diamond: every key is exactly as
+    /// long as `key_len` reserves (`3 + 1 + 2n + E` words for `n`
+    /// stages and `E` predecessor edges), so an encoded key never
+    /// grows, and re-encoding into a reused key gives the same key.
+    #[test]
+    fn keys_fill_exactly_their_reservation() {
+        let diamond = ServiceRequest::new(
+            ProxyId::new(0),
+            ServiceGraph::builder()
+                .stage(ServiceId::new(1))
+                .stage(ServiceId::new(2))
+                .stage(ServiceId::new(3))
+                .stage(ServiceId::new(4))
+                .edge(0, 1)
+                .edge(0, 2)
+                .edge(1, 3)
+                .edge(2, 3)
+                .build()
+                .unwrap(),
+            ProxyId::new(9),
+        );
+        let chains =
+            (0..=12).map(|n| (request(0, &(1..=n).collect::<Vec<_>>(), 9), n, n.max(1) - 1));
+        // One key re-encoded over the previous, longer or shorter.
+        let mut reused = RouteKey::default();
+        for (request, n, edges) in chains.chain([(diamond, 4, 4)]) {
+            let want = 4 + 2 * n + edges;
+            assert_eq!(key_len(&request), want, "{n} stages, {edges} edges");
+            let key = RouteKey::encode(ClusterId::new(3), &request);
+            assert_eq!((key.0.words.len(), key.0.words.capacity()), (want, want));
+            reused.reencode(ClusterId::new(3), &request);
+            assert_eq!((&reused.0.words, reused.0.hash), (&key.0.words, key.0.hash));
+            if let Some(key) = CspKey::encode(ClusterId::new(3), ClusterId::new(1), None, &request)
+            {
+                assert_eq!((key.0.words.len(), key.0.words.capacity()), (want, want));
+            }
+        }
+    }
+
+    fn request_with_edges(services: &[usize], edges: &[(usize, usize)]) -> ServiceRequest {
+        let mut graph = ServiceGraph::builder();
+        for &s in services {
+            graph = graph.stage(ServiceId::new(s));
+        }
+        for &(from, to) in edges {
+            graph = graph.edge(from, to);
+        }
+        ServiceRequest::new(ProxyId::new(1), graph.build().unwrap(), ProxyId::new(2))
+    }
+
+    /// A key re-encoded in a reused buffer finds exactly the entry its
+    /// freshly encoded twin filed: over a few hundred generated requests
+    /// each finds its own path, and a request one predecessor word away
+    /// misses.
+    #[test]
+    fn reencoded_lookups_find_exactly_their_own_entry() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut requests: Vec<(ClusterId, ServiceRequest)> = Vec::new();
+        while requests.len() < 300 {
+            let services: Vec<usize> = (0..rng.gen_range(0..6))
+                .map(|_| rng.gen_range(0..4))
+                .collect();
+            let graph = ServiceGraph::linear(services.into_iter().map(ServiceId::new).collect());
+            let request = ServiceRequest::new(
+                ProxyId::new(rng.gen_range(0..6)),
+                graph,
+                ProxyId::new(rng.gen_range(0..6)),
+            );
+            let ingress = ClusterId::new(rng.gen_range(0..3));
+            if !requests.contains(&(ingress, request.clone())) {
+                requests.push((ingress, request));
+            }
+        }
+        let cache = RouteCache::new(4, 1024);
+        for (i, (ingress, request)) in requests.iter().enumerate() {
+            cache.insert(RouteKey::encode(*ingress, request), 0, path(i, i));
+        }
+        let mut buf = RouteKey::default();
+        for (i, (ingress, request)) in requests.iter().enumerate() {
+            buf.reencode(*ingress, request);
+            assert_eq!(cache.lookup(&buf, 0), Some(path(i, i)));
+        }
+
+        // Stage 3 follows stages 0 and 1 in one request, 0 and 2 in the
+        // other: the keys differ in their last word only.
+        let filed = request_with_edges(&[5, 6, 7, 8], &[(0, 3), (1, 3)]);
+        let probe = request_with_edges(&[5, 6, 7, 8], &[(0, 3), (2, 3)]);
+        let a = RouteKey::encode(ClusterId::new(0), &filed);
+        let b = RouteKey::encode(ClusterId::new(0), &probe);
+        let (a_last, a_head) = a.0.words.split_last().unwrap();
+        let (b_last, b_head) = b.0.words.split_last().unwrap();
+        assert_eq!(a_head, b_head);
+        assert_ne!(a_last, b_last);
+        cache.insert(a, 0, path(7, 7));
+        buf.reencode(ClusterId::new(0), &probe);
+        assert_eq!(cache.lookup(&buf, 0), None);
+        assert_eq!(cache.lookup(&b, 0), None);
+    }
+
+    /// Equal hashes are not equal keys: the words decide.
+    #[test]
+    fn keys_with_one_hash_but_other_words_miss() {
+        let key = |words: Vec<u32>| RouteKey(Key { hash: 42, words });
+        let cache = NegativeCache::new(8);
+        cache.insert(key(vec![1, 2, 3]), 0, 0, RouteError::Infeasible);
+        assert_eq!(cache.lookup(&key(vec![1, 2, 4]), 0, 0), None);
+        assert_eq!(
+            cache.lookup(&key(vec![1, 2, 3]), 0, 0),
+            Some(RouteError::Infeasible)
         );
     }
 

@@ -193,6 +193,19 @@ struct WorkerItem {
     health_drops: u64,
 }
 
+/// What a worker reuses from one request to the next.
+#[derive(Default)]
+struct WorkerScratch {
+    /// The request's exact key, re-encoded in place.
+    route_key: RouteKey,
+    /// The CSP tier's key, re-encoded while the exact key is in use.
+    csp_key: CspKey,
+    /// Stale-served keys owed a revalidation, deduplicated by a hash
+    /// probe (not a scan, so stale serving stays O(1) however long the
+    /// queue grows), in serving order.
+    revalidate: (HashSet<RouteKey>, Vec<(RouteKey, usize)>),
+}
+
 /// Which stage accumulator a measured section charges.
 #[derive(Clone, Copy)]
 enum StageSlot {
@@ -777,7 +790,7 @@ where
         // dispositions, and border-proxy load.
         let mut paths: Vec<Option<Result<ServicePath, RouteError>>> = vec![None; requests.len()];
         let mut dispositions: Vec<Disposition> = vec![Disposition::Optimal; requests.len()];
-        let batch_latency = Histogram::new();
+        let mut batch_latency = LocalHistogram::new();
         let mut border_load = vec![0u64; snap.proxy_count()];
         let mut admission = AdmissionStats::default();
         for &i in &pre_rejected {
@@ -981,6 +994,7 @@ where
         let flight_on = flight().is_enabled();
         let mut acc = StageAcc::new(son_telemetry::enabled());
         let router = self.provider.router(snap);
+        let router = router.as_ref();
         // The CSP tier needs a router that can expose its cluster-level
         // sink frontier; providers that can't (flat, or multi-level with
         // a hierarchy) return `None` and the tier is bypassed.
@@ -1000,10 +1014,12 @@ where
             None
         };
         let sample_mask = self.flight_sample_mask();
-        // Dedup is a hash probe, not a scan: the stale-serve fast path
-        // must stay O(1) however long the revalidation queue grows.
-        let mut revalidate = (HashSet::new(), Vec::new());
+        let mut scratch = WorkerScratch::default();
         let mut out = Vec::with_capacity(indices.len());
+        // One clock read per request: the instant one answer is back
+        // starts the next request, whose latency so also carries this
+        // one's bookkeeping below.
+        let mut begun = Instant::now();
         for &i in indices {
             let rid = rid_base + i as u64;
             let rc = ReqCtx {
@@ -1012,22 +1028,23 @@ where
                 flight_on: flight_on && rid & sample_mask == 0,
             };
             acc.arm();
-            let begun = Instant::now();
             let mut item = self.serve_request(
                 snap,
                 requests,
                 i,
-                router.as_ref(),
+                router,
                 csp,
                 ctx,
-                &mut revalidate,
+                &mut scratch,
                 rc,
                 &mut acc,
             );
+            let answered = Instant::now();
             // Backoff is *accounted* into the client-visible latency
             // rather than slept — benches see the penalty without the
             // harness wasting wall-clock.
-            item.latency_us += begun.elapsed().as_secs_f64() * 1e6;
+            item.latency_us += (answered - begun).as_secs_f64() * 1e6;
+            begun = answered;
             if let Some(local) = local_latency.as_mut() {
                 local.record(item.latency_us);
             }
@@ -1067,9 +1084,10 @@ where
         // solve. This runs after the last request is answered, so the
         // serving loop pays cache-lookup latency while the cache still
         // converges to current-epoch truth within the batch.
-        for (key, i) in revalidate.1 {
+        for (key, i) in scratch.revalidate.1 {
             let request = &requests[i];
-            match self.solve_fresh(snap, request, router.as_ref(), csp, ReqCtx::silent()) {
+            let csp_key = &mut scratch.csp_key;
+            match self.solve_fresh(snap, request, router, csp, csp_key, ReqCtx::silent()) {
                 Ok(path) => {
                     let ok_for_ctx = ctx.is_none_or(|c| c.first_down_hop(&path).is_none());
                     if ok_for_ctx {
@@ -1138,22 +1156,24 @@ where
         router: &dyn Router,
         csp: Option<&dyn CspRouter>,
         ctx: Option<&BatchConstraints>,
-        revalidate: &mut (HashSet<RouteKey>, Vec<(RouteKey, usize)>),
+        scratch: &mut WorkerScratch,
         rc: ReqCtx,
         acc: &mut StageAcc,
     ) -> WorkerItem {
         let request = &requests[index];
         let epoch = snap.epoch();
-        let key = RouteKey::encode(snap.ingress(request), request);
+        scratch.route_key.reencode(snap.ingress(request), request);
+        let key = &scratch.route_key;
         let health_gen = self.health_gen.load(Ordering::SeqCst);
         let mut retries = 0u32;
         let mut health_drops = 0u64;
         let mut backoff_us = 0.0f64;
         let (result, degraded) = 'answer: {
-            let (cached, verdict) = self.cached(snap, &key, ctx, &self.stale_budget, acc);
+            let (cached, verdict) = self.cached(snap, key, ctx, &self.stale_budget, acc);
             rc.verdict(verdict, epoch);
             let (mut candidate, from_cache) = match cached {
                 Some(path) => {
+                    let revalidate = &mut scratch.revalidate;
                     if verdict == CacheVerdict::StaleServe && revalidate.0.insert(key.clone()) {
                         revalidate.1.push((key.clone(), index));
                     }
@@ -1165,14 +1185,14 @@ where
                     // health generation is final — recomputing (and
                     // re-retrying) it would reach the same answer.
                     let negative = acc.measure(StageSlot::Cache, || {
-                        self.negative.lookup(&key, epoch, health_gen)
+                        self.negative.lookup(key, epoch, health_gen)
                     });
                     if let Some(err) = negative {
                         rc.verdict(CacheVerdict::NegativeHit, epoch);
                         break 'answer (Err(err), false);
                     }
                     let fresh = acc.measure(StageSlot::Route, || {
-                        self.solve_fresh(snap, request, router, csp, rc)
+                        self.solve_fresh(snap, request, router, csp, &mut scratch.csp_key, rc)
                     });
                     (fresh, false)
                 }
@@ -1223,7 +1243,8 @@ where
                         && matches!(err, RouteError::NoProvider(_) | RouteError::Infeasible)
                     {
                         acc.measure(StageSlot::Cache, || {
-                            self.negative.insert(key, epoch, health_gen, err.clone())
+                            self.negative
+                                .insert(key.clone(), epoch, health_gen, err.clone())
                         });
                     }
                     break 'answer (Err(err), false);
@@ -1342,10 +1363,15 @@ where
     }
 
     /// The (ingress, source class, destination cluster, DAG) key under
-    /// which this request's CSP frontier is shared. `None` when the
-    /// request has an empty service graph (the CSP tier is bypassed —
-    /// frontier replay is not defined there).
-    fn csp_key(&self, snap: &EngineSnapshot<D>, request: &ServiceRequest) -> Option<CspKey> {
+    /// which this request's CSP frontier is shared, encoded into `key`.
+    /// `None` when the request has an empty service graph (the CSP tier
+    /// is bypassed — frontier replay is not defined there).
+    fn csp_key<'k>(
+        &self,
+        snap: &EngineSnapshot<D>,
+        request: &ServiceRequest,
+        key: &'k mut CspKey,
+    ) -> Option<&'k CspKey> {
         let ingress = snap.ingress(request);
         let dest_cluster = snap.hfc().cluster_of(request.destination);
         let known = if snap.is_border(request.source) || ingress == dest_cluster {
@@ -1353,7 +1379,7 @@ where
         } else {
             None
         };
-        CspKey::encode(ingress, dest_cluster, known, request)
+        key.reencode(ingress, dest_cluster, known, request)
     }
 
     /// One full routing computation with the CSP tier folded in: a
@@ -1367,16 +1393,17 @@ where
         request: &ServiceRequest,
         router: &dyn Router,
         csp: Option<&dyn CspRouter>,
+        csp_key: &mut CspKey,
         rc: ReqCtx,
     ) -> Result<ServicePath, RouteError> {
         let Some(csp_router) = csp else {
             return router.route_path(request);
         };
-        let Some(ckey) = self.csp_key(snap, request) else {
+        let Some(ckey) = self.csp_key(snap, request, csp_key) else {
             return router.route_path(request);
         };
         let epoch = snap.epoch();
-        match self.csp.lookup(&ckey, epoch) {
+        match self.csp.lookup(ckey, epoch) {
             Some(frontier) => {
                 rc.verdict(CacheVerdict::CspHit, epoch);
                 csp_router.route_from_frontier(request, &frontier)
@@ -1384,7 +1411,7 @@ where
             None => match csp_router.solve_frontier(request) {
                 Ok(frontier) => {
                     let frontier = Arc::new(frontier);
-                    self.csp.insert(ckey, epoch, Arc::clone(&frontier));
+                    self.csp.insert(ckey.clone(), epoch, Arc::clone(&frontier));
                     csp_router.route_from_frontier(request, &frontier)
                 }
                 Err(err) => Err(err),

@@ -87,21 +87,13 @@ impl LatencySummary {
     /// Summarizes a telemetry histogram — the engine's batch path.
     ///
     /// Unlike [`LatencySummary::from_samples`] (exact, needs the full
-    /// sample vector), this reads the log-bucketed histogram workers
-    /// already filled, with the bucket error bound documented on the
-    /// type: percentiles overestimate by at most `2^(1/8) − 1 ≈ 9.05%`
+    /// sample vector), this reads a log-bucketed histogram, with the
+    /// bucket error bound documented on the type: percentiles
+    /// overestimate by at most `2^(1/8) − 1 ≈ 9.05%`
     /// ([`son_telemetry::RELATIVE_ERROR_BOUND`]); mean and max are
     /// exact.
-    pub fn from_histogram(hist: &son_telemetry::Histogram) -> Self {
-        // One coherent capture: count, quantiles, and max all derive
-        // from the same bucket view, so a summary read while another
-        // thread flushes a batch can never report p50 > p99.
-        LatencySummary::from_snapshot(&hist.snapshot())
-    }
-
-    /// Summarizes an already-captured histogram snapshot — used for
-    /// windowed (delta) summaries, where no live histogram exists.
-    fn from_snapshot(snap: &son_telemetry::HistogramSnapshot) -> Self {
+    pub fn from_histogram(hist: &son_telemetry::LocalHistogram) -> Self {
+        let snap = hist.summary();
         LatencySummary {
             p50_us: snap.p50,
             p90_us: snap.p90,
@@ -215,7 +207,7 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_are_ordered_and_bounded() {
-        let hist = son_telemetry::Histogram::new();
+        let mut hist = son_telemetry::LocalHistogram::new();
         // Heavy-tailed sample: mostly fast, occasional slow requests.
         let samples: Vec<f64> = (1..=500)
             .map(|i| {

@@ -75,6 +75,9 @@ pub struct HfcTopology {
     /// `borders[i][j]`: the proxy inside cluster `i` that borders
     /// cluster `j` (`None` on the diagonal).
     borders: Vec<Vec<Option<ProxyId>>>,
+    /// `duty[p]`: how many slots of `borders` hold proxy `p`, kept in
+    /// step with every write to `borders`.
+    duty: Vec<u32>,
     work: ElectionWork,
 }
 
@@ -144,10 +147,15 @@ impl HfcTopology {
                 borders[j][i] = Some(by);
             }
         }
+        let mut duty = vec![0; cluster_of.len()];
+        for b in borders.iter().flatten().flatten() {
+            duty[b.index()] += 1;
+        }
         HfcTopology {
             cluster_of,
             members,
             borders,
+            duty,
             work: election.work,
         }
     }
@@ -169,6 +177,7 @@ impl HfcTopology {
         assert!(c < self.members.len(), "unknown cluster {cluster}");
         let p = ProxyId::new(self.cluster_of.len());
         self.cluster_of.push(cluster);
+        self.duty.push(0);
         // p is the largest id, so pushing keeps the list ascending.
         self.members[c].push(p);
         for j in 0..self.members.len() {
@@ -190,8 +199,8 @@ impl HfcTopology {
                 }
             }
             if let Some(y) = winner {
-                self.borders[c][j] = Some(p);
-                self.borders[j][c] = Some(y);
+                self.set_border(c, j, p);
+                self.set_border(j, c, y);
             }
         }
         p
@@ -247,6 +256,9 @@ impl HfcTopology {
                     }
                 }
             }
+            // Until the re-elections below, the slots of `proxy` are the
+            // departed proxy's plus the renamed ones.
+            self.duty[i] += std::mem::take(&mut self.duty[last.index()]);
             self.cluster_of[i] = cl;
             Some(proxy)
         } else {
@@ -262,6 +274,10 @@ impl HfcTopology {
                 self.reelect_border(cp.index(), j, delays);
             }
         }
+        // Re-election or the cluster's removal cleared the departed
+        // proxy's slots, and the renamed ones moved to the vacated id.
+        debug_assert_eq!(self.duty[n - 1], 0);
+        self.duty.pop();
         moved
     }
 
@@ -272,9 +288,13 @@ impl HfcTopology {
         debug_assert!(self.members[c].is_empty());
         let last = self.members.len() - 1;
         self.members.swap_remove(c);
-        self.borders.swap_remove(c);
+        for b in self.borders.swap_remove(c).into_iter().flatten() {
+            self.duty[b.index()] -= 1;
+        }
         for row in &mut self.borders {
-            row.swap_remove(c);
+            if let Some(b) = row.swap_remove(c) {
+                self.duty[b.index()] -= 1;
+            }
         }
         if c != last {
             for &m in &self.members[c] {
@@ -289,10 +309,19 @@ impl HfcTopology {
     fn reelect_border<D: DelayModel>(&mut self, i: usize, j: usize, delays: &D) {
         let mut election = Election::new(delays);
         let (bx, by) = election.closest_pair_of(&self.members[i], &self.members[j]);
-        self.borders[i][j] = Some(bx);
-        self.borders[j][i] = Some(by);
         self.work.pair_evaluations += election.work.pair_evaluations;
         self.work.box_tests += election.work.box_tests;
+        self.set_border(i, j, bx);
+        self.set_border(j, i, by);
+    }
+
+    /// Makes `proxy` the border of cluster `i` toward cluster `j`,
+    /// moving the slot's duty from its previous holder.
+    fn set_border(&mut self, i: usize, j: usize, proxy: ProxyId) {
+        if let Some(old) = self.borders[i][j].replace(proxy) {
+            self.duty[old.index()] -= 1;
+        }
+        self.duty[proxy.index()] += 1;
     }
 
     /// What electing this topology's borders has cost so far: the
@@ -375,11 +404,7 @@ impl HfcTopology {
 
     /// Returns `true` if `proxy` is a border proxy of its cluster.
     pub fn is_border(&self, proxy: ProxyId) -> bool {
-        let c = self.cluster_of(proxy);
-        self.borders[c.index()]
-            .iter()
-            .flatten()
-            .any(|&b| b == proxy)
+        self.duty[proxy.index()] > 0
     }
 
     /// For each proxy, how many cluster pairs it serves as a border
@@ -388,13 +413,7 @@ impl HfcTopology {
     /// nodes to all other clusters, which improves load balancing");
     /// the `FirstPair` ablation concentrates them.
     pub fn border_duty_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.cluster_of.len()];
-        for row in &self.borders {
-            for b in row.iter().flatten() {
-                counts[b.index()] += 1;
-            }
-        }
-        counts
+        self.duty.iter().map(|&d| d as usize).collect()
     }
 
     /// The proxies whose coordinates `proxy` keeps (paper Figure 4):
@@ -952,6 +971,78 @@ mod incremental_tests {
                 "divergence at churn step {step}"
             );
         }
+    }
+
+    /// The scan `is_border` used to make: whether `proxy` fills a slot
+    /// of its own cluster's border row.
+    fn is_border_by_scan(hfc: &HfcTopology, proxy: ProxyId) -> bool {
+        let c = hfc.cluster_of(proxy);
+        hfc.borders[c.index()].iter().flatten().any(|&b| b == proxy)
+    }
+
+    /// The maintained duty counts against a from-scratch scan of
+    /// `borders`, and `is_border` against the scan definition.
+    fn assert_duties_match_the_scan(hfc: &HfcTopology, step: usize) {
+        let mut scanned = vec![0u32; hfc.proxy_count()];
+        for b in hfc.borders.iter().flatten().flatten() {
+            scanned[b.index()] += 1;
+        }
+        assert_eq!(hfc.duty, scanned, "duty counts at step {step}");
+        for p in (0..hfc.proxy_count()).map(ProxyId::new) {
+            assert_eq!(
+                hfc.is_border(p),
+                is_border_by_scan(hfc, p),
+                "is_border({p}) at step {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn border_duties_track_every_write() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (mut emptied, mut renamed) = (0, 0);
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Six communities of one to three proxies: removals often
+            // empty a cluster, and swap-remove renames the last proxy.
+            let mut xs: Vec<f64> = Vec::new();
+            let mut labels: Vec<usize> = Vec::new();
+            for c in 0..6 {
+                for _ in 0..rng.gen_range(1..=3) {
+                    xs.push(c as f64 * 1000.0 + rng.gen::<f64>() * 50.0);
+                    labels.push(c);
+                }
+            }
+            let mut delays = coords(&xs);
+            let mut hfc = scratch(&labels, &delays);
+            assert_duties_match_the_scan(&hfc, 0);
+            for step in 1..=80 {
+                if hfc.proxy_count() > 2 && rng.gen_bool(0.5) {
+                    // Bias toward the last id and toward singletons.
+                    let n = hfc.proxy_count();
+                    let victim = ProxyId::new(match rng.gen_range(0..4) {
+                        0 => n - 1,
+                        _ => rng.gen_range(0..n),
+                    });
+                    let clusters = hfc.cluster_count();
+                    xs.swap_remove(victim.index());
+                    delays.swap_remove(victim);
+                    renamed += usize::from(hfc.remove_proxy(victim, &delays).is_some());
+                    emptied += usize::from(hfc.cluster_count() < clusters);
+                } else {
+                    let c = rng.gen_range(0..hfc.cluster_count());
+                    let anchor = hfc.members(ClusterId::new(c))[0];
+                    let x = xs[anchor.index()] + rng.gen::<f64>() * 40.0 - 20.0;
+                    xs.push(x);
+                    delays.push(Coordinates::new(vec![x, 0.0]));
+                    hfc.insert_proxy(ClusterId::new(c), &delays);
+                }
+                assert_duties_match_the_scan(&hfc, step);
+            }
+        }
+        // 63 emptied clusters and 540 renames over the twenty seeds.
+        assert!(emptied > 20 && renamed > 100, "{emptied} / {renamed}");
     }
 }
 

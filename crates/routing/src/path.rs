@@ -2,6 +2,7 @@
 
 use son_overlay::{DelayModel, ProxyId, ServiceId, ServiceRequest};
 use std::fmt;
+use std::sync::Arc;
 
 /// One hop of a service path: a proxy and the service it applies
 /// (`None` means the proxy acts as a pure message relay — the paper's
@@ -46,9 +47,12 @@ impl fmt::Display for PathHop {
 ///
 /// The same proxy may appear in consecutive hops when it applies
 /// several services in sequence (zero-cost hops).
+///
+/// A path is immutable once built, so its hops are shared: a clone —
+/// a route-cache hit, say — bumps a reference count and copies no hop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServicePath {
-    hops: Vec<PathHop>,
+    hops: Arc<[PathHop]>,
 }
 
 /// Why a service path failed validation against a request.
@@ -97,7 +101,7 @@ impl ServicePath {
     /// Panics if `hops` is empty (a path visits at least one proxy).
     pub fn new(hops: Vec<PathHop>) -> Self {
         assert!(!hops.is_empty(), "a service path needs at least one hop");
-        ServicePath { hops }
+        ServicePath { hops: hops.into() }
     }
 
     /// The hops in order.
@@ -168,7 +172,7 @@ impl ServicePath {
         if !feasible {
             return Err(ValidatePathError::NotAConfiguration);
         }
-        for hop in &self.hops {
+        for hop in self.hops.iter() {
             if let Some(service) = hop.service {
                 if !carries(hop.proxy, service) {
                     return Err(ValidatePathError::MissingService {

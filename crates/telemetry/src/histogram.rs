@@ -275,13 +275,18 @@ impl HistogramCells {
     /// bucket array, so the quantile sequence is monotone by
     /// construction.
     pub fn summary(&self) -> HistogramSnapshot {
+        Self::summarize(&self.buckets, self.count, self.sum, self.max)
+    }
+
+    /// The snapshot of a bucket array and its count, sum and maximum.
+    fn summarize(buckets: &[u64], count: u64, sum: f64, max: f64) -> HistogramSnapshot {
         HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            p50: Self::quantile_from(&self.buckets, self.count, 0.50, self.max),
-            p90: Self::quantile_from(&self.buckets, self.count, 0.90, self.max),
-            p99: Self::quantile_from(&self.buckets, self.count, 0.99, self.max),
-            max: self.max,
+            count,
+            sum,
+            p50: Self::quantile_from(buckets, count, 0.50, max),
+            p90: Self::quantile_from(buckets, count, 0.90, max),
+            p99: Self::quantile_from(buckets, count, 0.99, max),
+            max,
         }
     }
 
@@ -378,6 +383,13 @@ impl LocalHistogram {
     /// Number of values recorded since the last flush.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Summarizes what was recorded since the last flush, exactly as
+    /// [`Histogram::snapshot`] would after flushing it into an empty
+    /// histogram — without the copy.
+    pub fn summary(&self) -> HistogramSnapshot {
+        HistogramCells::summarize(&self.buckets, self.count, self.sum, self.max)
     }
 
     /// Folds everything recorded so far into `target` and resets this
