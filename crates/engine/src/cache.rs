@@ -21,12 +21,10 @@
 //! concurrent workers rarely contend; counters are atomics outside the
 //! locks.
 //!
-//! **Keys.** A key is a run of `u32` words and their hash, computed
-//! once when the words are encoded. That one hash picks the shard and
-//! is what the shard's map hashes by; entries still compare by their
-//! full words. A worker re-encodes one key per tier in place for every
-//! request, so a lookup allocates nothing; an insert clones the key,
-//! which allocates exactly its words.
+//! **Keys.** A key is its `u32` words plus their hash, computed once at
+//! encode: the hash picks the shard and keys the shard's map, and
+//! entries compare by full words. Lookups borrow a per-worker key
+//! re-encoded in place; only an insert allocates, exactly its words.
 
 use son_overlay::{ClusterId, ServiceGraph, ServiceRequest};
 use son_routing::{CspFrontier, RouteError, ServicePath};
@@ -39,8 +37,8 @@ use std::sync::{Arc, Mutex};
 /// final fold and multiply so that both halves are well mixed — the
 /// shard index reads the high half, the map the low bits and the top
 /// seven. It is unkeyed, so shard placement (and with it FIFO
-/// eviction) repeats from run to run; the price is that a client
-/// choosing many requests could make their keys collide in one shard.
+/// eviction) repeats from run to run, at the price of an exposure to
+/// hash flooding (DESIGN.md §10).
 fn hash_words(words: &[u32]) -> u64 {
     let mut h = words.len() as u64;
     for &w in words {
@@ -75,10 +73,10 @@ struct Key {
 
 impl Key {
     /// Overwrites the key in place, reusing its buffer.
-    fn set(&mut self, header: [u32; 3], graph: &ServiceGraph) {
+    fn set(&mut self, header: [usize; 3], graph: &ServiceGraph) {
         let words = &mut self.words;
         words.clear();
-        words.extend(header);
+        words.extend(header.map(|i| i as u32));
         words.push(graph.len() as u32);
         for stage in graph.stage_ids() {
             words.push(graph.service(stage).index() as u32);
@@ -130,9 +128,8 @@ type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<PassThrough>>;
 ///
 /// Keys compare by value — two requests collide only if they are the
 /// same request entering at the same cluster, so cache hits can never
-/// return a path for a different request. The default key has no
-/// words, which no request encodes to.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+/// return a path for a different request.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RouteKey(Key);
 
 impl RouteKey {
@@ -143,15 +140,22 @@ impl RouteKey {
         key
     }
 
+    /// A key no request encodes to, a buffer to re-encode into.
+    pub(crate) fn empty() -> Self {
+        RouteKey(Key::default())
+    }
+
+    /// The ingress cluster component.
+    pub fn ingress(&self) -> ClusterId {
+        ClusterId::new(self.0.words[0] as usize)
+    }
+
     /// [`RouteKey::encode`] into this key's buffer, which allocates
     /// only while the buffer grows.
     pub(crate) fn reencode(&mut self, ingress: ClusterId, request: &ServiceRequest) {
-        let header = [
-            ingress.index(),
-            request.source.index(),
-            request.destination.index(),
-        ];
-        self.0.set(header.map(|i| i as u32), &request.graph);
+        let (source, destination) = (request.source.index(), request.destination.index());
+        let header = [ingress.index(), source, destination];
+        self.0.set(header, &request.graph);
     }
 }
 
@@ -442,7 +446,7 @@ impl RouteCache {
 /// a member of the destination's cluster) contributes internal-distance
 /// terms to the DP, so it keys by identity; any other source is
 /// cost-invisible and collapses to a shared sentinel.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CspKey(Key);
 
 impl CspKey {
@@ -468,6 +472,11 @@ impl CspKey {
         Some(key)
     }
 
+    /// A key no request encodes to, a buffer to re-encode into.
+    pub(crate) fn empty() -> Self {
+        CspKey(Key::default())
+    }
+
     /// [`CspKey::encode`] into this key's buffer, which allocates only
     /// while the buffer grows; `None` (and the key unchanged) for an
     /// empty service graph.
@@ -481,11 +490,8 @@ impl CspKey {
         if request.graph.is_empty() {
             return None;
         }
-        let header = [
-            ingress.index() as u32,
-            known_source.unwrap_or(u32::MAX),
-            dest_cluster.index() as u32,
-        ];
+        let source = known_source.unwrap_or(u32::MAX) as usize;
+        let header = [ingress.index(), source, dest_cluster.index()];
         self.0.set(header, &request.graph);
         Some(self)
     }
@@ -740,6 +746,7 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, a2);
+        assert_eq!(a.ingress(), ClusterId::new(0));
     }
 
     #[test]
@@ -760,8 +767,10 @@ mod tests {
 
     /// Chains of 0–12 services and a diamond: every key is exactly as
     /// long as `key_len` reserves (`3 + 1 + 2n + E` words for `n`
-    /// stages and `E` predecessor edges), so an encoded key never
-    /// grows, and re-encoding into a reused key gives the same key.
+    /// stages and `E` predecessor edges). Its buffer is made with that
+    /// capacity and ends holding that many words, so it never grew:
+    /// an owned key is one allocation of exactly its words. Re-encoding
+    /// into a reused key gives the same key.
     #[test]
     fn keys_fill_exactly_their_reservation() {
         let diamond = ServiceRequest::new(
@@ -782,7 +791,7 @@ mod tests {
         let chains =
             (0..=12).map(|n| (request(0, &(1..=n).collect::<Vec<_>>(), 9), n, n.max(1) - 1));
         // One key re-encoded over the previous, longer or shorter.
-        let mut reused = RouteKey::default();
+        let mut reused = RouteKey::empty();
         for (request, n, edges) in chains.chain([(diamond, 4, 4)]) {
             let want = 4 + 2 * n + edges;
             assert_eq!(key_len(&request), want, "{n} stages, {edges} edges");
@@ -837,7 +846,7 @@ mod tests {
         for (i, (ingress, request)) in requests.iter().enumerate() {
             cache.insert(RouteKey::encode(*ingress, request), 0, path(i, i));
         }
-        let mut buf = RouteKey::default();
+        let mut buf = RouteKey::empty();
         for (i, (ingress, request)) in requests.iter().enumerate() {
             buf.reencode(*ingress, request);
             assert_eq!(cache.lookup(&buf, 0), Some(path(i, i)));

@@ -194,7 +194,6 @@ struct WorkerItem {
 }
 
 /// What a worker reuses from one request to the next.
-#[derive(Default)]
 struct WorkerScratch {
     /// The request's exact key, re-encoded in place.
     route_key: RouteKey,
@@ -1014,11 +1013,15 @@ where
             None
         };
         let sample_mask = self.flight_sample_mask();
-        let mut scratch = WorkerScratch::default();
+        let mut scratch = WorkerScratch {
+            route_key: RouteKey::empty(),
+            csp_key: CspKey::empty(),
+            revalidate: Default::default(),
+        };
         let mut out = Vec::with_capacity(indices.len());
         // One clock read per request: the instant one answer is back
-        // starts the next request, whose latency so also carries this
-        // one's bookkeeping below.
+        // starts the next, whose latency so carries this one's
+        // bookkeeping below (but not a window seal, which re-reads it).
         let mut begun = Instant::now();
         for &i in indices {
             let rid = rid_base + i as u64;
@@ -1070,6 +1073,7 @@ where
                         }
                     }
                     slo.seal_at(tick);
+                    begun = Instant::now();
                 }
             }
             out.push(item);

@@ -46,10 +46,9 @@ impl fmt::Display for PathHop {
 /// `sp = ⟨−/p₀, s₁/p₁, …, sₙ/pₙ, −/pₙ₊₁⟩` (paper Section 2.2).
 ///
 /// The same proxy may appear in consecutive hops when it applies
-/// several services in sequence (zero-cost hops).
-///
-/// A path is immutable once built, so its hops are shared: a clone —
-/// a route-cache hit, say — bumps a reference count and copies no hop.
+/// several services in sequence (zero-cost hops). A path is immutable
+/// once built, so its hops are shared: a clone — a route-cache hit, say
+/// — bumps a reference count and copies no hop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServicePath {
     hops: Arc<[PathHop]>,

@@ -386,8 +386,7 @@ impl LocalHistogram {
     }
 
     /// Summarizes what was recorded since the last flush, exactly as
-    /// [`Histogram::snapshot`] would after flushing it into an empty
-    /// histogram — without the copy.
+    /// [`Histogram::snapshot`] would after a flush into an empty one.
     pub fn summary(&self) -> HistogramSnapshot {
         HistogramCells::summarize(&self.buckets, self.count, self.sum, self.max)
     }

@@ -1,6 +1,5 @@
 //! Deterministic cost gates: heap allocations and bytes per warm
-//! `Engine::serve` and per cache key, counted by a test-only global
-//! allocator.
+//! `Engine::serve`, counted by a test-only global allocator.
 //!
 //! For the same world and requests the serve path allocates the same on
 //! every run, so each bound is a measured value, not a tolerance: a
@@ -18,8 +17,8 @@
 //! and release builds; CI runs both).
 
 use son_core::{
-    set_telemetry_enabled, AdmissionConfig, ClusterId, CspKey, EngineConfig, Health, ProxyId,
-    RouteKey, ServiceGraph, ServiceId, ServiceOverlay, ServiceRequest, SonConfig,
+    set_telemetry_enabled, AdmissionConfig, EngineConfig, Health, ServiceOverlay, ServiceRequest,
+    SonConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -128,48 +127,6 @@ fn warm_serve_allocations_are_pinned() {
         "the 255 extra cached requests made {} allocations",
         all.0 - one.0
     );
-}
-
-/// Both cache keys of a request are one allocation, of exactly the
-/// words they hold: `3 + 1 + 2n + E` for `n` stages joined by `E`
-/// predecessor edges.
-#[test]
-fn an_owned_key_is_one_allocation() {
-    let stages = |n: usize| (0..n).map(ServiceId::new).collect::<Vec<_>>();
-    let mut cases: Vec<(ServiceGraph, usize)> = (0..=12)
-        .map(|n| (ServiceGraph::linear(stages(n)), 4 + 2 * n + n.max(1) - 1))
-        .collect();
-    let diamond = ServiceGraph::builder()
-        .stage(ServiceId::new(1))
-        .stage(ServiceId::new(2))
-        .stage(ServiceId::new(3))
-        .stage(ServiceId::new(4))
-        .edge(0, 1)
-        .edge(0, 2)
-        .edge(1, 3)
-        .edge(2, 3)
-        .build()
-        .expect("a DAG");
-    cases.push((diamond, 4 + 2 * 4 + 4));
-    for (graph, words) in cases {
-        let empty = graph.is_empty();
-        let request = ServiceRequest::new(ProxyId::new(3), graph, ProxyId::new(8));
-        let bytes = 4 * words as u64;
-        let route = counted(|| {
-            std::hint::black_box(RouteKey::encode(ClusterId::new(1), &request));
-        });
-        assert_eq!(route, (1, bytes), "route key of {request:?}");
-        let csp = counted(|| {
-            std::hint::black_box(CspKey::encode(
-                ClusterId::new(1),
-                ClusterId::new(2),
-                None,
-                &request,
-            ));
-        });
-        let want = if empty { (0, 0) } else { (1, bytes) };
-        assert_eq!(csp, want, "CSP key of {request:?}");
-    }
 }
 
 #[test]
