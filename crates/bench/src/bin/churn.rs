@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Also writes `results/BENCH_churn.json` (same artifact schema as the
-//! other benchmark bins).
+//! other benchmark bins); a `--quick` run writes
+//! `BENCH_churn_smoke.json` instead.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -147,7 +148,7 @@ fn main() {
             strategy_row("full_rebuild", full, per_event_full),
         ],
     );
-    match write_bench_artifact("churn", &artifact) {
+    match write_bench_artifact("churn", quick, &artifact) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("error: could not write BENCH_churn.json: {e}");

@@ -19,7 +19,8 @@
 //! cargo run --release -p son-bench --bin dissem -- --smoke   # CI-sized
 //! ```
 //!
-//! Also writes `results/BENCH_dissem.json`.
+//! Also writes `results/BENCH_dissem.json` (`BENCH_dissem_smoke.json`
+//! for a smoke run).
 
 use son_bench::environment_for;
 use son_bench::{bench_artifact, write_bench_artifact, Json};
@@ -230,14 +231,11 @@ fn main() {
         ("flooding_sim_limit", Json::from(FLOODING_SIM_LIMIT)),
         ("flooding_estimates", Json::Arr(flooding_estimates)),
     ]);
-    // Smoke runs (CI) write under their own name so they never
-    // clobber the committed full-sweep artifact.
-    let name = if smoke { "dissem_smoke" } else { "dissem" };
-    let artifact = bench_artifact(name, config, rows);
-    match write_bench_artifact(name, &artifact) {
+    let artifact = bench_artifact("dissem", config, rows);
+    match write_bench_artifact("dissem", smoke, &artifact) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => {
-            eprintln!("error: could not write BENCH_{name}.json: {e}");
+            eprintln!("error: could not write the dissem artifact: {e}");
             std::process::exit(1);
         }
     }

@@ -15,7 +15,8 @@
 //! cargo run --release -p son-bench --bin faults -- --smoke   # CI-sized
 //! ```
 //!
-//! Also writes `results/BENCH_faults.json`.
+//! Also writes `results/BENCH_faults.json` (`BENCH_faults_smoke.json`
+//! for a smoke run).
 
 use son_bench::environment_for;
 use son_bench::{bench_artifact, write_bench_artifact, Json};
@@ -126,7 +127,7 @@ fn main() {
         ("smoke", Json::Bool(smoke)),
     ]);
     let artifact = bench_artifact("faults", config, rows);
-    match write_bench_artifact("faults", &artifact) {
+    match write_bench_artifact("faults", smoke, &artifact) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => {
             eprintln!("error: could not write BENCH_faults.json: {e}");

@@ -22,12 +22,12 @@
 //!
 //! Writes `results/BENCH_overload.json` and a telemetry snapshot to
 //! `results/overload_metrics.json` (carrying the `engine.admission.*`
-//! counters).
+//! counters); a smoke run writes both under a `_smoke` name.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use son_bench::environment_for;
-use son_bench::{bench_artifact, write_bench_artifact, Json};
+use son_bench::{artifact_path, bench_artifact, write_bench_artifact, Json};
 use son_core::{
     AdmissionConfig, CostConfig, Engine, EngineConfig, FaultPlan, FlatRouter, Health, HierProvider,
     NodeId, ProviderIndex, ProxyId, Scenario, ServiceOverlay, ServiceRequest, SimTime, SonConfig,
@@ -351,16 +351,19 @@ fn main() {
         ("smoke", Json::Bool(smoke)),
     ]);
     let artifact = bench_artifact("overload", config, rows);
-    match write_bench_artifact("overload", &artifact) {
+    match write_bench_artifact("overload", smoke, &artifact) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => {
             eprintln!("error: could not write BENCH_overload.json: {e}");
             std::process::exit(1);
         }
     }
-    let metrics_path = std::path::Path::new("results/overload_metrics.json");
-    match son_core::write_json_snapshot(son_core::telemetry(), metrics_path) {
-        Ok(()) => println!("wrote {}", metrics_path.display()),
+    let written = artifact_path("overload_metrics", smoke).and_then(|path| {
+        son_core::write_json_snapshot(son_core::telemetry(), &path)?;
+        Ok(path)
+    });
+    match written {
+        Ok(path) => println!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("error: could not write overload_metrics.json: {e}");
             std::process::exit(1);

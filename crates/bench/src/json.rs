@@ -25,12 +25,22 @@ pub fn bench_artifact(name: &str, config: Json, rows: Vec<Json>) -> Json {
     ])
 }
 
-/// Writes `artifact` to `results/BENCH_<name>.json` (creating
-/// `results/` if needed) and returns the path.
-pub fn write_bench_artifact(name: &str, artifact: &Json) -> std::io::Result<PathBuf> {
+/// The path of artifact `stem` under `results/`, creating the
+/// directory if needed: `results/<stem>.json` for a full run, and
+/// `results/<stem>_smoke.json` for a smoke run, so a CI-sized run never
+/// overwrites the committed full-run file.
+pub fn artifact_path(stem: &str, smoke: bool) -> std::io::Result<PathBuf> {
     let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("BENCH_{name}.json"));
+    let suffix = if smoke { "_smoke" } else { "" };
+    Ok(dir.join(format!("{stem}{suffix}.json")))
+}
+
+/// Writes `artifact` to `results/BENCH_<name>.json`, or to
+/// `results/BENCH_<name>_smoke.json` for a smoke run (see
+/// [`artifact_path`]), and returns the path.
+pub fn write_bench_artifact(name: &str, smoke: bool, artifact: &Json) -> std::io::Result<PathBuf> {
+    let path = artifact_path(&format!("BENCH_{name}"), smoke)?;
     std::fs::write(&path, artifact.render())?;
     Ok(path)
 }

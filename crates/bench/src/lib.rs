@@ -15,10 +15,13 @@
 //! | Figs 6–8 | `cargo run --release -p son-bench --bin paper_example` |
 //!
 //! Every driver takes explicit sizes / repetition counts, so the bins
-//! offer a `--quick` mode for smoke runs and default to paper scale.
+//! default to paper scale and offer a smoke run: `--quick` for the
+//! figure, ablation and `churn` bins, `--smoke` for `faults`,
+//! `overload` and `dissem`. A smoke run writes its artifact under a
+//! `_smoke` name ([`artifact_path`]), never over the committed one.
 
 pub mod experiments;
 pub mod json;
 
 pub use experiments::{environment_for, figure10, figure9, Fig10Options, Figure10Row, Figure9Row};
-pub use json::{bench_artifact, write_bench_artifact, Json};
+pub use json::{artifact_path, bench_artifact, write_bench_artifact, Json};

@@ -35,25 +35,22 @@ pub mod export;
 pub mod membership;
 pub mod overlay_system;
 
-pub use membership::DynamicOverlay;
 pub use overlay_system::{BuildStage, ServiceOverlay, SonConfig};
 
 // The component-crate names the examples, bins, tests and benchmark
 // import, so they need only this one dependency.
 pub use son_clustering::{mst_complete, Clustering, ZahnClusterer, ZahnConfig};
-pub use son_coords::{select_landmarks_maxmin, Coordinates, EmbeddingConfig, GnpEmbedding};
+pub use son_coords::Coordinates;
 pub use son_engine::{
     AdmissionConfig, CspCache, CspKey, Disposition, Engine, EngineConfig, EngineSnapshot,
     FlatProvider, HierProvider, MultiLevelProvider, NegativeCache, RouteCache, RouteKey,
     RouterProvider, ServeOutcome, ServeReport,
 };
-pub use son_netsim::{
-    FaultPlan, MeasureConfig, NodeId, PhysicalNetwork, SimTime, TransitStubConfig,
-};
+pub use son_netsim::{FaultPlan, NodeId, SimTime};
 pub use son_overlay::{
-    BorderSelection, ClusterId, CoordDelays, DelayMatrix, DelayModel, ElectionWork, Health,
-    HfcDelays, HfcTopology, Hierarchy, HierarchyConfig, ProxyId, QosRequirement, ServiceGraph,
-    ServiceId, ServiceRegistry, ServiceRequest, ServiceSet, StatusMap,
+    BorderSelection, ClusterId, CoordDelays, DelayMatrix, DelayModel, Health, HfcDelays,
+    HfcTopology, Hierarchy, HierarchyConfig, ProxyId, QosRequirement, ServiceGraph, ServiceId,
+    ServiceRegistry, ServiceRequest, ServiceSet, StatusMap,
 };
 pub use son_routing::fixtures;
 pub use son_routing::{
@@ -63,8 +60,8 @@ pub use son_routing::{
 pub use son_state::{DissemMode, OverheadKind, ProtocolConfig, StateProtocol, StateReport};
 pub use son_telemetry::{
     flight, global as telemetry, render_prometheus, set_enabled as set_telemetry_enabled,
-    write_json_snapshot, AnomalyKind, CacheVerdict, DispositionMark, FlightEvent, FlightKind,
-    FlightRecorder, Histogram, Json, SloConfig, SloTracker, NO_PROXY, NO_REQUEST, NO_WORKER,
+    write_json_snapshot, CacheVerdict, FlightEvent, FlightKind, FlightRecorder, Histogram,
+    SloConfig, SloTracker,
 };
 pub use son_workload::{
     table1_environments, zipf_request_mix, Environment, NonRepeatingWorkload, Scenario,

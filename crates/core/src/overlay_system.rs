@@ -39,8 +39,8 @@ use son_routing::{
     FlatRouter, HierConfig, HierarchicalRouter, ProviderIndex, RouteError, ServicePath,
 };
 use son_state::{
-    flat_overhead, hfc_overhead, DissemMode, OverheadKind, OverheadReport, ProtocolConfig,
-    StateProtocol, StateReport,
+    flat_overhead, hfc_overhead, OverheadKind, OverheadReport, ProtocolConfig, StateProtocol,
+    StateReport,
 };
 use son_workload::{
     assign_qos, assign_services, generate_requests, place_proxies_excluding, Environment,
@@ -144,7 +144,7 @@ pub enum BuildStage {
 
 impl BuildStage {
     /// All stages in execution order.
-    pub const ALL: [BuildStage; 7] = [
+    const ALL: [BuildStage; 7] = [
         BuildStage::Topology,
         BuildStage::Landmarks,
         BuildStage::Embedding,
@@ -646,15 +646,7 @@ impl ServiceOverlay {
     /// use [`run_state_protocol_faulty`](Self::run_state_protocol_faulty)
     /// for the one-call version.
     pub fn faulty_state_protocol(&self, plan: FaultPlan) -> StateProtocol {
-        self.faulty_state_protocol_in(self.config.protocol.mode, plan)
-    }
-
-    /// [`faulty_state_protocol`](Self::faulty_state_protocol) with the
-    /// dissemination mode overridden, so flooding and tree runs can be
-    /// compared over the identical overlay, services, and fault plan.
-    pub fn faulty_state_protocol_in(&self, mode: DissemMode, plan: FaultPlan) -> StateProtocol {
         let mut config = self.config.protocol.clone();
-        config.mode = mode;
         if config.refresh_period_ms <= 0.0 {
             config.refresh_period_ms = ProtocolConfig::resilient().refresh_period_ms;
         }

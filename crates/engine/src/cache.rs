@@ -239,16 +239,6 @@ impl CacheStats {
             negative_hits: self.negative_hits - earlier.negative_hits,
         }
     }
-
-    /// Hits over all lookups, 0.0 when nothing was looked up.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// How a stale-while-revalidate lookup resolved (see

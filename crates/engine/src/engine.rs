@@ -89,8 +89,8 @@ pub struct EngineConfig {
     /// multiple of this stride, rounded up to a power of two so the
     /// per-request test is a mask, not a division. Structural events —
     /// snapshot installs, stage timings, anomalies — are never
-    /// sampled. 1 records every request (`son flight` and the timeline
-    /// tests use this); the default of 16 keeps the always-on cost of
+    /// sampled. 1 records every request (the timeline tests use
+    /// this); the default of 16 keeps the always-on cost of
     /// an enabled recorder inside the telemetry budget on warm serve
     /// paths. 0 behaves as 1.
     pub flight_sample: u64,
@@ -1937,6 +1937,7 @@ mod tests {
         let outcome = eng.serve(&requests(12, 8));
         assert_eq!(outcome.report.admission.rejected_no_ingress, 8);
         assert_eq!(slo.rejected_total(), 8);
+        assert_eq!(slo.rejected_total(), outcome.report.errors as u64);
         assert_eq!(slo.sealed(), 2);
         let snap = recorder.anomaly().expect("rejection spike must trigger");
         assert!(matches!(
@@ -2010,5 +2011,33 @@ mod tests {
         assert!(stages
             .iter()
             .any(|e| matches!(e.kind, FlightKind::StageTime(Stage::Busy)) && e.value > 0.0));
+
+        // With two workers each records its own five stage events
+        // (epoch 6 marks this engine's batch).
+        let pair = Engine::new(
+            line_snapshot(12, 3),
+            HierProvider::default(),
+            EngineConfig {
+                workers: 2,
+                ..EngineConfig::default()
+            },
+        );
+        for _ in 0..6 {
+            pair.install_snapshot(line_snapshot(12, 3));
+        }
+        let watermark = recorder.recorded();
+        recorder.set_enabled(true);
+        pair.serve(&requests(12, 6));
+        recorder.set_enabled(false);
+        let stages: Vec<FlightEvent> = recorder
+            .since(watermark)
+            .into_iter()
+            .filter(|e| e.epoch == 6 && matches!(e.kind, FlightKind::StageTime(_)))
+            .collect();
+        for worker in 0..2 {
+            let own = stages.iter().filter(|e| e.worker == worker).count();
+            assert_eq!(own, 5, "worker {worker}: {stages:?}");
+        }
+        assert_eq!(recorder.dropped(), 0);
     }
 }

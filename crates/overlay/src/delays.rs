@@ -180,7 +180,6 @@ struct RowCache {
     // Resident row indices in admission order (FIFO eviction).
     order: VecDeque<usize>,
     limit: usize,
-    evictions: u64,
 }
 
 impl RowCache {
@@ -189,7 +188,6 @@ impl RowCache {
             rows: vec![None; n],
             order: VecDeque::new(),
             limit,
-            evictions: 0,
         }
     }
 
@@ -201,7 +199,6 @@ impl RowCache {
             while self.order.len() >= self.limit {
                 let victim = self.order.pop_front().expect("order tracks residents");
                 self.rows[victim] = None;
-                self.evictions += 1;
                 evicted += 1;
             }
             if evicted > 0 && son_telemetry::enabled() {
@@ -298,12 +295,6 @@ impl CachedDelays {
     /// How many source rows are currently resident.
     pub fn computed_rows(&self) -> usize {
         self.rows.read().expect("cache lock poisoned").order.len()
-    }
-
-    /// How many rows the residency bound has evicted so far (always
-    /// zero for an unbounded cache).
-    pub fn evicted_rows(&self) -> u64 {
-        self.rows.read().expect("cache lock poisoned").evictions
     }
 }
 
@@ -524,6 +515,11 @@ mod tests {
         let _ = cached.delay(ProxyId::new(0), ProxyId::new(1));
     }
 
+    /// Resident row indices in admission order.
+    fn resident(cached: &CachedDelays) -> Vec<usize> {
+        cached.rows.read().unwrap().order.iter().copied().collect()
+    }
+
     #[test]
     fn bounded_cache_evicts_oldest_row_first() {
         let mut g = Graph::with_nodes(5);
@@ -536,11 +532,11 @@ mod tests {
 
         let _ = cached.row(ProxyId::new(0));
         let _ = cached.row(ProxyId::new(1));
-        assert_eq!((cached.computed_rows(), cached.evicted_rows()), (2, 0));
+        assert_eq!(resident(&cached), [0, 1]);
 
         // Admitting a third row evicts the oldest (row 0).
         let _ = cached.row(ProxyId::new(2));
-        assert_eq!((cached.computed_rows(), cached.evicted_rows()), (2, 1));
+        assert_eq!(resident(&cached), [1, 2]);
 
         // Row 0 answers correctly again — recomputed, with row 1 now
         // the eviction victim.
@@ -548,11 +544,11 @@ mod tests {
             cached.delay(ProxyId::new(0), ProxyId::new(4)),
             reference.delay(ProxyId::new(0), ProxyId::new(4))
         );
-        assert_eq!(cached.evicted_rows(), 2);
+        assert_eq!(resident(&cached), [2, 0]);
 
         // Re-querying a resident row evicts nothing.
         let _ = cached.row(ProxyId::new(2));
-        assert_eq!(cached.evicted_rows(), 2);
+        assert_eq!(resident(&cached), [2, 0]);
     }
 
     #[test]
@@ -565,7 +561,7 @@ mod tests {
         for i in 0..4 {
             let _ = cached.row(ProxyId::new(i));
         }
-        assert_eq!((cached.computed_rows(), cached.evicted_rows()), (4, 0));
+        assert_eq!(resident(&cached), [0, 1, 2, 3]);
     }
 
     #[test]

@@ -1681,7 +1681,7 @@ mod tree_tests {
             SimTime::from_ms(60.0),
             None,
         ));
-        // Repairs also land on the flight recorder so `son flight`
+        // Repairs also land on the flight recorder so per-request
         // timelines show dissemination-tree trouble.
         let recorder = son_telemetry::flight::flight();
         let watermark = recorder.recorded();

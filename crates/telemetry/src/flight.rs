@@ -6,7 +6,7 @@
 //! retries, admission dispositions, dissemination tree repairs, worker
 //! stage timings — each carrying a request id, epoch, proxy id, and
 //! worker id so a per-request timeline can be reconstructed after the
-//! fact (`son flight`).
+//! fact from [`FlightRecorder::since`].
 //!
 //! The ring is a fixed array of slots claimed by a global ticket
 //! counter. Each slot is a seqlock: a state word encodes
@@ -320,30 +320,6 @@ impl FlightEvent {
             kind: FlightKind::decode((packed & 0xFF) as u8, ((packed >> 8) & 0xFF) as u8),
             value: f64::from_bits(words[4]),
         }
-    }
-
-    /// One-line rendering used by `son flight` timelines.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "seq={:<6} tick={:<6} {:<24}",
-            self.seq,
-            self.tick,
-            self.kind.label()
-        );
-        if self.request != NO_REQUEST {
-            out.push_str(&format!(" req={}", self.request));
-        }
-        out.push_str(&format!(" epoch={}", self.epoch));
-        if self.proxy != NO_PROXY {
-            out.push_str(&format!(" proxy={}", self.proxy));
-        }
-        if self.worker != NO_WORKER {
-            out.push_str(&format!(" worker={}", self.worker));
-        }
-        if self.value != 0.0 {
-            out.push_str(&format!(" value={:.1}", self.value));
-        }
-        out
     }
 }
 

@@ -21,9 +21,13 @@ use son_core::{
     Router, ServiceOverlay, SonConfig,
 };
 
+/// Residency bound on the 1k world's lazily computed delay rows.
+const DELAY_ROWS_LIMIT: usize = 64;
+
 fn overlay_1k() -> ServiceOverlay {
     let mut config = SonConfig::from_environment(Environment::scaled(1000, 42));
     config.threads = 2;
+    config.delay_rows_limit = Some(DELAY_ROWS_LIMIT);
     ServiceOverlay::build(&config)
 }
 
@@ -50,6 +54,8 @@ fn multilevel_routes_are_valid_and_near_optimal_at_1k() {
         routed += 1;
         path.validate(request, |p, s| overlay.carries(p, s))
             .expect("multi-level path must be structurally valid");
+        // Pricing on measured delays drives the bounded row cache.
+        assert!(overlay.true_length(&path).is_finite());
 
         let (Ok(f), Ok(h)) = (flat.route_path(request), hier.route_path(request)) else {
             continue;
@@ -61,6 +67,8 @@ fn multilevel_routes_are_valid_and_near_optimal_at_1k() {
     }
 
     assert!(routed >= 20, "only {routed}/30 requests routed");
+    let rows = overlay.true_delays().computed_rows();
+    assert!(rows <= DELAY_ROWS_LIMIT, "{rows} delay rows resident");
     assert!(n >= 20, "only {n}/30 requests comparable across routers");
     let ml = ml_total / n as f64;
     let flat_mean = flat_total / n as f64;
