@@ -2,12 +2,14 @@
 //!
 //! [`Engine::serve`] answers a batch of requests with worker threads.
 //! Each request is assigned to the worker owning its **ingress
-//! cluster** (`cluster % workers`), every worker builds its own router
-//! over the shared snapshot, and computed paths land in the shared
+//! cluster** (`cluster % workers`), every worker builds one router over
+//! the shared snapshot, and computed paths land in the shared
 //! [`RouteCache`] under the snapshot's epoch. Because routing is
 //! deterministic and cache hits are exact (see [`crate::cache`]), the
-//! served paths are identical for any worker count — threads change
-//! only the wall-clock, never the answers.
+//! served paths are identical for any worker count while admission is
+//! off. With admission on, workers draw on shared per-proxy token
+//! buckets, so the order in which their requests interleave decides
+//! which ones are re-routed or shed.
 //!
 //! **Churn.** [`Engine::install_snapshot`] publishes a rebuilt overlay
 //! view under the next epoch. Batches started before the install keep
@@ -72,12 +74,9 @@ pub struct EngineConfig {
     pub cache_capacity: usize,
     /// Admission control and failover retry.
     pub admission: AdmissionConfig,
-    /// Second cache tier: reuse solved cluster-level service paths
-    /// (CSP sink frontiers) across requests that share a shape but not
-    /// exact endpoints. Replay is bit-identical to an uncached solve,
-    /// so this only changes speed, never answers.
-    pub csp_cache: bool,
-    /// Total CSP-frontier entries before FIFO eviction.
+    /// Total CSP-frontier entries before FIFO eviction. The frontier
+    /// tier runs whenever the provider has a CSP router; replay is
+    /// bit-identical to an uncached solve.
     pub csp_cache_capacity: usize,
     /// Stale-while-revalidate: how many requests per installed
     /// snapshot may be answered from the *previous* epoch's exact
@@ -103,7 +102,6 @@ impl Default for EngineConfig {
             cache_shards: 16,
             cache_capacity: 65_536,
             admission: AdmissionConfig::default(),
-            csp_cache: true,
             csp_cache_capacity: 16_384,
             stale_serve_budget: 0,
             flight_sample: 16,
@@ -992,15 +990,17 @@ where
         let epoch = snap.epoch();
         let flight_on = flight().is_enabled();
         let mut acc = StageAcc::new(son_telemetry::enabled());
-        let router = self.provider.router(snap);
-        let router = router.as_ref();
-        // The CSP tier needs a router that can expose its cluster-level
-        // sink frontier; providers that can't (flat, or multi-level with
-        // a hierarchy) return `None` and the tier is bypassed.
-        let csp_router = if self.config.csp_cache {
-            self.provider.csp_router(snap)
-        } else {
-            None
+        // One router per batch. A frontier-capable router serves the
+        // CSP tier and every plain solve; providers without one (flat,
+        // or multi-level with a hierarchy) bypass the tier.
+        let csp_router = self.provider.csp_router(snap);
+        let plain_router;
+        let router: &dyn Router = match csp_router.as_deref() {
+            Some(csp) => csp,
+            None => {
+                plain_router = self.provider.router(snap);
+                plain_router.as_ref()
+            }
         };
         let csp = csp_router.as_deref();
         // Latencies accumulate in a plain local histogram and fold into
@@ -1431,7 +1431,7 @@ where
     /// `serve` retries with ([`BatchConstraints::failover`], with an
     /// empty avoid set), and like every fail-over path it is not cached.
     /// Unlike `serve`, a trace skips the negative tier, the CSP tier
-    /// (the fresh solve runs the provider's traced router, whose CSP
+    /// (the fresh solve runs the provider's router in full, whose CSP
     /// dissection is what a trace shows) and stale serving (a
     /// previous-epoch entry is a stale drop), and charges no admission
     /// tokens.
@@ -1456,7 +1456,7 @@ where
                 (Ok(path), trace)
             }
             None => {
-                let router = self.provider.traced_router(snap);
+                let router = self.provider.router(snap);
                 let (mut result, mut trace) = router.route_with_trace(request);
                 trace.cache = Some(if verdict == CacheVerdict::Miss {
                     CacheOutcome::Miss

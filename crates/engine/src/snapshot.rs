@@ -21,8 +21,8 @@ use son_overlay::{
     ServiceSet, StatusMap,
 };
 use son_routing::{
-    BasicTraced, CostConfig, CostModel, CspRouter, FlatRouter, HierConfig, HierarchicalRouter,
-    LoadAwareDelays, ProviderIndex, Router, TraceRouter,
+    CostConfig, CostModel, CspRouter, FlatRouter, HierConfig, HierarchicalRouter, LoadAwareDelays,
+    ProviderIndex, TraceRouter,
 };
 use son_state::ClusterLoad;
 use std::sync::Arc;
@@ -234,31 +234,27 @@ impl EngineSnapshot<CoordDelays> {
 
 /// Builds a fresh router over a snapshot, once per worker per batch.
 ///
+/// A worker serves plain solves, frontier solves and revalidation with
+/// the [`RouterProvider::csp_router`] when the provider has one, and
+/// builds [`RouterProvider::router`] only otherwise. Every router is a
+/// [`TraceRouter`], which is what [`crate::Engine::trace_request`] runs.
+///
 /// The `&'a self` receiver lets a provider lend router inputs it owns
 /// *beside* the snapshot to every router it builds.
 pub trait RouterProvider<D: DelayModel>: Sync {
     /// Constructs a router borrowing from `snapshot` (and possibly from
     /// the provider itself).
-    fn router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn Router + 'a>;
+    fn router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn TraceRouter + 'a>;
 
     /// A short human-readable strategy name for reports.
     fn name(&self) -> &'static str;
 
-    /// Constructs a provenance-capable router for `Engine::trace_request`.
-    ///
-    /// The default wraps [`RouterProvider::router`] in [`BasicTraced`],
-    /// which reports the request, resulting hops, and timing; providers
-    /// whose routers expose richer decisions (the hierarchical router's
-    /// CSP dissection) override this to surface them.
-    fn traced_router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn TraceRouter + 'a> {
-        Box::new(BasicTraced::new(self.router(snapshot), self.name()))
-    }
-
-    /// Constructs a frontier-capable router for the engine's CSP cache
-    /// tier, or `None` when this provider's routing strategy has no
-    /// reusable cluster-level solve. The returned router must agree
-    /// bit-for-bit with [`RouterProvider::router`] — the engine mixes
-    /// frontier replays and plain solves within one batch.
+    /// Constructs the router a batch serves with when the engine's CSP
+    /// cache tier applies, or `None` when this provider's routing
+    /// strategy has no reusable cluster-level solve. The returned
+    /// router is a full router and must agree bit-for-bit with
+    /// [`RouterProvider::router`]: the engine mixes frontier replays
+    /// and plain solves on it within one batch.
     fn csp_router<'a>(
         &'a self,
         snapshot: &'a EngineSnapshot<D>,
@@ -300,16 +296,12 @@ fn hier_router<'a, D: DelayModel>(
 }
 
 impl<D: DelayModel> RouterProvider<D> for HierProvider {
-    fn router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn Router + 'a> {
+    fn router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn TraceRouter + 'a> {
         Box::new(hier_router(self.config, snapshot, None))
     }
 
     fn name(&self) -> &'static str {
         "hier"
-    }
-
-    fn traced_router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn TraceRouter + 'a> {
-        Box::new(hier_router(self.config, snapshot, None))
     }
 
     fn csp_router<'a>(
@@ -325,18 +317,13 @@ impl<D: DelayModel> RouterProvider<D> for HierProvider {
 pub struct FlatProvider;
 
 impl<D: DelayModel> RouterProvider<D> for FlatProvider {
-    fn router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn Router + 'a> {
+    fn router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn TraceRouter + 'a> {
         let providers = ProviderIndex::from_service_sets(&snapshot.services);
         Box::new(FlatRouter::new(providers, snapshot.route_delays()))
     }
 
     fn name(&self) -> &'static str {
         "flat"
-    }
-
-    fn traced_router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn TraceRouter + 'a> {
-        let providers = ProviderIndex::from_service_sets(&snapshot.services);
-        Box::new(FlatRouter::new(providers, snapshot.route_delays()))
     }
 }
 
@@ -351,16 +338,12 @@ pub struct MultiLevelProvider {
 }
 
 impl<D: DelayModel> RouterProvider<D> for MultiLevelProvider {
-    fn router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn Router + 'a> {
+    fn router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn TraceRouter + 'a> {
         Box::new(hier_router(self.config, snapshot, snapshot.hierarchy()))
     }
 
     fn name(&self) -> &'static str {
         "multilevel"
-    }
-
-    fn traced_router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn TraceRouter + 'a> {
-        Box::new(hier_router(self.config, snapshot, snapshot.hierarchy()))
     }
 
     fn csp_router<'a>(

@@ -4,9 +4,12 @@
 //! cluster, destination cluster, service chain) but differ in exact
 //! endpoints is served three ways — through the CSP-enabled engine
 //! (where all but the first request per frontier key replay a cached
-//! frontier), through an engine with the tier disabled, and by direct
-//! uncached router solves. All three must agree **bit for bit**: same
-//! hops, same cost, not merely "equally good".
+//! frontier), through an engine whose provider has no CSP seam, and by
+//! direct uncached router solves. All three must agree **bit for
+//! bit**: same hops, same cost, not merely "equally good".
+//!
+//! The same counting provider also holds the engine to one router
+//! construction per worker per batch.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,7 +20,54 @@ use son_overlay::{
     ClusterId, DelayMatrix, Health, HfcTopology, ProxyId, ServiceGraph, ServiceId, ServiceRequest,
     ServiceSet, StatusMap,
 };
-use son_routing::CostConfig;
+use son_routing::{CostConfig, CspRouter, TraceRouter};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// [`HierProvider`] with its router constructions counted, and with
+/// its CSP seam hidden when `seam` is false — the uncached oracle, since
+/// the engine then routes every request through the plain router.
+#[derive(Default)]
+struct Counting {
+    inner: HierProvider,
+    seam: bool,
+    /// Routers built by `router` and by `csp_router`.
+    built: Arc<(AtomicUsize, AtomicUsize)>,
+}
+
+impl Counting {
+    fn new(seam: bool) -> Counting {
+        Counting {
+            seam,
+            ..Counting::default()
+        }
+    }
+}
+
+impl RouterProvider<DelayMatrix> for Counting {
+    fn router<'a>(
+        &'a self,
+        snapshot: &'a EngineSnapshot<DelayMatrix>,
+    ) -> Box<dyn TraceRouter + 'a> {
+        self.built.0.fetch_add(1, Ordering::SeqCst);
+        self.inner.router(snapshot)
+    }
+
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+
+    fn csp_router<'a>(
+        &'a self,
+        snapshot: &'a EngineSnapshot<DelayMatrix>,
+    ) -> Option<Box<dyn CspRouter + 'a>> {
+        if !self.seam {
+            return None;
+        }
+        self.built.1.fetch_add(1, Ordering::SeqCst);
+        self.inner.csp_router(snapshot)
+    }
+}
 
 const PROXIES: usize = 24;
 const CLUSTERS: usize = 4;
@@ -96,13 +146,10 @@ proptest! {
         let batch = shape_batch(0..6, 18..24, &chain);
 
         let with_csp = Engine::new(snapshot(seed), HierProvider::default(), EngineConfig::default());
-        let without = Engine::new(
-            snapshot(seed),
-            HierProvider::default(),
-            EngineConfig { csp_cache: false, ..EngineConfig::default() },
-        );
+        let without = Engine::new(snapshot(seed), Counting::new(false), EngineConfig::default());
         let a = with_csp.serve(&batch);
         let b = without.serve(&batch);
+        prop_assert_eq!(b.report.cache.csp_hits + b.report.cache.csp_misses, 0);
 
         // The tier actually engaged: 36 distinct exact keys collapse
         // onto at most 7 frontier keys (one per border source plus the
@@ -112,6 +159,7 @@ proptest! {
 
         // Bit-identical to the tier-less engine...
         prop_assert_eq!(&a.paths, &b.paths);
+        prop_assert_eq!(&a.dispositions, &b.dispositions);
 
         // ...and to direct, cache-free router solves: same hops, same
         // cost, request by request.
@@ -157,14 +205,12 @@ proptest! {
         let batch = shape_batch(0..6, 18..24, &chain);
         let with_csp =
             Engine::new(loaded_snapshot(seed), HierProvider::default(), EngineConfig::default());
-        let without = Engine::new(
-            loaded_snapshot(seed),
-            HierProvider::default(),
-            EngineConfig { csp_cache: false, ..EngineConfig::default() },
-        );
+        let without =
+            Engine::new(loaded_snapshot(seed), Counting::new(false), EngineConfig::default());
         let a = with_csp.serve(&batch);
         let b = without.serve(&batch);
         prop_assert!(a.report.cache.csp_hits > 0, "no frontier reuse happened");
+        prop_assert_eq!(b.report.cache.csp_hits + b.report.cache.csp_misses, 0);
         prop_assert_eq!(&a.paths, &b.paths);
         prop_assert_eq!(&a.dispositions, &b.dispositions);
 
@@ -182,5 +228,46 @@ proptest! {
                 prop_assert!(cost_a.to_bits() == cost_b.to_bits());
             }
         }
+    }
+}
+
+/// One router per worker per batch: the CSP router serves plain solves,
+/// frontier solves and revalidation when the provider has one, the
+/// plain router only when it has none, and a trace builds one more.
+#[test]
+fn one_router_is_built_per_batch() {
+    // Distinct requests first, then the same ones again: the cold batch
+    // solves every request, the warm one only hits, and both build.
+    let batch = shape_batch(0..6, 18..24, &[1, 2]);
+    for (seam, per_batch) in [(true, (0, 1)), (false, (1, 0))] {
+        let provider = Counting::new(seam);
+        let built = Arc::clone(&provider.built);
+        let engine = Engine::new(snapshot(7), provider, EngineConfig::default());
+        let counts = || {
+            (
+                built.0.load(Ordering::SeqCst),
+                built.1.load(Ordering::SeqCst),
+            )
+        };
+        let cold = engine.serve(&batch);
+        assert_eq!(cold.report.errors, 0);
+        assert_eq!(cold.report.cache.csp_hits > 0, seam);
+        assert_eq!(counts(), per_batch, "seam {seam}: a cold batch");
+        engine.serve(&batch);
+        assert_eq!(
+            counts(),
+            (2 * per_batch.0, 2 * per_batch.1),
+            "seam {seam}: a warm batch"
+        );
+        let (plain, csp) = counts();
+        let request = ServiceRequest::new(
+            ProxyId::new(1),
+            ServiceGraph::linear(vec![ServiceId::new(3)]),
+            ProxyId::new(20),
+        );
+        let (result, trace) = engine.trace_request(&request);
+        assert!(result.is_ok());
+        assert_eq!(trace.router, "hier");
+        assert_eq!(counts(), (plain + 1, csp), "seam {seam}: a trace");
     }
 }

@@ -22,6 +22,7 @@
 
 use crate::flat::RouteError;
 use crate::path::ServicePath;
+use crate::trace::TraceRouter;
 use son_overlay::{ClusterId, ProxyId, ServiceRequest, StageId};
 
 /// One sink state of the cluster-level DP: a complete stage→cluster
@@ -72,15 +73,16 @@ impl CspFrontier {
     }
 }
 
-/// A router whose cluster-level solve can be split into a reusable
-/// frontier plus a per-request closing replay.
+/// A full router whose cluster-level solve can also be split into a
+/// reusable frontier plus a per-request closing replay.
 ///
 /// Contract: for any request `r`,
 /// `route_from_frontier(r, &solve_frontier(r)?)` returns exactly what
 /// the router's plain `route_path(r)` returns — same hops, same cost,
 /// same error. The split exists so callers may compute the frontier
-/// once and replay it for every request sharing the frontier's key.
-pub trait CspRouter {
+/// once and replay it for every request sharing the frontier's key;
+/// the supertrait lets the same router answer plain and traced solves.
+pub trait CspRouter: TraceRouter {
     /// Runs the cluster-level DP for `request` and returns its sink
     /// frontier without closing at the destination.
     ///

@@ -4,8 +4,8 @@
 //! a [`RouteTrace`] — the telemetry record explaining which decisions
 //! produced the path. The hierarchical router fills the whole record at
 //! every depth (top-level dissection, per-unit child answers, the
-//! cluster border crossings of the composed path); other
-//! routers report the basics (path, cost, timing).
+//! cluster border crossings of the composed path); the flat router
+//! reports the basics (path, cost, timing).
 
 use std::time::Instant;
 
@@ -154,44 +154,6 @@ where
     }
 }
 
-/// Wraps any boxed [`Router`] into a [`TraceRouter`] that reports only
-/// the basics: the request, the resulting hops, and timing. Used as the
-/// default when a routing strategy has no richer provenance to offer.
-pub struct BasicTraced<'a> {
-    inner: Box<dyn Router + 'a>,
-    name: &'static str,
-}
-
-impl<'a> BasicTraced<'a> {
-    /// Wraps `inner`, labelling traces with `name`.
-    pub fn new(inner: Box<dyn Router + 'a>, name: &'static str) -> BasicTraced<'a> {
-        BasicTraced { inner, name }
-    }
-}
-
-impl Router for BasicTraced<'_> {
-    fn route_path(&self, request: &ServiceRequest) -> Result<ServicePath, RouteError> {
-        self.inner.route_path(request)
-    }
-}
-
-impl TraceRouter for BasicTraced<'_> {
-    fn route_with_trace(
-        &self,
-        request: &ServiceRequest,
-    ) -> (Result<ServicePath, RouteError>, RouteTrace) {
-        let start = Instant::now();
-        let mut trace = request_trace(self.name, request);
-        let result = self.inner.route_path(request);
-        trace.elapsed_us = start.elapsed().as_secs_f64() * 1e6;
-        match &result {
-            Ok(path) => trace.hops = trace_hops(path),
-            Err(err) => trace.outcome = err.to_string(),
-        }
-        (result, trace)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,20 +226,5 @@ mod tests {
         assert_eq!(trace.cost, Some(path.length(&delays)));
         assert_eq!(trace.hops.len(), path.hops().len());
         assert!(trace.csp.is_empty());
-    }
-
-    #[test]
-    fn basic_traced_wraps_any_boxed_router() {
-        let (hfc, delays, services) = paper_example();
-        let router =
-            HierarchicalRouter::from_services(&hfc, &services, &delays, HierConfig::default());
-        let boxed: Box<dyn Router + '_> = Box::new(router);
-        let basic = BasicTraced::new(boxed, "hier");
-        let (result, trace) = basic.route_with_trace(&paper_request());
-        assert!(result.is_ok());
-        assert_eq!(trace.router, "hier");
-        assert!(!trace.hops.is_empty());
-        // Basic wrapper has no planner visibility.
-        assert!(trace.csp.is_empty() && trace.cost.is_none());
     }
 }

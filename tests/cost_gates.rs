@@ -118,8 +118,8 @@ fn warm_serve_allocations_are_pinned() {
         (all.0 - one.0) as f64 / 255.0,
         (all.1 - one.1) as f64 / 255.0
     );
-    gate("warm serve of 1", one, (1_227, 192_409));
-    gate("warm serve of 256", all, (1_234, 227_664));
+    gate("warm serve of 1", one, (621, 99_717));
+    gate("warm serve of 256", all, (628, 134_972));
     // A cached answer allocates nothing; what the 255 extra requests
     // add is the batch's vectors growing (7 today).
     assert!(
@@ -161,6 +161,6 @@ fn admission_batch_with_a_live_down_allocations_are_pinned() {
     gate(
         "admission batch with one live Down",
         measured,
-        (2_511, 348_065),
+        (1_905, 255_373),
     );
 }
