@@ -22,8 +22,7 @@ use crate::report::{AdmissionStats, LatencySummary, ServeReport, WorkerStats};
 use crate::snapshot::{EngineSnapshot, RouterProvider};
 use son_overlay::{DelayModel, Health, ProxyId, ServiceRequest};
 use son_routing::{
-    trace_hops, CostModel, CspRouter, FlatRouter, LoadAwareDelays, ProviderIndex, RouteError,
-    Router, ServicePath,
+    trace_hops, CostModel, CspRouter, FlatRouter, LoadAwareDelays, RouteError, Router, ServicePath,
 };
 use son_telemetry::flight::{
     flight, CacheVerdict, DispositionMark, FlightEvent, FlightKind, Stage, NO_REQUEST,
@@ -31,7 +30,7 @@ use son_telemetry::flight::{
 use son_telemetry::{CacheOutcome, Histogram, LocalHistogram, RouteTrace, SloTracker};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::Instant;
 
@@ -339,9 +338,6 @@ struct BatchConstraints {
     buckets: Option<Vec<AtomicU32>>,
     /// Per-proxy admitted-request counters (admission enabled only).
     admitted: Option<Vec<AtomicU64>>,
-    /// The fail-over's provider index, built by the batch's first
-    /// retry.
-    providers: OnceLock<ProviderIndex>,
 }
 
 impl BatchConstraints {
@@ -408,9 +404,7 @@ impl BatchConstraints {
         }
         let model = CostModel::new(*self.model.config(), statuses);
         let delays = LoadAwareDelays::new(snap.delays(), &model);
-        let providers = self
-            .providers
-            .get_or_init(|| ProviderIndex::from_service_sets(snap.services()));
+        let providers = snap.routing_tables().global(snap.services());
         FlatRouter::new(providers, delays).route(request)
     }
 }
@@ -583,7 +577,6 @@ where
             admission,
             buckets,
             admitted,
-            providers: OnceLock::new(),
         })
     }
 

@@ -9,12 +9,13 @@
 //! whose epoch differs from the snapshot being served (see
 //! [`crate::cache::RouteCache`]).
 //!
-//! Workers do not share a router: each one builds its own via a
-//! [`RouterProvider`], so routers need no internal synchronization and
-//! the only cross-thread state is the snapshot (read-only) and the
-//! sharded cache. [`HierProvider`] and [`FlatProvider`] cover the two
-//! routers living in `son-routing`; [`MultiLevelProvider`] hands the
-//! hierarchical router the snapshot's [`Hierarchy`] as well.
+//! Workers do not share a router: each one builds its own per batch via
+//! a [`RouterProvider`], a view over the snapshot's [`RouterTables`]
+//! that fills each index and level table at most once per snapshot. The
+//! cross-thread state is the snapshot and the sharded cache.
+//! [`HierProvider`] and [`FlatProvider`] cover the two routers living in
+//! `son-routing`; [`MultiLevelProvider`] hands the hierarchical router
+//! the snapshot's [`Hierarchy`] as well.
 
 use son_overlay::{
     ClusterId, CoordDelays, DelayModel, HfcTopology, Hierarchy, ProxyId, ServiceRequest,
@@ -22,7 +23,7 @@ use son_overlay::{
 };
 use son_routing::{
     CostConfig, CostModel, CspRouter, FlatRouter, HierConfig, HierarchicalRouter, LoadAwareDelays,
-    ProviderIndex, TraceRouter,
+    RouterTables, TraceRouter,
 };
 use son_state::ClusterLoad;
 use std::sync::Arc;
@@ -38,6 +39,10 @@ use std::sync::Arc;
 /// as providers) and cost `+∞` to traverse (never chosen as relays),
 /// while `Draining` and loaded proxies shift route cost through
 /// [`EngineSnapshot::route_delays`].
+///
+/// A snapshot also owns the [`RouterTables`] its routers fill lazily.
+/// Clones share them; a snapshot made by [`EngineSnapshot::with_statuses`]
+/// or [`EngineSnapshot::with_hierarchy`] starts with empty ones.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot<D> {
     epoch: u64,
@@ -47,6 +52,7 @@ pub struct EngineSnapshot<D> {
     cost: CostModel,
     cluster_load: Option<ClusterLoad>,
     hierarchy: Option<Arc<Hierarchy>>,
+    tables: Arc<RouterTables>,
 }
 
 impl<D: DelayModel> EngineSnapshot<D> {
@@ -71,7 +77,14 @@ impl<D: DelayModel> EngineSnapshot<D> {
             cost: CostModel::neutral(),
             cluster_load: None,
             hierarchy: None,
+            tables: Arc::default(),
         }
+    }
+
+    /// Empties the routing tables: the state they derive from changed.
+    fn reset_tables(mut self) -> Self {
+        self.tables = Arc::default();
+        self
     }
 
     /// Attaches a recursive cluster hierarchy (shared by reference:
@@ -88,7 +101,7 @@ impl<D: DelayModel> EngineSnapshot<D> {
             "hierarchy and topology disagree on the cluster count"
         );
         self.hierarchy = Some(hierarchy);
-        self
+        self.reset_tables()
     }
 
     /// The attached recursive hierarchy, if any.
@@ -114,7 +127,13 @@ impl<D: DelayModel> EngineSnapshot<D> {
             cost.cluster_load_penalty,
         ));
         self.cost = CostModel::new(cost, statuses);
-        self
+        self.reset_tables()
+    }
+
+    /// The routing tables filled so far over this snapshot, which every
+    /// router a provider builds over it reads and fills.
+    pub fn routing_tables(&self) -> &Arc<RouterTables> {
+        &self.tables
     }
 
     /// The epoch this snapshot was installed under.
@@ -232,7 +251,8 @@ impl EngineSnapshot<CoordDelays> {
     }
 }
 
-/// Builds a fresh router over a snapshot, once per worker per batch.
+/// Builds a router over a snapshot, once per worker per batch: a view
+/// that reads and fills the snapshot's [`RouterTables`].
 ///
 /// A worker serves plain solves, frontier solves and revalidation with
 /// the [`RouterProvider::csp_router`] when the provider has one, and
@@ -279,20 +299,15 @@ fn hier_router<'a, D: DelayModel>(
     snapshot: &'a EngineSnapshot<D>,
     hierarchy: Option<&'a Hierarchy>,
 ) -> HierarchicalRouter<'a, LoadAwareDelays<'a, D>> {
-    let router = HierarchicalRouter::from_services(
+    HierarchicalRouter::from_shared(
+        &snapshot.tables,
         &snapshot.hfc,
         &snapshot.services,
         snapshot.route_delays(),
         config,
-    );
-    let router = match hierarchy {
-        Some(hierarchy) => router.with_hierarchy(hierarchy),
-        None => router,
-    };
-    match snapshot.cluster_load() {
-        Some(load) => router.with_cluster_load(load.clone()),
-        None => router,
-    }
+        hierarchy,
+        snapshot.cluster_load(),
+    )
 }
 
 impl<D: DelayModel> RouterProvider<D> for HierProvider {
@@ -318,7 +333,7 @@ pub struct FlatProvider;
 
 impl<D: DelayModel> RouterProvider<D> for FlatProvider {
     fn router<'a>(&'a self, snapshot: &'a EngineSnapshot<D>) -> Box<dyn TraceRouter + 'a> {
-        let providers = ProviderIndex::from_service_sets(&snapshot.services);
+        let providers = snapshot.tables.global(&snapshot.services);
         Box::new(FlatRouter::new(providers, snapshot.route_delays()))
     }
 

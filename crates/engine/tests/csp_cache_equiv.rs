@@ -9,7 +9,8 @@
 //! bit**: same hops, same cost, not merely "equally good".
 //!
 //! The same counting provider also holds the engine to one router
-//! construction per worker per batch.
+//! construction per worker per batch, and the snapshot's routing tables
+//! to one fill per epoch.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,7 +21,9 @@ use son_overlay::{
     ClusterId, DelayMatrix, Health, HfcTopology, ProxyId, ServiceGraph, ServiceId, ServiceRequest,
     ServiceSet, StatusMap,
 };
-use son_routing::{CostConfig, CspRouter, TraceRouter};
+use son_routing::{
+    CostConfig, CspRouter, HierConfig, HierarchicalRouter, Router, RouterTables, TraceRouter,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -270,4 +273,55 @@ fn one_router_is_built_per_batch() {
         assert_eq!(trace.router, "hier");
         assert_eq!(counts(), (plain + 1, csp), "seam {seam}: a trace");
     }
+}
+
+/// The snapshot's routing tables are filled once per epoch: a second
+/// batch finds built every index and level table the first one filled,
+/// a warm batch fills nothing, and an install starts over with empty
+/// tables. Each table is built at most once, so the store holds exactly
+/// those its batches read — as many as one router routing them all.
+#[test]
+fn tables_are_filled_once_per_epoch() {
+    // Inside cluster 0, then across all four.
+    let first = shape_batch(0..6, 0..6, &[1]);
+    let second = shape_batch(0..6, 18..24, &[3, 2]);
+    let snap = snapshot(7);
+    // How many tables routing `batches` in turn, in one store, fills.
+    let needed = |batches: &[&[ServiceRequest]]| {
+        let tables = Arc::<RouterTables>::default();
+        let router = HierarchicalRouter::from_shared(
+            &tables,
+            snap.hfc(),
+            snap.services(),
+            snap.route_delays(),
+            HierConfig::default(),
+            None,
+            None,
+        );
+        for request in batches.iter().copied().flatten() {
+            router.route_path(request).expect("routable");
+        }
+        tables.filled()
+    };
+    let (one, both) = (needed(&[&first]), needed(&[&first, &second]));
+    assert!(0 < one && one < both, "{one} then {both}");
+
+    let engine = Engine::new(
+        snapshot(7),
+        HierProvider::default(),
+        EngineConfig::default(),
+    );
+    let filled = || engine.snapshot().routing_tables().filled();
+    assert_eq!(filled(), 0, "a new snapshot's tables are empty");
+    engine.serve(&first);
+    assert_eq!(filled(), one, "a cold batch");
+    engine.serve(&second);
+    assert_eq!(filled(), both, "a second cold batch");
+    engine.serve(&first);
+    engine.serve(&second);
+    assert_eq!(filled(), both, "warm batches");
+    engine.install_snapshot(snapshot(7));
+    assert_eq!(filled(), 0, "an install");
+    engine.serve(&first);
+    assert_eq!(filled(), one, "a cold batch after the install");
 }

@@ -46,10 +46,13 @@ use son_overlay::{
 };
 use son_state::{ClusterLoad, SctC, SctP};
 use std::borrow::Cow;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+use tables::LevelTables;
+pub use tables::RouterTables;
 
 #[cfg(test)]
 mod oracle;
+mod tables;
 
 /// Tuning knobs of the hierarchical router.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,20 +141,40 @@ pub struct HierarchicalRouter<'a, D> {
     /// `aggregates[l - 1][u]`: merged service set of unit `u` at level
     /// `l`, for every level `1..=top`.
     aggregates: Vec<Vec<ServiceSet>>,
-    /// Per cluster, filled by the first leaf solve inside it: routers
-    /// are rebuilt per batch and a request solves in a cluster or two.
-    cluster_providers: Vec<OnceLock<ProviderIndex>>,
-    /// Union of the cluster providers, read only by
-    /// [`HierarchicalRouter::route_without_aggregation`].
-    global_providers: OnceLock<ProviderIndex>,
+    /// The per-cluster provider indexes, their union and the level
+    /// tables, each filled by the first solve that reads it and kept
+    /// for every router over the same store — a request pays for the
+    /// clusters and groups it is the first to cross.
+    store: Arc<RouterTables>,
     config: HierConfig,
-    cluster_load: Option<ClusterLoad>,
-    /// `tables[l - 1][g]`: the level solver's table over the units of
-    /// level `l` inside group `g` of level `l + 1` (over every unit of
-    /// the top level, as `tables[top - 1][0]`), built by the first solve
-    /// that reads it — a request pays for the groups it crosses, and a
-    /// batch of cache hits for none.
-    tables: Vec<Vec<OnceLock<LevelTable>>>,
+    cluster_load: Option<Cow<'a, ClusterLoad>>,
+    /// The level tables this router solves over: its store's for its
+    /// layout, looked up by the first solve, or private ones once
+    /// [`HierarchicalRouter::with_hierarchy`] or
+    /// [`HierarchicalRouter::with_cluster_load`] re-priced it.
+    levels: OnceLock<Arc<LevelTables>>,
+}
+
+/// The merged service set of every cluster.
+///
+/// # Panics
+///
+/// Panics if `services.len()` differs from the proxy count.
+fn cluster_aggregates(hfc: &HfcTopology, services: &[ServiceSet]) -> Vec<ServiceSet> {
+    assert_eq!(
+        services.len(),
+        hfc.proxy_count(),
+        "one service set per proxy required"
+    );
+    hfc.clusters()
+        .map(|c| {
+            let mut set = ServiceSet::new();
+            for &m in hfc.members(c) {
+                set.merge(&services[m.index()]);
+            }
+            set
+        })
+        .collect()
 }
 
 impl<'a, D> HierarchicalRouter<'a, D>
@@ -175,23 +198,43 @@ where
         config: HierConfig,
     ) -> Self {
         let services = services.into();
-        assert_eq!(
-            services.len(),
-            hfc.proxy_count(),
-            "one service set per proxy required"
+        let aggregates = cluster_aggregates(hfc, &services);
+        Self::new(hfc, services, aggregates, Arc::default(), delays, config)
+    }
+
+    /// A view that reads and fills `tables` instead of a store of its
+    /// own, with `hierarchy` and `load` attached as by
+    /// [`HierarchicalRouter::with_hierarchy`] and
+    /// [`HierarchicalRouter::with_cluster_load`] but without re-pricing.
+    /// Every router over one store must be given the same `hfc`,
+    /// `services`, `delays`, `hierarchy` and `load`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `services.len()` differs from the proxy count.
+    pub fn from_shared(
+        tables: &Arc<RouterTables>,
+        hfc: &'a HfcTopology,
+        services: &'a [ServiceSet],
+        delays: D,
+        config: HierConfig,
+        hierarchy: Option<&'a Hierarchy>,
+        load: Option<&'a ClusterLoad>,
+    ) -> Self {
+        let aggregates = cluster_aggregates(hfc, services);
+        let mut router = Self::new(
+            hfc,
+            Cow::Borrowed(services),
+            aggregates,
+            Arc::clone(tables),
+            delays,
+            config,
         );
-        let aggregates = hfc
-            .clusters()
-            .map(|c| {
-                let mut set = ServiceSet::new();
-                for &m in hfc.members(c) {
-                    set.merge(&services[m.index()]);
-                }
-                set
-            })
-            .collect();
-        let providers = (0..hfc.cluster_count()).map(|_| OnceLock::new()).collect();
-        Self::new(hfc, services, aggregates, providers, delays, config)
+        if let Some(hierarchy) = hierarchy {
+            router.attach(hierarchy);
+        }
+        router.cluster_load = load.map(Cow::Borrowed);
+        router
     }
 
     /// Builds the router from converged protocol tables: the
@@ -213,15 +256,17 @@ where
             .clusters()
             .map(|c| sctc.services_of(c).cloned().unwrap_or_default())
             .collect();
-        let providers = cluster_tables
-            .iter()
-            .map(|table| OnceLock::from(ProviderIndex::from_sctp(table)))
-            .collect();
+        let store = RouterTables::from_indexes(
+            cluster_tables
+                .iter()
+                .map(ProviderIndex::from_sctp)
+                .collect(),
+        );
         Self::new(
             hfc,
             Cow::Borrowed(&[]),
             aggregates,
-            providers,
+            Arc::new(store),
             delays,
             config,
         )
@@ -231,24 +276,21 @@ where
         hfc: &'a HfcTopology,
         services: Cow<'a, [ServiceSet]>,
         aggregates: Vec<ServiceSet>,
-        cluster_providers: Vec<OnceLock<ProviderIndex>>,
+        store: Arc<RouterTables>,
         delays: D,
         config: HierConfig,
     ) -> Self {
-        let mut router = HierarchicalRouter {
+        HierarchicalRouter {
             hfc,
             hierarchy: None,
             services,
             delays,
             aggregates: vec![aggregates],
-            cluster_providers,
-            global_providers: OnceLock::new(),
+            store,
             config,
             cluster_load: None,
-            tables: Vec::new(),
-        };
-        router.tables = router.unset_tables();
-        router
+            levels: OnceLock::new(),
+        }
     }
 
     /// Plans over the levels of `hierarchy` above the clusters: the top
@@ -260,6 +302,13 @@ where
     ///
     /// Panics if the hierarchy was built over a different topology.
     pub fn with_hierarchy(mut self, hierarchy: &'a Hierarchy) -> Self {
+        self.attach(hierarchy);
+        self.reprice()
+    }
+
+    /// Merges the aggregates of every level of `hierarchy` above the
+    /// clusters and plans over them from now on.
+    fn attach(&mut self, hierarchy: &'a Hierarchy) {
         assert_eq!(
             hierarchy.unit_count(1),
             self.hfc.cluster_count(),
@@ -279,8 +328,6 @@ where
             self.aggregates.push(merged);
         }
         self.hierarchy = Some(hierarchy);
-        self.tables = self.unset_tables();
-        self
     }
 
     /// Attaches per-cluster load/health summaries (the saturation
@@ -288,9 +335,15 @@ where
     /// then skips clusters with no routable members — and upper units
     /// with no routable cluster — and penalizes saturated clusters.
     pub fn with_cluster_load(mut self, load: ClusterLoad) -> Self {
-        self.cluster_load = Some(load);
-        // The tables carry the load penalties and routable flags.
-        self.tables = self.unset_tables();
+        self.cluster_load = Some(Cow::Owned(load));
+        self.reprice()
+    }
+
+    /// Gives the router level tables of its own: they carry the load
+    /// penalties, routable flags and layout, which now differ from
+    /// whatever its store holds.
+    fn reprice(mut self) -> Self {
+        self.levels = OnceLock::from(Arc::new(self.unset_tables()));
         self
     }
 
@@ -633,9 +686,7 @@ where
         request: &ServiceRequest,
     ) -> Result<ServicePath, RouteError> {
         let constrained = HfcDelays::new(self.hfc, &self.delays);
-        let providers = self.global_providers.get_or_init(|| {
-            ProviderIndex::union((0..self.hfc.cluster_count()).map(|c| self.providers(c)))
-        });
+        let providers = self.store.global(&self.services);
         let router = crate::flat::FlatRouter::new(providers, &constrained);
         router.route_expanded(request, |a, b| constrained.hops(a, b))
     }
@@ -815,7 +866,11 @@ where
     /// `parent`: their border pairs, the known distance between two of
     /// a unit's border proxies, the attached load summary.
     fn table(&self, level: usize, parent: usize) -> &LevelTable {
-        self.tables[level - 1][parent].get_or_init(|| {
+        let levels = self.levels.get_or_init(|| {
+            self.store
+                .levels(self.config, self.top_level(), || self.unset_tables())
+        });
+        levels[level - 1][parent].get_or_init(|| {
             LevelTable::build(
                 self.siblings(level, parent),
                 |from, to| self.unit_border(level, from, to),
@@ -835,7 +890,7 @@ where
 
     /// One unset table per group of every level below the top, then
     /// the top level's own.
-    fn unset_tables(&self) -> Vec<Vec<OnceLock<LevelTable>>> {
+    fn unset_tables(&self) -> LevelTables {
         let top = self.top_level();
         (1..=top)
             .map(|level| {
@@ -851,14 +906,7 @@ where
 
     /// The provider index of cluster `cluster`, built on first use.
     fn providers(&self, cluster: usize) -> &ProviderIndex {
-        self.cluster_providers[cluster].get_or_init(|| {
-            ProviderIndex::from_entries(
-                self.hfc
-                    .members(ClusterId::new(cluster))
-                    .iter()
-                    .map(|&m| (m, &self.services[m.index()])),
-            )
-        })
+        self.store.cluster(cluster, self.hfc, &self.services)
     }
 
     /// The level the destination plans at: the clusters, or the top of
@@ -933,7 +981,7 @@ where
     /// is down).
     fn cluster_routable(&self, cluster: ClusterId) -> bool {
         self.cluster_load
-            .as_ref()
+            .as_deref()
             .is_none_or(|load| load.is_routable(cluster))
     }
 
@@ -941,7 +989,7 @@ where
     /// load summary (zero without one).
     pub(crate) fn cluster_penalty(&self, cluster: ClusterId) -> f64 {
         self.cluster_load
-            .as_ref()
+            .as_deref()
             .map_or(0.0, |load| load.penalty(cluster))
     }
 

@@ -68,7 +68,7 @@ pub mod trace;
 pub use cost::{CostConfig, CostModel, LoadAwareDelays};
 pub use csp::{CspCandidate, CspFrontier, CspRouter};
 pub use flat::{FlatRouter, RouteError};
-pub use hier::{ChildSpec, HierConfig, HierRoute, HierarchicalRouter, RoutePlan};
+pub use hier::{ChildSpec, HierConfig, HierRoute, HierarchicalRouter, RoutePlan, RouterTables};
 pub use path::{PathBuilder, PathHop, ServicePath, ValidatePathError};
 pub use providers::{ProviderIndex, ProviderLookup};
 pub use router::Router;

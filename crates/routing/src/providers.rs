@@ -2,7 +2,6 @@
 
 use son_overlay::{ProxyId, ServiceId, ServiceSet};
 use son_state::SctP;
-use std::collections::BTreeMap;
 
 /// Answers "which proxies provide service `s`?".
 pub trait ProviderLookup {
@@ -10,7 +9,8 @@ pub trait ProviderLookup {
     fn providers(&self, service: ServiceId) -> &[ProxyId];
 }
 
-/// A prebuilt inverted index from services to providers.
+/// A prebuilt inverted index from services to providers: one sorted
+/// flat array, looked up by binary search.
 ///
 /// # Example
 ///
@@ -28,8 +28,14 @@ pub trait ProviderLookup {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ProviderIndex {
-    map: BTreeMap<ServiceId, Vec<ProxyId>>,
-    empty: Vec<ProxyId>,
+    /// Every service some proxy carries, ascending.
+    services: Vec<ServiceId>,
+    /// The providers of `services[i]` are
+    /// `proxies[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Providers grouped by service, each group ascending and
+    /// deduplicated.
+    proxies: Vec<ProxyId>,
 }
 
 impl ProviderIndex {
@@ -48,48 +54,71 @@ impl ProviderIndex {
     pub fn from_entries<'a, I>(entries: I) -> Self
     where
         I: IntoIterator<Item = (ProxyId, &'a ServiceSet)>,
+        I::IntoIter: Clone,
     {
-        let mut map: BTreeMap<ServiceId, Vec<ProxyId>> = BTreeMap::new();
+        let entries = entries.into_iter();
+        let mut pairs = Vec::with_capacity(entries.clone().map(|(_, set)| set.len()).sum());
         for (proxy, set) in entries {
-            for service in set.iter() {
-                map.entry(service).or_default().push(proxy);
-            }
+            pairs.extend(set.iter().map(|service| (service, proxy)));
         }
-        Self::from_unsorted(map)
+        Self::from_pairs(pairs)
     }
 
-    fn from_unsorted(mut map: BTreeMap<ServiceId, Vec<ProxyId>>) -> Self {
-        for list in map.values_mut() {
-            list.sort();
-            list.dedup();
+    /// Sorts and deduplicates `(service, provider)` pairs into the flat
+    /// layout.
+    fn from_pairs(mut pairs: Vec<(ServiceId, ProxyId)>) -> Self {
+        pairs.sort_unstable();
+        pairs.dedup();
+        let keys = 1 + pairs.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        let mut index = ProviderIndex {
+            services: Vec::with_capacity(keys),
+            offsets: Vec::with_capacity(keys + 1),
+            proxies: Vec::with_capacity(pairs.len()),
+        };
+        for (service, proxy) in pairs {
+            if index.services.last() != Some(&service) {
+                index.services.push(service);
+                index.offsets.push(index.offset());
+            }
+            index.proxies.push(proxy);
         }
-        ProviderIndex {
-            map,
-            empty: Vec::new(),
-        }
+        index.offsets.push(index.offset());
+        index
+    }
+
+    fn offset(&self) -> u32 {
+        u32::try_from(self.proxies.len()).expect("fewer than 2^32 (service, provider) pairs")
     }
 
     /// Builds the index from a converged per-cluster capability table.
     pub fn from_sctp(sctp: &SctP) -> Self {
-        Self::from_entries(sctp.iter())
+        Self::from_entries(sctp.iter().collect::<Vec<_>>())
     }
 
     /// The union of several indexes — every cluster's, say, giving the
     /// global view.
-    pub(crate) fn union<'a>(parts: impl IntoIterator<Item = &'a ProviderIndex>) -> Self {
-        let mut map: BTreeMap<ServiceId, Vec<ProxyId>> = BTreeMap::new();
+    pub(crate) fn union(parts: &[ProviderIndex]) -> Self {
+        let mut pairs = Vec::with_capacity(parts.iter().map(|part| part.proxies.len()).sum());
         for part in parts {
-            for (&service, providers) in &part.map {
-                map.entry(service).or_default().extend_from_slice(providers);
+            for (i, &service) in part.services.iter().enumerate() {
+                pairs.extend(part.group(i).iter().map(|&proxy| (service, proxy)));
             }
         }
-        Self::from_unsorted(map)
+        Self::from_pairs(pairs)
+    }
+
+    /// The providers of the `i`-th service.
+    fn group(&self, i: usize) -> &[ProxyId] {
+        &self.proxies[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
 impl ProviderLookup for ProviderIndex {
     fn providers(&self, service: ServiceId) -> &[ProxyId] {
-        self.map.get(&service).unwrap_or(&self.empty)
+        match self.services.binary_search(&service) {
+            Ok(i) => self.group(i),
+            Err(_) => &[],
+        }
     }
 }
 
@@ -139,7 +168,9 @@ mod tests {
         };
         let union = ProviderIndex::union(&[part(&[3, 1]), part(&[2, 0])]);
         let whole = ProviderIndex::from_service_sets(&sets);
-        assert_eq!(union.map, whole.map);
+        assert_eq!(union.services, whole.services);
+        assert_eq!(union.offsets, whole.offsets);
+        assert_eq!(union.proxies, whole.proxies);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic cost gates: heap allocations and bytes per warm
+//! Deterministic cost gates: heap allocations and bytes per
 //! `Engine::serve`, counted by a test-only global allocator.
 //!
 //! For the same world and requests the serve path allocates the same on
@@ -118,14 +118,44 @@ fn warm_serve_allocations_are_pinned() {
         (all.0 - one.0) as f64 / 255.0,
         (all.1 - one.1) as f64 / 255.0
     );
-    gate("warm serve of 1", one, (621, 99_717));
-    gate("warm serve of 256", all, (628, 134_972));
+    gate("warm serve of 1", one, (618, 97_261));
+    gate("warm serve of 256", all, (625, 132_516));
     // A cached answer allocates nothing; what the 255 extra requests
     // add is the batch's vectors growing (7 today).
     assert!(
         all.0 - one.0 <= 8,
         "the 255 extra cached requests made {} allocations",
         all.0 - one.0
+    );
+}
+
+/// A request no batch has seen, on an epoch whose routing tables a cold
+/// batch has filled: it misses every cache tier and solves from scratch,
+/// but finds every provider index and level table it reads already
+/// built.
+#[test]
+fn cold_serve_on_a_filled_epoch_allocations_are_pinned() {
+    set_telemetry_enabled(false);
+    let (overlay, requests) = world();
+    let engine = overlay.engine(EngineConfig::default());
+    engine.serve(requests);
+    let fresh = overlay.generate_client_requests(1, 8);
+    assert!(!requests.contains(&fresh[0]), "the request is new");
+    let filled = engine.snapshot().routing_tables().filled();
+    let measured = counted(|| {
+        let cold = engine.serve(&fresh);
+        assert_eq!(cold.report.errors, 0);
+        assert_eq!(cold.report.cache.hits, 0, "the request misses");
+    });
+    assert_eq!(
+        engine.snapshot().routing_tables().filled(),
+        filled,
+        "no table is filled"
+    );
+    gate(
+        "cold serve of 1 on a filled epoch",
+        measured,
+        (846, 158_161),
     );
 }
 
@@ -161,6 +191,6 @@ fn admission_batch_with_a_live_down_allocations_are_pinned() {
     gate(
         "admission batch with one live Down",
         measured,
-        (1_905, 255_373),
+        (1_478, 251_721),
     );
 }
