@@ -61,7 +61,6 @@ pub use son_state::{DissemMode, OverheadKind, ProtocolConfig, StateProtocol, Sta
 pub use son_telemetry::{
     flight, global as telemetry, render_prometheus, set_enabled as set_telemetry_enabled,
     write_json_snapshot, CacheVerdict, FlightEvent, FlightKind, FlightRecorder, Histogram,
-    SloConfig, SloTracker,
 };
 pub use son_workload::{
     table1_environments, zipf_request_mix, Environment, NonRepeatingWorkload, Scenario,

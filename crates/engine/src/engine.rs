@@ -27,7 +27,7 @@ use son_routing::{
 use son_telemetry::flight::{
     flight, CacheVerdict, DispositionMark, FlightEvent, FlightKind, Stage, NO_REQUEST,
 };
-use son_telemetry::{CacheOutcome, Histogram, LocalHistogram, RouteTrace, SloTracker};
+use son_telemetry::{CacheOutcome, Histogram, LocalHistogram, RouteTrace};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -82,17 +82,16 @@ pub struct EngineConfig {
     /// cache while a fresh solve revalidates the entry in the
     /// background of the batch. 0 keeps the legacy epoch-strict cache.
     pub stale_serve_budget: u64,
-    /// Flight-recorder sampling: per-request events (cache verdicts,
-    /// dispositions, retries) are emitted for requests whose id is a
-    /// multiple of this stride, rounded up to a power of two so the
-    /// per-request test is a mask, not a division. Structural events —
-    /// snapshot installs, stage timings, anomalies — are never
-    /// sampled. 1 records every request (the timeline tests use
-    /// this); the default of 16 keeps the always-on cost of
-    /// an enabled recorder inside the telemetry budget on warm serve
-    /// paths. 0 behaves as 1.
-    pub flight_sample: u64,
 }
+
+/// Flight-recorder sampling mask: per-request events (cache verdicts,
+/// dispositions, retries) are emitted for request ids that are
+/// multiples of 16, tested as `rid & FLIGHT_SAMPLE_MASK == 0` — one AND
+/// on the serve hot path, not a division. Structural events (snapshot
+/// installs, stage timings) are never sampled. The stride keeps the
+/// always-on cost of an enabled recorder inside the telemetry budget on
+/// warm serve paths.
+const FLIGHT_SAMPLE_MASK: u64 = 16 - 1;
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -103,7 +102,6 @@ impl Default for EngineConfig {
             admission: AdmissionConfig::default(),
             csp_cache_capacity: 16_384,
             stale_serve_budget: 0,
-            flight_sample: 16,
         }
     }
 }
@@ -442,10 +440,6 @@ pub struct Engine<D, P> {
     /// contiguous block so flight events from concurrent workers can be
     /// correlated back to individual requests.
     request_ids: AtomicU64,
-    /// Optional SLO tracker ([`Engine::attach_slo`]), advanced one tick
-    /// per request so sliding windows move on served traffic, never on
-    /// wall clock.
-    slo: Mutex<Option<Arc<SloTracker>>>,
 }
 
 impl<D, P> Engine<D, P>
@@ -470,34 +464,12 @@ where
             revalidations: AtomicU64::new(0),
             live: RwLock::new(Vec::new()),
             request_ids: AtomicU64::new(0),
-            slo: Mutex::new(None),
         }
-    }
-
-    /// Attaches a sliding-window SLO tracker: every subsequent request
-    /// advances it one tick (served with its latency, or rejected), so
-    /// windows seal on request-count boundaries. Window seals that
-    /// breach an objective fire the flight recorder's anomaly trigger.
-    pub fn attach_slo(&self, tracker: Arc<SloTracker>) {
-        *self.slo.lock().expect("slo lock poisoned") = Some(tracker);
-    }
-
-    /// The attached SLO tracker, if any.
-    pub fn slo(&self) -> Option<Arc<SloTracker>> {
-        self.slo.lock().expect("slo lock poisoned").clone()
     }
 
     /// Request ids handed out so far — the flight recorder's tick scale.
     fn tick_now(&self) -> u64 {
         self.request_ids.load(Ordering::Relaxed)
-    }
-
-    /// Sampling mask for per-request flight events: the configured
-    /// stride rounded up to a power of two, minus one, so the
-    /// per-request sampling test is `rid & mask == 0` — one AND
-    /// instead of a hardware division on the serve hot path.
-    fn flight_sample_mask(&self) -> u64 {
-        self.config.flight_sample.max(1).next_power_of_two() - 1
     }
 
     /// Overrides one proxy's health *live* — between snapshot installs.
@@ -617,13 +589,18 @@ where
         let mut slot = self.snapshot.lock().expect("snapshot lock poisoned");
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         snapshot.stamp(epoch);
-        *slot = Arc::new(snapshot);
+        let previous = std::mem::replace(&mut *slot, Arc::new(snapshot));
         // The new snapshot's statuses are authoritative; stale live
         // overrides must not shadow them.
         self.live
             .write()
             .expect("live health lock poisoned")
             .clear();
+        // If this held the last reference, dropping it frees every
+        // routing table the old epoch filled: do that after releasing
+        // the lock so a concurrent `snapshot()` never waits on it.
+        drop(slot);
+        drop(previous);
         // Refill the stale-serve allowance: the *previous* epoch's
         // routes may bridge this install, bounded by the budget.
         self.stale_budget
@@ -699,28 +676,18 @@ where
 
         // Reserve a contiguous request-id block for the batch: request
         // `i` of this batch is `rid_base + i` everywhere — flight
-        // events, SLO ticks, worker shards — so timelines from
-        // concurrent workers reassemble by id.
+        // events, worker shards — so timelines from concurrent workers
+        // reassemble by id.
         let rid_base = self
             .request_ids
             .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        // SLO tracking is telemetry: while the global switch is off an
-        // attached tracker lies dormant (no ticks, no seals), so a
-        // telemetry-off serve is byte-for-byte the uninstrumented path.
-        let slo_guard = self.slo.lock().expect("slo lock poisoned").clone();
-        let slo: Option<&SloTracker> = slo_guard.as_deref().filter(|_| telemetry_on);
         let flight_on = flight().is_enabled();
         // Pre-rejections are decided before any worker runs, so their
-        // SLO ticks and dispositions are recorded up front — a batch
-        // that sheds everything still advances the windows.
-        let sample_mask = self.flight_sample_mask();
+        // dispositions are recorded up front.
         let shed = Disposition::Rejected(RejectReason::NoIngress);
         for &i in &pre_rejected {
-            if let Some(slo) = slo {
-                slo.record(false, 0.0);
-            }
             let rid = rid_base + i as u64;
-            if flight_on && rid & sample_mask == 0 {
+            if flight_on && rid & FLIGHT_SAMPLE_MASK == 0 {
                 flight().record(
                     FlightEvent::new(FlightKind::Disposition(shed.mark()))
                         .tick(rid)
@@ -745,7 +712,6 @@ where
                 ctx,
                 0,
                 rid_base,
-                slo,
             )]
         } else {
             thread::scope(|scope| {
@@ -763,7 +729,6 @@ where
                                 ctx,
                                 w,
                                 rid_base,
-                                slo,
                             )
                         })
                     })
@@ -977,7 +942,6 @@ where
         ctx: Option<&BatchConstraints>,
         worker: usize,
         rid_base: u64,
-        slo: Option<&SloTracker>,
     ) -> (Vec<WorkerItem>, WorkerStats) {
         let worker_started = Instant::now();
         let epoch = snap.epoch();
@@ -997,15 +961,9 @@ where
         };
         let csp = csp_router.as_deref();
         // Latencies accumulate in a plain local histogram and fold into
-        // the shared sinks (per-worker metric series, SLO tracker) at
-        // window seals and batch end, so the per-request cost of
-        // instrumentation is three plain writes, not atomics.
-        let mut local_latency = if latency_hist.is_some() || slo.is_some() {
-            Some(LocalHistogram::new())
-        } else {
-            None
-        };
-        let sample_mask = self.flight_sample_mask();
+        // the per-worker metric series at batch end, so the per-request
+        // cost of instrumentation is three plain writes, not atomics.
+        let mut local_latency = latency_hist.map(|hist| (hist, LocalHistogram::new()));
         let mut scratch = WorkerScratch {
             route_key: RouteKey::empty(),
             csp_key: CspKey::empty(),
@@ -1014,14 +972,14 @@ where
         let mut out = Vec::with_capacity(indices.len());
         // One clock read per request: the instant one answer is back
         // starts the next, whose latency so carries this one's
-        // bookkeeping below (but not a window seal, which re-reads it).
+        // bookkeeping below.
         let mut begun = Instant::now();
         for &i in indices {
             let rid = rid_base + i as u64;
             let rc = ReqCtx {
                 rid,
                 worker,
-                flight_on: flight_on && rid & sample_mask == 0,
+                flight_on: flight_on && rid & FLIGHT_SAMPLE_MASK == 0,
             };
             acc.arm();
             let mut item = self.serve_request(
@@ -1041,41 +999,14 @@ where
             // harness wasting wall-clock.
             item.latency_us += (answered - begun).as_secs_f64() * 1e6;
             begun = answered;
-            if let Some(local) = local_latency.as_mut() {
+            if let Some((_, local)) = local_latency.as_mut() {
                 local.record(item.latency_us);
             }
             rc.emit(FlightKind::Disposition(item.disposition.mark()), epoch);
-            if let Some(slo) = slo {
-                // One relaxed fetch-add per request; latencies ride the
-                // local histogram and fold in at window boundaries.
-                let sealing = if item.result.is_ok() {
-                    slo.tick_served()
-                } else {
-                    slo.tick_rejected()
-                };
-                if let Some(tick) = sealing {
-                    // A window seal is an export boundary (the SLO layer
-                    // or its anomaly handler may snapshot the registry):
-                    // flush this worker's batched latencies first so the
-                    // sealing window sees them and no export interleaves
-                    // with a partial flush.
-                    if let Some(local) = local_latency.as_mut() {
-                        match latency_hist {
-                            Some(hist) => local.flush_into_each(&[hist, slo.latency_sink()]),
-                            None => local.flush_into(slo.latency_sink()),
-                        }
-                    }
-                    slo.seal_at(tick);
-                    begun = Instant::now();
-                }
-            }
             out.push(item);
         }
-        if let Some(local) = local_latency.as_mut() {
-            let mut sinks: Vec<&Histogram> = Vec::with_capacity(2);
-            sinks.extend(latency_hist);
-            sinks.extend(slo.map(|s| s.latency_sink()));
-            local.flush_into_each(&sinks);
+        if let Some((hist, local)) = local_latency.as_mut() {
+            local.flush_into(hist);
         }
         // Revalidate every stale-served key with a fresh current-epoch
         // solve. This runs after the last request is answered, so the
@@ -1850,14 +1781,6 @@ mod tests {
         assert!(outcome.dispositions.iter().all(|d| d.is_served()));
     }
 
-    /// A leaked private recorder so SLO/anomaly tests never touch the
-    /// process-global ring other tests may be using.
-    fn private_flight(capacity: usize) -> &'static son_telemetry::FlightRecorder {
-        let recorder = Box::leak(Box::new(son_telemetry::FlightRecorder::new(capacity)));
-        recorder.set_enabled(true);
-        recorder
-    }
-
     #[test]
     fn worker_stats_attribute_the_batch() {
         let eng = engine(2);
@@ -1878,85 +1801,9 @@ mod tests {
     }
 
     #[test]
-    fn attach_slo_windows_advance_on_served_ticks() {
-        let recorder = private_flight(256);
-        let slo = Arc::new(SloTracker::with_flight(
-            son_telemetry::SloConfig {
-                window_ticks: 8,
-                ..son_telemetry::SloConfig::default()
-            },
-            recorder,
-        ));
-        let eng = engine(1);
-        eng.attach_slo(Arc::clone(&slo));
-        let outcome = eng.serve(&requests(12, 24));
-        assert_eq!(outcome.report.errors, 0);
-        // One tick per request: 24 requests seal exactly 3 windows, and
-        // every sealed frame holds exactly its 8 requests' deltas.
-        assert_eq!(slo.ticks(), 24);
-        assert_eq!(slo.sealed(), 3);
-        assert_eq!(slo.served_total(), 24);
-        assert_eq!(slo.rejected_total(), 0);
-        for frame in slo.frames() {
-            assert_eq!(frame.served, 8, "{frame:?}");
-            assert_eq!(frame.rejected, 0, "{frame:?}");
-            assert_eq!(frame.latency.count, 8, "{frame:?}");
-            assert_eq!(frame.availability, 1.0, "{frame:?}");
-            assert!(frame.availability_ok, "{frame:?}");
-        }
-        assert_eq!(slo.breaches(), 0);
-        assert!(recorder.anomaly().is_none());
-    }
-
-    #[test]
-    fn rejection_spike_fires_the_anomaly_through_serve() {
-        let recorder = private_flight(256);
-        let slo = Arc::new(SloTracker::with_flight(
-            son_telemetry::SloConfig {
-                window_ticks: 4,
-                rejection_trigger: 0.5,
-                ..son_telemetry::SloConfig::default()
-            },
-            recorder,
-        ));
-        let eng = engine(2);
-        eng.attach_slo(Arc::clone(&slo));
-        // Every proxy Down: all 8 requests shed as NoIngress before the
-        // workers even spawn, so the ticks are sequential and the first
-        // window's rejection rate is exactly 1.0 ≥ the 0.5 trigger.
-        for i in 0..12 {
-            eng.set_health(ProxyId::new(i), Health::Down);
-        }
-        let outcome = eng.serve(&requests(12, 8));
-        assert_eq!(outcome.report.admission.rejected_no_ingress, 8);
-        assert_eq!(slo.rejected_total(), 8);
-        assert_eq!(slo.rejected_total(), outcome.report.errors as u64);
-        assert_eq!(slo.sealed(), 2);
-        let snap = recorder.anomaly().expect("rejection spike must trigger");
-        assert!(matches!(
-            snap.kind,
-            son_telemetry::AnomalyKind::RejectionRate
-        ));
-        assert_eq!(snap.window, 0);
-        assert_eq!(snap.tick, 4);
-        assert_eq!(snap.observed, 1.0);
-        assert_eq!(snap.threshold, 0.5);
-    }
-
-    #[test]
     fn flight_timeline_reconstructs_per_request_events() {
         let recorder = flight();
-        // Sampling stride 1: the timeline assertion needs every
-        // request's events, not the production 1-in-8 sample.
-        let eng = Engine::new(
-            line_snapshot(12, 3),
-            HierProvider::default(),
-            EngineConfig {
-                workers: 1,
-                flight_sample: 1,
-                ..EngineConfig::default()
-            },
-        );
+        let eng = engine(1);
         let watermark = recorder.recorded();
         recorder.set_enabled(true);
         // Mark this engine's events with a unique epoch (5) so batches
@@ -1966,7 +1813,9 @@ mod tests {
             eng.install_snapshot(line_snapshot(12, 3));
         }
         assert_eq!(eng.epoch(), 5);
-        let outcome = eng.serve(&requests(12, 6));
+        // A fresh engine hands out request ids 0..33, so the production
+        // stride of 16 samples exactly ids 0, 16 and 32.
+        let outcome = eng.serve(&requests(12, 33));
         recorder.set_enabled(false);
         assert_eq!(outcome.report.errors, 0);
         let events: Vec<FlightEvent> = recorder
@@ -1974,20 +1823,30 @@ mod tests {
             .into_iter()
             .filter(|e| e.epoch == 5)
             .collect();
+        // Structural events are never sampled: the epoch-5 install is
+        // on the timeline.
         assert!(
             events
                 .iter()
                 .any(|e| matches!(e.kind, FlightKind::SnapshotInstall)),
             "the epoch-5 install must be on the timeline"
         );
-        // Every request's timeline: a cold-cache Miss verdict followed
-        // (in seq order) by an Optimal disposition, tied by request id.
-        for rid in 0..6u64 {
+        let mut sampled: Vec<u64> = events
+            .iter()
+            .map(|e| e.request)
+            .filter(|&rid| rid != NO_REQUEST)
+            .collect();
+        sampled.sort_unstable();
+        sampled.dedup();
+        assert_eq!(sampled, [0, 16, 32], "{events:?}");
+        // Each sampled request's timeline: a cache verdict followed (in
+        // seq order) by an Optimal disposition, tied by request id.
+        for rid in sampled {
             let timeline: Vec<&FlightEvent> = events.iter().filter(|e| e.request == rid).collect();
             let verdict = timeline
                 .iter()
-                .position(|e| matches!(e.kind, FlightKind::CacheVerdict(CacheVerdict::Miss)))
-                .unwrap_or_else(|| panic!("request {rid} has no miss verdict: {timeline:?}"));
+                .position(|e| matches!(e.kind, FlightKind::CacheVerdict(_)))
+                .unwrap_or_else(|| panic!("request {rid} has no cache verdict: {timeline:?}"));
             let disposition = timeline
                 .iter()
                 .position(|e| matches!(e.kind, FlightKind::Disposition(DispositionMark::Optimal)))

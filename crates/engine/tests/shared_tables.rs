@@ -21,7 +21,8 @@ use son_overlay::{
     ServiceId, ServiceRequest, ServiceSet, StatusMap,
 };
 use son_routing::{
-    CostConfig, CspRouter, HierConfig, HierarchicalRouter, LoadAwareDelays, RouteError, ServicePath,
+    CostConfig, CspRouter, HierConfig, HierarchicalRouter, LoadAwareDelays, RouteError,
+    ServicePath, TraceRouter,
 };
 use son_state::ClusterLoad;
 use std::sync::Arc;
@@ -278,4 +279,59 @@ fn a_repriced_view_leaves_the_shared_tables_alone() {
     let batch = requests(&mut StdRng::seed_from_u64(4), 48);
     let served = engine.serve(&batch);
     assert_eq!(served.paths, paths(&unloaded, &batch));
+}
+
+/// (d) A `Down` source that a solve has no coordinates for — a
+/// non-border outside the destination's cluster, priced at zero
+/// internal distance — is unroutable on the router's own delays, from
+/// every entry point: a plain route, a traced one, crankback recovery,
+/// and a frontier solved for another such source of its cluster and
+/// replayed.
+#[test]
+fn a_down_source_outside_the_destination_cluster_is_infeasible() {
+    let seed = 849;
+    let (hfc, delays, services) = world(seed);
+    let snap = EngineSnapshot::new(hfc, services, delays)
+        .with_statuses(statuses(seed), CostConfig::balanced());
+    let down: Vec<usize> = (0..PROXIES)
+        .filter(|&i| !snap.is_routable(ProxyId::new(i)))
+        .collect();
+    assert_eq!(down, [10, 13]);
+    let (source, dest) = (ProxyId::new(10), ProxyId::new(16));
+    let cluster = snap.hfc().cluster_of(source);
+    assert_ne!(cluster, snap.hfc().cluster_of(dest));
+    assert!(!snap.is_border(source));
+    let chain = || ServiceGraph::linear(vec![ServiceId::new(0), ServiceId::new(0)]);
+    let request = ServiceRequest::new(source, chain(), dest);
+    let router = fresh(&snap, HierConfig::default(), None);
+
+    assert_eq!(
+        router.route(&request).map(|route| route.path),
+        Err(RouteError::Infeasible)
+    );
+    assert_eq!(
+        router.route_with_trace(&request).0,
+        Err(RouteError::Infeasible)
+    );
+    assert_eq!(
+        router
+            .route_with_recovery(&request, 3)
+            .map(|route| route.path),
+        Err(RouteError::Infeasible)
+    );
+
+    let other = snap
+        .hfc()
+        .members(cluster)
+        .iter()
+        .copied()
+        .find(|&p| p != source && !snap.is_border(p) && snap.is_routable(p))
+        .expect("the cluster has another unknown source");
+    let frontier = router
+        .solve_frontier(&ServiceRequest::new(other, chain(), dest))
+        .expect("the other source's frontier solves");
+    assert_eq!(
+        router.route_from_frontier(&request, &frontier),
+        Err(RouteError::Infeasible)
+    );
 }

@@ -427,7 +427,7 @@ where
                 }
             }
             match failed {
-                None => return Ok(self.compose(request, plan, &answers)),
+                None => return self.compose(request, plan, &answers),
                 Some((cluster, stages)) => {
                     for stage in stages {
                         excluded.push((stage, cluster));
@@ -602,7 +602,15 @@ where
     }
 
     /// Step 4 of Section 5: composes child answers and border glue hops
-    /// into the final service path.
+    /// into the final service path. Every way of routing ends here, so
+    /// this is where a path is checked against the router's own delays.
+    ///
+    /// # Errors
+    ///
+    /// [`RouteError::Infeasible`] when the path is infinitely long on
+    /// the router's delays. A solve prices a source it has no
+    /// coordinates for at zero internal distance, so a `Down` source
+    /// (`+∞` on every leg) shows only in the composed path.
     ///
     /// # Panics
     ///
@@ -612,7 +620,7 @@ where
         request: &ServiceRequest,
         plan: RoutePlan,
         answers: &[Vec<Assignment>],
-    ) -> HierRoute {
+    ) -> Result<HierRoute, RouteError> {
         assert_eq!(
             answers.len(),
             plan.children.len(),
@@ -631,13 +639,16 @@ where
             self.walk(above, child.dest, &mut path);
         }
         self.walk(above, request.destination, &mut path);
-
-        HierRoute {
-            path: path.finish(request.destination),
+        let path = path.finish(request.destination);
+        if !path.length(&self.delays).is_finite() {
+            return Err(RouteError::Infeasible);
+        }
+        Ok(HierRoute {
+            path,
             child_count: plan.children.len(),
             csp: plan.csp,
             estimate: plan.estimate,
-        }
+        })
     }
 
     /// Relays from the end of `path` to `to`, crossing the units of
@@ -670,7 +681,7 @@ where
             .iter()
             .map(|child| self.solve(top, child))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.compose(request, plan, &answers))
+        self.compose(request, plan, &answers)
     }
 
     /// The "HFC without topology abstraction" comparison of

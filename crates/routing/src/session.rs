@@ -208,7 +208,7 @@ where
         .map(|a| a.clone().expect("all answers recorded"))
         .collect();
     drop(sim);
-    let route = router.compose(request, plan, &answers);
+    let route = router.compose(request, plan, &answers)?;
     Ok(SessionReport {
         route,
         resolution_latency: completed_at,

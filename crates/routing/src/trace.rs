@@ -137,6 +137,13 @@ where
         }
         let route = self.compose(request, plan, &answers);
         trace.elapsed_us = start.elapsed().as_secs_f64() * 1e6;
+        let route = match route {
+            Ok(route) => route,
+            Err(err) => {
+                trace.outcome = err.to_string();
+                return (Err(err), trace);
+            }
+        };
         let hfc = self.hfc();
         trace.border_hops = route
             .path

@@ -148,15 +148,9 @@ mod tests {
         reg.counter("state.tree.sent").add(7);
         reg.counter("state.tree.rows_sent").add(19);
         reg.gauge("state.tree.depth").set(3.0);
-        // Flight-recorder and SLO-window keys, as
-        // `FlightRecorder::publish` / `SloTracker::publish` set them.
+        // Flight-recorder keys, as `FlightRecorder::publish` sets them.
         reg.gauge("flight.events").set(128.0);
         reg.gauge("flight.dropped").set(0.0);
-        reg.gauge("flight.anomalies").set(1.0);
-        reg.gauge("slo.availability").set(0.9975);
-        reg.gauge("slo.windows").set(16.0);
-        reg.gauge("slo.breaches").set(1.0);
-        reg.gauge("slo.window.burn_rate").set(0.25);
         let h = reg.histogram_with("engine.serve_us", &[("worker", "0")]);
         for v in [10.0, 20.0, 30.0, 40.0] {
             h.record(v);

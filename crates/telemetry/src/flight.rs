@@ -18,14 +18,9 @@
 //! the assigned sequence number only when the event was durably
 //! published, so tests can assert that no *acknowledged* event within
 //! the most recent `capacity` window is ever lost.
-//!
-//! An anomaly trigger (armed by the SLO window layer) freezes a
-//! deterministic snapshot of the ring: first trigger wins, later
-//! triggers only bump a counter, so the captured context is the state
-//! at the moment the first objective breached.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::registry::Registry;
 
@@ -88,15 +83,6 @@ pub enum DispositionMark {
     RejectUnroutable,
 }
 
-/// Which SLO objective tripped the anomaly trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnomalyKind {
-    /// Windowed p99 latency exceeded the objective.
-    LatencyP99,
-    /// Windowed rejection rate exceeded the trigger threshold.
-    RejectionRate,
-}
-
 /// What one flight event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
@@ -116,8 +102,6 @@ pub enum FlightKind {
     TreeRepair,
     /// Per-worker stage timing for one serve batch; `value` is µs.
     StageTime(Stage),
-    /// The anomaly trigger fired; `value` is the observed metric.
-    Anomaly(AnomalyKind),
 }
 
 impl FlightKind {
@@ -130,7 +114,6 @@ impl FlightKind {
             FlightKind::Disposition(d) => (4, d as u8),
             FlightKind::TreeRepair => (5, 0),
             FlightKind::StageTime(s) => (6, s as u8),
-            FlightKind::Anomaly(a) => (7, a as u8),
         }
     }
 
@@ -156,16 +139,12 @@ impl FlightKind {
                 _ => DispositionMark::RejectUnroutable,
             }),
             5 => FlightKind::TreeRepair,
-            6 => FlightKind::StageTime(match detail {
+            _ => FlightKind::StageTime(match detail {
                 0 => Stage::Route,
                 1 => Stage::Admit,
                 2 => Stage::Cache,
                 3 => Stage::Busy,
                 _ => Stage::Idle,
-            }),
-            _ => FlightKind::Anomaly(match detail {
-                0 => AnomalyKind::LatencyP99,
-                _ => AnomalyKind::RejectionRate,
             }),
         }
     }
@@ -209,13 +188,6 @@ impl FlightKind {
                     Stage::Idle => "idle",
                 }
             ),
-            FlightKind::Anomaly(a) => format!(
-                "anomaly.{}",
-                match a {
-                    AnomalyKind::LatencyP99 => "latency_p99",
-                    AnomalyKind::RejectionRate => "rejection_rate",
-                }
-            ),
         }
     }
 }
@@ -225,7 +197,7 @@ impl FlightKind {
 pub struct FlightEvent {
     /// Global sequence number (assigned by the recorder on publish).
     pub seq: u64,
-    /// Served-request tick at record time (correlates with SLO windows).
+    /// Request ids handed out when the event was recorded.
     pub tick: u64,
     /// Request id, or [`NO_REQUEST`] for global events.
     pub request: u64,
@@ -237,8 +209,8 @@ pub struct FlightEvent {
     pub worker: u16,
     /// What happened.
     pub kind: FlightKind,
-    /// Kind-specific payload (µs for stage timings, observed metric for
-    /// anomalies, health ordinal for transitions, 0 otherwise).
+    /// Kind-specific payload (µs for stage timings, health ordinal for
+    /// transitions, 0 otherwise).
     pub value: f64,
 }
 
@@ -353,29 +325,15 @@ struct Slot {
 }
 
 impl Slot {
-    fn new() -> Slot {
+    /// An empty slot. Every word is a constant zero (no per-word call),
+    /// so a ring of them is built as zeroed memory whose pages are
+    /// touched only as events land.
+    const fn new() -> Slot {
         Slot {
             state: AtomicU64::new(EMPTY),
-            words: [0; 5].map(AtomicU64::new),
+            words: [const { AtomicU64::new(0) }; 5],
         }
     }
-}
-
-/// A frozen copy of the ring taken when an SLO objective breached.
-#[derive(Debug, Clone)]
-pub struct AnomalySnapshot {
-    /// Which objective tripped.
-    pub kind: AnomalyKind,
-    /// Index of the sealed window that breached.
-    pub window: u64,
-    /// Served-request tick at the seal.
-    pub tick: u64,
-    /// The observed windowed value (p99 µs or rejection fraction).
-    pub observed: f64,
-    /// The configured threshold it crossed.
-    pub threshold: f64,
-    /// The ring contents at trigger time, in sequence order.
-    pub events: Vec<FlightEvent>,
 }
 
 /// Lock-free bounded ring of [`FlightEvent`]s.
@@ -383,9 +341,7 @@ pub struct FlightRecorder {
     slots: Vec<Slot>,
     head: AtomicU64,
     dropped: AtomicU64,
-    anomalies: AtomicU64,
     enabled: AtomicBool,
-    anomaly: Mutex<Option<AnomalySnapshot>>,
 }
 
 impl FlightRecorder {
@@ -397,9 +353,7 @@ impl FlightRecorder {
             slots: (0..capacity).map(|_| Slot::new()).collect(),
             head: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            anomalies: AtomicU64::new(0),
             enabled: AtomicBool::new(false),
-            anomaly: Mutex::new(None),
         }
     }
 
@@ -427,12 +381,6 @@ impl FlightRecorder {
     /// Events dropped because their slot was held by a stalled writer.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// How many times the anomaly trigger fired (only the first freeze
-    /// is retained).
-    pub fn anomaly_count(&self) -> u64 {
-        self.anomalies.load(Ordering::Relaxed)
     }
 
     /// Appends an event. Returns the assigned sequence number if the
@@ -523,53 +471,11 @@ impl FlightRecorder {
         events
     }
 
-    /// Fires the anomaly trigger: records an [`FlightKind::Anomaly`]
-    /// event, then freezes a snapshot of the ring. First trigger wins;
-    /// later triggers only increment the anomaly counter so the frozen
-    /// context stays the one surrounding the first breach.
-    pub fn trigger_anomaly(
-        &self,
-        kind: AnomalyKind,
-        window: u64,
-        tick: u64,
-        observed: f64,
-        threshold: f64,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.anomalies.fetch_add(1, Ordering::Relaxed);
-        self.record(
-            FlightEvent::new(FlightKind::Anomaly(kind))
-                .tick(tick)
-                .value(observed),
-        );
-        let mut frozen = self.anomaly.lock().unwrap();
-        if frozen.is_none() {
-            *frozen = Some(AnomalySnapshot {
-                kind,
-                window,
-                tick,
-                observed,
-                threshold,
-                events: self.dump(),
-            });
-        }
-    }
-
-    /// The frozen anomaly snapshot, if the trigger has fired.
-    pub fn anomaly(&self) -> Option<AnomalySnapshot> {
-        self.anomaly.lock().unwrap().clone()
-    }
-
     /// Publishes recorder totals as `flight.*` gauges so they appear in
     /// Prometheus/JSON exports alongside the rest of the registry.
     pub fn publish(&self, registry: &Registry) {
         registry.gauge("flight.events").set(self.recorded() as f64);
         registry.gauge("flight.dropped").set(self.dropped() as f64);
-        registry
-            .gauge("flight.anomalies")
-            .set(self.anomaly_count() as f64);
     }
 }
 
@@ -650,8 +556,6 @@ mod tests {
             FlightKind::StageTime(Stage::Cache),
             FlightKind::StageTime(Stage::Busy),
             FlightKind::StageTime(Stage::Idle),
-            FlightKind::Anomaly(AnomalyKind::LatencyP99),
-            FlightKind::Anomaly(AnomalyKind::RejectionRate),
         ];
         let rec = enabled_recorder(64);
         for &kind in &kinds {
@@ -692,29 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn first_anomaly_trigger_wins_and_freezes_the_ring() {
-        let rec = enabled_recorder(32);
-        for i in 0..5u64 {
-            rec.record(FlightEvent::new(FlightKind::SnapshotInstall).epoch(i));
-        }
-        rec.trigger_anomaly(AnomalyKind::RejectionRate, 3, 300, 0.8, 0.5);
-        // Later events and triggers must not disturb the frozen copy.
-        for i in 5..10u64 {
-            rec.record(FlightEvent::new(FlightKind::SnapshotInstall).epoch(i));
-        }
-        rec.trigger_anomaly(AnomalyKind::LatencyP99, 4, 400, 9000.0, 5000.0);
-        let snap = rec.anomaly().expect("anomaly fired");
-        assert_eq!(snap.kind, AnomalyKind::RejectionRate);
-        assert_eq!(snap.window, 3);
-        assert_eq!(snap.tick, 300);
-        assert_eq!(snap.observed, 0.8);
-        assert_eq!(snap.threshold, 0.5);
-        // 5 installs + the anomaly event itself.
-        assert_eq!(snap.events.len(), 6);
-        assert_eq!(rec.anomaly_count(), 2);
-    }
-
-    #[test]
     fn publish_exports_flight_gauges() {
         let rec = enabled_recorder(16);
         rec.record(FlightEvent::new(FlightKind::SnapshotInstall));
@@ -723,7 +604,6 @@ mod tests {
         rec.publish(&reg);
         assert_eq!(reg.gauge("flight.events").get(), 2.0);
         assert_eq!(reg.gauge("flight.dropped").get(), 0.0);
-        assert_eq!(reg.gauge("flight.anomalies").get(), 0.0);
     }
 
     #[test]

@@ -187,14 +187,14 @@ impl Histogram {
         self.max()
     }
 
-    /// Captures the full bucket-resolution state in one coherent pass.
+    /// Captures count/sum/quantiles from one coherent bucket view.
     ///
-    /// The bucket array is copied first and the derived count comes from
-    /// that copy, so quantiles computed from the cells are always
-    /// mutually consistent — unlike reading `count()`/`quantile()`
-    /// separately, which can interleave with a concurrent
-    /// [`LocalHistogram::flush_into`] and tear.
-    pub fn cells(&self) -> HistogramCells {
+    /// The bucket array is copied first and the count comes from that
+    /// copy, so `p50 ≤ p90 ≤ p99 ≤ max` holds even when snapshots race
+    /// with per-worker batch flushes — unlike reading
+    /// `count()`/`quantile()` separately, which can interleave with a
+    /// concurrent [`LocalHistogram::flush_into`] and tear.
+    pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<u64> = self
             .core
             .buckets
@@ -204,130 +204,38 @@ impl Histogram {
         let count = buckets.iter().sum();
         // Sum and max are read after the buckets: both only grow, so
         // they upper-bound everything present in the captured array.
-        HistogramCells {
-            count,
-            sum: self.sum(),
-            max: self.max(),
-            buckets,
-        }
-    }
-
-    /// Captures count/sum/quantiles from one coherent bucket view.
-    ///
-    /// All fields derive from a single [`cells`](Self::cells) capture,
-    /// so `p50 ≤ p90 ≤ p99 ≤ max` holds even when snapshots race with
-    /// per-worker batch flushes.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.cells().summary()
+        summarize(&buckets, count, self.sum(), self.max())
     }
 }
 
-/// Full bucket-resolution capture of a [`Histogram`], used as the
-/// baseline for windowed deltas ([`HistogramCells::delta`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramCells {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-    max: f64,
+/// Nearest-rank quantile over a bucket array, returning the bucket
+/// upper bound clamped to `cap`.
+fn quantile_from(buckets: &[u64], count: u64, q: f64, cap: f64) -> f64 {
+    if count == 0 {
+        return 0.0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * (count as f64 - 1.0)).round() as u64).min(count - 1);
+    let mut seen = 0u64;
+    for (idx, &n) in buckets.iter().enumerate() {
+        seen += n;
+        if seen > rank {
+            return Histogram::bucket_upper(idx).min(cap);
+        }
+    }
+    cap
 }
 
-impl Default for HistogramCells {
-    fn default() -> Self {
-        HistogramCells {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            sum: 0.0,
-            max: 0.0,
-        }
-    }
-}
-
-impl HistogramCells {
-    /// Number of values captured.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of values captured.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Nearest-rank quantile over a bucket array, returning the bucket
-    /// upper bound clamped to `cap`.
-    fn quantile_from(buckets: &[u64], count: u64, q: f64, cap: f64) -> f64 {
-        if count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * (count as f64 - 1.0)).round() as u64).min(count - 1);
-        let mut seen = 0u64;
-        for (idx, &n) in buckets.iter().enumerate() {
-            seen += n;
-            if seen > rank {
-                return Histogram::bucket_upper(idx).min(cap);
-            }
-        }
-        cap
-    }
-
-    /// Summarizes the captured state. Every field derives from the same
-    /// bucket array, so the quantile sequence is monotone by
-    /// construction.
-    pub fn summary(&self) -> HistogramSnapshot {
-        Self::summarize(&self.buckets, self.count, self.sum, self.max)
-    }
-
-    /// The snapshot of a bucket array and its count, sum and maximum.
-    fn summarize(buckets: &[u64], count: u64, sum: f64, max: f64) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count,
-            sum,
-            p50: Self::quantile_from(buckets, count, 0.50, max),
-            p90: Self::quantile_from(buckets, count, 0.90, max),
-            p99: Self::quantile_from(buckets, count, 0.99, max),
-            max,
-        }
-    }
-
-    /// Summarizes `self − earlier`: only values recorded between the
-    /// two captures.
-    ///
-    /// The exact interval maximum is not recoverable from cumulative
-    /// state, so the delta max is the upper bound of the highest
-    /// non-empty delta bucket, clamped to the cumulative max — when the
-    /// interval contains the all-time maximum this is exact, otherwise
-    /// it overestimates by at most one bucket width (≤ 9.05%). Delta
-    /// quantiles clamp to the same bound, so `p50 ≤ p90 ≤ p99 ≤ max`
-    /// holds on every delta.
-    pub fn delta(&self, earlier: &HistogramCells) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(&earlier.buckets)
-            .map(|(now, then)| now.saturating_sub(*then))
-            .collect();
-        let count: u64 = buckets.iter().sum();
-        if count == 0 {
-            return HistogramSnapshot {
-                count: 0,
-                sum: 0.0,
-                p50: 0.0,
-                p90: 0.0,
-                p99: 0.0,
-                max: 0.0,
-            };
-        }
-        let top = buckets.iter().rposition(|&n| n > 0).unwrap_or(0);
-        let max = Histogram::bucket_upper(top).min(self.max);
-        HistogramSnapshot {
-            count,
-            sum: (self.sum - earlier.sum).max(0.0),
-            p50: Self::quantile_from(&buckets, count, 0.50, max),
-            p90: Self::quantile_from(&buckets, count, 0.90, max),
-            p99: Self::quantile_from(&buckets, count, 0.99, max),
-            max,
-        }
+/// The snapshot of a bucket array and its count, sum and maximum.
+/// Every quantile derives from the same array, so the sequence is
+/// monotone by construction.
+fn summarize(buckets: &[u64], count: u64, sum: f64, max: f64) -> HistogramSnapshot {
+    HistogramSnapshot {
+        count,
+        sum,
+        p50: quantile_from(buckets, count, 0.50, max),
+        p90: quantile_from(buckets, count, 0.90, max),
+        p99: quantile_from(buckets, count, 0.99, max),
+        max,
     }
 }
 
@@ -388,7 +296,7 @@ impl LocalHistogram {
     /// Summarizes what was recorded since the last flush, exactly as
     /// [`Histogram::snapshot`] would after a flush into an empty one.
     pub fn summary(&self) -> HistogramSnapshot {
-        HistogramCells::summarize(&self.buckets, self.count, self.sum, self.max)
+        summarize(&self.buckets, self.count, self.sum, self.max)
     }
 
     /// Folds everything recorded so far into `target` and resets this
@@ -409,32 +317,6 @@ impl LocalHistogram {
             .core
             .max_bits
             .fetch_max(self.max.to_bits(), Ordering::Relaxed);
-        self.count = 0;
-        self.sum = 0.0;
-        self.max = 0.0;
-    }
-
-    /// Folds everything recorded so far into *every* sink, then resets
-    /// this accumulator. Lets one worker-local pass feed both a metric
-    /// series and an SLO tracker without recording twice.
-    pub fn flush_into_each(&mut self, sinks: &[&Histogram]) {
-        if self.count == 0 {
-            return;
-        }
-        for target in sinks {
-            for (idx, &n) in self.buckets.iter().enumerate() {
-                if n > 0 {
-                    target.core.buckets[idx].fetch_add(n, Ordering::Relaxed);
-                }
-            }
-            target.core.count.fetch_add(self.count, Ordering::Relaxed);
-            target.add_sum(self.sum);
-            target
-                .core
-                .max_bits
-                .fetch_max(self.max.to_bits(), Ordering::Relaxed);
-        }
-        self.buckets.iter_mut().for_each(|n| *n = 0);
         self.count = 0;
         self.sum = 0.0;
         self.max = 0.0;
@@ -577,39 +459,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_summarizes_only_the_window() {
-        let h = Histogram::new();
-        for v in [10.0, 20.0, 30.0] {
-            h.record(v);
-        }
-        let baseline = h.cells();
-        // Nothing recorded since the capture: the delta is empty.
-        let empty = h.cells().delta(&baseline);
-        assert_eq!(
-            (empty.count, empty.sum, empty.p50, empty.max),
-            (0, 0.0, 0.0, 0.0)
-        );
-        let window: Vec<f64> = (1..=100).map(|i| 500.0 + i as f64).collect();
-        for &v in &window {
-            h.record(v);
-        }
-        let delta = h.cells().delta(&baseline);
-        assert_eq!(delta.count, 100);
-        let exact_sum: f64 = window.iter().sum();
-        assert!((delta.sum - exact_sum).abs() < 1e-6 * exact_sum);
-        // The window contains the all-time maximum, so the delta max is
-        // exact; quantiles sit within one bucket of the window values.
-        assert_eq!(delta.max, 600.0);
-        assert!(delta.p50 >= 500.0 && delta.p50 <= 600.0 * (1.0 + RELATIVE_ERROR_BOUND));
-        // The cumulative view still covers everything.
-        assert_eq!(h.snapshot().count, 103);
-    }
-
-    #[test]
     fn delta_quantiles_are_monotone_for_many_seeds() {
-        // Satellite invariant: p50 ≤ p90 ≤ p99 ≤ max on every delta,
-        // across windows drawn from a deterministic generator.
+        // p50 ≤ p90 ≤ p99 ≤ max on every window a local accumulator
+        // summarizes between flushes, and on the cumulative sink, across
+        // windows drawn from a deterministic generator.
         let h = Histogram::new();
+        let mut local = LocalHistogram::new();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut rng = move || {
             state = state
@@ -617,19 +472,26 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as f64
         };
-        let mut baseline = h.cells();
+        let mut total = 0u64;
         for window in 0..50 {
             let len = 1 + (window * 7) % 40;
             for _ in 0..len {
-                h.record(rng() % 1e6);
+                local.record(rng() % 1e6);
             }
-            let d = h.cells().delta(&baseline);
+            let d = local.summary();
             assert_eq!(d.count, len as u64, "window {window}");
             assert!(
                 d.p50 <= d.p90 && d.p90 <= d.p99 && d.p99 <= d.max,
                 "window {window}: {d:?}"
             );
-            baseline = h.cells();
+            local.flush_into(&h);
+            total += len as u64;
+            let all = h.snapshot();
+            assert_eq!(all.count, total, "window {window}");
+            assert!(
+                all.p50 <= all.p90 && all.p90 <= all.p99 && all.p99 <= all.max,
+                "window {window}: {all:?}"
+            );
         }
     }
 

@@ -26,20 +26,16 @@ pub mod json;
 pub mod registry;
 pub mod span;
 pub mod trace;
-pub mod window;
 
 pub use export::{render_prometheus, write_json_snapshot};
 pub use flight::{
-    flight, AnomalyKind, AnomalySnapshot, CacheVerdict, DispositionMark, FlightEvent, FlightKind,
-    FlightRecorder, Stage, NO_PROXY, NO_REQUEST, NO_WORKER,
+    flight, CacheVerdict, DispositionMark, FlightEvent, FlightKind, FlightRecorder, Stage,
+    NO_PROXY, NO_REQUEST, NO_WORKER,
 };
-pub use histogram::{
-    Histogram, HistogramCells, HistogramSnapshot, LocalHistogram, RELATIVE_ERROR_BOUND,
-};
+pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram, RELATIVE_ERROR_BOUND};
 pub use json::Json;
 pub use registry::{
     enabled, global, set_enabled, Counter, Gauge, MetricKey, MetricValue, Registry,
 };
 pub use span::Span;
 pub use trace::{BorderHop, CacheOutcome, ChildTrace, CspStage, RouteTrace, TraceHop};
-pub use window::{SloConfig, SloTracker, WindowFrame};

@@ -28,11 +28,6 @@ impl Counter {
         Counter::default()
     }
 
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
@@ -262,7 +257,7 @@ mod tests {
                     // Re-fetching the handle per iteration also exercises
                     // concurrent get-or-create on the same key.
                     for _ in 0..10_000 {
-                        reg.counter("test.hits").inc();
+                        reg.counter("test.hits").add(1);
                     }
                 });
             }
@@ -287,7 +282,7 @@ mod tests {
     fn snapshot_walks_keys_in_stable_order() {
         let reg = Registry::new();
         reg.gauge("z.last").set(1.0);
-        reg.counter("a.first").inc();
+        reg.counter("a.first").add(1);
         reg.histogram("m.middle").record(2.0);
         let names: Vec<String> = reg
             .snapshot()
@@ -301,7 +296,7 @@ mod tests {
     #[should_panic(expected = "another type")]
     fn type_mismatch_panics() {
         let reg = Registry::new();
-        reg.counter("x").inc();
+        reg.counter("x").add(1);
         reg.gauge("x").set(1.0);
     }
 }

@@ -2,22 +2,21 @@
 //!
 //! Drives each instrumented subsystem once with telemetry on — a build,
 //! a flooding and a tree state-protocol run, a cold and a warm `serve`
-//! on an engine with an SLO tracker and the flight recorder attached,
-//! and an admission batch with a live `Down` — then checks that the
-//! registry's snapshot (the keys `son --metrics <path>` writes) holds
-//! every key below. Its own test binary, because it switches on the
-//! process-wide registry and flight recorder.
+//! with the flight recorder on, and an admission batch with a live
+//! `Down` — then checks that the registry's snapshot (the keys
+//! `son --metrics <path>` writes) holds every key below. Its own test
+//! binary, because it switches on the process-wide registry and flight
+//! recorder.
 
 use son_core::{
     flight, render_prometheus, set_telemetry_enabled, telemetry, AdmissionConfig, DissemMode,
     EngineConfig, Environment, FaultPlan, Health, NodeId, ProtocolConfig, ServiceOverlay, SimTime,
-    SloConfig, SloTracker, SonConfig, StateProtocol,
+    SonConfig, StateProtocol,
 };
-use std::sync::Arc;
 
 /// Keys that must appear in the snapshot. A key ending in `=` names a
 /// labelled family and matches any of its members.
-const KEYS: [&str; 28] = [
+const KEYS: [&str; 22] = [
     // serving, cold and warm
     "engine.cache.hits",
     "engine.cache.csp_hits",
@@ -36,13 +35,6 @@ const KEYS: [&str; 28] = [
     // flight recorder
     "flight.events",
     "flight.dropped",
-    "flight.anomalies",
-    // SLO windows
-    "slo.availability",
-    "slo.windows",
-    "slo.breaches",
-    "slo.window.burn_rate",
-    "slo.window.p99_us",
     // admission
     "engine.admission.optimal",
     "engine.admission.degraded",
@@ -98,17 +90,8 @@ fn every_subsystem_publishes_its_metric_keys() {
     }
     assert!(registry.gauge("state.tree.depth").get() >= 1.0);
 
-    // A cold and a warm batch with every request on the flight timeline
-    // and an SLO tracker ticking.
-    let engine = overlay.engine(EngineConfig {
-        flight_sample: 1,
-        ..EngineConfig::default()
-    });
-    let slo = Arc::new(SloTracker::new(SloConfig {
-        window_ticks: 8,
-        ..SloConfig::default()
-    }));
-    engine.attach_slo(Arc::clone(&slo));
+    // A cold and a warm batch with the flight recorder on.
+    let engine = overlay.engine(EngineConfig::default());
     let batch = overlay.generate_client_requests(32, 42 ^ 0xF00D);
     let cold = engine.serve(&batch);
     let warm = engine.serve(&batch);
@@ -138,7 +121,6 @@ fn every_subsystem_publishes_its_metric_keys() {
     assert!(after.report.admission.health_drops > 0, "{after:?}");
 
     flight().publish(registry);
-    slo.publish(registry);
     assert_eq!(registry.gauge("flight.dropped").get(), 0.0);
 
     let exported: Vec<String> = registry
