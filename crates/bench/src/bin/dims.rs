@@ -45,7 +45,7 @@ fn main() {
             full += overlay.true_length(&f);
             n += 1;
         }
-        let err = overlay.stats().embedding_error;
+        let err = overlay.embedding_error();
         println!(
             "{:>5} {:>11.1}% {:>11.1}% {:>10} {:>12.1} {:>14.1}",
             dims,

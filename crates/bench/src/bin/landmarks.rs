@@ -29,7 +29,7 @@ fn main() {
         let mut env = environment_for(proxies, 42);
         env.landmarks = m;
         let overlay = ServiceOverlay::build(&SonConfig::from_environment(env));
-        let err = overlay.stats().embedding_error;
+        let err = overlay.embedding_error();
         // O(m²) landmark probes + O(n·m) host probes.
         let measurements = m * (m - 1) / 2 + proxies * m;
         println!(

@@ -267,6 +267,7 @@ impl GnpEmbedding {
     /// # Panics
     ///
     /// Panics if either node was not embedded.
+    #[cfg(test)]
     fn predicted_delay(&self, a: NodeId, b: NodeId) -> f64 {
         let ca = self
             .coordinates(a)
@@ -277,46 +278,60 @@ impl GnpEmbedding {
         ca.distance(cb)
     }
 
-    /// Samples host pairs and reports relative prediction error against
-    /// true shortest-path delays (up to 30 sources to bound cost).
-    pub fn relative_error_stats(&self, graph: &Graph, hosts: &[NodeId]) -> ErrorStats {
-        let step = (hosts.len() / 30).max(1);
-        let sources: Vec<NodeId> = hosts.iter().copied().step_by(step).collect();
-        // Sized once and sorted in place: grown by doubling and merge-
-        // sorted, this was the build's largest transient at 10k hosts.
-        let mut errors = Vec::with_capacity(sources.len() * hosts.len());
-        for &src in &sources {
-            let true_d = graph.dijkstra(src);
-            for &dst in hosts {
-                if dst == src {
-                    continue;
-                }
-                let t = true_d[dst.index()];
-                if !t.is_finite() || t <= 0.0 {
-                    continue;
-                }
-                let p = self.predicted_delay(src, dst);
-                errors.push((p - t).abs() / t);
+    /// [`relative_error`] of this embedding's predictions for `hosts`.
+    #[cfg(test)]
+    fn relative_error_stats(&self, graph: &Graph, hosts: &[NodeId]) -> ErrorStats {
+        relative_error(graph, hosts, |a, b| {
+            self.predicted_delay(hosts[a], hosts[b])
+        })
+    }
+}
+
+/// Samples host pairs and reports relative prediction error against
+/// true shortest-path delays (up to 30 sources to bound cost);
+/// `predicted(a, b)` is the predicted delay between `hosts[a]` and
+/// `hosts[b]`.
+pub fn relative_error(
+    graph: &Graph,
+    hosts: &[NodeId],
+    predicted: impl Fn(usize, usize) -> f64,
+) -> ErrorStats {
+    let step = (hosts.len() / 30).max(1);
+    let sources = (0..hosts.len()).step_by(step);
+    // Sized once and sorted in place: grown by doubling and merge-
+    // sorted, this was the build's largest transient at 10k hosts.
+    let mut errors = Vec::with_capacity(sources.len() * hosts.len());
+    for src in sources {
+        let true_d = graph.dijkstra(hosts[src]);
+        for (dst, &host) in hosts.iter().enumerate() {
+            if host == hosts[src] {
+                continue;
             }
+            let t = true_d[host.index()];
+            if !t.is_finite() || t <= 0.0 {
+                continue;
+            }
+            let p = predicted(src, dst);
+            errors.push((p - t).abs() / t);
         }
-        errors.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        let n = errors.len();
-        if n == 0 {
-            return ErrorStats {
-                mean: 0.0,
-                median: 0.0,
-                p90: 0.0,
-                max: 0.0,
-                samples: 0,
-            };
-        }
-        ErrorStats {
-            mean: errors.iter().sum::<f64>() / n as f64,
-            median: errors[n / 2],
-            p90: errors[(n as f64 * 0.9) as usize % n],
-            max: errors[n - 1],
-            samples: n,
-        }
+    }
+    errors.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+    let n = errors.len();
+    if n == 0 {
+        return ErrorStats {
+            mean: 0.0,
+            median: 0.0,
+            p90: 0.0,
+            max: 0.0,
+            samples: 0,
+        };
+    }
+    ErrorStats {
+        mean: errors.iter().sum::<f64>() / n as f64,
+        median: errors[n / 2],
+        p90: errors[(n as f64 * 0.9) as usize % n],
+        max: errors[n - 1],
+        samples: n,
     }
 }
 

@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use son_netsim::topology::{PhysicalNetwork, TransitStubConfig};
-//! use son_coords::{EmbeddingConfig, GnpEmbedding, select_landmarks_maxmin};
+//! use son_coords::{relative_error, EmbeddingConfig, GnpEmbedding, select_landmarks_maxmin};
 //!
 //! let net = PhysicalNetwork::generate(&TransitStubConfig::default());
 //! let stubs = net.stub_nodes();
@@ -32,7 +32,8 @@
 //!     &EmbeddingConfig::default(),
 //! );
 //! // Predicted distances roughly track true delays.
-//! let err = embedding.relative_error_stats(net.graph(), &hosts);
+//! let at = |host| embedding.coordinates(host).expect("embedded");
+//! let err = relative_error(net.graph(), &hosts, |a, b| at(hosts[a]).distance(at(hosts[b])));
 //! assert!(err.median < 0.5, "median relative error {}", err.median);
 //! ```
 
@@ -41,7 +42,7 @@ pub mod landmark;
 pub mod neldermead;
 pub mod space;
 
-pub use embedding::{EmbeddingConfig, ErrorStats, GnpEmbedding};
+pub use embedding::{relative_error, EmbeddingConfig, ErrorStats, GnpEmbedding};
 pub use landmark::select_landmarks_maxmin;
 pub use neldermead::{minimize, NelderMeadConfig};
 pub use space::Coordinates;

@@ -121,10 +121,11 @@ fn cmd_build(args: &Args) {
     println!("clusters        : {}", stats.clusters);
     println!("largest cluster : {}", stats.max_cluster_size);
     println!("border proxies  : {}", stats.border_proxies);
+    let error = overlay.embedding_error();
     println!(
         "embedding error : median {:.1}%, p90 {:.1}%",
-        stats.embedding_error.median * 100.0,
-        stats.embedding_error.p90 * 100.0
+        error.median * 100.0,
+        error.p90 * 100.0
     );
 }
 

@@ -25,15 +25,17 @@
 //! protocol runs (Section 4) — everything the evaluation needs.
 
 use son_clustering::{mst_euclidean, Clustering, ZahnClusterer, ZahnConfig};
-use son_coords::{select_landmarks_maxmin, EmbeddingConfig, ErrorStats, GnpEmbedding};
+use son_coords::{
+    relative_error, select_landmarks_maxmin, EmbeddingConfig, ErrorStats, GnpEmbedding,
+};
 use son_netsim::faults::FaultPlan;
 use son_netsim::graph::NodeId;
 use son_netsim::topology::{PhysicalNetwork, TransitStubConfig};
 use son_netsim::SimTime;
 use son_overlay::{
-    BorderSelection, CachedDelays, CoordDelays, HfcTopology, Hierarchy, HierarchyConfig,
-    MeshConfig, MeshTopology, ProxyId, QosProfile, QosRequirement, ServiceId, ServiceRequest,
-    ServiceSet, StatusMap,
+    BorderSelection, CachedDelays, CoordDelays, DelayModel, HfcTopology, Hierarchy,
+    HierarchyConfig, MeshConfig, MeshTopology, ProxyId, QosProfile, QosRequirement, ServiceId,
+    ServiceRequest, ServiceSet, StatusMap,
 };
 use son_routing::{
     FlatRouter, HierConfig, HierarchicalRouter, ProviderIndex, RouteError, ServicePath,
@@ -46,7 +48,7 @@ use son_workload::{
     assign_qos, assign_services, generate_requests, place_proxies_excluding, Environment,
     RequestProfile,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Everything needed to build a [`ServiceOverlay`].
@@ -210,8 +212,6 @@ impl StageTimings {
 /// Timing and quality metadata from a build.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuildStats {
-    /// Relative error of the coordinate embedding over sampled pairs.
-    pub embedding_error: ErrorStats,
     /// Number of clusters detected.
     pub clusters: usize,
     /// Size of the largest cluster.
@@ -237,6 +237,11 @@ pub struct ServiceOverlay {
     clustering: Clustering,
     hfc: HfcTopology,
     stats: BuildStats,
+    /// [`ServiceOverlay::embedding_error`], once read.
+    embedding_error: OnceLock<ErrorStats>,
+    /// Every proxy's services as one provider index, once a mesh route
+    /// reads it.
+    providers: OnceLock<ProviderIndex>,
 }
 
 impl ServiceOverlay {
@@ -269,7 +274,7 @@ impl ServiceOverlay {
         });
 
         // Distance map via GNP (what the deployed system would know).
-        let (predicted, embedding_error) = timings.time(BuildStage::Embedding, || {
+        let predicted = timings.time(BuildStage::Embedding, || {
             let embedding_config = EmbeddingConfig {
                 threads: config.threads,
                 ..config.embedding.clone()
@@ -280,8 +285,7 @@ impl ServiceOverlay {
                 &attachments,
                 &embedding_config,
             );
-            let error = embedding.relative_error_stats(physical.graph(), &attachments);
-            let predicted = CoordDelays::new(
+            CoordDelays::new(
                 attachments
                     .iter()
                     .map(|&a| {
@@ -291,8 +295,7 @@ impl ServiceOverlay {
                             .clone()
                     })
                     .collect(),
-            );
-            (predicted, error)
+            )
         });
 
         // Ground truth for evaluation — lazy rows, so building the
@@ -347,7 +350,6 @@ impl ServiceOverlay {
         });
 
         let stats = BuildStats {
-            embedding_error,
             clusters: hfc.cluster_count(),
             max_cluster_size: clustering.max_cluster_size(),
             border_proxies: hfc.all_border_proxies().len(),
@@ -366,6 +368,8 @@ impl ServiceOverlay {
             clustering,
             hfc,
             stats,
+            embedding_error: OnceLock::new(),
+            providers: OnceLock::new(),
         }
     }
 
@@ -383,6 +387,7 @@ impl ServiceOverlay {
             "one service set per proxy required"
         );
         self.services = services;
+        self.providers = OnceLock::new();
         self
     }
 
@@ -446,6 +451,17 @@ impl ServiceOverlay {
     /// Build quality metadata.
     pub fn stats(&self) -> &BuildStats {
         &self.stats
+    }
+
+    /// Relative error of the coordinate embedding over sampled proxy
+    /// pairs: predicted delays against true shortest paths, from up to
+    /// 30 sources. Computed on first read.
+    pub fn embedding_error(&self) -> ErrorStats {
+        *self.embedding_error.get_or_init(|| {
+            relative_error(self.physical.graph(), self.attachments(), |a, b| {
+                self.predicted.delay(ProxyId::new(a), ProxyId::new(b))
+            })
+        })
     }
 
     /// Physical attachment points of the clients (Table 1's client
@@ -609,7 +625,9 @@ impl ServiceOverlay {
         mesh: &MeshTopology,
         request: &ServiceRequest,
     ) -> Result<ServicePath, RouteError> {
-        let providers = ProviderIndex::from_service_sets(&self.services);
+        let providers = self
+            .providers
+            .get_or_init(|| ProviderIndex::from_service_sets(&self.services));
         let router = FlatRouter::new(providers, mesh);
         router.route_expanded(request, |a, b| mesh.hops(a, b))
     }
@@ -741,9 +759,9 @@ mod tests {
     fn embedding_is_usable() {
         let o = overlay();
         assert!(
-            o.stats().embedding_error.median < 0.5,
+            o.embedding_error().median < 0.5,
             "median relative error {:?}",
-            o.stats().embedding_error
+            o.embedding_error()
         );
     }
 
@@ -840,10 +858,7 @@ mod tests {
             (stats.clusters, stats.max_cluster_size, stats.border_proxies),
             (38, 74, 144)
         );
-        assert_eq!(
-            stats.embedding_error.median.to_bits(),
-            0x3fc4_8035_bb29_7743
-        );
+        assert_eq!(o.embedding_error().median.to_bits(), 0x3fc4_8035_bb29_7743);
     }
 }
 

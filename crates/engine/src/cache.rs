@@ -713,7 +713,7 @@ impl NegativeCache {
 mod tests {
     use super::*;
     use son_overlay::{ProxyId, ServiceGraph, ServiceId};
-    use son_routing::PathBuilder;
+    use son_routing::{CspRouter, HierConfig, HierarchicalRouter, PathBuilder};
 
     fn request(src: usize, services: &[usize], dst: usize) -> ServiceRequest {
         ServiceRequest::new(
@@ -978,17 +978,17 @@ mod tests {
         assert_eq!(budget.load(Ordering::Relaxed), 10, "no token spent");
     }
 
-    fn frontier(n: usize) -> Arc<CspFrontier> {
-        Arc::new(CspFrontier {
-            candidates: (0..n)
-                .map(|i| son_routing::CspCandidate {
-                    chain: vec![(son_overlay::StageId::new(0), ClusterId::new(i))],
-                    cost: i as f64,
-                    cluster: ClusterId::new(i),
-                    entry: ProxyId::new(i),
-                })
-                .collect(),
-        })
+    /// The frontier of a real solve over the paper's worked example:
+    /// services S1 to S`stages` in a chain from C0.2 to C2.1.
+    fn frontier(stages: usize) -> Arc<CspFrontier> {
+        let (hfc, delays, services) = son_routing::fixtures::paper_example();
+        let router =
+            HierarchicalRouter::from_services(&hfc, &services, &delays, HierConfig::default());
+        let chain: Vec<usize> = (1..=stages).collect();
+        let frontier = router
+            .solve_frontier(&request(2, &chain, 9))
+            .expect("the example solves");
+        Arc::new(frontier)
     }
 
     #[test]
@@ -1027,6 +1027,7 @@ mod tests {
         let keys: Vec<CspKey> = (0..3)
             .map(|i| CspKey::encode(c0, ClusterId::new(i), None, &request(0, &[1], 2)).unwrap())
             .collect();
+        assert_ne!(frontier(1), frontier(2));
         cache.insert(keys[0].clone(), 1, frontier(1));
         assert_eq!(cache.lookup(&keys[0], 1).unwrap(), frontier(1));
         // Another epoch: dropped on sight, no stale serve for frontiers.

@@ -384,28 +384,35 @@ impl<'a, D: DelayModel> HfcDelays<'a, D> {
     /// `[a, b]` inside a cluster, `[a, b_ij, b_ji, b]` across clusters
     /// (with duplicate consecutive hops collapsed).
     pub fn hops(&self, a: ProxyId, b: ProxyId) -> Vec<ProxyId> {
+        let (hops, len) = self.hop_array(a, b);
+        hops[..len].to_vec()
+    }
+
+    /// [`HfcDelays::hops`] in a fixed array: the first `len` entries.
+    fn hop_array(&self, a: ProxyId, b: ProxyId) -> ([ProxyId; 4], usize) {
         let ca = self.topology.cluster_of(a);
         let cb = self.topology.cluster_of(b);
-        let mut hops = vec![a];
-        if ca != cb {
+        let stops = if ca == cb {
+            [b; 3]
+        } else {
             let pair = self.topology.border(ca, cb);
-            if *hops.last().expect("non-empty") != pair.local {
-                hops.push(pair.local);
-            }
-            if *hops.last().expect("non-empty") != pair.remote {
-                hops.push(pair.remote);
+            [pair.local, pair.remote, b]
+        };
+        let (mut hops, mut len) = ([a; 4], 1);
+        for stop in stops {
+            if hops[len - 1] != stop {
+                hops[len] = stop;
+                len += 1;
             }
         }
-        if *hops.last().expect("non-empty") != b {
-            hops.push(b);
-        }
-        hops
+        (hops, len)
     }
 }
 
 impl<D: DelayModel> DelayModel for HfcDelays<'_, D> {
     fn delay(&self, a: ProxyId, b: ProxyId) -> f64 {
-        self.hops(a, b)
+        let (hops, len) = self.hop_array(a, b);
+        hops[..len]
             .windows(2)
             .map(|w| self.inner.delay(w[0], w[1]))
             .sum()

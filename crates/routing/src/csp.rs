@@ -11,67 +11,138 @@
 //! in the intra-cluster child solves.
 //!
 //! [`CspFrontier`] captures exactly the reusable part: every sink state
-//! of the DP with its cost, entry proxy, and backtracked cluster chain,
-//! in the deterministic order the solver enumerates them. Replaying the
-//! closing step over a frontier ([`CspRouter::route_from_frontier`])
-//! selects the same chain the full solve would, bit for bit, because it
-//! *is* the full solve's closing loop — the serving engine caches
-//! frontiers keyed by (ingress cluster, source class, destination
-//! cluster, service-DAG shape) and shares them across concrete
-//! requests.
+//! of the DP with its cost and entry proxy, in the deterministic order
+//! the solver enumerates them, and the backtracked cluster chains of
+//! all of them as one back-pointer tree. Replaying the closing step
+//! over a frontier ([`CspRouter::route_from_frontier`]) selects the same
+//! chain the full solve would, bit for bit, because it *is* the full
+//! solve's closing loop — the serving engine caches frontiers keyed by
+//! (ingress cluster, source class, destination cluster, service-DAG
+//! shape) and shares them across concrete requests.
 
 use crate::flat::RouteError;
+use crate::level::{Node, NO_PARENT};
 use crate::path::ServicePath;
 use crate::trace::TraceRouter;
 use son_overlay::{ClusterId, ProxyId, ServiceRequest, StageId};
 
-/// One sink state of the cluster-level DP: a complete stage→cluster
-/// chain, the cost of reaching its final state (before the closing
-/// leg), and the proxy through which the path entered the final
-/// cluster.
-///
-/// When `entry` is a proxy the planner has no coordinates for (the
-/// typical client source), its identity never contributes to any cost
-/// term — frontiers are then exact for *any* such source, which is what
-/// makes cross-request reuse sound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CspCandidate {
-    /// Cluster assigned to each stage, in path order, ending at the
-    /// sink stage this state belongs to.
-    pub chain: Vec<(StageId, ClusterId)>,
+/// [`Sink::entry`] of a path that never left the source's cluster and
+/// entered it at no border: the request's own source.
+const AT_SOURCE: u32 = u32::MAX;
+
+/// One sink state of the cluster-level DP.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Sink {
     /// Cost accumulated by the DP up to (and including) entering the
     /// final cluster — the closing leg to the destination is not
     /// included.
-    pub cost: f64,
-    /// The final cluster of the chain.
-    pub cluster: ClusterId,
+    cost: f64,
     /// The proxy through which the path entered the final cluster (a
-    /// border's remote end, or the request source while still in its
-    /// own cluster).
-    pub entry: ProxyId,
+    /// border's remote end), or [`AT_SOURCE`]. A source the planner has
+    /// no coordinates for never contributes to any cost term, so the
+    /// frontier is then exact for *any* such source — which is what
+    /// makes cross-request reuse sound.
+    entry: u32,
+    /// The tree node of the final (stage, cluster) of the chain.
+    node: u32,
+}
+
+impl Sink {
+    /// A sink state entered through `entry` (`None`: at the source),
+    /// its chain ending at tree node `node`.
+    pub(crate) fn new(cost: f64, entry: Option<ProxyId>, node: u32) -> Self {
+        Sink {
+            cost,
+            entry: entry.map_or(AT_SOURCE, |proxy| proxy.index() as u32),
+            node,
+        }
+    }
 }
 
 /// Every sink state of one cluster-level solve, in the exact order the
-/// solver's closing loop enumerates them. Closing a frontier at a
-/// concrete destination reproduces the full solve's selection,
-/// including tie-breaks.
+/// solver's closing loop enumerates them, and their stage→cluster
+/// chains as one back-pointer tree. Closing a frontier at a concrete
+/// destination reproduces the full solve's selection, including
+/// tie-breaks.
+///
+/// A state of the DP lies on the chains of many sinks; the tree holds
+/// it once, as a `(parent, stage, cluster)` node, so a frontier is two
+/// exactly sized arrays whatever its chains share.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CspFrontier {
     /// The sink states, in enumeration order.
-    pub candidates: Vec<CspCandidate>,
+    sinks: Box<[Sink]>,
+    /// The states on the sinks' chains.
+    tree: Box<[Node<ClusterId>]>,
 }
 
 impl CspFrontier {
+    /// A frontier of `sinks`, whose chains `tree` holds.
+    pub(crate) fn new(sinks: Box<[Sink]>, tree: Box<[Node<ClusterId>]>) -> Self {
+        CspFrontier { sinks, tree }
+    }
+
     /// Number of sink states carried.
     pub fn len(&self) -> usize {
-        self.candidates.len()
+        self.sinks.len()
     }
 
     /// `true` when no sink state was reachable.
     pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
+        self.sinks.is_empty()
+    }
+
+    /// Every sink state as the closing loop reads it: `(cost, final
+    /// cluster, entry proxy)`, the path of `source` counting as entered
+    /// at `source`.
+    pub(crate) fn sinks(
+        &self,
+        source: ProxyId,
+    ) -> impl ExactSizeIterator<Item = (f64, ClusterId, ProxyId)> + '_ {
+        self.sinks.iter().map(move |sink| {
+            let entry = if sink.entry == AT_SOURCE {
+                source
+            } else {
+                ProxyId::new(sink.entry as usize)
+            };
+            (sink.cost, self.tree[sink.node as usize].unit, entry)
+        })
+    }
+
+    /// The stage→cluster chain of sink state `sink`, in path order.
+    pub(crate) fn chain(&self, sink: usize) -> Vec<(StageId, ClusterId)> {
+        let up = || {
+            std::iter::successors(Some(&self.tree[self.sinks[sink].node as usize]), |node| {
+                (node.parent != NO_PARENT).then(|| &self.tree[node.parent as usize])
+            })
+        };
+        let mut chain = Vec::with_capacity(up().count());
+        chain.extend(up().map(|node| (node.stage, node.unit)));
+        chain.reverse();
+        chain
+    }
+
+    /// Every sink state written out in full, as the chain-per-sink
+    /// frontier the tree replaced held it: `(chain, cost bits, final
+    /// cluster, entry)`, in enumeration order.
+    #[cfg(test)]
+    pub(crate) fn decode(&self, source: ProxyId) -> Vec<Decoded> {
+        self.sinks(source)
+            .enumerate()
+            .map(|(i, (cost, cluster, entry))| (self.chain(i), cost.to_bits(), cluster, entry))
+            .collect()
+    }
+
+    /// Number of nodes in the tree.
+    #[cfg(test)]
+    pub(crate) fn nodes(&self) -> usize {
+        self.tree.len()
     }
 }
+
+/// One sink state of [`CspFrontier::decode`].
+#[cfg(test)]
+pub(crate) type Decoded = (Vec<(StageId, ClusterId)>, u64, ClusterId, ProxyId);
 
 /// A full router whose cluster-level solve can also be split into a
 /// reusable frontier plus a per-request closing replay.

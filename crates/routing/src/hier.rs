@@ -34,7 +34,7 @@
 //! cluster and every border proxy, and prices what it does not know at
 //! the lower bound zero.
 
-use crate::csp::{CspCandidate, CspFrontier, CspRouter};
+use crate::csp::{CspFrontier, CspRouter, Sink};
 use crate::flat::RouteError;
 use crate::level::{LevelTable, Solved, Start};
 use crate::path::{PathBuilder, ServicePath};
@@ -725,9 +725,9 @@ where
     }
 
     /// The top-level DP (Section 5 steps 1–2) up to — but not including
-    /// — the closing leg at the destination: every sink state is
-    /// backtracked into a [`CspCandidate`] and returned, in the exact
-    /// order the closing loop enumerates them.
+    /// — the closing leg at the destination: every sink state, in the
+    /// exact order the closing loop enumerates them, and their chains as
+    /// one back-pointer tree.
     fn sink_frontier(
         &self,
         request: &ServiceRequest,
@@ -737,19 +737,15 @@ where
         let top = self.top_level();
         let solved =
             self.solve_level(top, 0, request.source, request.destination, graph, excluded)?;
-        let candidates: Vec<CspCandidate> = solved
-            .sinks(graph)
-            .map(|sink| CspCandidate {
-                chain: solved.chain(sink.at, ClusterId::new),
-                cost: sink.cost,
-                cluster: ClusterId::new(sink.unit),
-                entry: sink.entry.unwrap_or(request.source),
-            })
-            .collect();
-        if candidates.is_empty() {
+        let (sinks, tree) = solved.into_tree(
+            graph,
+            |sink, node| Sink::new(sink.cost, sink.entry, node),
+            ClusterId::new,
+        );
+        if sinks.is_empty() {
             return Err(RouteError::Infeasible);
         }
-        Ok(CspFrontier { candidates })
+        Ok(CspFrontier::new(sinks, tree))
     }
 
     /// The DP of Section 5 steps 1–2 at `level` — the [level
@@ -1054,13 +1050,12 @@ where
         request: &ServiceRequest,
         frontier: &CspFrontier,
     ) -> Result<ServicePath, RouteError> {
-        let candidates = frontier
-            .candidates
-            .iter()
+        let sinks = frontier
+            .sinks(request.source)
             .enumerate()
-            .map(|(i, c)| (i, c.cost, c.cluster.index(), c.entry));
-        let (estimate, i) = self.close(self.top_level(), request.destination, candidates)?;
-        let plan = self.plan_from_chain(request, estimate, frontier.candidates[i].chain.clone());
+            .map(|(i, (cost, cluster, entry))| (i, cost, cluster.index(), entry));
+        let (estimate, i) = self.close(self.top_level(), request.destination, sinks)?;
+        let plan = self.plan_from_chain(request, estimate, frontier.chain(i));
         Ok(self.conquer(request, plan)?.path)
     }
 }
@@ -1357,6 +1352,82 @@ mod tests {
             assert_eq!(frontier_a, frontier_b, "frontiers must be source-invariant");
             assert_eq!(borrowed, own.path, "replay via {a}'s frontier diverged");
         }
+    }
+
+    /// What the frontier's back-pointer tree promises, on a lattice
+    /// world whose integer delays tie everywhere: each sink's decoded
+    /// chain is the one the solver backtracks, chains share their
+    /// prefixes, and two unknown sources of one cluster — whose paths
+    /// may end without leaving it — solve to `==` frontiers.
+    #[test]
+    fn frontier_tree_decodes_the_solver_chains_and_shares_prefixes() {
+        // Four clusters of six proxies on a 2 × 3 grid each, ten apart
+        // under the Manhattan metric; proxy `p` carries the services
+        // `p % 4` and `(p + 1) % 4`.
+        let points: Vec<(i32, i32)> = (0..24)
+            .map(|p| {
+                let (cluster, at) = (p / 6, p % 6);
+                (10 * (cluster % 2) + at % 2, 10 * (cluster / 2) + at / 2)
+            })
+            .collect();
+        let values = points
+            .iter()
+            .flat_map(|a| {
+                points
+                    .iter()
+                    .map(move |b| f64::from((a.0 - b.0).abs() + (a.1 - b.1).abs()))
+            })
+            .collect();
+        let delays = son_overlay::DelayMatrix::from_values(24, values);
+        let labels: Vec<usize> = (0..24).map(|p| p / 6).collect();
+        let hfc = HfcTopology::build(&son_clustering::Clustering::from_labels(&labels), &delays);
+        let services: Vec<ServiceSet> = (0..24)
+            .map(|p| [sid(p % 4), sid((p + 1) % 4)].into_iter().collect())
+            .collect();
+        let router =
+            HierarchicalRouter::from_services(&hfc, &services, &delays, HierConfig::default());
+
+        let unknown: Vec<ProxyId> = hfc
+            .members(ClusterId::new(0))
+            .iter()
+            .copied()
+            .filter(|&p| !hfc.is_border(p))
+            .collect();
+        assert!(unknown.len() >= 2, "cluster 0 has two interior proxies");
+        let graph = || ServiceGraph::linear(vec![sid(0), sid(2), sid(1), sid(3), sid(0)]);
+        let request = |source| ServiceRequest::new(source, graph(), ProxyId::new(23));
+
+        let first = request(unknown[0]);
+        let frontier = router.sink_frontier(&first, &[]).unwrap();
+        let solved = router
+            .solve_level(1, 0, first.source, first.destination, &first.graph, &[])
+            .unwrap();
+        let chains: Vec<_> = solved
+            .sinks(&first.graph)
+            .map(|sink| solved.chain(sink.at, ClusterId::new))
+            .collect();
+        assert_eq!(chains.len(), frontier.len());
+        for (i, chain) in chains.iter().enumerate() {
+            assert_eq!(&frontier.chain(i), chain, "sink {i}");
+        }
+        let total: usize = chains.iter().map(Vec::len).sum();
+        assert!(
+            frontier.nodes() < total,
+            "{} nodes for {total} chain entries",
+            frontier.nodes()
+        );
+        assert!(
+            frontier
+                .decode(first.source)
+                .iter()
+                .any(|(_, _, cluster, entry)| *cluster == ClusterId::new(0)
+                    && *entry == first.source),
+            "some path ends where it started"
+        );
+        assert_eq!(
+            router.sink_frontier(&request(unknown[1]), &[]).unwrap(),
+            frontier
+        );
     }
 
     /// The border table carries the load penalties, so a summary

@@ -1,8 +1,9 @@
 //! The map-based cluster-level DP the dense one in [`super`] replaced,
-//! kept as the oracle: whole frontiers must compare equal — chains,
-//! cost bits, clusters, entries, order.
+//! kept as the oracle: whole frontiers, decoded from their tree, must
+//! compare equal — chains, cost bits, clusters, entries, order.
 
 use super::*;
+use crate::csp::Decoded;
 use std::collections::BTreeMap;
 
 impl<D> HierarchicalRouter<'_, D>
@@ -11,7 +12,8 @@ where
 {
     /// The cluster-level DP (Section 5 steps 1–2) up to — but not
     /// including — the closing leg at the destination: every sink
-    /// state is backtracked into a [`CspCandidate`] and returned.
+    /// state is backtracked into its own chain and returned as
+    /// [`CspFrontier::decode`] writes a frontier out.
     ///
     /// States are `(stage, cluster, entry proxy)`: the entry proxy — the
     /// border through which the path entered the stage's cluster (or
@@ -31,7 +33,7 @@ where
         source_cluster: ClusterId,
         dest_cluster: ClusterId,
         excluded: &[(StageId, ClusterId)],
-    ) -> Result<CspFrontier, RouteError> {
+    ) -> Result<Vec<Decoded>, RouteError> {
         let graph = &request.graph;
 
         // Candidate clusters per stage, from aggregate state; the load
@@ -110,18 +112,13 @@ where
                     }
                 }
                 chain.reverse();
-                out.push(CspCandidate {
-                    chain,
-                    cost,
-                    cluster,
-                    entry,
-                });
+                out.push((chain, cost.to_bits(), cluster, entry));
             }
         }
         if out.is_empty() {
             return Err(RouteError::Infeasible);
         }
-        Ok(CspFrontier { candidates: out })
+        Ok(out)
     }
 
     /// The normalized DP state key for (cluster, entry): entries the
@@ -301,22 +298,16 @@ mod tests {
         fn compare<D: DelayModel>(&self, router: &HierarchicalRouter<'_, D>) -> TestCaseResult {
             let source_cluster = self.hfc.cluster_of(self.request.source);
             let dest_cluster = self.hfc.cluster_of(self.request.destination);
-            let exact = |frontier: Result<CspFrontier, RouteError>| {
-                frontier.map(|f| {
-                    f.candidates
-                        .into_iter()
-                        .map(|c| (c.chain, c.cost.to_bits(), c.cluster, c.entry))
-                        .collect::<Vec<_>>()
-                })
-            };
-            let dense = router.sink_frontier(&self.request, &self.excluded);
+            let dense = router
+                .sink_frontier(&self.request, &self.excluded)
+                .map(|frontier| frontier.decode(self.request.source));
             let reference = router.sink_frontier_reference(
                 &self.request,
                 source_cluster,
                 dest_cluster,
                 &self.excluded,
             );
-            prop_assert_eq!(exact(dense), exact(reference));
+            prop_assert_eq!(dense, reference);
             Ok(())
         }
 

@@ -31,8 +31,14 @@ use son_overlay::{BorderPair, ProxyId, ServiceGraph, StageId};
 
 /// `back` mark of a state no offer has reached.
 const ABSENT: u32 = u32::MAX;
-/// `back` mark of a state reached straight from the solve's source.
-const ROOT: u32 = u32::MAX - 1;
+/// `back` mark of a state reached straight from the solve's source;
+/// every (stage, state) index lies below it, so the bit above is free
+/// for [`Solved::into_tree`]'s mark.
+const ROOT: u32 = u32::MAX >> 1;
+/// The bit [`Solved::into_tree`] sets on a `back` entry it has counted.
+const COUNTED: u32 = !ROOT;
+/// [`Node::parent`] of a state reached straight from the solve's source.
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// The border pair of one ordered unit pair, as the DP reads it.
 #[derive(Debug, Clone, Copy, Default)]
@@ -398,22 +404,108 @@ pub(crate) struct Sink {
     pub entry: Option<ProxyId>,
 }
 
+/// One node of a [`Solved::into_tree`]: a state that some sink's
+/// mapping passes through.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Node<U> {
+    /// The node of the state this one was reached from, or
+    /// [`NO_PARENT`].
+    pub parent: u32,
+    /// The stage of the state.
+    pub stage: StageId,
+    /// The unit the stage is mapped onto.
+    pub unit: U,
+}
+
 impl Solved<'_> {
     /// Every reached sink state, in the order a closing loop must
     /// enumerate them: sinks in `graph.sinks()` order, states in
     /// visiting order.
     pub(crate) fn sinks<'s>(&'s self, graph: &'s ServiceGraph) -> impl Iterator<Item = Sink> + 's {
         let states = self.table.unit.len();
-        graph.sinks().into_iter().flat_map(move |sink| {
-            let base = sink.index() * states;
-            let (from, to) = self.live_at[sink.index()];
-            self.live[from..to].iter().map(move |&state| Sink {
-                at: base + state,
-                cost: self.cost[base + state],
-                unit: self.table.units[self.table.unit[state]],
-                entry: self.table.proxy[state],
-            })
-        })
+        graph
+            .sinks()
+            .into_iter()
+            .flat_map(move |sink| reached(sink, &self.live, &self.live_at, states))
+            .map(|at| Self::sink(self.table, &self.cost, at))
+    }
+
+    /// The sink state at `at`.
+    fn sink(table: &LevelTable, cost: &[f64], at: usize) -> Sink {
+        let state = at % table.unit.len();
+        Sink {
+            at,
+            cost: cost[at],
+            unit: table.units[table.unit[state]],
+            entry: table.proxy[state],
+        }
+    }
+
+    /// Every reached sink state and the mappings that reach them, as
+    /// one back-pointer tree: a state on several sinks' mappings is one
+    /// node. Returns, in [`Solved::sinks`] order, `sink(s, node)` for
+    /// each sink state `s` whose mapping ends at `nodes[node]`, and the
+    /// nodes, units passed through `unit`. Both come exactly sized: the
+    /// tree is counted and numbered in the solve's own `back` array,
+    /// which it uses up.
+    pub(crate) fn into_tree<S, U>(
+        mut self,
+        graph: &ServiceGraph,
+        sink: impl Fn(Sink, u32) -> S,
+        unit: impl Fn(usize) -> U,
+    ) -> (Box<[S]>, Box<[Node<U>]>) {
+        let table = self.table;
+        let states = table.unit.len();
+        let stages = graph.sinks();
+        let sinks_at = || {
+            stages
+                .iter()
+                .flat_map(|&stage| reached(stage, &self.live, &self.live_at, states))
+        };
+        // First pass: mark every state on a sink's mapping as counted.
+        let mut nodes = 0;
+        for mut at in sinks_at() {
+            while self.back[at] & COUNTED == 0 {
+                let prev = self.back[at];
+                self.back[at] |= COUNTED;
+                nodes += 1;
+                if prev == ROOT {
+                    break;
+                }
+                at = prev as usize;
+            }
+        }
+        // Second pass: number the counted states from each sink up to
+        // the first one numbered before. The number replaces the
+        // state's `back` entry; until the third pass, the node's
+        // `parent` holds that entry, its predecessor's index.
+        let mut sinks = Vec::with_capacity(sinks_at().count());
+        let mut tree = Vec::with_capacity(nodes);
+        for last in sinks_at() {
+            let mut at = last;
+            while self.back[at] & COUNTED != 0 {
+                let prev = self.back[at] & ROOT;
+                self.back[at] = tree.len() as u32;
+                tree.push(Node {
+                    parent: prev,
+                    stage: StageId::new(at / states),
+                    unit: unit(table.units[table.unit[at % states]]),
+                });
+                if prev == ROOT {
+                    break;
+                }
+                at = prev as usize;
+            }
+            sinks.push(sink(Self::sink(table, &self.cost, last), self.back[last]));
+        }
+        // Third pass: predecessor indices to node numbers.
+        for node in &mut tree {
+            node.parent = match node.parent {
+                ROOT => NO_PARENT,
+                prev => self.back[prev as usize],
+            };
+        }
+        (sinks.into_boxed_slice(), tree.into_boxed_slice())
     }
 
     /// The mapping that reaches the state at `at`, stage by stage,
@@ -434,6 +526,20 @@ impl Solved<'_> {
         chain.reverse();
         chain
     }
+}
+
+/// The (stage, state) index of every reached state of `stage`, in
+/// visiting order.
+fn reached<'a>(
+    stage: StageId,
+    live: &'a [usize],
+    live_at: &[(usize, usize)],
+    states: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    let (from, to) = live_at[stage.index()];
+    live[from..to]
+        .iter()
+        .map(move |&state| stage.index() * states + state)
 }
 
 #[cfg(test)]

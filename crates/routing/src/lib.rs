@@ -66,7 +66,7 @@ pub mod session;
 pub mod trace;
 
 pub use cost::{CostConfig, CostModel, LoadAwareDelays};
-pub use csp::{CspCandidate, CspFrontier, CspRouter};
+pub use csp::{CspFrontier, CspRouter};
 pub use flat::{FlatRouter, RouteError};
 pub use hier::{ChildSpec, HierConfig, HierRoute, HierarchicalRouter, RoutePlan, RouterTables};
 pub use path::{PathBuilder, PathHop, ServicePath, ValidatePathError};

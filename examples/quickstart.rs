@@ -17,10 +17,11 @@ fn main() {
     println!("proxies        : {}", overlay.proxy_count());
     println!("clusters       : {}", stats.clusters);
     println!("border proxies : {}", stats.border_proxies);
+    let error = overlay.embedding_error();
     println!(
         "embedding error: median {:.1}% (p90 {:.1}%)",
-        stats.embedding_error.median * 100.0,
-        stats.embedding_error.p90 * 100.0
+        error.median * 100.0,
+        error.p90 * 100.0
     );
 
     // Converge the distributed state protocol.

@@ -155,7 +155,7 @@ fn cold_serve_on_a_filled_epoch_allocations_are_pinned() {
     gate(
         "cold serve of 1 on a filled epoch",
         measured,
-        (846, 158_161),
+        (744, 153_937),
     );
 }
 
@@ -193,4 +193,60 @@ fn admission_batch_with_a_live_down_allocations_are_pinned() {
         measured,
         (1_478, 251_721),
     );
+}
+
+/// "HFC without aggregation" prices every provider pair of every
+/// service-graph edge, Σ|Pₛ|·|Pₛ₊₁| delays, each through the HFC border
+/// pair of its two clusters. Pricing a pair allocates nothing, so two
+/// requests of as many stages whose paths have as many hops allocate
+/// the same however many pairs they price.
+#[test]
+fn route_without_aggregation_allocations_do_not_grow_with_the_pairs_priced() {
+    set_telemetry_enabled(false);
+    let (overlay, requests) = world();
+    let router = overlay.hier_router();
+    let providers = |service| {
+        overlay
+            .services()
+            .iter()
+            .filter(|set| set.contains(service))
+            .count()
+    };
+    let _ = router.route_without_aggregation(&requests[0]);
+    // (stages, hops, pairs, allocations) of each request routed so far.
+    let mut seen: Vec<[u64; 4]> = Vec::new();
+    for request in requests {
+        let graph = &request.graph;
+        let pairs: usize = graph
+            .stage_ids()
+            .flat_map(|stage| {
+                graph
+                    .predecessors(stage)
+                    .iter()
+                    .map(move |&pred| (pred, stage))
+            })
+            .map(|(pred, stage)| providers(graph.service(pred)) * providers(graph.service(stage)))
+            .sum();
+        let mut hops = 0;
+        let (allocations, _) = counted(|| {
+            let path = router.route_without_aggregation(request).expect("routable");
+            hops = path.hops().len();
+        });
+        let run = [graph.len() as u64, hops as u64, pairs as u64, allocations];
+        if let Some(earlier) = seen.iter().find(|e| e[..2] == run[..2] && e[2] != run[2]) {
+            println!(
+                "route without aggregation, {} stages, {} hops: {} pairs {} allocations, \
+                 {} pairs {} allocations",
+                run[0], run[1], earlier[2], earlier[3], run[2], run[3]
+            );
+            assert_eq!(
+                earlier[3], run[3],
+                "pricing {} and {} pairs allocated differently",
+                earlier[2], run[2]
+            );
+            return;
+        }
+        seen.push(run);
+    }
+    panic!("no two requests of one shape price different numbers of pairs");
 }

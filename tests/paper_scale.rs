@@ -14,9 +14,9 @@ fn table1_smallest_row_end_to_end() {
     assert_eq!(overlay.proxy_count(), 250);
     assert!(overlay.hfc().cluster_count() > 5);
     assert!(
-        overlay.stats().embedding_error.median < 0.4,
+        overlay.embedding_error().median < 0.4,
         "{:?}",
-        overlay.stats().embedding_error
+        overlay.embedding_error()
     );
 
     let report = overlay.run_state_protocol();
