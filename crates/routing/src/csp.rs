@@ -11,14 +11,18 @@
 //! in the intra-cluster child solves.
 //!
 //! [`CspFrontier`] captures exactly the reusable part: every sink state
-//! of the DP with its cost and entry proxy, in the deterministic order
-//! the solver enumerates them, and the backtracked cluster chains of
-//! all of them as one back-pointer tree. Replaying the closing step
-//! over a frontier ([`CspRouter::route_from_frontier`]) selects the same
-//! chain the full solve would, bit for bit, because it *is* the full
-//! solve's closing loop — the serving engine caches frontiers keyed by
-//! (ingress cluster, source class, destination cluster, service-DAG
-//! shape) and shares them across concrete requests.
+//! of the DP that can win for some destination of the destination's
+//! unit, with its cost and entry proxy, in the deterministic order the
+//! solver enumerates them, and the backtracked cluster chains of all of
+//! them as one back-pointer tree. A sink is dropped when a lower bound
+//! on its closing total lies above another sink's upper bound for every
+//! destination of that unit, both read from the level table. Replaying
+//! the closing step over a frontier ([`CspRouter::route_from_frontier`])
+//! selects the same chain the full solve would, bit for bit, because it
+//! *is* the full solve's closing loop over every sink that could win —
+//! the serving engine caches frontiers keyed by (ingress cluster, source
+//! class, destination cluster, service-DAG shape) and shares them across
+//! concrete requests.
 
 use crate::flat::RouteError;
 use crate::level::{Node, NO_PARENT};
@@ -59,11 +63,13 @@ impl Sink {
     }
 }
 
-/// Every sink state of one cluster-level solve, in the exact order the
+/// Every sink state of one cluster-level solve that can win for some
+/// destination of the destination's unit, in the exact order the
 /// solver's closing loop enumerates them, and their stage→cluster
-/// chains as one back-pointer tree. Closing a frontier at a concrete
-/// destination reproduces the full solve's selection, including
-/// tie-breaks.
+/// chains as one back-pointer tree. Closing a frontier at any
+/// destination of that unit reproduces the full solve's selection,
+/// including tie-breaks: a dropped sink closes strictly above a kept
+/// one wherever the destination lies.
 ///
 /// A state of the DP lies on the chains of many sinks; the tree holds
 /// it once, as a `(parent, stage, cluster)` node, so a frontier is two
@@ -92,7 +98,7 @@ impl CspFrontier {
         self.sinks.is_empty()
     }
 
-    /// Every sink state as the closing loop reads it: `(cost, final
+    /// Every kept sink state as the closing loop reads it: `(cost, final
     /// cluster, entry proxy)`, the path of `source` counting as entered
     /// at `source`.
     pub(crate) fn sinks(
@@ -122,7 +128,7 @@ impl CspFrontier {
         chain
     }
 
-    /// Every sink state written out in full, as the chain-per-sink
+    /// Every kept sink state written out in full, as the chain-per-sink
     /// frontier the tree replaced held it: `(chain, cost bits, final
     /// cluster, entry)`, in enumeration order.
     #[cfg(test)]
@@ -133,9 +139,8 @@ impl CspFrontier {
             .collect()
     }
 
-    /// Number of nodes in the tree.
-    #[cfg(test)]
-    pub(crate) fn nodes(&self) -> usize {
+    /// Number of nodes in the tree that holds the sinks' chains.
+    pub fn nodes(&self) -> usize {
         self.tree.len()
     }
 }
@@ -147,15 +152,20 @@ pub(crate) type Decoded = (Vec<(StageId, ClusterId)>, u64, ClusterId, ProxyId);
 /// A full router whose cluster-level solve can also be split into a
 /// reusable frontier plus a per-request closing replay.
 ///
-/// Contract: for any request `r`,
-/// `route_from_frontier(r, &solve_frontier(r)?)` returns exactly what
-/// the router's plain `route_path(r)` returns — same hops, same cost,
+/// Contract: for any request `r` and any request `q` that shares its
+/// frontier key — the same service graph, a source in the same cluster
+/// that the solve sees alike (the same border or destination-cluster
+/// source, or any other source of that cluster), and a destination in
+/// the same top-level unit —
+/// `route_from_frontier(q, &solve_frontier(r)?)` returns exactly what
+/// the router's plain `route_path(q)` returns — same hops, same cost,
 /// same error. The split exists so callers may compute the frontier
 /// once and replay it for every request sharing the frontier's key;
 /// the supertrait lets the same router answer plain and traced solves.
 pub trait CspRouter: TraceRouter {
     /// Runs the cluster-level DP for `request` and returns its sink
-    /// frontier without closing at the destination.
+    /// frontier without closing at the destination: every sink that can
+    /// win for some destination of the destination's top-level unit.
     ///
     /// Not defined for empty service graphs (their cluster-level cost
     /// is a single concrete-endpoint lookup with nothing to reuse);

@@ -725,9 +725,10 @@ where
     }
 
     /// The top-level DP (Section 5 steps 1–2) up to — but not including
-    /// — the closing leg at the destination: every sink state, in the
-    /// exact order the closing loop enumerates them, and their chains as
-    /// one back-pointer tree.
+    /// — the closing leg at the destination: every sink state that can
+    /// win for some destination in the destination's top-level unit, in
+    /// the exact order the closing loop enumerates them, and their
+    /// chains as one back-pointer tree.
     fn sink_frontier(
         &self,
         request: &ServiceRequest,
@@ -739,6 +740,7 @@ where
             self.solve_level(top, 0, request.source, request.destination, graph, excluded)?;
         let (sinks, tree) = solved.into_tree(
             graph,
+            self.unit_of(top, request.destination),
             |sink, node| Sink::new(sink.cost, sink.entry, node),
             ClusterId::new,
         );
@@ -871,7 +873,9 @@ where
     /// The level solver's table over the
     /// [sibling units](HierarchicalRouter::siblings) of `level` inside
     /// `parent`: their border pairs, the known distance between two of
-    /// a unit's border proxies, the attached load summary.
+    /// a unit's border proxies, the attached load summary, and how far
+    /// a closing leg reaches from a border: inside a cluster to its
+    /// farthest member, above the clusters nowhere.
     fn table(&self, level: usize, parent: usize) -> &LevelTable {
         let levels = self.levels.get_or_init(|| {
             self.store
@@ -891,6 +895,15 @@ where
                     }
                 },
                 |unit| self.unit_routable(level, unit),
+                |border| match level {
+                    1 => self
+                        .hfc
+                        .members(self.hfc.cluster_of(border))
+                        .iter()
+                        .map(|&d| self.internal(1, border, d))
+                        .fold(0.0, f64::max),
+                    _ => 0.0,
+                },
             )
         })
     }
@@ -1265,24 +1278,36 @@ mod tests {
     }
 
     /// On the paper's bi-level example, and at the top level of a
-    /// depth-3 hierarchy (two regions of two clusters).
+    /// depth-3 hierarchy (two regions of two clusters): one frontier,
+    /// replayed for every destination in its destination's top-level
+    /// unit.
     #[test]
     fn frontier_replay_matches_plain_route() {
         let check = |router: &HierarchicalRouter<'_, &son_overlay::DelayMatrix>,
                      cases: &[(usize, Vec<usize>, usize)]| {
+            let top = router.top_level();
             for (src, svc, dst) in cases {
                 let request = ServiceRequest::new(
                     ProxyId::new(*src),
                     ServiceGraph::linear(svc.iter().map(|&i| sid(i)).collect()),
                     ProxyId::new(*dst),
                 );
-                let plain = router.route(&request).unwrap();
                 let frontier = router.solve_frontier(&request).unwrap();
-                let replayed = router.route_from_frontier(&request, &frontier).unwrap();
-                assert_eq!(
-                    plain.path, replayed,
-                    "frontier replay diverged for {src}→{dst} via {svc:?}"
-                );
+                let unit = router.unit_of(top, request.destination);
+                for dest in (0..router.proxy_count()).map(ProxyId::new) {
+                    if router.unit_of(top, dest) != unit {
+                        continue;
+                    }
+                    let request = ServiceRequest {
+                        destination: dest,
+                        ..request.clone()
+                    };
+                    assert_eq!(
+                        router.route(&request).map(|route| route.path),
+                        router.route_from_frontier(&request, &frontier),
+                        "frontier replay diverged for {src}→{dest} via {svc:?}"
+                    );
+                }
             }
         };
         let (hfc, delays, services) = paper_example();
@@ -1355,10 +1380,12 @@ mod tests {
     }
 
     /// What the frontier's back-pointer tree promises, on a lattice
-    /// world whose integer delays tie everywhere: each sink's decoded
-    /// chain is the one the solver backtracks, chains share their
-    /// prefixes, and two unknown sources of one cluster — whose paths
-    /// may end without leaving it — solve to `==` frontiers.
+    /// world whose integer delays tie everywhere: the kept sinks are
+    /// some of the solver's, in its order, and not all of them; each
+    /// one's decoded chain is the one the solver backtracks, chains
+    /// share their prefixes, and two unknown sources of one cluster —
+    /// whose paths may end without leaving it — solve to `==`
+    /// frontiers.
     #[test]
     fn frontier_tree_decodes_the_solver_chains_and_shares_prefixes() {
         // Four clusters of six proxies on a 2 × 3 grid each, ten apart
@@ -1402,14 +1429,30 @@ mod tests {
         let solved = router
             .solve_level(1, 0, first.source, first.destination, &first.graph, &[])
             .unwrap();
-        let chains: Vec<_> = solved
-            .sinks(&first.graph)
-            .map(|sink| solved.chain(sink.at, ClusterId::new))
+        // The kept sinks are some of the solver's, in its order; a sink
+        // stage's state is its (cluster, entry).
+        let mut reached = solved.sinks(&first.graph);
+        let chains: Vec<_> = frontier
+            .decode(first.source)
+            .into_iter()
+            .map(|(chain, cost, cluster, entry)| {
+                let sink = reached
+                    .find(|s| {
+                        ClusterId::new(s.unit) == cluster
+                            && s.entry.unwrap_or(first.source) == entry
+                    })
+                    .expect("a kept sink is a reached one");
+                assert_eq!(sink.cost.to_bits(), cost);
+                assert_eq!(solved.chain(sink.at, ClusterId::new), chain);
+                chain
+            })
             .collect();
-        assert_eq!(chains.len(), frontier.len());
-        for (i, chain) in chains.iter().enumerate() {
-            assert_eq!(&frontier.chain(i), chain, "sink {i}");
-        }
+        let dropped = solved.sinks(&first.graph).count() - chains.len();
+        assert!(
+            dropped > 0,
+            "no sink was dropped of {}",
+            chains.len() + dropped
+        );
         let total: usize = chains.iter().map(Vec::len).sum();
         assert!(
             frontier.nodes() < total,
@@ -1431,7 +1474,9 @@ mod tests {
     }
 
     /// The border table carries the load penalties, so a summary
-    /// attached after a solve must reprice it.
+    /// attached after a solve must reprice it. S3 is on offer in C1
+    /// alone, so every kept sink's chain enters C1 and pays its
+    /// penalty.
     #[test]
     fn cluster_load_attached_after_a_solve_is_honoured() {
         let (hfc, delays, services) = paper_example();
@@ -1442,7 +1487,7 @@ mod tests {
         let load = ClusterLoad::from_statuses(&hfc, &statuses, 100.0);
         let request = ServiceRequest::new(
             ProxyId::new(2),
-            ServiceGraph::linear(vec![sid(1), sid(2), sid(5)]),
+            ServiceGraph::linear(vec![sid(1), sid(3), sid(5)]),
             ProxyId::new(9),
         );
         let build =

@@ -1,6 +1,7 @@
 //! The map-based cluster-level DP the dense one in [`super`] replaced,
 //! kept as the oracle: whole frontiers, decoded from their tree, must
-//! compare equal — chains, cost bits, clusters, entries, order.
+//! compare equal — chains, cost bits, clusters, entries, order — with
+//! the oracle's own frontier filtered by the kept-sink rule.
 
 use super::*;
 use crate::csp::Decoded;
@@ -182,6 +183,7 @@ fn upsert(map: &mut StateMap, k: StateKey, cost: f64, prev: Option<PrevRef>, ent
 mod tests {
     use super::*;
     use crate::cost::{CostConfig, CostModel, LoadAwareDelays};
+    use crate::router::Router;
     use proptest::prelude::*;
     use son_clustering::Clustering;
     use son_overlay::{DelayMatrix, Health, ServiceId, StatusMap};
@@ -261,7 +263,10 @@ mod tests {
         }
 
         /// Solves with both implementations and compares whole
-        /// frontiers: chains, cost bits, clusters, entries, order.
+        /// frontiers — chains, cost bits, clusters, entries, order — the
+        /// oracle's filtered by the kept-sink rule; then closes the kept
+        /// frontier, the oracle's full one and a plain plan at every
+        /// member of the destination's cluster.
         fn check(&self) -> TestCaseResult {
             let config = HierConfig {
                 backtracking: self.backtracking,
@@ -296,19 +301,117 @@ mod tests {
         }
 
         fn compare<D: DelayModel>(&self, router: &HierarchicalRouter<'_, D>) -> TestCaseResult {
-            let source_cluster = self.hfc.cluster_of(self.request.source);
+            let (source, excluded) = (self.request.source, &self.excluded[..]);
+            let source_cluster = self.hfc.cluster_of(source);
             let dest_cluster = self.hfc.cluster_of(self.request.destination);
-            let dense = router
-                .sink_frontier(&self.request, &self.excluded)
-                .map(|frontier| frontier.decode(self.request.source));
-            let reference = router.sink_frontier_reference(
+            let frontier = router.sink_frontier(&self.request, excluded);
+            let full = router.sink_frontier_reference(
                 &self.request,
                 source_cluster,
                 dest_cluster,
-                &self.excluded,
+                excluded,
             );
-            prop_assert_eq!(dense, reference);
+            let dense = frontier.clone().map(|f| f.decode(source));
+            let (kept, bound) = match &full {
+                Ok(full) => {
+                    let (kept, bound) = self.winners(router, full);
+                    (Ok(kept), bound)
+                }
+                Err(err) => (Err(err.clone()), f64::INFINITY),
+            };
+            prop_assert_eq!(&dense, &kept);
+            if bound.is_finite() {
+                let infinite = dense
+                    .iter()
+                    .flatten()
+                    .filter(|s| f64::from_bits(s.1).is_infinite());
+                prop_assert_eq!(infinite.count(), 0, "an unbounded sink was kept");
+            } else {
+                prop_assert_eq!(&dense, &full, "a sink was dropped without a bound");
+            }
+
+            // Whatever destination of its cluster replays the frontier,
+            // it closes as the full frontier and the plain route do.
+            for &dest in self.hfc.members(dest_cluster) {
+                let request = ServiceRequest {
+                    destination: dest,
+                    ..self.request.clone()
+                };
+                let close = |sinks: Vec<Decoded>| {
+                    router
+                        .close(1, dest, sinks.into_iter().map(closable))
+                        .map(|(total, chain)| (total.to_bits(), chain))
+                };
+                let pruned = dense.clone().and_then(close);
+                let whole = full.clone().and_then(close);
+                let plain = router
+                    .plan_excluding(&request, excluded)
+                    .map(|plan| (plan.estimate.to_bits(), plan.csp));
+                prop_assert_eq!(&pruned, &whole, "pruned and full frontier close apart");
+                prop_assert_eq!(&pruned, &plain, "replay and plain planning close apart");
+                if excluded.is_empty() {
+                    let replayed = frontier
+                        .clone()
+                        .and_then(|f| router.route_from_frontier(&request, &f));
+                    prop_assert_eq!(replayed, router.route_path(&request));
+                }
+            }
             Ok(())
+        }
+
+        /// The sinks of a full frontier that the kept-sink rule keeps,
+        /// and its bound: the smallest finite upper bound on a total
+        /// over the destination's cluster, each bound summed from the
+        /// router's closing pieces and a scan of the cluster's members.
+        fn winners<D: DelayModel>(
+            &self,
+            router: &HierarchicalRouter<'_, D>,
+            full: &[Decoded],
+        ) -> (Vec<Decoded>, f64) {
+            let dest = self.hfc.cluster_of(self.request.destination);
+            let farthest = |from| {
+                self.hfc
+                    .members(dest)
+                    .iter()
+                    .map(|&d| router.known_internal(from, d, dest))
+                    .fold(0.0, f64::max)
+            };
+            let bounds: Vec<(f64, f64)> = full
+                .iter()
+                .map(|&(_, bits, cluster, entry)| {
+                    let cost = f64::from_bits(bits);
+                    // A source slot's row may be the solve's own.
+                    let source_slot = !self.hfc.is_border(entry);
+                    if cluster == dest {
+                        let upper = if source_slot {
+                            f64::INFINITY
+                        } else {
+                            cost + farthest(entry)
+                        };
+                        return (cost + 0.0, upper);
+                    }
+                    let pair = self.hfc.border(cluster, dest);
+                    let leave = router.leave(1, entry, pair, dest.index());
+                    let upper = if source_slot {
+                        f64::INFINITY
+                    } else {
+                        cost + (leave + farthest(pair.remote))
+                    };
+                    (cost + leave, upper)
+                })
+                .collect();
+            let bound = bounds
+                .iter()
+                .map(|b| b.1)
+                .filter(|b| b.is_finite())
+                .fold(f64::INFINITY, f64::min);
+            let kept = full
+                .iter()
+                .zip(&bounds)
+                .filter(|(_, b)| b.0 <= bound)
+                .map(|(sink, _)| sink.clone())
+                .collect();
+            (kept, bound)
         }
 
         fn proxies(&self) -> usize {
@@ -319,6 +422,13 @@ mod tests {
             let members = self.hfc.members(cluster);
             members[rng.below(members.len())]
         }
+    }
+
+    /// A decoded sink as the closing loop takes it, carrying its chain.
+    fn closable(
+        (chain, bits, cluster, entry): Decoded,
+    ) -> (Vec<(StageId, ClusterId)>, f64, usize, ProxyId) {
+        (chain, f64::from_bits(bits), cluster.index(), entry)
     }
 
     fn service(rng: &mut TestRng) -> ServiceId {
@@ -410,8 +520,11 @@ mod tests {
         }
 
         /// One `Down` border in a cluster that stays routable: states
-        /// behind it cost `+∞`, must still be present, and must come
-        /// out in the frontier.
+        /// behind it cost `+∞` and must still be present. Their sinks
+        /// leave the frontier when some sink has a finite upper bound,
+        /// and stay at `+∞` when none has — as when, in every other
+        /// case, a `Down` member of the destination's cluster makes
+        /// every reach into it `+∞`.
         #[test]
         fn a_down_border_stays_in_the_frontier_at_infinity(seed in any::<u64>()) {
             let rng = &mut rng(seed);
@@ -420,6 +533,10 @@ mod tests {
             let borders = case.hfc.all_border_proxies();
             let mut statuses = StatusMap::all_up(case.proxies());
             statuses.set_health(borders[rng.below(borders.len())], Health::Down);
+            if rng.below(2) == 0 {
+                let dest_cluster = case.hfc.cluster_of(case.request.destination);
+                statuses.set_health(case.some_member(rng, dest_cluster), Health::Down);
+            }
             case.statuses = Some(statuses);
             case.check()?;
         }

@@ -80,6 +80,10 @@ pub(crate) struct LevelTable {
     penalty: Vec<f64>,
     /// Per unit, whether stages may be mapped into it at all.
     routable: Vec<bool>,
+    /// Per state, the most a closing leg that ends inside its unit
+    /// adds after reaching its proxy; `+∞` for source slots, whose
+    /// proxy only a solve knows.
+    reach: Vec<f64>,
 }
 
 /// Where a solve starts.
@@ -151,7 +155,8 @@ impl LevelTable {
     /// pair between two of them, `internal(a, b)` the known distance
     /// between two border proxies of one unit, `external(local,
     /// remote)` the known delay of a border link; `penalty` and
-    /// `routable` describe entering a unit.
+    /// `routable` describe entering a unit, and `reach(border)` bounds
+    /// the closing leg from `border` to any destination in its unit.
     pub(crate) fn build(
         units: impl IntoIterator<Item = usize>,
         border: impl Fn(usize, usize) -> BorderPair,
@@ -159,6 +164,7 @@ impl LevelTable {
         external_delay: impl Fn(ProxyId, ProxyId) -> f64,
         penalty: impl Fn(usize) -> f64,
         routable: impl Fn(usize) -> bool,
+        reach: impl Fn(ProxyId) -> f64,
     ) -> Self {
         let mut units: Vec<usize> = units.into_iter().collect();
         units.sort_unstable();
@@ -167,6 +173,7 @@ impl LevelTable {
         let mut proxy = Vec::new();
         let mut internal = Vec::new();
         let mut row_at = Vec::new();
+        let mut reaches = Vec::new();
         for (at, &u) in units.iter().enumerate() {
             first.push(proxy.len());
             let mut borders: Vec<ProxyId> = units
@@ -180,6 +187,7 @@ impl LevelTable {
                 unit.push(at);
                 proxy.push(a);
                 row_at.push(internal.len());
+                reaches.push(a.map_or(f64::INFINITY, &reach));
                 internal.extend(borders.iter().map(|&b| match a {
                     Some(a) => internal_delay(a, b),
                     None => 0.0,
@@ -214,6 +222,7 @@ impl LevelTable {
         LevelTable {
             penalty: units.iter().map(|&u| penalty(u)).collect(),
             routable: units.iter().map(|&u| routable(u)).collect(),
+            reach: reaches,
             units,
             first,
             unit,
@@ -258,6 +267,27 @@ impl LevelTable {
     /// The internal-distance row of `state`.
     pub(crate) fn row(&self, state: usize) -> &[f64] {
         &self.internal[self.row_at[state]..self.row_at[state + 1]]
+    }
+
+    /// Bounds on what the closing leg adds to a sink at `state` for any
+    /// destination in the unit at position `dst`, summed with the
+    /// operands and grouping of the router's closing loop: leaving
+    /// through the border pair (`row[exit] + external`), then the leg
+    /// inside `dst`, which lies in `0..=reach`. A source slot's upper
+    /// bound is `+∞`, since a solve may bring a row of its own.
+    fn closing(&self, state: usize, dst: usize) -> (f64, f64) {
+        let at = self.unit[state];
+        if at == dst {
+            return (0.0, self.reach[state]);
+        }
+        let link = &self.links[at * self.units.len() + dst];
+        let leave = self.row(state)[link.exit as usize] + link.external;
+        let upper = if self.proxy[state].is_some() {
+            leave + self.reach[link.entry as usize]
+        } else {
+            f64::INFINITY
+        };
+        (leave, upper)
     }
 
     /// `state` as somewhere to step from, its internal distances being
@@ -441,22 +471,25 @@ impl Solved<'_> {
         }
     }
 
-    /// Every reached sink state and the mappings that reach them, as
+    /// Every sink state that can win the closing loop for some
+    /// destination in unit `dst`, and the mappings that reach them, as
     /// one back-pointer tree: a state on several sinks' mappings is one
     /// node. Returns, in [`Solved::sinks`] order, `sink(s, node)` for
-    /// each sink state `s` whose mapping ends at `nodes[node]`, and the
-    /// nodes, units passed through `unit`. Both come exactly sized: the
-    /// tree is counted and numbered in the solve's own `back` array,
+    /// each kept sink state `s` whose mapping ends at `nodes[node]`, and
+    /// the nodes, units passed through `unit`. Both come exactly sized:
+    /// the tree is counted and numbered in the solve's own `back` array,
     /// which it uses up.
     pub(crate) fn into_tree<S, U>(
         mut self,
         graph: &ServiceGraph,
+        dst: usize,
         sink: impl Fn(Sink, u32) -> S,
         unit: impl Fn(usize) -> U,
     ) -> (Box<[S]>, Box<[Node<U>]>) {
         let table = self.table;
         let states = table.unit.len();
         let stages = graph.sinks();
+        self.keep_winners(&stages, table.at(dst));
         let sinks_at = || {
             stages
                 .iter()
@@ -506,6 +539,36 @@ impl Solved<'_> {
             };
         }
         (sinks.into_boxed_slice(), tree.into_boxed_slice())
+    }
+
+    /// Drops from the sink stages' visiting order every state whose
+    /// total lies, for every destination in the unit at position `dst`,
+    /// strictly above the smallest finite upper bound of any sink
+    /// state. Rounding to nearest is monotone and the closing leg's last
+    /// term is never negative, so each total lies within its sink's
+    /// [`LevelTable::closing`] bounds and a dropped state never wins;
+    /// the kept ones keep their order.
+    fn keep_winners(&mut self, stages: &[StageId], dst: usize) {
+        let (table, states) = (self.table, self.table.unit.len());
+        let mut bound = f64::INFINITY;
+        for &stage in stages {
+            for at in reached(stage, &self.live, &self.live_at, states) {
+                bound = bound.min(self.cost[at] + table.closing(at % states, dst).1);
+            }
+        }
+        for &stage in stages {
+            let (from, to) = self.live_at[stage.index()];
+            let mut kept = from;
+            for i in from..to {
+                let state = self.live[i];
+                let lower = self.cost[stage.index() * states + state] + table.closing(state, dst).0;
+                if lower <= bound {
+                    self.live[kept] = state;
+                    kept += 1;
+                }
+            }
+            self.live_at[stage.index()].1 = kept;
+        }
     }
 
     /// The mapping that reaches the state at `at`, stage by stage,
@@ -562,6 +625,7 @@ mod tests {
             distance,
             |_| 0.0,
             |_| true,
+            |_| 0.0,
         )
     }
 

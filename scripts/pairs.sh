@@ -1,0 +1,112 @@
+#!/usr/bin/env bash
+# Alternating end-to-end pairs: a revision against the working tree.
+#
+#   scripts/pairs.sh PARENT [WORKLOAD ...]
+#   PAIRS=5 BENCH_ARGS='--seconds 5' scripts/pairs.sh HEAD~1 unique_csp
+#
+# Copies revision PARENT (`git archive`) and the tracked files of the
+# working tree (uncommitted edits included; the repository itself is
+# not touched) into a scratch directory under $TMPDIR, builds each
+# side's benchmark binary once, and runs PAIRS (default 10) pairs of
+# end-to-end runs per workload (default: every workload), the parent
+# first in odd pairs and the change first in even ones. BENCH_ARGS go
+# to every run. For each end-to-end metric of BENCHMARK.json it prints
+# both sides' medians and quartiles, how many pairs the change is ahead
+# in (by the metric's `better`), and every pair. Offline: git, tar,
+# cargo, awk.
+set -euo pipefail
+
+parent=${1:?usage: scripts/pairs.sh PARENT [WORKLOAD ...]}
+shift
+root=$(git rev-parse --show-toplevel)
+rev=$(git -C "$root" rev-parse --short "$parent")
+pairs=${PAIRS:-10}
+read -r -a args <<<"${BENCH_ARGS:-}"
+if [ $# -gt 0 ]; then
+    workloads=("$@")
+else
+    workloads=(warm_zipf unique_csp cold_route churn_admit scale_10k)
+fi
+
+# `name better` of each end-to-end metric, in declaration order.
+metrics=$(awk '
+    /"end_to_end"/ { on = 1 }
+    on && /"per_layer"/ { on = 0 }
+    on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
+    on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }
+' "$root/BENCHMARK.json")
+
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+mkdir "$scratch/parent" "$scratch/change"
+git -C "$root" archive "$parent" | tar -x -C "$scratch/parent"
+(cd "$root" && git ls-files -z | tar --null -T - -cf -) | tar -x -C "$scratch/change"
+for side in parent change; do
+    CARGO_TARGET_DIR="$scratch/target-$side" cargo build --release --offline -q \
+        --manifest-path "$scratch/$side/benchmark/Cargo.toml" --bin e2e
+done
+
+# One end-to-end run of `side`, its metric lines appended to the side's
+# file as `workload pair name value`.
+run() {
+    local side=$1 workload=$2 pair=$3 out
+    out=$(cd "$scratch/$side" &&
+        "$scratch/target-$side/release/e2e" --workload "$workload" "${args[@]}") || {
+        echo "$side run of $workload failed (pair $pair):" >&2
+        echo "$out" >&2
+        exit 1
+    }
+    awk -v w="$workload" -v p="$pair" 'NF == 4 && $4 ~ /^n=/ { print w, p, $1, $3 }' \
+        <<<"$out" >>"$scratch/$side.tsv"
+}
+
+for workload in "${workloads[@]}"; do
+    for pair in $(seq 1 "$pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then
+            run parent "$workload" "$pair"
+            run change "$workload" "$pair"
+        else
+            run change "$workload" "$pair"
+            run parent "$workload" "$pair"
+        fi
+        echo "$workload: pair $pair/$pairs done" >&2
+    done
+done
+
+echo "parent $rev vs working tree: $pairs alternating pairs, ${BENCH_ARGS:-default options}"
+for workload in "${workloads[@]}"; do
+    while read -r name better; do
+        awk -v w="$workload" -v m="$name" -v better="$better" '
+            # Quartile `q` of the sorted v[1..n], interpolated linearly.
+            function quantile(v, n, q,    h, i) {
+                h = 1 + (n - 1) * q
+                i = int(h)
+                return i >= n ? v[n] : v[i] + (h - i) * (v[i + 1] - v[i])
+            }
+            function sorted(src, dst, n,    i, j, t) {
+                for (i = 1; i <= n; i++) dst[i] = src[i]
+                for (i = 2; i <= n; i++)
+                    for (j = i; j > 1 && dst[j - 1] > dst[j]; j--) {
+                        t = dst[j]; dst[j] = dst[j - 1]; dst[j - 1] = t
+                    }
+            }
+            $1 == w && $3 == m { value[NR == FNR ? "p" : "c", $2] = $4 }
+            END {
+                n = 0; ahead = 0; list = ""
+                for (i = 1; (("p", i) in value) && (("c", i) in value); i++) {
+                    n++
+                    p[n] = value["p", i]; c[n] = value["c", i]
+                    if (better == "higher" ? c[n] > p[n] : c[n] < p[n]) ahead++
+                    list = list " " value["p", i] "→" value["c", i]
+                }
+                if (n == 0) exit
+                sorted(p, ps, n); sorted(c, cs, n)
+                printf "%s @ %s (%s is better): %.6g → %.6g, ahead %d/%d; quartiles %.6g–%.6g vs %.6g–%.6g\n",
+                    m, w, better, quantile(ps, n, 0.5), quantile(cs, n, 0.5), ahead, n,
+                    quantile(ps, n, 0.25), quantile(ps, n, 0.75),
+                    quantile(cs, n, 0.25), quantile(cs, n, 0.75)
+                printf "  pairs:%s\n", list
+            }
+        ' "$scratch/parent.tsv" "$scratch/change.tsv"
+    done <<<"$metrics"
+done

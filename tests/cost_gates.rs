@@ -17,8 +17,8 @@
 //! and release builds; CI runs both).
 
 use son_core::{
-    set_telemetry_enabled, AdmissionConfig, EngineConfig, Health, ServiceOverlay, ServiceRequest,
-    SonConfig,
+    set_telemetry_enabled, AdmissionConfig, CspRouter, EngineConfig, Health, ServiceOverlay,
+    ServiceRequest, SonConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -155,8 +155,25 @@ fn cold_serve_on_a_filled_epoch_allocations_are_pinned() {
     gate(
         "cold serve of 1 on a filled epoch",
         measured,
-        (744, 153_937),
+        (744, 147_685),
     );
+}
+
+/// What the CSP tier caches for the 256 requests: the sinks their
+/// frontiers keep and the tree nodes that hold those sinks' chains, in
+/// all. Both are counts of the solve, not of the allocator.
+#[test]
+fn frontier_sinks_and_nodes_are_pinned() {
+    let (overlay, requests) = world();
+    let router = overlay.hier_router();
+    let (mut sinks, mut nodes) = (0, 0);
+    for request in requests {
+        let frontier = router.solve_frontier(request).expect("routable");
+        sinks += frontier.len();
+        nodes += frontier.nodes();
+    }
+    println!("256 frontiers: {sinks} sinks / {nodes} nodes");
+    assert_eq!((sinks, nodes), (3_027, 12_061));
 }
 
 #[test]
