@@ -55,7 +55,7 @@ pub use son_overlay::{
 pub use son_routing::fixtures;
 pub use son_routing::{
     resolve_distributed, CostConfig, CspRouter, FlatRouter, HierConfig, HierarchicalRouter,
-    ProviderIndex, RouteError, Router, ServicePath,
+    LevelWork, ProviderIndex, RouteError, Router, ServicePath,
 };
 pub use son_state::{DissemMode, OverheadKind, ProtocolConfig, StateProtocol, StateReport};
 pub use son_telemetry::{

@@ -205,14 +205,17 @@ impl ServiceGraph {
 
     /// Stages with no outgoing edges (the paper's "sink services").
     pub fn sinks(&self) -> Vec<StageId> {
-        self.stage_ids()
-            .filter(|s| self.successors[s.index()].is_empty())
-            .collect()
+        self.stage_ids().filter(|&s| self.is_sink(s)).collect()
     }
 
     /// Direct predecessors of `stage`.
     pub fn predecessors(&self, stage: StageId) -> &[StageId] {
         &self.predecessors[stage.index()]
+    }
+
+    /// Whether `stage` is one of [`ServiceGraph::sinks`].
+    pub fn is_sink(&self, stage: StageId) -> bool {
+        self.successors[stage.index()].is_empty()
     }
 
     /// Returns `true` if the graph is a single chain (at most one

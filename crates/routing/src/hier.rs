@@ -36,7 +36,7 @@
 
 use crate::csp::{CspFrontier, CspRouter, Sink};
 use crate::flat::RouteError;
-use crate::level::{LevelTable, Solved, Start};
+use crate::level::{LevelTable, LevelWork, Solved, Start};
 use crate::path::{PathBuilder, ServicePath};
 use crate::providers::ProviderIndex;
 use crate::sdag::{solve_service_dag, Assignment};
@@ -116,7 +116,14 @@ pub struct RoutePlan {
     pub estimate: f64,
     /// Child requests, in path order.
     pub children: Vec<ChildSpec>,
+    /// What the level solve that chose the CSP did; nothing for a plan
+    /// replayed from a frontier or one without stages.
+    pub work: LevelWork,
 }
+
+/// A level's cheapest mapping: its estimated cost, its (stage, unit)
+/// chain, and what the solve that found it did.
+type LevelPlan = (f64, Vec<(StageId, usize)>, LevelWork);
 
 /// The hierarchical router.
 ///
@@ -470,14 +477,15 @@ where
                     return Err(RouteError::Infeasible);
                 }
             }
-            return Ok(self.plan_from_chain(request, estimate, Vec::new()));
+            return Ok(self.plan_from_chain(request, estimate, Vec::new(), LevelWork::default()));
         }
-        let (estimate, chain) = self.plan_over(top, 0, source, dest, &request.graph, excluded)?;
+        let (estimate, chain, work) =
+            self.plan_over(top, 0, source, dest, &request.graph, excluded)?;
         let chain = chain
             .into_iter()
             .map(|(stage, unit)| (stage, ClusterId::new(unit)))
             .collect();
-        Ok(self.plan_from_chain(request, estimate, chain))
+        Ok(self.plan_from_chain(request, estimate, chain, work))
     }
 
     /// Step 3 at the top level: dissects an already-selected chain into
@@ -489,6 +497,7 @@ where
         request: &ServiceRequest,
         estimate: f64,
         chain: Vec<(StageId, ClusterId)>,
+        work: LevelWork,
     ) -> RoutePlan {
         let children = self.dissect(
             self.top_level(),
@@ -501,6 +510,7 @@ where
             csp: chain,
             estimate,
             children,
+            work,
         }
     }
 
@@ -587,7 +597,8 @@ where
             .map(|(_, assignments)| assignments)
             .ok_or(RouteError::Infeasible);
         }
-        let (_, chain) = self.plan_over(level - 1, unit, child.source, child.dest, &graph, &[])?;
+        let (_, chain, _) =
+            self.plan_over(level - 1, unit, child.source, child.dest, &graph, &[])?;
         let mut assignments = Vec::with_capacity(graph.len());
         for part in self.dissect(level - 1, child.source, child.dest, &graph, chain) {
             let offset = assignments.len();
@@ -705,8 +716,9 @@ where
     /// Steps 1–2 of Section 5 at `level`, inside group `parent` of the
     /// level above (over every unit, at the top level), then the closing
     /// leg to `dest`: the cheapest mapping of `graph` onto the
-    /// [sibling units](HierarchicalRouter::siblings) and its estimated
-    /// cost. Only the winning sink is backtracked.
+    /// [sibling units](HierarchicalRouter::siblings), its estimated
+    /// cost, and what the solve did. Only the winning sink is
+    /// backtracked.
     pub(crate) fn plan_over(
         &self,
         level: usize,
@@ -715,39 +727,51 @@ where
         dest: ProxyId,
         graph: &ServiceGraph,
         excluded: &[(StageId, ClusterId)],
-    ) -> Result<(f64, Vec<(StageId, usize)>), RouteError> {
+    ) -> Result<LevelPlan, RouteError> {
         let solved = self.solve_level(level, parent, source, dest, graph, excluded)?;
         let sinks = solved
             .sinks(graph)
             .map(|sink| (sink.at, sink.cost, sink.unit, sink.entry.unwrap_or(source)));
         let (total, at) = self.close(level, dest, sinks)?;
-        Ok((total, solved.chain(at, |unit| unit)))
+        Ok((total, solved.chain(at, |unit| unit), solved.work))
+    }
+
+    /// [`CspRouter::solve_frontier`], and what its level solve did.
+    ///
+    /// # Errors
+    ///
+    /// As [`CspRouter::solve_frontier`].
+    pub fn solve_frontier_with_work(
+        &self,
+        request: &ServiceRequest,
+    ) -> Result<(CspFrontier, LevelWork), RouteError> {
+        self.sink_frontier(request, &[])
     }
 
     /// The top-level DP (Section 5 steps 1–2) up to — but not including
     /// — the closing leg at the destination: every sink state that can
     /// win for some destination in the destination's top-level unit, in
     /// the exact order the closing loop enumerates them, and their
-    /// chains as one back-pointer tree.
+    /// chains as one back-pointer tree; and what the solve did.
     fn sink_frontier(
         &self,
         request: &ServiceRequest,
         excluded: &[(StageId, ClusterId)],
-    ) -> Result<CspFrontier, RouteError> {
+    ) -> Result<(CspFrontier, LevelWork), RouteError> {
         let graph = &request.graph;
         let top = self.top_level();
         let solved =
             self.solve_level(top, 0, request.source, request.destination, graph, excluded)?;
+        let work = solved.work;
         let (sinks, tree) = solved.into_tree(
             graph,
-            self.unit_of(top, request.destination),
             |sink, node| Sink::new(sink.cost, sink.entry, node),
             ClusterId::new,
         );
         if sinks.is_empty() {
             return Err(RouteError::Infeasible);
         }
-        Ok(CspFrontier::new(sinks, tree))
+        Ok((CspFrontier::new(sinks, tree), work))
     }
 
     /// The DP of Section 5 steps 1–2 at `level` — the [level
@@ -762,7 +786,7 @@ where
     /// costs nor order depend on which proxy it is. That invariance is
     /// what lets a frontier computed for one source be replayed
     /// verbatim for another.
-    fn solve_level(
+    pub(crate) fn solve_level(
         &self,
         level: usize,
         parent: usize,
@@ -773,6 +797,7 @@ where
     ) -> Result<Solved<'_>, RouteError> {
         let table = self.table(level, parent);
         let src_unit = self.unit_of(level, source);
+        let dst_unit = self.unit_of(level, dest);
         let known_row: Vec<f64>;
         let start = match table.border_slot(src_unit, source) {
             Ok(state) => Start {
@@ -782,7 +807,6 @@ where
             },
             Err(rank) => {
                 let state = table.source_slot(src_unit);
-                let dst_unit = self.unit_of(level, dest);
                 if level > 1 || self.knows(source, ClusterId::new(dst_unit)) {
                     known_row = table
                         .borders(src_unit)
@@ -802,7 +826,7 @@ where
                 }
             }
         };
-        table.solve(graph, &start, |stage, unit| {
+        table.solve(graph, &start, dst_unit, |stage, unit| {
             self.unit_aggregate(level, unit)
                 .contains(graph.service(stage))
                 && !excluded.contains(&(stage, ClusterId::new(unit)))
@@ -1056,6 +1080,7 @@ where
             return Err(RouteError::Infeasible);
         }
         self.sink_frontier(request, &[])
+            .map(|(frontier, _)| frontier)
     }
 
     fn route_from_frontier(
@@ -1068,7 +1093,7 @@ where
             .enumerate()
             .map(|(i, (cost, cluster, entry))| (i, cost, cluster.index(), entry));
         let (estimate, i) = self.close(self.top_level(), request.destination, sinks)?;
-        let plan = self.plan_from_chain(request, estimate, frontier.chain(i));
+        let plan = self.plan_from_chain(request, estimate, frontier.chain(i), LevelWork::default());
         Ok(self.conquer(request, plan)?.path)
     }
 }
@@ -1425,7 +1450,7 @@ mod tests {
         let request = |source| ServiceRequest::new(source, graph(), ProxyId::new(23));
 
         let first = request(unknown[0]);
-        let frontier = router.sink_frontier(&first, &[]).unwrap();
+        let (frontier, _) = router.sink_frontier(&first, &[]).unwrap();
         let solved = router
             .solve_level(1, 0, first.source, first.destination, &first.graph, &[])
             .unwrap();
@@ -1468,7 +1493,7 @@ mod tests {
             "some path ends where it started"
         );
         assert_eq!(
-            router.sink_frontier(&request(unknown[1]), &[]).unwrap(),
+            router.sink_frontier(&request(unknown[1]), &[]).unwrap().0,
             frontier
         );
     }

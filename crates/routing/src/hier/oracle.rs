@@ -304,7 +304,20 @@ mod tests {
             let (source, excluded) = (self.request.source, &self.excluded[..]);
             let source_cluster = self.hfc.cluster_of(source);
             let dest_cluster = self.hfc.cluster_of(self.request.destination);
-            let frontier = router.sink_frontier(&self.request, excluded);
+            if let Ok(solved) = router.solve_level(
+                1,
+                0,
+                source,
+                self.request.destination,
+                &self.request.graph,
+                excluded,
+            ) {
+                let (coarse, winning) = solved.bounds(&self.request.graph);
+                prop_assert!(coarse >= winning, "coarse bound {coarse} below {winning}");
+            }
+            let frontier = router
+                .sink_frontier(&self.request, excluded)
+                .map(|(frontier, _)| frontier);
             let full = router.sink_frontier_reference(
                 &self.request,
                 source_cluster,

@@ -14,6 +14,15 @@
 //! over a [`LevelTable`]'s states hold them, and a relaxation is two
 //! table reads, two adds and a compare.
 //!
+//! Before that fine pass a coarse one runs over units alone, one value
+//! per (stage, unit): the source's first step priced exactly, every
+//! later step at the most any state of its unit can pay, every mapping
+//! closed at the most its closing leg can add. Its smallest total
+//! bounds what the cheapest sink state closes at, so the fine pass
+//! relaxes only from states that cost no more than it: a state above
+//! it reaches no sink that can win (DESIGN.md §16, "Relaxing only from
+//! states that can win"). [`LevelWork`] counts what a solve did.
+//!
 //! [`HierarchicalRouter`](crate::hier::HierarchicalRouter) solves over
 //! one table per (level, parent group) — a single table of all clusters
 //! when it plans over the clusters alone. What fills a table and where
@@ -76,6 +85,12 @@ pub(crate) struct LevelTable {
     row_at: Vec<usize>,
     /// `links[from * units + to]`; the diagonal is never read.
     links: Vec<Link>,
+    /// `steps[from * units + to]`: the most a step from unit `from`
+    /// into unit `to` costs, priced by [`Origin::step`] from `from`'s
+    /// widest row (slot by slot, the largest entry of its states'
+    /// rows); zero on the diagonal. Beside `links`, not in them, so the
+    /// fine pass reads 16 bytes a relaxation.
+    steps: Vec<f64>,
     /// Per unit, the load penalty of entering it.
     penalty: Vec<f64>,
     /// Per unit, whether stages may be mapped into it at all.
@@ -84,6 +99,21 @@ pub(crate) struct LevelTable {
     /// adds after reaching its proxy; `+∞` for source slots, whose
     /// proxy only a solve knows.
     reach: Vec<f64>,
+}
+
+/// Deterministic cost of one level solve, in the three operations it
+/// is made of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LevelWork {
+    /// Units asked whether they serve a stage (the candidate scan's
+    /// `serves` tests).
+    pub provider_probes: u64,
+    /// Steps priced by the fine pass, from a state or the source to a
+    /// candidate unit.
+    pub relaxations: u64,
+    /// Reached states the fine pass did not step from, their cost lying
+    /// above the coarse bound.
+    pub skipped_origins: u64,
 }
 
 /// Where a solve starts.
@@ -174,6 +204,7 @@ impl LevelTable {
         let mut internal = Vec::new();
         let mut row_at = Vec::new();
         let mut reaches = Vec::new();
+        let mut widest = Vec::new();
         for (at, &u) in units.iter().enumerate() {
             first.push(proxy.len());
             let mut borders: Vec<ProxyId> = units
@@ -193,6 +224,11 @@ impl LevelTable {
                     None => 0.0,
                 }));
             }
+            let rows = &internal[row_at[first[at]]..];
+            widest.extend((0..borders.len()).map(|slot| {
+                let column = rows[slot..].iter().step_by(borders.len());
+                column.copied().fold(0.0, f64::max)
+            }));
         }
         first.push(proxy.len());
         row_at.push(internal.len());
@@ -219,7 +255,7 @@ impl LevelTable {
                 });
             }
         }
-        LevelTable {
+        let mut table = LevelTable {
             penalty: units.iter().map(|&u| penalty(u)).collect(),
             routable: units.iter().map(|&u| routable(u)).collect(),
             reach: reaches,
@@ -230,7 +266,18 @@ impl LevelTable {
             internal,
             row_at,
             links,
-        }
+            steps: Vec::new(),
+        };
+        // Unit `u`'s widest row is `widest[first[u] - u..first[u + 1] - u - 1]`.
+        let n = table.units.len();
+        table.steps = (0..n * n)
+            .map(|at| {
+                let (from, first) = (at / n, &table.first);
+                let row = &widest[first[from] - from..first[from + 1] - from - 1];
+                table.origin(first[from], row).step(at % n).1
+            })
+            .collect();
+        table
     }
 
     /// Position of unit `unit` in the table.
@@ -304,8 +351,9 @@ impl LevelTable {
         }
     }
 
-    /// Runs the DP for `graph` from `start`, mapping a stage only onto
-    /// routable units for which `serves(stage, unit)` holds.
+    /// Runs the DP for `graph` from `start` towards a destination in
+    /// unit `dst`, mapping a stage only onto routable units for which
+    /// `serves(stage, unit)` holds.
     ///
     /// # Errors
     ///
@@ -314,27 +362,41 @@ impl LevelTable {
         &self,
         graph: &ServiceGraph,
         start: &Start<'_>,
+        dst: usize,
         serves: impl Fn(StageId, usize) -> bool,
     ) -> Result<Solved<'_>, RouteError> {
         let states = self.unit.len();
+        let mut work = LevelWork::default();
 
         // Stage `i` owns `candidates[candidates_at[i]..candidates_at[i + 1]]`.
         let mut candidates: Vec<usize> = Vec::new();
         let mut candidates_at = vec![0];
         for stage in graph.stage_ids() {
-            candidates.extend(
-                (0..self.units.len()).filter(|&u| self.routable[u] && serves(stage, self.units[u])),
-            );
+            candidates.extend((0..self.units.len()).filter(|&u| {
+                self.routable[u] && {
+                    work.provider_probes += 1;
+                    serves(stage, self.units[u])
+                }
+            }));
             if candidates.len() == candidates_at[stage.index()] {
                 return Err(RouteError::NoProvider(graph.service(stage)));
             }
             candidates_at.push(candidates.len());
         }
+        let candidates = |stage: StageId| {
+            &candidates[candidates_at[stage.index()]..candidates_at[stage.index() + 1]]
+        };
+        let order = graph
+            .topological_order()
+            .expect("service graphs are validated acyclic at construction");
+        let (n, dst) = (self.units.len(), self.at(dst));
+        let source = self.origin(start.state, start.row);
 
         // `cost`/`back` hold one entry per (stage, state); `back` names
         // the predecessor's entry and doubles as the presence mark — a
         // state reached at `+∞` is present, propagates, and is left for
-        // the closing loop to filter.
+        // the closing loop to filter. Until the fine pass, `cost` is the
+        // coarse pass's scratch.
         assert!(
             graph.len() * states < ROOT as usize,
             "(stage, state) indices must fit the back-pointers"
@@ -346,30 +408,83 @@ impl LevelTable {
         let mut live: Vec<usize> = Vec::new();
         let mut live_at = vec![(0, 0); graph.len()];
 
-        let source_unit = self.unit[start.state];
-        let order = graph
-            .topological_order()
-            .expect("service graphs are validated acyclic at construction");
+        // The coarse pass, one value per (stage, unit) in
+        // `cost[stage * units + unit]`: the source's first step priced
+        // exactly, every later step at `steps` (the source's unit also
+        // taking the source's own step into the max), and each mapping
+        // closed at no less than the largest `closing` upper bound of
+        // its last unit's states: the step towards `dst`, whose penalty
+        // is >= 0, plus the reach of the border it enters; inside `dst`
+        // its borders' largest reach; `+∞` in the unit of a source-slot
+        // start. Its smallest total `bound` is no smaller than the
+        // smallest upper bound of any sink state (DESIGN.md §16).
+        let dst_reach = self.reach[self.first[dst]..self.first[dst + 1] - 1]
+            .iter()
+            .copied()
+            .fold(0.0, f64::max);
+        let mut bound = f64::INFINITY;
+        for &stage in &order {
+            let (here, preds) = (stage.index() * n, graph.predecessors(stage));
+            for &to in candidates(stage) {
+                cost[here + to] = match preds {
+                    [] => source.step(to).1,
+                    _ => f64::INFINITY,
+                };
+            }
+            for &pred in preds {
+                for &from in candidates(pred) {
+                    let reached = cost[pred.index() * n + from];
+                    let steps = &self.steps[from * n..(from + 1) * n];
+                    let best = &mut cost[here..here + n];
+                    for &to in candidates(stage) {
+                        let mut step = steps[to];
+                        if from == source.unit {
+                            step = step.max(source.step(to).1);
+                        }
+                        best[to] = best[to].min(reached + step);
+                    }
+                }
+            }
+            if !graph.is_sink(stage) {
+                continue;
+            }
+            for &at in candidates(stage) {
+                let close = if at == source.unit && self.proxy[start.state].is_none() {
+                    f64::INFINITY
+                } else if at == dst {
+                    dst_reach
+                } else {
+                    self.steps[at * n + dst] + self.reach[self.links[at * n + dst].entry as usize]
+                };
+                bound = bound.min(cost[here + at] + close);
+            }
+        }
+
         for &stage in &order {
             let si = stage.index();
             let base = si * states;
-            let stage_candidates = &candidates[candidates_at[si]..candidates_at[si + 1]];
+            let stage_candidates = candidates(stage);
             if graph.predecessors(stage).is_empty() {
                 // Transition from the source proxy's unit.
-                let source = self.origin(start.state, start.row);
                 for &u in stage_candidates {
                     let (state, step) = source.step(u);
                     cost[base + state] = step;
                     back[base + state] = ROOT;
                 }
+                work.relaxations += stage_candidates.len() as u64;
             }
             // Offers reach a state predecessor by predecessor, then in
             // the predecessor's visiting order; the first of equal
-            // offers stays.
+            // offers stays. A state above the coarse bound offers
+            // nothing that can win.
             for &pred in graph.predecessors(stage) {
                 let pbase = pred.index() * states;
                 let (from, to) = live_at[pred.index()];
                 for &pstate in &live[from..to] {
+                    if cost[pbase + pstate] > bound {
+                        work.skipped_origins += 1;
+                        continue;
+                    }
                     let row = if pstate == start.state {
                         start.row
                     } else {
@@ -382,12 +497,13 @@ impl LevelTable {
                         &mut cost[base..base + states],
                         &mut back[base..base + states],
                     );
+                    work.relaxations += stage_candidates.len() as u64;
                 }
             }
             let from = live.len();
             for &u in stage_candidates {
                 let (first, last) = (self.first[u], self.first[u + 1] - 1);
-                let rank = if u == source_unit {
+                let rank = if u == source.unit {
                     start.rank
                 } else {
                     last - first
@@ -403,10 +519,14 @@ impl LevelTable {
         }
         Ok(Solved {
             table: self,
+            dst,
             cost,
             back,
             live,
             live_at,
+            work,
+            #[cfg(test)]
+            bound,
         })
     }
 }
@@ -414,10 +534,17 @@ impl LevelTable {
 /// A finished DP: the reached states of every stage.
 pub(crate) struct Solved<'t> {
     table: &'t LevelTable,
+    /// Position of the destination's unit.
+    dst: usize,
     cost: Vec<f64>,
     back: Vec<u32>,
     live: Vec<usize>,
     live_at: Vec<(usize, usize)>,
+    /// What the solve did.
+    pub work: LevelWork,
+    /// The coarse pass's bound.
+    #[cfg(test)]
+    bound: f64,
 }
 
 /// A reached state of a sink stage.
@@ -472,24 +599,23 @@ impl Solved<'_> {
     }
 
     /// Every sink state that can win the closing loop for some
-    /// destination in unit `dst`, and the mappings that reach them, as
-    /// one back-pointer tree: a state on several sinks' mappings is one
-    /// node. Returns, in [`Solved::sinks`] order, `sink(s, node)` for
-    /// each kept sink state `s` whose mapping ends at `nodes[node]`, and
-    /// the nodes, units passed through `unit`. Both come exactly sized:
-    /// the tree is counted and numbered in the solve's own `back` array,
-    /// which it uses up.
+    /// destination in the solve's `dst` unit, and the mappings that
+    /// reach them, as one back-pointer tree: a state on several sinks'
+    /// mappings is one node. Returns, in [`Solved::sinks`] order,
+    /// `sink(s, node)` for each kept sink state `s` whose mapping ends
+    /// at `nodes[node]`, and the nodes, units passed through `unit`.
+    /// Both come exactly sized: the tree is counted and numbered in the
+    /// solve's own `back` array, which it uses up.
     pub(crate) fn into_tree<S, U>(
         mut self,
         graph: &ServiceGraph,
-        dst: usize,
         sink: impl Fn(Sink, u32) -> S,
         unit: impl Fn(usize) -> U,
     ) -> (Box<[S]>, Box<[Node<U>]>) {
         let table = self.table;
         let states = table.unit.len();
         let stages = graph.sinks();
-        self.keep_winners(&stages, table.at(dst));
+        self.keep_winners(&stages);
         let sinks_at = || {
             stages
                 .iter()
@@ -542,14 +668,14 @@ impl Solved<'_> {
     }
 
     /// Drops from the sink stages' visiting order every state whose
-    /// total lies, for every destination in the unit at position `dst`,
-    /// strictly above the smallest finite upper bound of any sink
-    /// state. Rounding to nearest is monotone and the closing leg's last
-    /// term is never negative, so each total lies within its sink's
+    /// total lies, for every destination in the `dst` unit, strictly
+    /// above the smallest finite upper bound of any sink state. Rounding
+    /// to nearest is monotone and the closing leg's last term is never
+    /// negative, so each total lies within its sink's
     /// [`LevelTable::closing`] bounds and a dropped state never wins;
     /// the kept ones keep their order.
-    fn keep_winners(&mut self, stages: &[StageId], dst: usize) {
-        let (table, states) = (self.table, self.table.unit.len());
+    fn keep_winners(&mut self, stages: &[StageId]) {
+        let (table, states, dst) = (self.table, self.table.unit.len(), self.dst);
         let mut bound = f64::INFINITY;
         for &stage in stages {
             for at in reached(stage, &self.live, &self.live_at, states) {
@@ -610,10 +736,30 @@ mod tests {
     use super::*;
     use son_overlay::ServiceId;
 
+    impl Solved<'_> {
+        /// The coarse pass's bound, and the smallest upper bound any
+        /// sink state of `graph` has on its total, which
+        /// [`Solved::keep_winners`] keeps sinks by: the first is never
+        /// below the second.
+        pub(crate) fn bounds(&self, graph: &ServiceGraph) -> (f64, f64) {
+            let winning = self
+                .sinks(graph)
+                .map(|sink| {
+                    sink.cost
+                        + self
+                            .table
+                            .closing(sink.at % self.table.unit.len(), self.dst)
+                            .1
+                })
+                .fold(f64::INFINITY, f64::min);
+            (self.bound, winning)
+        }
+    }
+
     /// Three units of three proxies each (`3 * unit..3 * unit + 3`) on
     /// a line, each bordering a sibling through the proxy whose offset
-    /// is the sibling's id.
-    fn table(units: [usize; 3]) -> LevelTable {
+    /// is the sibling's id; every border reaches `reach` into its unit.
+    fn table(units: [usize; 3], reach: f64) -> LevelTable {
         let distance = |a: ProxyId, b: ProxyId| a.index().abs_diff(b.index()) as f64;
         LevelTable::build(
             units,
@@ -625,21 +771,27 @@ mod tests {
             distance,
             |_| 0.0,
             |_| true,
-            |_| 0.0,
+            |_| reach,
         )
+    }
+
+    /// A source-slot start in unit 1 whose row is `[1.0, 1.0]`.
+    fn start(table: &LevelTable) -> Start<'static> {
+        Start {
+            state: table.source_slot(1),
+            rank: 1,
+            row: &[1.0, 1.0],
+        }
     }
 
     #[test]
     fn units_are_visited_by_id_whatever_order_they_come_in() {
         let graph = ServiceGraph::linear(vec![ServiceId::new(0); 3]);
         let sinks = |units| {
-            let table = table(units);
-            let start = Start {
-                state: table.source_slot(1),
-                rank: 1,
-                row: &[1.0, 1.0],
-            };
-            let solved = table.solve(&graph, &start, |_, _| true).unwrap();
+            // Unbounded reaches leave the coarse bound at `+∞`: no state
+            // is skipped, so every one is reached.
+            let table = table(units, f64::INFINITY);
+            let solved = table.solve(&graph, &start(&table), 0, |_, _| true).unwrap();
             solved
                 .sinks(&graph)
                 .map(|s| (s.unit, s.entry, s.cost.to_bits(), solved.chain(s.at, |u| u)))
@@ -649,5 +801,32 @@ mod tests {
         assert_eq!(by_id.len(), 7, "two borders a unit and the source");
         assert!(by_id.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(sinks([2, 0, 1]), by_id);
+    }
+
+    #[test]
+    fn states_above_the_coarse_bound_are_not_stepped_from() {
+        let graph = ServiceGraph::linear(vec![ServiceId::new(0); 3]);
+        let table = table([0, 1, 2], 0.0);
+        let solved = table.solve(&graph, &start(&table), 0, |_, _| true).unwrap();
+        let (coarse, winning) = solved.bounds(&graph);
+        // Stepping into unit 0 costs 1 + 2 and staying there nothing.
+        assert_eq!(coarse, 3.0);
+        assert!(coarse >= winning, "{coarse} < {winning}");
+        assert!(solved.work.skipped_origins > 0, "{:?}", solved.work);
+        assert_eq!(solved.work.provider_probes, 9);
+    }
+
+    #[test]
+    fn sinks_only_in_the_source_slot_unit_leave_the_bound_open() {
+        let graph = ServiceGraph::linear(vec![ServiceId::new(0); 3]);
+        let table = table([0, 1, 2], 0.0);
+        let last = StageId::new(2);
+        let solved = table
+            .solve(&graph, &start(&table), 0, |stage, unit| {
+                stage != last || unit == 1
+            })
+            .unwrap();
+        assert_eq!(solved.bounds(&graph).0, f64::INFINITY);
+        assert_eq!(solved.work.skipped_origins, 0);
     }
 }

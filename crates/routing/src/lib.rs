@@ -69,6 +69,7 @@ pub use cost::{CostConfig, CostModel, LoadAwareDelays};
 pub use csp::{CspFrontier, CspRouter};
 pub use flat::{FlatRouter, RouteError};
 pub use hier::{ChildSpec, HierConfig, HierRoute, HierarchicalRouter, RoutePlan, RouterTables};
+pub use level::LevelWork;
 pub use path::{PathBuilder, PathHop, ServicePath, ValidatePathError};
 pub use providers::{ProviderIndex, ProviderLookup};
 pub use router::Router;

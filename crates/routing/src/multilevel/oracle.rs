@@ -375,7 +375,15 @@ mod tests {
                 plan.map(|(total, chain)| (total.to_bits(), chain))
             };
             for s in solves {
-                let dense = router.plan_over(s.level, s.parent, s.source, s.dest, &s.graph, &[]);
+                if let Ok(solved) =
+                    router.solve_level(s.level, s.parent, s.source, s.dest, &s.graph, &[])
+                {
+                    let (coarse, winning) = solved.bounds(&s.graph);
+                    prop_assert!(coarse >= winning, "coarse bound {coarse} below {winning}");
+                }
+                let dense = router
+                    .plan_over(s.level, s.parent, s.source, s.dest, &s.graph, &[])
+                    .map(|(total, chain, _)| (total, chain));
                 let reference = router.plan_over_reference(
                     s.level,
                     &router.siblings(s.level, s.parent),

@@ -11,9 +11,11 @@
 # end-to-end runs per workload (default: every workload), the parent
 # first in odd pairs and the change first in even ones. BENCH_ARGS go
 # to every run. For each end-to-end metric of BENCHMARK.json it prints
-# both sides' medians and quartiles, how many pairs the change is ahead
-# in (by the metric's `better`), and every pair. Offline: git, tar,
-# cargo, awk.
+# both sides' medians and quartiles, the relative change of the medians
+# (`PAST BOUND` when it is worse than the metric's `bound`), whether the
+# medians lie further apart than the parent's interquartile range, how
+# many pairs the change is ahead in (by the metric's `better`), and
+# every pair. Offline: git, tar, cargo, awk.
 set -euo pipefail
 
 parent=${1:?usage: scripts/pairs.sh PARENT [WORKLOAD ...]}
@@ -28,12 +30,13 @@ else
     workloads=(warm_zipf unique_csp cold_route churn_admit scale_10k)
 fi
 
-# `name better` of each end-to-end metric, in declaration order.
+# `name better bound` of each end-to-end metric, in declaration order.
 metrics=$(awk '
     /"end_to_end"/ { on = 1 }
     on && /"per_layer"/ { on = 0 }
     on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
-    on && /"better"/ { gsub(/[",]/, "", $2); print name, $2 }
+    on && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+    on && /"bound"/ { gsub(/[",]/, "", $2); print name, better, $2 }
 ' "$root/BENCHMARK.json")
 
 scratch=$(mktemp -d)
@@ -75,8 +78,8 @@ done
 
 echo "parent $rev vs working tree: $pairs alternating pairs, ${BENCH_ARGS:-default options}"
 for workload in "${workloads[@]}"; do
-    while read -r name better; do
-        awk -v w="$workload" -v m="$name" -v better="$better" '
+    while read -r name better bound; do
+        awk -v w="$workload" -v m="$name" -v better="$better" -v bound="$bound" '
             # Quartile `q` of the sorted v[1..n], interpolated linearly.
             function quantile(v, n, q,    h, i) {
                 h = 1 + (n - 1) * q
@@ -101,10 +104,23 @@ for workload in "${workloads[@]}"; do
                 }
                 if (n == 0) exit
                 sorted(p, ps, n); sorted(c, cs, n)
+                pm = quantile(ps, n, 0.5); cm = quantile(cs, n, 0.5)
+                iqr = quantile(ps, n, 0.75) - quantile(ps, n, 0.25)
                 printf "%s @ %s (%s is better): %.6g → %.6g, ahead %d/%d; quartiles %.6g–%.6g vs %.6g–%.6g\n",
-                    m, w, better, quantile(ps, n, 0.5), quantile(cs, n, 0.5), ahead, n,
+                    m, w, better, pm, cm, ahead, n,
                     quantile(ps, n, 0.25), quantile(ps, n, 0.75),
                     quantile(cs, n, 0.25), quantile(cs, n, 0.75)
+                # The change of the medians, signed so that > 0 is worse.
+                if (pm == 0) {
+                    change = "n/a"; worse = (better == "higher" ? cm < 0 : cm > 0) ? 1 : 0
+                } else {
+                    rel = (cm - pm) / (pm < 0 ? -pm : pm)
+                    change = sprintf("%+.2f %%", 100 * rel)
+                    worse = (better == "higher" ? -rel : rel) - bound
+                }
+                printf "  change %s (bound %g %%)%s; medians %s the parent'"'"'s IQR (%.6g) apart\n",
+                    change, 100 * bound, (worse > 0 ? ", PAST BOUND" : ""),
+                    (cm - pm > iqr || pm - cm > iqr) ? "more than" : "not more than", iqr
                 printf "  pairs:%s\n", list
             }
         ' "$scratch/parent.tsv" "$scratch/change.tsv"

@@ -17,8 +17,8 @@
 //! and release builds; CI runs both).
 
 use son_core::{
-    set_telemetry_enabled, AdmissionConfig, CspRouter, EngineConfig, Health, ServiceOverlay,
-    ServiceRequest, SonConfig,
+    set_telemetry_enabled, AdmissionConfig, CspRouter, EngineConfig, Health, LevelWork,
+    ServiceOverlay, ServiceRequest, SonConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -174,6 +174,34 @@ fn frontier_sinks_and_nodes_are_pinned() {
     }
     println!("256 frontiers: {sinks} sinks / {nodes} nodes");
     assert_eq!((sinks, nodes), (3_027, 12_061));
+}
+
+/// What the level solver did for the 256 requests: one frontier solve
+/// and one plain plan each (a plain route's only level solve on this
+/// world, which has no hierarchy). Counts of the solve, not of the
+/// allocator.
+#[test]
+fn level_work_over_the_gate_requests_is_pinned() {
+    let (overlay, requests) = world();
+    let router = overlay.hier_router();
+    let mut work = LevelWork::default();
+    for request in requests {
+        let frontier = router.solve_frontier_with_work(request).expect("routable");
+        for solve in [frontier.1, router.plan(request).expect("routable").work] {
+            work.provider_probes += solve.provider_probes;
+            work.relaxations += solve.relaxations;
+            work.skipped_origins += solve.skipped_origins;
+        }
+    }
+    println!("256 frontier solves and plans: {work:?}");
+    assert_eq!(
+        work,
+        LevelWork {
+            provider_probes: 135_660,
+            relaxations: 2_411_114,
+            skipped_origins: 64_868,
+        }
+    );
 }
 
 #[test]
