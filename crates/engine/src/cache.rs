@@ -1,4 +1,5 @@
-//! The sharded, epoch-invalidated route cache.
+//! The engine's cache tiers: the sharded, epoch-invalidated route
+//! cache, the CSP frontier tier and the negative cache, on one store.
 //!
 //! CDN server-ranking studies (Gürsun) observe that request locality
 //! makes route decisions highly cacheable *per ingress partition*: the
@@ -17,9 +18,17 @@
 //! so cached paths are never served stale — without any scan-the-cache
 //! flush on the churn path.
 //!
-//! **Sharding.** Entries hash-partition across [`Mutex`]ed shards so
-//! concurrent workers rarely contend; counters are atomics outside the
-//! locks.
+//! **One store.** [`RouteCache`] (the exact tier), [`CspCache`] and
+//! [`NegativeCache`] are thin views of one private `Tier`. It
+//! hash-partitions entries across [`Mutex`]ed shards so concurrent
+//! workers rarely contend, bounds each shard by FIFO eviction with a
+//! compacted queue, and keeps its counters as atomics outside the
+//! locks. A view gives only its value type and its validity rule: the
+//! store runs the rule on a resident entry under the shard lock and
+//! drops the entry if the rule declines it. The exact tier accepts its
+//! own epoch, or the previous one while a stale-serve token can be
+//! taken; the CSP tier its own epoch; the negative tier, one shard,
+//! its own epoch and health generation.
 //!
 //! **Keys.** A key is its `u32` words plus their hash, computed once at
 //! encode: the hash picks the shard and keys the shard's map, and
@@ -31,7 +40,7 @@ use son_routing::{CspFrontier, RouteError, ServicePath};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Hashes key words: a rotate-xor-multiply step per word, then a
 /// final fold and multiply so that both halves are well mixed — the
@@ -159,33 +168,174 @@ impl RouteKey {
     }
 }
 
+/// How a [`Tier::lookup`] closure judges a resident entry.
+enum Read<T> {
+    /// Serve it: a hit.
+    Hit(T),
+    /// Serve it stale, under a token of the stale-serve budget.
+    Stale(T),
+    /// Decline it: the entry is dropped.
+    Drop,
+}
+
+/// One shard of a [`Tier`]: its entries, each stamped with the epoch it
+/// was filed under, plus their FIFO insertion order for eviction.
 #[derive(Debug)]
-struct Entry {
-    epoch: u64,
-    path: ServicePath,
+struct Shard<V> {
+    entries: KeyMap<Key, (u64, V)>,
+    order: VecDeque<Key>,
 }
 
-/// One shard: a map plus FIFO insertion order for eviction.
-#[derive(Debug, Default)]
-struct Shard {
-    entries: KeyMap<RouteKey, Entry>,
-    order: VecDeque<RouteKey>,
+impl<V> Shard<V> {
+    /// Bounds the eviction queue by the map. A key dropped on sight
+    /// (stale) or by hand and then inserted again is queued again, and
+    /// while the map has room nothing dequeues the old occurrence —
+    /// under epoch churn the queue would grow by a key per re-insert.
+    /// Once the queue holds more than twice the map, it keeps the first
+    /// occurrence of each resident key, which is the one eviction
+    /// reaches first.
+    fn compact(&mut self) {
+        let Shard { entries, order } = self;
+        if order.len() > 2 * entries.len() {
+            let mut queued = HashSet::with_capacity(entries.len());
+            order.retain(|key| {
+                entries
+                    .get_key_value(key)
+                    .is_some_and(|(resident, _)| queued.insert(resident))
+            });
+        }
+    }
 }
 
-/// Bounds a FIFO eviction queue by its map. A key dropped on sight
-/// (stale) or by hand and then inserted again is queued again, and
-/// while the map has room nothing dequeues the old occurrence — under
-/// epoch churn the queue would grow by a key per re-insert. Once the
-/// queue holds more than twice the map, it keeps the first occurrence
-/// of each resident key, which is the one eviction reaches first.
-fn compact<K: Hash + Eq, V>(order: &mut VecDeque<K>, entries: &KeyMap<K, V>) {
-    if order.len() > 2 * entries.len() {
-        let mut queued = HashSet::with_capacity(entries.len());
-        order.retain(|key| {
-            entries
-                .get_key_value(key)
-                .is_some_and(|(resident, _)| queued.insert(resident))
-        });
+/// The one store behind the three cache tiers: epoch-stamped values
+/// sharded by key hash across [`Mutex`]ed shards, each shard bounded
+/// with FIFO eviction, and counters outside the locks. A tier is a view
+/// that gives only its value type `V` and, per lookup, its validity
+/// rule.
+#[derive(Debug)]
+struct Tier<V> {
+    shards: Vec<Mutex<Shard<V>>>,
+    capacity_per_shard: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    drops: AtomicU64,
+    stale_served: AtomicU64,
+    insertions: AtomicU64,
+    evictions: AtomicU64,
+}
+
+impl<V> Tier<V> {
+    /// `shards` lock partitions with room for `capacity` entries in
+    /// total (rounded up to a multiple of the shard count; at least one
+    /// entry per shard).
+    fn new(shards: usize, capacity: usize) -> Self {
+        assert!(shards > 0, "the cache needs at least one shard");
+        let shard = || {
+            let (entries, order) = (KeyMap::default(), VecDeque::new());
+            Mutex::new(Shard { entries, order })
+        };
+        Tier {
+            shards: (0..shards).map(|_| shard()).collect(),
+            capacity_per_shard: capacity.div_ceil(shards).max(1),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            drops: AtomicU64::new(0),
+            stale_served: AtomicU64::new(0),
+            insertions: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    /// The shard `key` lives in, locked.
+    fn shard(&self, key: &Key) -> MutexGuard<'_, Shard<V>> {
+        self.shards[shard_index(key.hash, self.shards.len())]
+            .lock()
+            .expect("cache shard poisoned")
+    }
+
+    /// Reads the entry under `key`, its epoch stamp and value, through
+    /// `read` while the shard is locked, and drops it if `read`
+    /// declines; `None` if no entry is resident. A declined entry counts
+    /// as a drop and a miss, and so does an absent one, without the
+    /// drop.
+    fn lookup<T>(&self, key: &Key, read: impl FnOnce(u64, &V) -> Read<T>) -> Option<Read<T>> {
+        let mut shard = self.shard(key);
+        let found = shard
+            .entries
+            .get(key)
+            .map(|(stamp, value)| read(*stamp, value));
+        if let Some(Read::Drop) = found {
+            shard.entries.remove(key);
+        }
+        drop(shard);
+        let counter = match found {
+            Some(Read::Hit(_)) => &self.hits,
+            Some(Read::Stale(_)) => &self.stale_served,
+            Some(Read::Drop) => {
+                self.drops.fetch_add(1, Ordering::Relaxed);
+                &self.misses
+            }
+            None => &self.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// [`Tier::lookup`] for a tier that serves nothing stale: what
+    /// `read` returns, with `None` declining the entry.
+    fn get<T>(&self, key: &Key, read: impl FnOnce(u64, &V) -> Option<T>) -> Option<T> {
+        let judge = |stamp, value: &V| read(stamp, value).map_or(Read::Drop, Read::Hit);
+        match self.lookup(key, judge) {
+            Some(Read::Hit(value)) => Some(value),
+            _ => None,
+        }
+    }
+
+    /// Stores `value` under `key` stamped with `epoch`, evicting in FIFO
+    /// order while the shard is full. Keys in the queue whose entry was
+    /// already dropped (stale lookup or overwrite) cost nothing.
+    fn insert(&self, key: Key, epoch: u64, value: V) {
+        let mut shard = self.shard(&key);
+        while shard.entries.len() >= self.capacity_per_shard {
+            let Some(victim) = shard.order.pop_front() else {
+                break;
+            };
+            if shard.entries.remove(&victim).is_some() {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        if shard.entries.insert(key.clone(), (epoch, value)).is_none() {
+            shard.order.push_back(key);
+            shard.compact();
+        }
+        drop(shard);
+        self.insertions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Drops the entry under `key`, reporting whether one was resident.
+    fn remove(&self, key: &Key) -> bool {
+        self.shard(key).entries.remove(key).is_some()
+    }
+
+    /// Number of resident entries (valid or not).
+    fn len(&self) -> usize {
+        let len =
+            |shard: &Mutex<Shard<V>>| shard.lock().expect("cache shard poisoned").entries.len();
+        self.shards.iter().map(len).sum()
+    }
+
+    /// The counters so far; a drop reads as a `stale_drops`.
+    fn stats(&self) -> CacheStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        CacheStats {
+            hits: load(&self.hits),
+            misses: load(&self.misses),
+            stale_drops: load(&self.drops),
+            insertions: load(&self.insertions),
+            evictions: load(&self.evictions),
+            stale_served: load(&self.stale_served),
+            ..CacheStats::default()
+        }
     }
 }
 
@@ -258,18 +408,10 @@ pub enum SwrLookup {
     StaleDrop,
 }
 
-/// The concurrent route cache. See the module docs for the design.
+/// The concurrent route cache, the exact tier. See the module docs for
+/// the design.
 #[derive(Debug)]
-pub struct RouteCache {
-    shards: Vec<Mutex<Shard>>,
-    capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stale_drops: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    stale_served: AtomicU64,
-}
+pub struct RouteCache(Tier<ServicePath>);
 
 impl RouteCache {
     /// Creates a cache with `shards` lock partitions and room for
@@ -280,21 +422,7 @@ impl RouteCache {
     ///
     /// Panics if `shards` is zero.
     pub fn new(shards: usize, capacity: usize) -> Self {
-        assert!(shards > 0, "the cache needs at least one shard");
-        RouteCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            capacity_per_shard: capacity.div_ceil(shards).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stale_drops: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            stale_served: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &RouteKey) -> &Mutex<Shard> {
-        &self.shards[shard_index(key.0.hash, self.shards.len())]
+        RouteCache(Tier::new(shards, capacity))
     }
 
     /// Looks `key` up for a batch serving snapshot `epoch`. An entry
@@ -321,65 +449,32 @@ impl RouteCache {
     /// [`RouteCache::lookup`] with the miss told apart from the stale
     /// drop.
     pub fn lookup_swr(&self, key: &RouteKey, epoch: u64, budget: &AtomicU64) -> SwrLookup {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        match shard.entries.get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                let path = entry.path.clone();
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                SwrLookup::Hit(path)
+        let take_token = || {
+            budget
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
+                .is_ok()
+        };
+        let found = self.0.lookup(&key.0, |stamp, path| {
+            if stamp == epoch {
+                Read::Hit(path.clone())
+            } else if stamp + 1 == epoch && take_token() {
+                Read::Stale(path.clone())
+            } else {
+                Read::Drop
             }
-            Some(entry)
-                if entry.epoch + 1 == epoch
-                    && budget
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                        .is_ok() =>
-            {
-                let path = entry.path.clone();
-                drop(shard);
-                self.stale_served.fetch_add(1, Ordering::Relaxed);
-                SwrLookup::Stale(path)
-            }
-            Some(_) => {
-                shard.entries.remove(key);
-                drop(shard);
-                self.stale_drops.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                SwrLookup::StaleDrop
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                SwrLookup::Miss
-            }
+        });
+        match found {
+            Some(Read::Hit(path)) => SwrLookup::Hit(path),
+            Some(Read::Stale(path)) => SwrLookup::Stale(path),
+            Some(Read::Drop) => SwrLookup::StaleDrop,
+            None => SwrLookup::Miss,
         }
     }
 
     /// Stores a computed path under `key` for `epoch`, evicting in FIFO
     /// order when the shard is full.
     pub fn insert(&self, key: RouteKey, epoch: u64, path: ServicePath) {
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-        // Evict until there is room. Keys in `order` whose entry was
-        // already dropped (stale lookup or overwrite) cost nothing.
-        while shard.entries.len() >= self.capacity_per_shard {
-            let Some(victim) = shard.order.pop_front() else {
-                break;
-            };
-            if shard.entries.remove(&victim).is_some() {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if shard
-            .entries
-            .insert(key.clone(), Entry { epoch, path })
-            .is_none()
-        {
-            shard.order.push_back(key);
-            let Shard { entries, order } = &mut *shard;
-            compact(order, entries);
-        }
-        drop(shard);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.0.insert(key.0, epoch, path);
     }
 
     /// Drops the entry under `key` regardless of its epoch, reporting
@@ -388,16 +483,12 @@ impl RouteCache {
     /// serving (the entry's epoch is still current — the *world*
     /// changed, not the snapshot).
     pub fn remove(&self, key: &RouteKey) -> bool {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        shard.entries.remove(key).is_some()
+        self.0.remove(&key.0)
     }
 
     /// Number of resident entries (all epochs).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").entries.len())
-            .sum()
+        self.0.len()
     }
 
     /// Returns `true` if no entries are resident.
@@ -411,15 +502,7 @@ impl RouteCache {
     ///
     /// [`Engine::cache_stats`]: crate::Engine::cache_stats
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stale_drops: self.stale_drops.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            stale_served: self.stale_served.load(Ordering::Relaxed),
-            ..CacheStats::default()
-        }
+        self.0.stats()
     }
 }
 
@@ -487,29 +570,12 @@ impl CspKey {
     }
 }
 
-#[derive(Debug)]
-struct CspEntry {
-    epoch: u64,
-    frontier: Arc<CspFrontier>,
-}
-
-#[derive(Debug, Default)]
-struct CspShard {
-    entries: KeyMap<CspKey, CspEntry>,
-    order: VecDeque<CspKey>,
-}
-
 /// The CSP frontier tier: sharded, epoch-strict (no stale-serve — a
 /// frontier from another epoch is dropped on sight), FIFO-bounded.
 /// Values are shared [`Arc`]s because one frontier may carry many
 /// candidates and is replayed by many concurrent workers.
 #[derive(Debug)]
-pub struct CspCache {
-    shards: Vec<Mutex<CspShard>>,
-    capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+pub struct CspCache(Tier<Arc<CspFrontier>>);
 
 impl CspCache {
     /// Creates a frontier cache with `shards` lock partitions and room
@@ -519,73 +585,26 @@ impl CspCache {
     ///
     /// Panics if `shards` is zero.
     pub fn new(shards: usize, capacity: usize) -> Self {
-        assert!(shards > 0, "the cache needs at least one shard");
-        CspCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(CspShard::default()))
-                .collect(),
-            capacity_per_shard: capacity.div_ceil(shards).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &CspKey) -> &Mutex<CspShard> {
-        &self.shards[shard_index(key.0.hash, self.shards.len())]
+        CspCache(Tier::new(shards, capacity))
     }
 
     /// Looks `key` up for the serving `epoch`; entries from any other
     /// epoch are dropped and counted as misses.
     pub fn lookup(&self, key: &CspKey, epoch: u64) -> Option<Arc<CspFrontier>> {
-        let mut shard = self.shard(key).lock().expect("csp shard poisoned");
-        match shard.entries.get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                let frontier = Arc::clone(&entry.frontier);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(frontier)
-            }
-            Some(_) => {
-                shard.entries.remove(key);
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.0.get(&key.0, |stamp, frontier| {
+            (stamp == epoch).then(|| Arc::clone(frontier))
+        })
     }
 
     /// Stores a solved frontier under `key` for `epoch`, evicting in
     /// FIFO order when the shard is full.
     pub fn insert(&self, key: CspKey, epoch: u64, frontier: Arc<CspFrontier>) {
-        let mut shard = self.shard(&key).lock().expect("csp shard poisoned");
-        while shard.entries.len() >= self.capacity_per_shard {
-            let Some(victim) = shard.order.pop_front() else {
-                break;
-            };
-            shard.entries.remove(&victim);
-        }
-        if shard
-            .entries
-            .insert(key.clone(), CspEntry { epoch, frontier })
-            .is_none()
-        {
-            shard.order.push_back(key);
-            let CspShard { entries, order } = &mut *shard;
-            compact(order, entries);
-        }
+        self.0.insert(key.0, epoch, frontier);
     }
 
     /// Number of resident frontiers (all epochs).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("csp shard poisoned").entries.len())
-            .sum()
+        self.0.len()
     }
 
     /// Returns `true` if no frontiers are resident.
@@ -595,23 +614,15 @@ impl CspCache {
 
     /// (hits, misses) so far.
     pub fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        let stats = self.0.stats();
+        (stats.hits, stats.misses)
     }
-}
-
-#[derive(Debug)]
-struct NegEntry {
-    epoch: u64,
-    health_gen: u64,
-    error: RouteError,
 }
 
 /// Negative cache: remembers deterministic routing failures
 /// (`NoProvider`, `Infeasible`) so repeated unroutable requests
-/// fast-reject instead of re-running the full failed solve.
+/// fast-reject instead of re-running the full failed solve. It is one
+/// shard.
 ///
 /// Entries are valid only while **both** the snapshot epoch and the
 /// engine's health generation (bumped on every live `set_health`)
@@ -620,82 +631,31 @@ struct NegEntry {
 /// over-invalidation is deliberate: it guarantees no key can stay
 /// poisoned after the blocking proxy recovers.
 #[derive(Debug)]
-pub struct NegativeCache {
-    inner: Mutex<NegShard>,
-    capacity: usize,
-    hits: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct NegShard {
-    entries: KeyMap<RouteKey, NegEntry>,
-    order: VecDeque<RouteKey>,
-}
+pub struct NegativeCache(Tier<(u64, RouteError)>);
 
 impl NegativeCache {
     /// Creates a negative cache bounded to `capacity` entries (FIFO).
     pub fn new(capacity: usize) -> Self {
-        NegativeCache {
-            inner: Mutex::new(NegShard::default()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-        }
+        NegativeCache(Tier::new(1, capacity))
     }
 
     /// Returns the recorded error if a valid entry exists for `key`;
     /// invalid entries (other epoch or health generation) are dropped
     /// on sight.
     pub fn lookup(&self, key: &RouteKey, epoch: u64, health_gen: u64) -> Option<RouteError> {
-        let mut inner = self.inner.lock().expect("negative cache poisoned");
-        match inner.entries.get(key) {
-            Some(entry) if entry.epoch == epoch && entry.health_gen == health_gen => {
-                let error = entry.error.clone();
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(error)
-            }
-            Some(_) => {
-                inner.entries.remove(key);
-                None
-            }
-            None => None,
-        }
+        self.0.get(&key.0, |stamp, (gen, error)| {
+            (stamp == epoch && *gen == health_gen).then(|| error.clone())
+        })
     }
 
     /// Records a failed solve under `key` for (`epoch`, `health_gen`).
     pub fn insert(&self, key: RouteKey, epoch: u64, health_gen: u64, error: RouteError) {
-        let mut inner = self.inner.lock().expect("negative cache poisoned");
-        while inner.entries.len() >= self.capacity {
-            let Some(victim) = inner.order.pop_front() else {
-                break;
-            };
-            inner.entries.remove(&victim);
-        }
-        if inner
-            .entries
-            .insert(
-                key.clone(),
-                NegEntry {
-                    epoch,
-                    health_gen,
-                    error,
-                },
-            )
-            .is_none()
-        {
-            inner.order.push_back(key);
-            let NegShard { entries, order } = &mut *inner;
-            compact(order, entries);
-        }
+        self.0.insert(key.0, epoch, (health_gen, error));
     }
 
     /// Number of resident entries (valid or not).
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("negative cache poisoned")
-            .entries
-            .len()
+        self.0.len()
     }
 
     /// Returns `true` if no entries are resident.
@@ -705,7 +665,7 @@ impl NegativeCache {
 
     /// Fast rejects served so far.
     pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.0.stats().hits
     }
 }
 
@@ -858,17 +818,116 @@ mod tests {
         assert_eq!(cache.lookup(&b, 0), None);
     }
 
-    /// Equal hashes are not equal keys: the words decide.
+    /// A tier through its public methods, so that one test body checks
+    /// all three: `put` files value `i` under `key` at `epoch`, `holds`
+    /// says whether a lookup at `epoch` finds value `i`, and `tier`
+    /// opens the store beneath for its queue and counters.
+    trait View {
+        type Value;
+        fn one_shard(capacity: usize) -> Self;
+        fn put(&self, key: &Key, epoch: u64, i: usize);
+        fn holds(&self, key: &Key, epoch: u64, i: usize) -> bool;
+        fn tier(&self) -> &Tier<Self::Value>;
+    }
+
+    impl View for RouteCache {
+        type Value = ServicePath;
+        fn one_shard(capacity: usize) -> Self {
+            RouteCache::new(1, capacity)
+        }
+        fn put(&self, key: &Key, epoch: u64, i: usize) {
+            self.insert(RouteKey(key.clone()), epoch, path(i, 9));
+        }
+        fn holds(&self, key: &Key, epoch: u64, i: usize) -> bool {
+            self.lookup(&RouteKey(key.clone()), epoch) == Some(path(i, 9))
+        }
+        fn tier(&self) -> &Tier<ServicePath> {
+            &self.0
+        }
+    }
+
+    /// The CSP tier, with copies of one solved frontier as its values,
+    /// told apart by address.
+    struct Csp(CspCache, Vec<Arc<CspFrontier>>);
+
+    impl View for Csp {
+        type Value = Arc<CspFrontier>;
+        fn one_shard(capacity: usize) -> Self {
+            let solved = frontier(1);
+            let values = (0..8).map(|_| Arc::new((*solved).clone())).collect();
+            Csp(CspCache::new(1, capacity), values)
+        }
+        fn put(&self, key: &Key, epoch: u64, i: usize) {
+            self.0
+                .insert(CspKey(key.clone()), epoch, Arc::clone(&self.1[i]));
+        }
+        fn holds(&self, key: &Key, epoch: u64, i: usize) -> bool {
+            let found = self.0.lookup(&CspKey(key.clone()), epoch);
+            found.is_some_and(|frontier| Arc::ptr_eq(&frontier, &self.1[i]))
+        }
+        fn tier(&self) -> &Tier<Arc<CspFrontier>> {
+            &self.0 .0
+        }
+    }
+
+    /// The negative tier at health generation 0.
+    impl View for NegativeCache {
+        type Value = (u64, RouteError);
+        fn one_shard(capacity: usize) -> Self {
+            NegativeCache::new(capacity)
+        }
+        fn put(&self, key: &Key, epoch: u64, i: usize) {
+            let error = RouteError::NoProvider(ServiceId::new(i));
+            self.insert(RouteKey(key.clone()), epoch, 0, error);
+        }
+        fn holds(&self, key: &Key, epoch: u64, i: usize) -> bool {
+            let error = RouteError::NoProvider(ServiceId::new(i));
+            self.lookup(&RouteKey(key.clone()), epoch, 0) == Some(error)
+        }
+        fn tier(&self) -> &Tier<(u64, RouteError)> {
+            &self.0
+        }
+    }
+
+    /// Runs `check` on every tier.
+    macro_rules! every_tier {
+        ($check:ident) => {
+            $check::<RouteCache>();
+            $check::<Csp>();
+            $check::<NegativeCache>();
+        };
+    }
+
+    /// The key of `request(i, [1], 9)` at ingress 0.
+    fn key(i: usize) -> Key {
+        RouteKey::encode(ClusterId::new(0), &request(i, &[1], 9)).0
+    }
+
+    /// Equal hashes are not equal keys: the words decide. Six keys with
+    /// one hash share a shard and its map's probe sequence, yet each
+    /// keeps its own value, a key with other words misses, and eviction
+    /// takes them in insertion order — in every tier.
     #[test]
     fn keys_with_one_hash_but_other_words_miss() {
-        let key = |words: Vec<u32>| RouteKey(Key { hash: 42, words });
-        let cache = NegativeCache::new(8);
-        cache.insert(key(vec![1, 2, 3]), 0, 0, RouteError::Infeasible);
-        assert_eq!(cache.lookup(&key(vec![1, 2, 4]), 0, 0), None);
-        assert_eq!(
-            cache.lookup(&key(vec![1, 2, 3]), 0, 0),
-            Some(RouteError::Infeasible)
-        );
+        fn check<C: View>() {
+            let tier = std::any::type_name::<C>();
+            let key = |word: usize| Key {
+                hash: 42,
+                words: vec![1, 2, word as u32],
+            };
+            let cache = C::one_shard(4);
+            for i in 0..6 {
+                cache.put(&key(i), 0, i);
+            }
+            assert!(!cache.holds(&key(0), 0, 0), "{tier}: first evicted");
+            assert!(!cache.holds(&key(1), 0, 1), "{tier}: second evicted");
+            for i in 2..6 {
+                assert!(cache.holds(&key(i), 0, i), "{tier}: key {i}");
+            }
+            let other = cache.tier().lookup(&key(6), |_, _| Read::Hit(()));
+            assert!(other.is_none(), "{tier}: other words");
+        }
+        every_tier!(check);
     }
 
     #[test]
@@ -895,47 +954,67 @@ mod tests {
         assert_eq!(cache.lookup(&key, 1), None);
     }
 
+    /// Five keys into room for three: the oldest two are evicted, the
+    /// newest three keep their values — in every tier.
     #[test]
     fn capacity_is_bounded_fifo() {
-        let cache = RouteCache::new(1, 3);
-        let keys: Vec<RouteKey> = (0..5)
-            .map(|i| RouteKey::encode(ClusterId::new(0), &request(i, &[1], 9)))
-            .collect();
-        for (i, key) in keys.iter().enumerate() {
-            cache.insert(key.clone(), 0, path(i, 9));
+        fn check<C: View>() {
+            let tier = std::any::type_name::<C>();
+            let cache = C::one_shard(3);
+            for i in 0..5 {
+                cache.put(&key(i), 0, i);
+            }
+            assert_eq!(cache.tier().len(), 3, "{tier}");
+            assert_eq!(cache.tier().stats().evictions, 2, "{tier}");
+            assert!(!cache.holds(&key(0), 0, 0), "{tier}: key 0");
+            assert!(!cache.holds(&key(1), 0, 1), "{tier}: key 1");
+            for i in 2..5 {
+                assert!(cache.holds(&key(i), 0, i), "{tier}: key {i}");
+            }
         }
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.stats().evictions, 2);
-        // The oldest two were evicted, the newest three survive.
-        assert_eq!(cache.lookup(&keys[0], 0), None);
-        assert_eq!(cache.lookup(&keys[1], 0), None);
-        for (i, key) in keys.iter().enumerate().skip(2) {
-            assert_eq!(cache.lookup(key, 0), Some(path(i, 9)), "key {i}");
-        }
+        every_tier!(check);
     }
 
     /// A key dropped as stale and inserted again under every new epoch
-    /// must not leave an occurrence in the eviction queue each time.
+    /// must not leave an occurrence in the eviction queue each time, and
+    /// compacting the queue keeps the eviction order: the churned key
+    /// was queued before its neighbour, so it goes first — in every
+    /// tier.
     #[test]
     fn stale_reinserts_keep_the_eviction_queue_bounded() {
-        let cache = RouteCache::new(1, 64);
-        let key = RouteKey::encode(ClusterId::new(0), &request(0, &[1], 2));
-        for epoch in 0..1_000 {
-            assert_eq!(cache.lookup(&key, epoch), None);
-            cache.insert(key.clone(), epoch, path(0, 2));
+        fn check<C: View>() {
+            let tier = std::any::type_name::<C>();
+            let (churned, kept, last) = (key(0), key(1), key(2));
+            let cache = C::one_shard(2);
+            cache.put(&churned, 0, 0);
+            cache.put(&kept, 0, 1);
+            for epoch in 1..1_000 {
+                assert!(!cache.holds(&churned, epoch, 0), "{tier}: epoch {epoch}");
+                cache.put(&churned, epoch, 0);
+            }
+            assert_eq!(cache.tier().stats().stale_drops, 999, "{tier}");
+            let queued = cache.tier().shard(&churned).order.len();
+            assert!(queued <= 2 * cache.tier().len(), "{tier}: {queued} queued");
+            // The shard is full: the next insert evicts the churned key.
+            cache.put(&last, 0, 2);
+            assert!(!cache.holds(&churned, 999, 0), "{tier}: churned key kept");
+            assert!(cache.holds(&kept, 0, 1), "{tier}: neighbour evicted");
+            assert!(cache.holds(&last, 0, 2), "{tier}");
         }
-        assert_eq!(cache.stats().stale_drops, 999);
-        assert!(cache.shard(&key).lock().unwrap().order.len() <= 2);
+        every_tier!(check);
     }
 
     #[test]
     fn overwrite_does_not_duplicate_order() {
-        let cache = RouteCache::new(1, 2);
-        let key = RouteKey::encode(ClusterId::new(0), &request(0, &[1], 2));
-        cache.insert(key.clone(), 0, path(0, 2));
-        cache.insert(key.clone(), 1, path(0, 2));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup(&key, 1), Some(path(0, 2)));
+        fn check<C: View>() {
+            let tier = std::any::type_name::<C>();
+            let cache = C::one_shard(2);
+            cache.put(&key(0), 0, 0);
+            cache.put(&key(0), 1, 1);
+            assert_eq!(cache.tier().shard(&key(0)).order.len(), 1, "{tier}");
+            assert!(cache.holds(&key(0), 1, 1), "{tier}");
+        }
+        every_tier!(check);
     }
 
     #[test]

@@ -341,6 +341,15 @@ struct BatchConstraints {
     admitted: Option<Vec<AtomicU64>>,
 }
 
+/// Whether an unroutable verdict is final, fit for the negative tier:
+/// `NoProvider` or `Infeasible` with admission off. Under admission the
+/// error can depend on the batch's token state, which the (epoch,
+/// health-gen) key does not capture.
+fn final_verdict(ctx: Option<&BatchConstraints>, err: &RouteError) -> bool {
+    ctx.is_none_or(|c| !c.admission.enabled)
+        && matches!(err, RouteError::NoProvider(_) | RouteError::Infeasible)
+}
+
 impl BatchConstraints {
     /// Takes one token per distinct proxy of `path`, all or nothing.
     /// On failure returns the saturated proxy; nothing stays acquired.
@@ -1029,9 +1038,7 @@ where
                 }
                 Err(err) => {
                     self.cache.remove(&key);
-                    if ctx.is_none_or(|c| !c.admission.enabled)
-                        && matches!(err, RouteError::NoProvider(_) | RouteError::Infeasible)
-                    {
+                    if final_verdict(ctx, &err) {
                         let gen = self.health_gen.load(Ordering::SeqCst);
                         self.negative.insert(key, epoch, gen, err);
                     }
@@ -1165,14 +1172,7 @@ where
                         None if overloaded => RouteError::Overloaded,
                         None => RouteError::Infeasible,
                     };
-                    // Cache the unroutable verdict, but only when
-                    // admission is off: with token buckets active the
-                    // final error can depend on this batch's token
-                    // state, which the (epoch, health-gen) key does not
-                    // capture.
-                    if ctx.is_none_or(|c| !c.admission.enabled)
-                        && matches!(err, RouteError::NoProvider(_) | RouteError::Infeasible)
-                    {
+                    if final_verdict(ctx, &err) {
                         acc.measure(StageSlot::Cache, || {
                             self.negative
                                 .insert(key.clone(), epoch, health_gen, err.clone())

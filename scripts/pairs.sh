@@ -15,7 +15,9 @@
 # (`PAST BOUND` when it is worse than the metric's `bound`), whether the
 # medians lie further apart than the parent's interquartile range, how
 # many pairs the change is ahead in (by the metric's `better`), and
-# every pair. Offline: git, tar, cargo, awk.
+# every pair. On a failure it keeps the raw runs so far (`parent.tsv`,
+# `change.tsv`) and prints where they are. Offline: git, tar, cargo,
+# awk, find.
 set -euo pipefail
 
 parent=${1:?usage: scripts/pairs.sh PARENT [WORKLOAD ...]}
@@ -40,7 +42,18 @@ metrics=$(awk '
 ' "$root/BENCHMARK.json")
 
 scratch=$(mktemp -d)
-trap 'rm -rf "$scratch"' EXIT
+# On success the scratch directory goes. On failure the raw runs so far
+# (parent.tsv, change.tsv) stay, so that a broken summary can be rerun.
+cleanup() {
+    local status=$?
+    if [ "$status" -eq 0 ]; then
+        rm -rf "$scratch"
+    else
+        find "$scratch" -mindepth 1 -maxdepth 1 ! -name '*.tsv' -exec rm -rf {} +
+        echo "failed (exit $status); raw runs kept in $scratch" >&2
+    fi
+}
+trap cleanup EXIT
 mkdir "$scratch/parent" "$scratch/change"
 git -C "$root" archive "$parent" | tar -x -C "$scratch/parent"
 (cd "$root" && git ls-files -z | tar --null -T - -cf -) | tar -x -C "$scratch/change"
