@@ -827,9 +827,7 @@ where
             }
         };
         table.solve(graph, &start, dst_unit, |stage, unit| {
-            self.unit_aggregate(level, unit)
-                .contains(graph.service(stage))
-                && !excluded.contains(&(stage, ClusterId::new(unit)))
+            !excluded.contains(&(stage, ClusterId::new(unit)))
         })
     }
 
@@ -897,9 +895,10 @@ where
     /// The level solver's table over the
     /// [sibling units](HierarchicalRouter::siblings) of `level` inside
     /// `parent`: their border pairs, the known distance between two of
-    /// a unit's border proxies, the attached load summary, and how far
-    /// a closing leg reaches from a border: inside a cluster to its
-    /// farthest member, above the clusters nowhere.
+    /// a unit's border proxies, the attached load summary, how far a
+    /// closing leg reaches from a border (inside a cluster to its
+    /// farthest member, above the clusters nowhere) and what each unit's
+    /// aggregate offers.
     fn table(&self, level: usize, parent: usize) -> &LevelTable {
         let levels = self.levels.get_or_init(|| {
             self.store
@@ -928,6 +927,7 @@ where
                         .fold(0.0, f64::max),
                     _ => 0.0,
                 },
+                |unit| self.unit_aggregate(level, unit).iter(),
             )
         })
     }

@@ -312,8 +312,12 @@ mod tests {
                 &self.request.graph,
                 excluded,
             ) {
-                let (coarse, winning) = solved.bounds(&self.request.graph);
+                let (coarse, winning, chained) = solved.bounds(&self.request.graph);
                 prop_assert!(coarse >= winning, "coarse bound {coarse} below {winning}");
+                prop_assert!(
+                    chained <= coarse,
+                    "a kept chain's state at {chained} lies above the coarse bound {coarse}"
+                );
             }
             let frontier = router
                 .sink_frontier(&self.request, excluded)

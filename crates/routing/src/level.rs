@@ -19,9 +19,12 @@
 //! later step at the most any state of its unit can pay, every mapping
 //! closed at the most its closing leg can add. Its smallest total
 //! bounds what the cheapest sink state closes at, so the fine pass
-//! relaxes only from states that cost no more than it: a state above
-//! it reaches no sink that can win (DESIGN.md §16, "Relaxing only from
-//! states that can win"). [`LevelWork`] counts what a solve did.
+//! relaxes only from states whose cost plus the least their unit can
+//! still add before it closes in the destination's unit stays within
+//! it: any other state reaches no sink that can win (DESIGN.md §16,
+//! "Relaxing only from states that can win"). A stage's candidate units
+//! are one read of a service × unit bit column. [`LevelWork`] counts
+//! what a solve did.
 //!
 //! [`HierarchicalRouter`](crate::hier::HierarchicalRouter) solves over
 //! one table per (level, parent group) — a single table of all clusters
@@ -36,7 +39,7 @@
 //! offers predecessor by predecessor.
 
 use crate::flat::RouteError;
-use son_overlay::{BorderPair, ProxyId, ServiceGraph, StageId};
+use son_overlay::{BorderPair, ProxyId, ServiceGraph, ServiceId, StageId};
 
 /// `back` mark of a state no offer has reached.
 const ABSENT: u32 = u32::MAX;
@@ -48,6 +51,11 @@ const ROOT: u32 = u32::MAX >> 1;
 const COUNTED: u32 = !ROOT;
 /// [`Node::parent`] of a state reached straight from the solve's source.
 pub(crate) const NO_PARENT: u32 = u32::MAX;
+/// Relative slack of the fine pass's cut. `cost + to_dst` groups its
+/// terms otherwise than the DP's own sums, and two groupings of `m`
+/// non-negative terms may differ by a factor of about `1 + 2m · 2⁻⁵³`;
+/// `m` stays below 2³¹ (DESIGN.md §16).
+const SLACK: f64 = 1.0 / (1u64 << 20) as f64;
 
 /// The border pair of one ordered unit pair, as the DP reads it.
 #[derive(Debug, Clone, Copy, Default)]
@@ -91,10 +99,17 @@ pub(crate) struct LevelTable {
     /// rows); zero on the diagonal. Beside `links`, not in them, so the
     /// fine pass reads 16 bytes a relaxation.
     steps: Vec<f64>,
+    /// `to_dst[dst * units + u]`: the least any state of unit `u` still
+    /// adds before it closes in unit `dst` — over every unit path, each
+    /// step priced `external + penalty` and the close `external`, zero
+    /// at `dst`. Every real step and close adds `row[exit] ≥ 0` on top.
+    to_dst: Vec<f64>,
     /// Per unit, the load penalty of entering it.
     penalty: Vec<f64>,
-    /// Per unit, whether stages may be mapped into it at all.
-    routable: Vec<bool>,
+    /// `column[service * words..(service + 1) * words]`, `words` being
+    /// `units.div_ceil(64)`: bit `u % 64` of word `u / 64` is set when
+    /// unit `u` is routable and offers the service.
+    column: Vec<u64>,
     /// Per state, the most a closing leg that ends inside its unit
     /// adds after reaching its proxy; `+∞` for source slots, whose
     /// proxy only a solve knows.
@@ -105,14 +120,14 @@ pub(crate) struct LevelTable {
 /// is made of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LevelWork {
-    /// Units asked whether they serve a stage (the candidate scan's
-    /// `serves` tests).
+    /// The (stage, unit) candidates the service × unit column yields,
+    /// before crankback's exclusions.
     pub provider_probes: u64,
     /// Steps priced by the fine pass, from a state or the source to a
     /// candidate unit.
     pub relaxations: u64,
-    /// Reached states the fine pass did not step from, their cost lying
-    /// above the coarse bound.
+    /// Reached states the fine pass did not step from, their cost plus
+    /// their unit's `to_dst` lying above the coarse bound.
     pub skipped_origins: u64,
 }
 
@@ -185,9 +200,11 @@ impl LevelTable {
     /// pair between two of them, `internal(a, b)` the known distance
     /// between two border proxies of one unit, `external(local,
     /// remote)` the known delay of a border link; `penalty` and
-    /// `routable` describe entering a unit, and `reach(border)` bounds
-    /// the closing leg from `border` to any destination in its unit.
-    pub(crate) fn build(
+    /// `routable` describe entering a unit, `reach(border)` bounds the
+    /// closing leg from `border` to any destination in its unit, and
+    /// `services(unit)` lists what a unit offers.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn build<S: IntoIterator<Item = ServiceId>>(
         units: impl IntoIterator<Item = usize>,
         border: impl Fn(usize, usize) -> BorderPair,
         internal_delay: impl Fn(ProxyId, ProxyId) -> f64,
@@ -195,6 +212,7 @@ impl LevelTable {
         penalty: impl Fn(usize) -> f64,
         routable: impl Fn(usize) -> bool,
         reach: impl Fn(ProxyId) -> f64,
+        services: impl Fn(usize) -> S,
     ) -> Self {
         let mut units: Vec<usize> = units.into_iter().collect();
         units.sort_unstable();
@@ -255,9 +273,20 @@ impl LevelTable {
                 });
             }
         }
+        let words = units.len().div_ceil(64);
+        let mut column = Vec::new();
+        for (at, &u) in units.iter().enumerate().filter(|&(_, &u)| routable(u)) {
+            for service in services(u) {
+                let row = service.index() * words;
+                if column.len() <= row {
+                    column.resize(row + words, 0);
+                }
+                column[row + at / 64] |= 1 << (at % 64);
+            }
+        }
         let mut table = LevelTable {
             penalty: units.iter().map(|&u| penalty(u)).collect(),
-            routable: units.iter().map(|&u| routable(u)).collect(),
+            column,
             reach: reaches,
             units,
             first,
@@ -267,6 +296,7 @@ impl LevelTable {
             row_at,
             links,
             steps: Vec::new(),
+            to_dst: Vec::new(),
         };
         // Unit `u`'s widest row is `widest[first[u] - u..first[u + 1] - u - 1]`.
         let n = table.units.len();
@@ -277,7 +307,49 @@ impl LevelTable {
                 table.origin(first[from], row).step(at % n).1
             })
             .collect();
+        table.to_dst = vec![0.0; n * n];
+        let mut settled = vec![false; n];
+        for (dst, to_dst) in table.to_dst.chunks_exact_mut(n).enumerate() {
+            // A dense Dijkstra towards `dst`: closing straight from `u`
+            // costs `external`, stepping into `v` first `external +
+            // penalty[v]` more than `v`'s own bound.
+            for (u, bound) in to_dst.iter_mut().enumerate() {
+                *bound = if u == dst {
+                    0.0
+                } else {
+                    table.links[u * n + dst].external
+                };
+            }
+            settled.fill(false);
+            for _ in 0..n {
+                let v = (0..n)
+                    .filter(|&v| !settled[v])
+                    .min_by(|&a, &b| to_dst[a].total_cmp(&to_dst[b]))
+                    .expect("one unit is left per round");
+                settled[v] = true;
+                for u in (0..n).filter(|&u| !settled[u]) {
+                    let via = table.links[u * n + v].external + table.penalty[v] + to_dst[v];
+                    to_dst[u] = to_dst[u].min(via);
+                }
+            }
+        }
         table
+    }
+
+    /// The units that are routable and offer `service`, by position in
+    /// ascending order.
+    fn offering(&self, service: ServiceId) -> impl Iterator<Item = usize> + '_ {
+        let words = self.units.len().div_ceil(64);
+        let row = service.index() * words;
+        let column = self.column.get(row..row + words).unwrap_or_default();
+        column.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest.wrapping_sub(1);
+                (bit < 64).then_some(word * 64 + bit)
+            })
+        })
     }
 
     /// Position of unit `unit` in the table.
@@ -352,8 +424,8 @@ impl LevelTable {
     }
 
     /// Runs the DP for `graph` from `start` towards a destination in
-    /// unit `dst`, mapping a stage only onto routable units for which
-    /// `serves(stage, unit)` holds.
+    /// unit `dst`, mapping a stage only onto routable units that offer
+    /// its service and for which `allowed(stage, unit)` holds.
     ///
     /// # Errors
     ///
@@ -363,7 +435,7 @@ impl LevelTable {
         graph: &ServiceGraph,
         start: &Start<'_>,
         dst: usize,
-        serves: impl Fn(StageId, usize) -> bool,
+        allowed: impl Fn(StageId, usize) -> bool,
     ) -> Result<Solved<'_>, RouteError> {
         let states = self.unit.len();
         let mut work = LevelWork::default();
@@ -372,11 +444,9 @@ impl LevelTable {
         let mut candidates: Vec<usize> = Vec::new();
         let mut candidates_at = vec![0];
         for stage in graph.stage_ids() {
-            candidates.extend((0..self.units.len()).filter(|&u| {
-                self.routable[u] && {
-                    work.provider_probes += 1;
-                    serves(stage, self.units[u])
-                }
+            candidates.extend(self.offering(graph.service(stage)).filter(|&u| {
+                work.provider_probes += 1;
+                allowed(stage, self.units[u])
             }));
             if candidates.len() == candidates_at[stage.index()] {
                 return Err(RouteError::NoProvider(graph.service(stage)));
@@ -460,6 +530,8 @@ impl LevelTable {
             }
         }
 
+        // `bound = +∞` makes `cut = +∞`, and nothing lies above it.
+        let (to_dst, cut) = (&self.to_dst[dst * n..(dst + 1) * n], bound * (1.0 + SLACK));
         for &stage in &order {
             let si = stage.index();
             let base = si * states;
@@ -475,13 +547,13 @@ impl LevelTable {
             }
             // Offers reach a state predecessor by predecessor, then in
             // the predecessor's visiting order; the first of equal
-            // offers stays. A state above the coarse bound offers
-            // nothing that can win.
+            // offers stays. A state whose cost plus `to_dst` lies above
+            // `cut` offers nothing that can win.
             for &pred in graph.predecessors(stage) {
                 let pbase = pred.index() * states;
                 let (from, to) = live_at[pred.index()];
                 for &pstate in &live[from..to] {
-                    if cost[pbase + pstate] > bound {
+                    if cost[pbase + pstate] + to_dst[self.unit[pstate]] > cut {
                         work.skipped_origins += 1;
                         continue;
                     }
@@ -734,25 +806,36 @@ fn reached<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use son_overlay::ServiceId;
+    use son_overlay::ServiceSet;
 
     impl Solved<'_> {
-        /// The coarse pass's bound, and the smallest upper bound any
-        /// sink state of `graph` has on its total, which
-        /// [`Solved::keep_winners`] keeps sinks by: the first is never
-        /// below the second.
-        pub(crate) fn bounds(&self, graph: &ServiceGraph) -> (f64, f64) {
+        /// The coarse pass's bound; the smallest upper bound any sink
+        /// state of `graph` has on its total, which
+        /// [`Solved::keep_winners`] keeps sinks by; and the largest
+        /// `cost + to_dst` of a state on a kept sink's chain. The first
+        /// is never below the other two.
+        pub(crate) fn bounds(mut self, graph: &ServiceGraph) -> (f64, f64, f64) {
+            let (table, states) = (self.table, self.table.unit.len());
             let winning = self
                 .sinks(graph)
-                .map(|sink| {
-                    sink.cost
-                        + self
-                            .table
-                            .closing(sink.at % self.table.unit.len(), self.dst)
-                            .1
-                })
+                .map(|sink| sink.cost + table.closing(sink.at % states, self.dst).1)
                 .fold(f64::INFINITY, f64::min);
-            (self.bound, winning)
+            let stages = graph.sinks();
+            self.keep_winners(&stages);
+            let to_dst = &table.to_dst[self.dst * table.units.len()..][..table.units.len()];
+            let mut chained = f64::NEG_INFINITY;
+            for &stage in &stages {
+                for mut at in reached(stage, &self.live, &self.live_at, states) {
+                    loop {
+                        chained = chained.max(self.cost[at] + to_dst[table.unit[at % states]]);
+                        match self.back[at] {
+                            ROOT => break,
+                            prev => at = prev as usize,
+                        }
+                    }
+                }
+            }
+            (self.bound, winning, chained)
         }
     }
 
@@ -772,6 +855,7 @@ mod tests {
             |_| 0.0,
             |_| true,
             |_| reach,
+            |_| [ServiceId::new(0)],
         )
     }
 
@@ -808,12 +892,14 @@ mod tests {
         let graph = ServiceGraph::linear(vec![ServiceId::new(0); 3]);
         let table = table([0, 1, 2], 0.0);
         let solved = table.solve(&graph, &start(&table), 0, |_, _| true).unwrap();
-        let (coarse, winning) = solved.bounds(&graph);
+        let work = solved.work;
+        let (coarse, winning, chained) = solved.bounds(&graph);
         // Stepping into unit 0 costs 1 + 2 and staying there nothing.
         assert_eq!(coarse, 3.0);
         assert!(coarse >= winning, "{coarse} < {winning}");
-        assert!(solved.work.skipped_origins > 0, "{:?}", solved.work);
-        assert_eq!(solved.work.provider_probes, 9);
+        assert!(coarse >= chained, "{coarse} < {chained}");
+        assert!(work.skipped_origins > 0, "{work:?}");
+        assert_eq!(work.provider_probes, 9);
     }
 
     #[test]
@@ -826,7 +912,116 @@ mod tests {
                 stage != last || unit == 1
             })
             .unwrap();
-        assert_eq!(solved.bounds(&graph).0, f64::INFINITY);
         assert_eq!(solved.work.skipped_origins, 0);
+        assert_eq!(solved.bounds(&graph).0, f64::INFINITY);
+    }
+
+    #[test]
+    fn a_state_exactly_at_the_coarse_bound_is_stepped_from() {
+        let graph = ServiceGraph::linear(vec![ServiceId::new(0); 3]);
+        let table = table([0, 1, 2], 0.0);
+        // Start on unit 1's border towards unit 0 (proxy 3), bound for
+        // unit 0: `to_dst` reads 0, 2 and 4.
+        let from = table.border_slot(1, ProxyId::new(3)).unwrap();
+        let start = Start {
+            state: from,
+            rank: 0,
+            row: table.row(from),
+        };
+        assert_eq!(&table.to_dst[..3], [0.0, 2.0, 4.0]);
+        let solved = table.solve(&graph, &start, 0, |_, _| true).unwrap();
+        // Staying costs 0 + 2; stepping into unit 0 first, 2 + 0. Both
+        // lie exactly at the coarse bound, and unit 2's border (4 + 4)
+        // above it.
+        let into_two = table.border_slot(2, ProxyId::new(7)).unwrap();
+        let states = table.unit.len();
+        assert_eq!(solved.cost[into_two], 4.0);
+        assert_eq!(
+            solved.cost[table.border_slot(0, ProxyId::new(1)).unwrap()],
+            2.0
+        );
+        assert_eq!(solved.cost[from], 0.0);
+        // Unit 2's border at stage 1 is offered only by the tied start.
+        assert_eq!(solved.cost[states + into_two], 4.0);
+        assert_eq!(
+            solved.chain(states + into_two, |u| u),
+            [(StageId::new(0), 1), (StageId::new(1), 2)]
+        );
+        let work = solved.work;
+        let (coarse, _, chained) = solved.bounds(&graph);
+        assert_eq!((coarse, chained), (2.0, 2.0));
+        assert_eq!(
+            work.skipped_origins, 3,
+            "unit 2's borders: proxy 7 at stage 0, proxies 6 and 7 at stage 1"
+        );
+
+        // At zero distance everywhere the bound is 0 and every state
+        // lies at it: each is stepped from, and the sinks are reached.
+        let zero = LevelTable::build(
+            [0, 1, 2],
+            |from, to| BorderPair {
+                local: ProxyId::new(3 * from + to),
+                remote: ProxyId::new(3 * to + from),
+            },
+            |_, _| 0.0,
+            |_, _| 0.0,
+            |_| 0.0,
+            |_| true,
+            |_| 0.0,
+            |_| [ServiceId::new(0)],
+        );
+        let start = Start {
+            state: zero.source_slot(0),
+            rank: 2,
+            row: &[0.0, 0.0],
+        };
+        let solved = zero.solve(&graph, &start, 0, |_, _| true).unwrap();
+        assert_eq!(solved.work.skipped_origins, 0);
+        assert_eq!(solved.sinks(&graph).count(), 7);
+        let (coarse, winning, _) = solved.bounds(&graph);
+        assert_eq!((coarse, winning), (0.0, 0.0));
+    }
+
+    #[test]
+    fn the_column_yields_the_units_a_contains_scan_finds() {
+        // 70 units over two words, listed out of order with ids apart
+        // from their positions; every seventh is down.
+        let ids: Vec<usize> = (0..70).rev().map(|at| 3 * at + 1).collect();
+        let offers = |unit: usize| -> ServiceSet {
+            (0..12)
+                .filter(|s| (unit * 7 + s * 5) % 11 < 4)
+                .map(ServiceId::new)
+                .collect()
+        };
+        let routable = |unit: usize| unit % 7 != 3;
+        let table = LevelTable::build(
+            ids.iter().copied(),
+            |from, to| BorderPair {
+                local: ProxyId::new(from),
+                remote: ProxyId::new(to),
+            },
+            |_, _| 0.0,
+            |_, _| 1.0,
+            |_| 0.0,
+            routable,
+            |_| 0.0,
+            |unit| offers(unit).iter().collect::<Vec<_>>(),
+        );
+        let mut past_63 = 0;
+        for service in (0..14).map(ServiceId::new) {
+            let scan: Vec<usize> = (0..table.units.len())
+                .filter(|&at| {
+                    let unit = table.units[at];
+                    routable(unit) && offers(unit).contains(service)
+                })
+                .collect();
+            assert_eq!(
+                table.offering(service).collect::<Vec<_>>(),
+                scan,
+                "{service:?}"
+            );
+            past_63 += scan.iter().filter(|&&at| at > 63).count();
+        }
+        assert!(past_63 > 0, "the second word is read");
     }
 }

@@ -378,8 +378,12 @@ mod tests {
                 if let Ok(solved) =
                     router.solve_level(s.level, s.parent, s.source, s.dest, &s.graph, &[])
                 {
-                    let (coarse, winning) = solved.bounds(&s.graph);
+                    let (coarse, winning, chained) = solved.bounds(&s.graph);
                     prop_assert!(coarse >= winning, "coarse bound {coarse} below {winning}");
+                    prop_assert!(
+                        chained <= coarse,
+                        "a kept chain's state at {chained} lies above the coarse bound {coarse}"
+                    );
                 }
                 let dense = router
                     .plan_over(s.level, s.parent, s.source, s.dest, &s.graph, &[])

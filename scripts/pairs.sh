@@ -15,9 +15,12 @@
 # (`PAST BOUND` when it is worse than the metric's `bound`), whether the
 # medians lie further apart than the parent's interquartile range, how
 # many pairs the change is ahead in (by the metric's `better`), and
-# every pair. On a failure it keeps the raw runs so far (`parent.tsv`,
-# `change.tsv`) and prints where they are. Offline: git, tar, cargo,
-# awk, find.
+# every pair, then each side's median count of single-phase calls (the
+# `n=` of `single_p50_us`). Both sides are built, in turn, from one
+# source path, since the path a crate is built from changes its bytes;
+# it says whether the two binaries are identical. On a failure it keeps
+# the raw runs so far (`parent.tsv`, `change.tsv`) and prints where
+# they are. Offline: git, tar, cargo, awk, find, cmp.
 set -euo pipefail
 
 parent=${1:?usage: scripts/pairs.sh PARENT [WORKLOAD ...]}
@@ -58,9 +61,16 @@ mkdir "$scratch/parent" "$scratch/change"
 git -C "$root" archive "$parent" | tar -x -C "$scratch/parent"
 (cd "$root" && git ls-files -z | tar --null -T - -cf -) | tar -x -C "$scratch/change"
 for side in parent change; do
+    mv "$scratch/$side" "$scratch/src"
     CARGO_TARGET_DIR="$scratch/target-$side" cargo build --release --offline -q \
-        --manifest-path "$scratch/$side/benchmark/Cargo.toml" --bin e2e
+        --manifest-path "$scratch/src/benchmark/Cargo.toml" --bin e2e
+    mv "$scratch/src" "$scratch/$side"
 done
+if cmp -s "$scratch/target-parent/release/e2e" "$scratch/target-change/release/e2e"; then
+    echo "the two e2e binaries are identical" >&2
+else
+    echo "the two e2e binaries differ" >&2
+fi
 
 # One end-to-end run of `side`, its metric lines appended to the side's
 # file as `workload pair name value`.
@@ -72,8 +82,10 @@ run() {
         echo "$out" >&2
         exit 1
     }
-    awk -v w="$workload" -v p="$pair" 'NF == 4 && $4 ~ /^n=/ { print w, p, $1, $3 }' \
-        <<<"$out" >>"$scratch/$side.tsv"
+    awk -v w="$workload" -v p="$pair" 'NF == 4 && $4 ~ /^n=/ {
+        print w, p, $1, $3
+        if ($1 == "single_p50_us") print w, p, "single_calls", substr($4, 3)
+    }' <<<"$out" >>"$scratch/$side.tsv"
 }
 
 for workload in "${workloads[@]}"; do
@@ -138,4 +150,10 @@ for workload in "${workloads[@]}"; do
             }
         ' "$scratch/parent.tsv" "$scratch/change.tsv"
     done <<<"$metrics"
+    for side in parent change; do
+        awk -v w="$workload" '$1 == w && $3 == "single_calls" { print $4 }' "$scratch/$side.tsv" |
+            sort -n | awk -v side="$side" -v w="$workload" '
+                { v[NR] = $1 }
+                END { if (NR) printf "single-phase calls @ %s, %s: median %s\n", w, side, (NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2) }'
+    done
 done

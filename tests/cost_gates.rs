@@ -197,9 +197,9 @@ fn level_work_over_the_gate_requests_is_pinned() {
     assert_eq!(
         work,
         LevelWork {
-            provider_probes: 135_660,
-            relaxations: 2_411_114,
-            skipped_origins: 64_868,
+            provider_probes: 78_222,
+            relaxations: 1_163_960,
+            skipped_origins: 78_984,
         }
     );
 }
